@@ -44,6 +44,8 @@ def arc_generator(n: int, key: ArcGeneratorKey) -> Polynomial:
 
 def arc_generators_up_to(n: int, max_order: int) -> list[Polynomial]:
     """All generators with t-power <= max_order, ordered by (order, i, j)."""
+    if n < 1 or max_order < 0:
+        raise ValueError("arc generators need n >= 1 and max_order >= 0")
     out = []
     for order in range(max_order + 1):
         for i in range(1, n + 1):

@@ -2,9 +2,8 @@
 
 Subcommands: gens, pair, perp, minors, series, verify, dims-chain.
 Global flags: --json (machine-readable output), --out PATH (write the output
-to a file), --threads K (advisory; the computations are exact-arithmetic
-bound and currently run on one thread), --seed N (randomized property
-sampling inside verify).  The exit code is 0 iff all requested checks pass.
+to a file), --seed N (randomized property sampling inside verify).  The exit
+code is 0 iff all requested checks pass; invalid input exits with code 2.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument("--out", metavar="PATH", help="write output to a file")
-    common.add_argument("--threads", type=int, default=1, metavar="K",
-                        help="advisory parallelism hint (currently single-threaded)")
     common.add_argument("--seed", type=int, default=0, metavar="N",
                         help="seed for randomized property sampling")
 

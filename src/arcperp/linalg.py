@@ -1,20 +1,107 @@
 """Exact rational linear algebra over monomial-indexed coefficient matrices.
 
-Rank queries run fraction-free Bareiss elimination on integer-cleared rows,
-which bounds intermediate entry growth; reduced row-echelon form is finished
-with plain rational Gauss-Jordan on the (small) surviving echelon rows.
-Pivoting is always the first nonzero entry in column order, so every result
-is deterministic.
+All elimination runs on one sparse, fraction-free core, ``reduced_echelon``.
+Rows are ``{column: value}`` maps of their nonzero entries, cleared of
+denominators and eliminated over the integers, each row kept divided by its
+content; the result is the unique reduced row-echelon form over the
+rationals.  Columns a row never mentions are never touched.  The pivot of a
+row is its first nonzero column, so every result is deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 from .ring import Monomial, Polynomial, differential_variables
+
+def reduced_echelon(
+    rows: Iterable[Mapping[int, int | Fraction]],
+) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """The unique reduced row-echelon form of sparse rational rows.
+
+    Returns the nonzero reduced rows, sorted by pivot column, and their pivot
+    columns; rank is the number of rows.
+    """
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row.values()))
+        work = {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
+        for c in [c for c in work if c in pivot_rows]:
+            _eliminate(work, pivot_rows[c], c)
+        if not work:
+            continue
+        lead = min(work)
+        _divide_content(work, lead)
+        for other in pivot_rows.values():
+            if lead in other:
+                _eliminate(other, work, lead)
+                _divide_content(other, None)
+        pivot_rows[lead] = work
+    pivots = sorted(pivot_rows)
+    reduced = []
+    for p in pivots:
+        row = pivot_rows[p]
+        d = row[p]
+        reduced.append({c: Fraction(e, d) for c, e in row.items()})
+    return reduced, pivots
+
+
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> None:
+    """Clear ``col`` from ``row`` in place by an integer combination with ``pivot_row``.
+
+    The pivot entry is positive, so the multiplier of ``row`` is too and the
+    signs of its other entries are kept.
+    """
+    v = row.pop(col)
+    p = pivot_row[col]
+    g = gcd(p, v)
+    a, b = p // g, v // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, e in pivot_row.items():
+        if k != col:
+            t = row.get(k, 0) - b * e
+            if t:
+                row[k] = t
+            else:
+                del row[k]
+
+
+def _divide_content(row: dict[int, int], lead: int | None) -> None:
+    """Divide by the gcd of the entries; with ``lead``, also make that entry positive."""
+    g = gcd(*row.values())
+    if lead is not None and row[lead] < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g
+
+
+def nullspace(rows: Iterable[Mapping[int, int | Fraction]], cols: int) -> list[dict[int, Fraction]]:
+    """A basis of the right nullspace of sparse rows with ``cols`` columns.
+
+    One vector per free column f, in column order: 1 at f, and minus the
+    reduced rows' entries in column f at their pivots.
+    """
+    reduced, pivots = reduced_echelon(rows)
+    pivot_set = set(pivots)
+    basis = {f: {f: Fraction(1)} for f in range(cols) if f not in pivot_set}
+    for row, p in zip(reduced, pivots):
+        for c, e in row.items():
+            if c != p:
+                basis[c][p] = -e
+    return list(basis.values())
+
+
+def _dense(row: Mapping[int, Fraction], cols: int) -> list[Fraction]:
+    out = [Fraction(0)] * cols
+    for c, e in row.items():
+        out[c] = e
+    return out
 
 
 class MonomialIndex:
@@ -69,7 +156,7 @@ class MonomialIndex:
 
 
 class RationalMatrix:
-    """A dense matrix of exact rationals."""
+    """A dense matrix of exact rationals; it reduces on the sparse core."""
 
     def __init__(self, entries: Sequence[Sequence[Fraction]], cols: int | None = None):
         self.entries: list[list[Fraction]] = [
@@ -107,111 +194,36 @@ class RationalMatrix:
             raise ValueError("dimension mismatch")
         return [sum((row[j] * v[j] for j in range(self.cols)), Fraction(0)) for row in self.entries]
 
+    def _sparse_rows(self) -> list[dict[int, Fraction]]:
+        return [{j: e for j, e in enumerate(row) if e} for row in self.entries]
+
     def rank(self) -> int:
-        return len(_bareiss_echelon(_integer_rows(self.entries), self.cols)[1])
+        return len(reduced_echelon(self._sparse_rows())[1])
 
     def row_reduce(self) -> "RationalMatrix":
         """The unique reduced row-echelon form, zero rows dropped."""
-        reduced = _rref_rows(self.entries, self.cols)
-        return RationalMatrix(reduced, cols=self.cols)
+        reduced, _ = reduced_echelon(self._sparse_rows())
+        return RationalMatrix([_dense(row, self.cols) for row in reduced], cols=self.cols)
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """A basis of the right nullspace, one vector per free column."""
-        reduced = _rref_rows(self.entries, self.cols)
-        pivots = [_first_nonzero(row) for row in reduced]
-        pivot_set = set(pivots)
-        basis: list[tuple[Fraction, ...]] = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            vec = [Fraction(0)] * self.cols
-            vec[free] = Fraction(1)
-            for row, piv in zip(reduced, pivots):
-                vec[piv] = -row[free]
-            basis.append(tuple(vec))
-        return basis
-
-
-def _first_nonzero(row: Sequence) -> int:
-    for j, e in enumerate(row):
-        if e != 0:
-            return j
-    return -1
-
-
-def _integer_rows(entries: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in entries:
-        lcm = 1
-        for e in row:
-            d = e.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        out.append([int(e * lcm) for e in row])
-    return out
-
-
-def _bareiss_echelon(
-    rows: list[list[int]], cols: int
-) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination; returns echelon rows and pivot columns."""
-    work = [row for row in rows if any(row)]
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        piv = work[r][c]
-        for i in range(r + 1, len(work)):
-            if not any(work[i][c:]):
-                continue
-            factor = work[i][c]
-            row_i = work[i]
-            row_r = work[r]
-            for j in range(c, cols):
-                row_i[j] = (piv * row_i[j] - factor * row_r[j]) // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    echelon = [row for row in work[: len(pivots)]]
-    return echelon, pivots
-
-
-def _rref_rows(entries: Sequence[Sequence[Fraction]], cols: int) -> list[list[Fraction]]:
-    echelon, pivots = _bareiss_echelon(_integer_rows(entries), cols)
-    rows = [[Fraction(e) for e in row] for row in echelon]
-    # Gauss-Jordan back-substitution on the small echelon basis.
-    for i in range(len(rows) - 1, -1, -1):
-        piv = pivots[i]
-        inv = rows[i][piv]
-        rows[i] = [e / inv for e in rows[i]]
-        for k in range(i):
-            factor = rows[k][piv]
-            if factor != 0:
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[i])]
-    return rows
+        return [tuple(_dense(v, self.cols)) for v in nullspace(self._sparse_rows(), self.cols)]
 
 
 def coeff_matrix(polys: Sequence[Polynomial], index: MonomialIndex) -> RationalMatrix:
     """Row r, column c holds the coefficient of index[c] in polys[r]."""
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(index)
-        for m, c in p.terms.items():
-            pos = index.position.get(m)
-            if pos is None:
-                raise ValueError(f"monomial {m} outside the ambient index")
-            row[pos] = c
-        rows.append(row)
+    rows = [_dense(_coefficient_row(p, index), len(index)) for p in polys]
     return RationalMatrix(rows, cols=len(index))
+
+
+def _coefficient_row(p: Polynomial, index: MonomialIndex) -> dict[int, Fraction]:
+    row = {}
+    for m, c in p.terms.items():
+        pos = index.position.get(m)
+        if pos is None:
+            raise ValueError(f"monomial {m} outside the ambient index")
+        row[pos] = c
+    return row
 
 
 class Span:
@@ -224,7 +236,9 @@ class Span:
 
     def __init__(self, index: MonomialIndex, basis_rows: Sequence[Sequence[Fraction]]):
         self.index = index
-        self.basis = [list(map(Fraction, row)) for row in basis_rows]
+        self.basis = [
+            [e if isinstance(e, Fraction) else Fraction(e) for e in row] for row in basis_rows
+        ]
 
     @classmethod
     def from_polynomials(
@@ -233,29 +247,8 @@ class Span:
         polys = [p for p in polys if not p.is_zero]
         if index is None:
             index = MonomialIndex.spanning(polys)
-        groups = _bihomogeneous_groups(polys)
-        if groups is None:
-            basis = coeff_matrix(polys, index).row_reduce().entries
-        else:
-            rows = []
-            for key in sorted(groups):
-                block = groups[key]
-                block_index = MonomialIndex.spanning(block)
-                block_rref = coeff_matrix(block, block_index).row_reduce()
-                for row in block_rref.entries:
-                    full = [Fraction(0)] * len(index)
-                    for j, value in enumerate(row):
-                        if value != 0:
-                            pos = index.position.get(block_index[j])
-                            if pos is None:
-                                raise ValueError(
-                                    f"monomial {block_index[j]} outside the ambient index"
-                                )
-                            full[pos] = value
-                    rows.append(full)
-            rows.sort(key=_first_nonzero)
-            basis = rows
-        return cls(index, basis)
+        reduced, _ = reduced_echelon(_coefficient_row(p, index) for p in polys)
+        return cls(index, [_dense(row, len(index)) for row in reduced])
 
     @property
     def dimension(self) -> int:
@@ -287,25 +280,18 @@ class Span:
         return isinstance(other, Span) and self.basis_polynomials() == other.basis_polynomials()
 
 
-def _bihomogeneous_groups(
-    polys: Sequence[Polynomial],
-) -> dict[tuple[int, int], list[Polynomial]] | None:
-    """Group by (degree, weight) when every input is homogeneous in both.
-
-    Monomials of distinct (degree, weight) classes are distinct, so the blocks
-    have disjoint column supports and the blockwise RREFs assemble into the
-    global RREF.  Returns None when the decomposition does not apply.
-    """
-    groups: dict[tuple[int, int], list[Polynomial]] = {}
-    for p in polys:
-        d = p.homogeneous_degree()
-        w = p.homogeneous_weight()
-        if d is None or w is None:
-            return None
-        groups.setdefault((d, w), []).append(p)
-    return groups
-
-
 def span_equal(a: Span, b: Span) -> bool:
     """Exact subspace equality via the unique reduced bases."""
     return a.basis_polynomials() == b.basis_polynomials()
+
+
+def span_witness(a: Span, b: Span) -> Polynomial | None:
+    """None when the spans are equal; otherwise the first basis polynomial of
+    ``a`` that ``b`` does not contain, or failing that, of ``b`` not in ``a``."""
+    if span_equal(a, b):
+        return None
+    for this, other in ((a, b), (b, a)):
+        for p in this.basis_polynomials():
+            if not other.contains(p):
+                return p
+    return None

@@ -19,10 +19,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .arcgen import arc_generators_up_to
 from .hankel import GradedSpan, hankel_matrix, minor, minor_span, triangular_matrix
-from .linalg import MonomialIndex, RationalMatrix, Span, span_equal
-from .pairing import apply_pairing, directional_derivative
+from .linalg import MonomialIndex, Span, nullspace, reduced_echelon, span_equal, span_witness
+from .pairing import directional_derivative
 from .ring import E, Monomial, Polynomial, al, x, xi, y
 
 
@@ -30,49 +29,68 @@ def perp_graded_basis(n: int, degree: int, max_order: int) -> Span:
     """Basis of the degree-d, order <= H part of the inverse system.
 
     Solves, per weight class, the linear system "g applied to P vanishes"
-    over all generators with t-power <= 2*max_order; generators beyond that
-    bound act as zero on the ambient space.  Weight classes never interact:
-    a weight-l generator maps weight-w candidates into weight-(w-l) monomials.
+    over every arc generator, applied from its structure by
+    ``_generator_images``; generators with t-power above 2*max_order act as
+    zero on the ambient space and never occur there.  Weight classes never
+    interact: a weight-l generator maps weight-w candidates into weight-(w-l)
+    monomials.
     """
     if degree < 0 or max_order < 0 or n < 1:
         raise ValueError("perp_graded_basis needs n >= 1, degree >= 0, max_order >= 0")
     ambient = MonomialIndex.graded(n, degree, max_order)
-    generators = arc_generators_up_to(n, 2 * max_order)
     by_weight: dict[int, list[Monomial]] = {}
     for m in ambient:
         by_weight.setdefault(m.weight(), []).append(m)
     kernel_polys: list[Polynomial] = []
     for _, monomials in sorted(by_weight.items()):
-        kernel_polys.extend(_weight_block_kernel(monomials, generators))
+        kernel_polys.extend(_weight_block_kernel(monomials))
     return Span.from_polynomials(kernel_polys, ambient)
 
 
-def _weight_block_kernel(
-    monomials: list[Monomial], generators: list[Polynomial]
-) -> list[Polynomial]:
-    columns = {m: c for c, m in enumerate(monomials)}
-    rows: list[list[Fraction]] = []
-    row_of_output: dict[tuple[int, Monomial], int] = {}
-    for gi, g in enumerate(generators):
-        for c, m in enumerate(monomials):
-            image = apply_pairing(g, Polynomial.from_monomial(m))
-            for out_m, coeff in image.terms.items():
-                key = (gi, out_m)
-                r = row_of_output.get(key)
-                if r is None:
-                    r = len(rows)
-                    row_of_output[key] = r
-                    rows.append([Fraction(0)] * len(monomials))
-                rows[r][c] = coeff
-    if not rows:
-        return [Polynomial.from_monomial(m) for m in monomials]
-    matrix = RationalMatrix(rows, cols=len(monomials))
-    basis = []
-    for vec in matrix.kernel_basis():
-        basis.append(
-            Polynomial({m: vec[columns[m]] for m in monomials if vec[columns[m]] != 0})
-        )
-    return basis
+def _weight_block_kernel(monomials: list[Monomial]) -> list[Polynomial]:
+    """Polynomials on one weight block annihilated by every arc generator.
+
+    Row ((i, j), l, q) of the constraint matrix holds, in column c, the
+    integer coefficient of the quotient monomial q in g_{ij,l} applied to
+    monomials[c]; the rows go to the sparse elimination core as they are.
+    """
+    rows: dict[tuple, dict[int, int]] = {}
+    for c, m in enumerate(monomials):
+        for family, order, quotient, coeff in _generator_images(m):
+            rows.setdefault((family, order, quotient), {})[c] = coeff
+    return [
+        Polynomial({monomials[c]: e for c, e in vec.items()})
+        for vec in nullspace(rows.values(), len(monomials))
+    ]
+
+
+def _generator_images(m: Monomial):
+    """The nonzero terms of every arc generator applied to the monomial m.
+
+    g_{ij,l} = sum_s x_i^(s) x_j^(l-s) acts as a sum of second partials, so
+    only pairs of variables of m contribute.  Yields ((i, j), l, quotient
+    pairs, coefficient): for u = x_i^(s) and v = x_j^(t) with exponents a, b,
+    the pair u != v gives a*b on m/(u*v), doubled when i = j because the sum
+    then holds both x_i^(s) x_i^(t) and x_i^(t) x_i^(s); a square u = v gives
+    a(a-1) on m/u^2.  Each (generator, quotient) comes from one pair.
+    """
+    pairs = m.pairs
+    for p, (u, a) in enumerate(pairs):
+        if a >= 2:
+            yield (u.i, u.i), 2 * u.j, _lowered(pairs, p, p), a * (a - 1)
+        for q in range(p + 1, len(pairs)):
+            v, b = pairs[q]
+            coeff = 2 * a * b if u.i == v.i else a * b
+            yield (u.i, v.i), u.j + v.j, _lowered(pairs, p, q), coeff
+
+
+def _lowered(pairs: tuple, p: int, q: int) -> tuple:
+    """The (variable, exponent) pairs with the exponents at p and at q lowered by one."""
+    out = list(pairs)
+    for k in (p, q):
+        v, e = out[k]
+        out[k] = (v, e - 1)
+    return tuple(t for t in out if t[1])
 
 
 def truncated_perp_basis(n: int, h: int) -> GradedSpan:
@@ -108,56 +126,40 @@ def hankel_minor_intersection_span(n: int, degree: int, max_order: int) -> Span:
     base_weight = degree * (degree - 1) // 2
     max_offset = max(degree * max_order - base_weight, 0)
     matrix = hankel_matrix(n, degree, max_offset)
-    by_weight: dict[int, list[Polynomial]] = {}
     rows = tuple(range(degree))
     memo: dict = {}
+    values: list[Polynomial] = []
     for cols in itertools.combinations(range(matrix.cols), degree):
         offsets = sum(c // n for c in cols)
-        weight = base_weight + offsets
-        if weight > degree * max_order:
+        if base_weight + offsets > degree * max_order:
             continue
         value = minor(matrix, rows, cols, _memo=memo)
         if not value.is_zero:
-            by_weight.setdefault(weight, []).append(value)
-    pieces: list[Polynomial] = []
-    for _, polys in sorted(by_weight.items()):
-        pieces.extend(_intersect_with_order_bound(polys, max_order))
+            values.append(value)
     ambient = MonomialIndex.graded(n, degree, max_order)
-    return Span.from_polynomials(pieces, ambient)
+    return Span.from_polynomials(_intersect_with_order_bound(values, max_order), ambient)
 
 
 def _intersect_with_order_bound(polys: list[Polynomial], max_order: int) -> list[Polynomial]:
-    """Basis of span(polys) intersected with the span of order <= H monomials."""
-    span = Span.from_polynomials(polys)
-    if span.dimension == 0:
-        return []
-    basis = span.basis_polynomials()
-    bad = [m for m in span.index if m.max_order() > max_order]
-    if not bad:
-        return list(basis)
-    bad_pos = {m: i for i, m in enumerate(bad)}
-    rows = []
-    for b in basis:
-        row = [Fraction(0)] * len(bad)
-        for m, c in b.terms.items():
-            i = bad_pos.get(m)
-            if i is not None:
-                row[i] = c
-        rows.append(row)
-    # combinations of basis rows with zero coordinates on every bad monomial
-    matrix = RationalMatrix(
-        [[rows[r][c] for r in range(len(basis))] for c in range(len(bad))],
-        cols=len(basis),
+    """Basis of span(polys) intersected with the span of order <= H monomials.
+
+    Reduces with the monomials of order above H as the leading columns.  A
+    reduced row pivoting on a low-order monomial is zero on every high-order
+    one; a vector of the span that is zero on the high-order monomials has
+    coefficient zero on each row pivoting there, so the former rows are a
+    basis of the intersection.
+    """
+    columns = sorted(MonomialIndex.spanning(polys), key=lambda m: m.max_order() <= max_order)
+    position = {m: c for c, m in enumerate(columns)}
+    high = sum(1 for m in columns if m.max_order() > max_order)
+    reduced, pivots = reduced_echelon(
+        {position[m]: c for m, c in p.terms.items()} for p in polys
     )
-    out = []
-    for vec in matrix.kernel_basis():
-        combo = Polynomial.zero()
-        for coeff, b in zip(vec, basis):
-            if coeff != 0:
-                combo = combo + coeff * b
-        if not combo.is_zero:
-            out.append(combo)
-    return out
+    return [
+        Polynomial({columns[c]: e for c, e in row.items()})
+        for row, pivot in zip(reduced, pivots)
+        if pivot >= high
+    ]
 
 
 def minor_span_matches_kernel(n: int, degree: int, max_order: int) -> bool:
@@ -198,18 +200,22 @@ def stabilized_restriction_span(
 
 
 def truncation_matches_restriction(n: int, h: int) -> bool:
-    """Does restricting the inverse system reproduce the triangular minor span?
+    """Does restricting the inverse system reproduce the triangular minor span?"""
+    return restriction_mismatch(n, h) is None
 
-    Checks, for every degree d <= h+1, that the stabilized restriction span
-    equals the degree-d part of the triangular minor span.  Degrees above h+1
-    cannot occur: the triangular family has h+1 rows, which bounds minor size.
-    """
+
+def restriction_mismatch(n: int, h: int) -> tuple[int, Polynomial] | None:
+    """The first degree d <= h+1 at which the stabilized restriction span and
+    the triangular minor span differ, with a basis polynomial of one side
+    missing from the other; None when all agree.  Degrees above h+1 cannot
+    occur: the triangular family has h+1 rows, which bounds minor size."""
     truncated = truncated_perp_basis(n, h)
     for degree in range(h + 2):
         restricted, _ = stabilized_restriction_span(n, h, degree)
-        if not span_equal(restricted, truncated.span(degree)):
-            return False
-    return True
+        witness = span_witness(restricted, truncated.span(degree))
+        if witness is not None:
+            return degree, witness
+    return None
 
 
 # -- pointwise certificates on single polynomials ------------------------------

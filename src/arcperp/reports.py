@@ -26,16 +26,16 @@ from .hankel import (
     triangular_matrix,
     wronskian,
 )
-from .linalg import Span
+from .linalg import Span, span_witness
 from .pairing import annihilates, apply_pairing, double_derivative_vanishes
 from .perp import (
+    hankel_minor_intersection_span,
     is_differentially_homogeneous,
     linear_in_exponential_shift,
-    minor_span_matches_kernel,
     perp_graded_basis,
+    restriction_mismatch,
     scaled_of_triangular_map,
     truncated_perp_basis,
-    truncation_matches_restriction,
     vanishes_on_exponential_sums,
 )
 from .ring import Monomial, Polynomial, differential_variables, format_polynomial
@@ -59,6 +59,8 @@ class SeriesRow:
 
 def dimension_series(n: int, h_max: int) -> list[SeriesRow]:
     """Truncated inverse-system dimensions against (n+1)^(h+1) for h <= h_max."""
+    if h_max < 0:
+        raise ValueError("the series needs h_max >= 0")
     rows = []
     for h in range(h_max + 1):
         dim = truncated_perp_basis(n, h).total_dimension
@@ -241,9 +243,11 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     def check_span_equality():
         dims = {}
         for d in range(1, degree_cap + 1):
-            if not minor_span_matches_kernel(n, d, order_bound):
-                return False, dims, None
-            dims[str(d)] = kernel_bases[d].dimension if d in kernel_bases else None
+            minor_side = hankel_minor_intersection_span(n, d, order_bound)
+            witness = span_witness(kernel_bases[d], minor_side)
+            if witness is not None:
+                return False, dims, f"degree {d}: {format_polynomial(witness)}"
+            dims[str(d)] = kernel_bases[d].dimension
         return True, dims, None
 
     checks.append(
@@ -260,9 +264,12 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     h_elim = min(h, 2)
 
     def check_elimination():
-        ok = truncation_matches_restriction(n, h_elim)
-        total = truncated_perp_basis(n, h).total_dimension
-        return ok, {"h": h_elim, "total": total}, None
+        mismatch = restriction_mismatch(n, h_elim)
+        dims = {"h": h_elim, "total": truncated_perp_basis(n, h).total_dimension}
+        if mismatch is None:
+            return True, dims, None
+        degree, witness = mismatch
+        return False, dims, f"degree {degree}: {format_polynomial(witness)}"
 
     checks.append(
         _timed(

@@ -26,6 +26,12 @@ class TestGens:
         assert code == 0
         assert json.loads(out) == ["x1_0^2", "x1_0*x2_0", "x2_0^2"]
 
+    def test_negative_max_order_rejected(self, capsys):
+        code, out, err = run(capsys, "gens", "--n", "1", "--max-order", "-1", "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestPair:
     def test_pairing_result(self, capsys):
@@ -93,6 +99,12 @@ class TestSeries:
         assert [r["dimension"] for r in rows] == [2, 4, 8]
         assert all(r["match"] for r in rows)
 
+    def test_negative_h_max_rejected(self, capsys):
+        code, out, err = run(capsys, "series", "--n", "1", "--h-max", "-1", "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestVerify:
     def test_passes_with_exit_zero(self, capsys):
@@ -140,12 +152,6 @@ class TestGlobalFlags:
         assert code == 0
         assert out == ""
         assert target.read_text() == "x1_0^2\n"
-
-    def test_threads_flag_accepted(self, capsys):
-        code, _, _ = run(
-            capsys, "series", "--n", "1", "--h-max", "0", "--threads", "4"
-        )
-        assert code == 0
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

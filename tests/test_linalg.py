@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcperp.linalg import (
     MonomialIndex,
     RationalMatrix,
     Span,
     coeff_matrix,
+    nullspace,
+    reduced_echelon,
     span_equal,
 )
 from arcperp.ring import Monomial, Polynomial, parse, x
@@ -118,6 +121,63 @@ class TestRankKernelRref:
         m = RationalMatrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
         assert m.rank() == 1
         assert m.row_reduce().entries == [[Fraction(1), Fraction(2)]]
+
+
+small_integers = st.integers(min_value=-4, max_value=4)
+small_rationals = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
+)
+
+
+@st.composite
+def matrices_with_zero_lines(draw):
+    """Integer or rational matrices of up to 5 x 6, empty ones included, with
+    some rows and columns forced to zero."""
+    cols = draw(st.integers(min_value=0, max_value=6))
+    entries = draw(st.sampled_from([small_integers, small_rationals]))
+    rows = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=5))
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=4), max_size=2))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=5), max_size=2))
+    return [
+        [0 if r in zero_rows or c in zero_cols else e for c, e in enumerate(row)]
+        for r, row in enumerate(rows)
+    ], cols
+
+
+class TestSparseCoreAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices_with_zero_lines())
+    def test_rref_rank_and_kernel(self, case):
+        rows, cols = case
+        oracle = naive_rref(rows, cols)
+        oracle_pivots = [next(j for j, e in enumerate(row) if e != 0) for row in oracle]
+        sparse = [{j: e for j, e in enumerate(row) if e != 0} for row in rows]
+
+        reduced, pivots = reduced_echelon(sparse)
+        assert [[row.get(j, 0) for j in range(cols)] for row in reduced] == oracle
+        assert pivots == oracle_pivots
+        assert len(pivots) == naive_rank(rows, cols)
+
+        # the kernel read off the oracle's RREF, one vector per free column
+        expected = []
+        for free in range(cols):
+            if free in oracle_pivots:
+                continue
+            vec = [Fraction(0)] * cols
+            vec[free] = Fraction(1)
+            for row, p in zip(oracle, oracle_pivots):
+                vec[p] = -row[free]
+            expected.append(vec)
+        kernel = nullspace(sparse, cols)
+        assert [[v.get(j, 0) for j in range(cols)] for v in kernel] == expected
+        for vec in expected:
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+        assert naive_rank(expected, cols) == len(expected) == cols - len(pivots)
+
+        matrix = RationalMatrix(rows, cols=cols)
+        assert matrix.row_reduce().entries == oracle
+        assert matrix.rank() == len(oracle)
+        assert matrix.kernel_basis() == [tuple(v) for v in expected]
 
 
 class TestSpan:

@@ -1,8 +1,11 @@
 import pytest
 
+from arcperp.arcgen import ArcGeneratorKey, arc_generator
 from arcperp.hankel import iter_minors, scaled_matrix, wronskian
-from arcperp.linalg import Span, span_equal
+from arcperp.linalg import MonomialIndex, Span, span_equal
+from arcperp.pairing import apply_pairing
 from arcperp.perp import (
+    _generator_images,
     hankel_minor_intersection_span,
     is_differentially_homogeneous,
     linear_in_exponential_shift,
@@ -15,10 +18,38 @@ from arcperp.perp import (
     truncation_matches_restriction,
     vanishes_on_exponential_sums,
 )
-from arcperp.ring import Polynomial, parse
+from arcperp.ring import Monomial, Polynomial, parse
+
+from oracles import pairing_oracle
 
 P = parse
 WRONSKIAN_2 = "x1_0*x1_2 - x1_1^2"
+
+
+class TestGeneratorImages:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_structural_image_matches_pairing(self, n):
+        # every monomial of MonomialIndex.graded(n, d, H) for d, H <= 3, against
+        # every generator up to t-power 7 (those above 2H = 6 must act as zero)
+        monomials = {
+            m for d in range(4) for h in range(4) for m in MonomialIndex.graded(n, d, h)
+        }
+        generators = {
+            (i, j, order): arc_generator(n, ArcGeneratorKey(i, j, order))
+            for order in range(8)
+            for i in range(1, n + 1)
+            for j in range(i, n + 1)
+        }
+        for m in monomials:
+            images: dict[tuple, Polynomial] = {}
+            for (i, j), order, quotient, coeff in _generator_images(m):
+                term = Polynomial.from_monomial(Monomial(quotient), coeff)
+                images[(i, j, order)] = images.get((i, j, order), Polynomial.zero()) + term
+            target = Polynomial.from_monomial(m)
+            for key, g in generators.items():
+                image = images.get(key, Polynomial.zero())
+                assert image == apply_pairing(g, target), (m, key)
+                assert image == pairing_oracle(g, target), (m, key)
 
 
 class TestPerpGradedBasis:

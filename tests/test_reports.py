@@ -1,10 +1,14 @@
 import json
 
+from arcperp import perp, reports
+from arcperp.hankel import GradedSpan
+from arcperp.linalg import Span
 from arcperp.reports import (
     dimension_chain,
     dimension_series,
     run_verification,
 )
+from arcperp.ring import format_polynomial
 
 
 class TestDimensionSeries:
@@ -101,3 +105,47 @@ class TestRunVerification:
         b_names = [c["name"] for c in b["checks"]]
         assert a_names == b_names
         assert a["passed"] and b["passed"]
+
+
+def _failed(report):
+    return [c for c in report.checks if not c.passed]
+
+
+class TestNegativeControls:
+    """Each span cross-check fails, naming a witness, when one side loses a
+    basis element; every other check still passes."""
+
+    def test_minor_side_missing_an_element(self, monkeypatch):
+        real = reports.hankel_minor_intersection_span
+        dropped = []
+
+        def lossy(n, degree, max_order):
+            span = real(n, degree, max_order)
+            if degree != 1:
+                return span
+            basis = span.basis_polynomials()
+            dropped.append(basis[0])
+            return Span.from_polynomials(basis[1:], span.index)
+
+        monkeypatch.setattr(reports, "hankel_minor_intersection_span", lossy)
+        report = run_verification(1, 1)
+        (check,) = _failed(report)
+        assert check.name == "kernel_equals_hankel_minor_span"
+        assert check.witness == f"degree 1: {format_polynomial(dropped[0])}"
+
+    def test_truncated_side_missing_an_element(self, monkeypatch):
+        real = perp.truncated_perp_basis
+        dropped = []
+
+        def lossy(n, h):
+            spans = dict(real(n, h).spans)
+            basis = spans[2].basis_polynomials()
+            dropped.append(basis[0])
+            spans[2] = Span.from_polynomials(basis[1:], spans[2].index)
+            return GradedSpan(spans)
+
+        monkeypatch.setattr(perp, "truncated_perp_basis", lossy)
+        report = run_verification(1, 1)
+        (check,) = _failed(report)
+        assert check.name == "restriction_matches_truncated_minors"
+        assert check.witness == f"degree 2: {format_polynomial(dropped[0])}"
