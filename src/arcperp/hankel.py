@@ -229,7 +229,7 @@ class GradedSpan:
     def span(self, degree: int) -> Span:
         got = self.spans.get(degree)
         if got is None:
-            return Span(MonomialIndex(()), [])
+            return Span(MonomialIndex(()), [], [])
         return got
 
     def dimension(self, degree: int) -> int:

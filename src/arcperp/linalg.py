@@ -11,6 +11,7 @@ row is its first nonzero column, so every result is deterministic.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -120,13 +121,8 @@ class MonomialIndex:
     def graded(cls, n: int, degree: int, max_order: int) -> "MonomialIndex":
         """All degree-d monomials in the variables x_i^(j), i <= n, j <= max_order."""
         variables = differential_variables(n, max_order)
-        monomials = []
-        for combo in itertools.combinations_with_replacement(variables, degree):
-            counts: dict = {}
-            for v in combo:
-                counts[v] = counts.get(v, 0) + 1
-            monomials.append(Monomial(counts.items()))
-        return cls(monomials)
+        combos = itertools.combinations_with_replacement(variables, degree)
+        return cls(Monomial(Counter(combo).items()) for combo in combos)
 
     @classmethod
     def spanning(cls, polys: Iterable[Polynomial]) -> "MonomialIndex":
@@ -229,16 +225,18 @@ def _coefficient_row(p: Polynomial, index: MonomialIndex) -> dict[int, Fraction]
 class Span:
     """A finite-dimensional subspace of polynomials in reduced echelon form.
 
-    The basis rows are the unique RREF of the input coefficient rows against
-    the ambient index, so two spans over compatible indexes are equal exactly
-    when their basis polynomials coincide.
+    ``rows`` are the unique RREF of the input coefficient rows against the
+    ambient index, sparse as ``reduced_echelon`` returns them, with their
+    ``pivots``; two spans over compatible indexes are equal exactly when
+    their basis polynomials coincide.  Those are built once, on first use,
+    and shared by every later query, so they must not be mutated.
     """
 
-    def __init__(self, index: MonomialIndex, basis_rows: Sequence[Sequence[Fraction]]):
+    def __init__(self, index: MonomialIndex, rows: list[dict[int, Fraction]], pivots: list[int]):
         self.index = index
-        self.basis = [
-            [e if isinstance(e, Fraction) else Fraction(e) for e in row] for row in basis_rows
-        ]
+        self.rows = rows
+        self.pivots = pivots
+        self._polynomials = self._by_pivot = None
 
     @classmethod
     def from_polynomials(
@@ -247,31 +245,33 @@ class Span:
         polys = [p for p in polys if not p.is_zero]
         if index is None:
             index = MonomialIndex.spanning(polys)
-        reduced, _ = reduced_echelon(_coefficient_row(p, index) for p in polys)
-        return cls(index, [_dense(row, len(index)) for row in reduced])
+        return cls(index, *reduced_echelon(_coefficient_row(p, index) for p in polys))
+
+    @property
+    def basis(self) -> list[list[Fraction]]:
+        return [_dense(row, len(self.index)) for row in self.rows]
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     def basis_polynomials(self) -> tuple[Polynomial, ...]:
-        out = []
-        for row in self.basis:
-            terms = {
-                self.index[j]: value for j, value in enumerate(row) if value != 0
-            }
-            out.append(Polynomial(terms))
-        return tuple(out)
+        if self._polynomials is None:
+            monomials = self.index.monomials
+            polys = [Polynomial({monomials[c]: e for c, e in row.items()}) for row in self.rows]
+            self._by_pivot = {monomials[c]: b.terms.items() for c, b in zip(self.pivots, polys)}
+            self._polynomials = tuple(polys)
+        return self._polynomials
 
     def reduce(self, p: Polynomial) -> Polynomial:
-        """The remainder of p after elimination against the basis rows."""
-        remainder = p
-        for b in self.basis_polynomials():
-            lead = b.monomials()[0]
-            c = remainder.coeff(lead)
-            if c != 0:
-                remainder = remainder - c * b
-        return remainder
+        """The remainder of p after elimination against the basis rows: as the
+        rows are reduced, p minus p's coefficient at each pivot times its row."""
+        self.basis_polynomials()  # builds the pivot map on first use
+        remainder = dict(p.terms)
+        for m, c in p.terms.items():
+            for k, e in self._by_pivot.get(m, ()):
+                remainder[k] = remainder.get(k, 0) - c * e
+        return Polynomial(remainder)
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce(p).is_zero
@@ -282,7 +282,7 @@ class Span:
 
 def span_equal(a: Span, b: Span) -> bool:
     """Exact subspace equality via the unique reduced bases."""
-    return a.basis_polynomials() == b.basis_polynomials()
+    return a == b
 
 
 def span_witness(a: Span, b: Span) -> Polynomial | None:

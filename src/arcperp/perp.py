@@ -204,12 +204,16 @@ def truncation_matches_restriction(n: int, h: int) -> bool:
     return restriction_mismatch(n, h) is None
 
 
-def restriction_mismatch(n: int, h: int) -> tuple[int, Polynomial] | None:
+def restriction_mismatch(
+    n: int, h: int, truncated: GradedSpan | None = None
+) -> tuple[int, Polynomial] | None:
     """The first degree d <= h+1 at which the stabilized restriction span and
     the triangular minor span differ, with a basis polynomial of one side
     missing from the other; None when all agree.  Degrees above h+1 cannot
-    occur: the triangular family has h+1 rows, which bounds minor size."""
-    truncated = truncated_perp_basis(n, h)
+    occur: the triangular family has h+1 rows, which bounds minor size.
+    ``truncated`` is ``truncated_perp_basis(n, h)`` when the caller has it."""
+    if truncated is None:
+        truncated = truncated_perp_basis(n, h)
     for degree in range(h + 2):
         restricted, _ = stabilized_restriction_span(n, h, degree)
         witness = span_witness(restricted, truncated.span(degree))

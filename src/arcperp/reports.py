@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, perp
 from .arcgen import arc_generators_up_to
 from .hankel import (
     iter_minors,
@@ -78,6 +78,7 @@ class ChainDims:
     scaled_augmented: int
     equal: bool
     bijection_lands_in_scaled: bool
+    witness: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -94,7 +95,9 @@ def dimension_chain(n: int, h: int) -> ChainDims:
 
     ``equal`` records whether all three match (n+1)^(h+1).  The explicit
     substitution x^(i) -> x^(h-i)/(h-i)! is also applied to every triangular
-    basis element and checked to land in the scaled span.
+    basis element and checked to land in the scaled span.  On failure the
+    witness is the first triangular basis element whose image lands outside,
+    or else the first family whose dimension is off.
     """
     closed = (n + 1) ** (h + 1)
     tri = minor_span(triangular_matrix(n, h), range(h + 2))
@@ -102,12 +105,21 @@ def dimension_chain(n: int, h: int) -> ChainDims:
     aug = minor_span(scaled_augmented_matrix(n, h), [h + 1])
     dims = (tri.total_dimension, sca.total_dimension, aug.total_dimension)
     scaled_all = Span.from_polynomials(sca.basis_polynomials())
-    bijection_ok = all(
-        scaled_all.contains(scaled_of_triangular_map(p, h))
-        for p in tri.basis_polynomials()
+    outside = next(
+        (p for p in tri.basis_polynomials()
+         if not scaled_all.contains(scaled_of_triangular_map(p, h))),
+        None,
     )
-    return ChainDims(*dims, equal=all(d == closed for d in dims),
-                     bijection_lands_in_scaled=bijection_ok)
+    off = [
+        f"{family}: {d} != {closed}"
+        for family, d in zip(("triangular", "scaled", "scaled_augmented"), dims)
+        if d != closed
+    ]
+    witness = off[0] if off else None
+    if outside is not None:
+        witness = f"image outside the scaled span: {format_polynomial(outside)}"
+    return ChainDims(*dims, equal=not off, bijection_lands_in_scaled=outside is None,
+                     witness=witness)
 
 
 # -- the verification driver ---------------------------------------------------
@@ -264,8 +276,11 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     h_elim = min(h, 2)
 
     def check_elimination():
-        mismatch = restriction_mismatch(n, h_elim)
-        dims = {"h": h_elim, "total": truncated_perp_basis(n, h).total_dimension}
+        # Looked up on the module, so that a substituted truncated side reaches
+        # both the certificate and its total, which share one object at h <= 2.
+        truncated = perp.truncated_perp_basis(n, h)
+        mismatch = restriction_mismatch(n, h_elim, truncated if h_elim == h else None)
+        dims = {"h": h_elim, "total": truncated.total_dimension}
         if mismatch is None:
             return True, dims, None
         degree, witness = mismatch
@@ -281,11 +296,7 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
 
     def check_chain():
         chain = dimension_chain(n, h)
-        return (
-            chain.equal and chain.bijection_lands_in_scaled,
-            chain.to_dict(),
-            None,
-        )
+        return chain.equal and chain.bijection_lands_in_scaled, chain.to_dict(), chain.witness
 
     checks.append(_timed("triangular_scaled_dimension_chain", {"n": n, "h": h}, check_chain))
 

@@ -252,3 +252,65 @@ class TestSpan:
                 for c in spans:
                     if span_equal(a, b) and span_equal(b, c):
                         assert span_equal(a, c)
+
+
+# Degree-2 monomials in x1 up to order 2, and monomials a span over them can
+# never hold: one of degree 2 that sorts among them, one of degree 1, and one
+# in a second family.
+SPAN_INDEX = MonomialIndex.graded(1, 2, 2)
+OUTSIDE = [
+    Monomial(((x(1, 0), 1), (x(1, 3), 1))),
+    Monomial.of(x(1, 3)),
+    Monomial.of(x(2, 0), 2),
+]
+COLUMNS = list(SPAN_INDEX.monomials) + OUTSIDE
+
+
+def _polynomials_over(monomials):
+    return st.dictionaries(st.sampled_from(monomials), small_rationals, max_size=4).map(Polynomial)
+
+
+@st.composite
+def spans_and_queries(draw):
+    """Two lists of polynomials over SPAN_INDEX, zero ones included, and a
+    query: a combination of the first list plus, often, a random polynomial
+    that may leave both the span and the index."""
+    polys = draw(st.lists(_polynomials_over(SPAN_INDEX.monomials), max_size=5))
+    others = draw(st.lists(_polynomials_over(SPAN_INDEX.monomials), max_size=5))
+    query = Polynomial.zero()
+    for p in polys:
+        query = query + draw(small_rationals) * p
+    query = query + draw(st.one_of(st.just(Polynomial.zero()), _polynomials_over(COLUMNS)))
+    return polys, others, query
+
+
+def _dense_rows(polys, columns):
+    return [[p.coeff(m) for m in columns] for p in polys]
+
+
+class TestSpanAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(spans_and_queries())
+    def test_queries_match_naive_elimination(self, case):
+        polys, others, query = case
+        span = Span.from_polynomials(polys, SPAN_INDEX)
+        cols = len(COLUMNS)
+        rows, other_rows = _dense_rows(polys, COLUMNS), _dense_rows(others, COLUMNS)
+        rank = naive_rank(rows, cols)
+
+        assert span.basis == naive_rref(_dense_rows(polys, SPAN_INDEX.monomials), len(SPAN_INDEX))
+        first = span.basis_polynomials()
+        assert span.basis_polynomials() == first
+        assert span.basis_polynomials() is first
+
+        assert span.contains(query) == (naive_rank(rows + _dense_rows([query], COLUMNS), cols) == rank)
+        remainder = span.reduce(query)
+        for c in span.pivots:
+            assert remainder.coeff(SPAN_INDEX[c]) == 0
+        assert span.contains(query - remainder)
+
+        # the same polynomials give the same span over either index
+        assert span_equal(span, Span.from_polynomials(polys))
+        expected = rank == naive_rank(other_rows, cols) == naive_rank(rows + other_rows, cols)
+        assert span_equal(span, Span.from_polynomials(others, SPAN_INDEX)) == expected
+        assert span_equal(Span.from_polynomials(polys), Span.from_polynomials(others)) == expected

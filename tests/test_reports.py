@@ -1,8 +1,9 @@
 import json
 
 from arcperp import perp, reports
-from arcperp.hankel import GradedSpan
+from arcperp.hankel import GradedSpan, scaled_matrix, triangular_matrix
 from arcperp.linalg import Span
+from arcperp.perp import scaled_of_triangular_map
 from arcperp.reports import (
     dimension_chain,
     dimension_series,
@@ -55,6 +56,13 @@ class TestDimensionChain:
         chain = dimension_chain(2, 0)
         assert (chain.triangular, chain.scaled, chain.scaled_augmented) == (3, 3, 3)
         assert chain.equal
+
+    def test_n3_h3(self):
+        chain = dimension_chain(3, 3)
+        assert (chain.triangular, chain.scaled, chain.scaled_augmented) == (256, 256, 256)
+        assert chain.equal
+        assert chain.bijection_lands_in_scaled
+        assert chain.witness is None
 
 
 class TestRunVerification:
@@ -111,9 +119,30 @@ def _failed(report):
     return [c for c in report.checks if not c.passed]
 
 
+def _drop_top_element(monkeypatch, matrix):
+    """Make ``reports.minor_span`` lose the first basis element of the top
+    degree when it spans the minors of ``matrix``; returns the dropped list."""
+    real = reports.minor_span
+    dropped = []
+
+    def lossy(m, sizes):
+        graded = real(m, sizes)
+        if m != matrix:
+            return graded
+        spans = dict(graded.spans)
+        top = max(spans)
+        basis = spans[top].basis_polynomials()
+        dropped.append(basis[0])
+        spans[top] = Span.from_polynomials(basis[1:], spans[top].index)
+        return GradedSpan(spans)
+
+    monkeypatch.setattr(reports, "minor_span", lossy)
+    return dropped
+
+
 class TestNegativeControls:
-    """Each span cross-check fails, naming a witness, when one side loses a
-    basis element; every other check still passes."""
+    """Each span cross-check, and the dimension chain, fails naming a witness
+    when one side loses a basis element; every other check still passes."""
 
     def test_minor_side_missing_an_element(self, monkeypatch):
         real = reports.hankel_minor_intersection_span
@@ -149,3 +178,30 @@ class TestNegativeControls:
         (check,) = _failed(report)
         assert check.name == "restriction_matches_truncated_minors"
         assert check.witness == f"degree 2: {format_polynomial(dropped[0])}"
+
+    def test_scaled_side_missing_an_element(self, monkeypatch):
+        dropped = _drop_top_element(monkeypatch, scaled_matrix(1, 1))
+        report = run_verification(1, 1)
+        (check,) = _failed(report)
+        assert check.name == "triangular_scaled_dimension_chain"
+        assert check.dimensions["scaled"] == 3
+        assert check.dimensions["bijection_lands_in_scaled"] is False
+        # The scaled span is in reduced echelon form, so without its element
+        # pivoting at m it is the part of the full span that vanishes at m:
+        # the first triangular element whose image has a term at m is outside.
+        pivot = dropped[0].monomials()[0]
+        expected = next(
+            p for p in perp.truncated_perp_basis(1, 1).basis_polynomials()
+            if scaled_of_triangular_map(p, 1).coeff(pivot) != 0
+        )
+        assert check.witness == (
+            f"image outside the scaled span: {format_polynomial(expected)}"
+        )
+
+    def test_triangular_side_missing_an_element(self, monkeypatch):
+        _drop_top_element(monkeypatch, triangular_matrix(1, 1))
+        report = run_verification(1, 1)
+        (check,) = _failed(report)
+        assert check.name == "triangular_scaled_dimension_chain"
+        assert check.dimensions["bijection_lands_in_scaled"] is True
+        assert check.witness == "triangular: 3 != 4"
