@@ -41,6 +41,7 @@ from .hankel import (
     determinant,
     hankel_matrix,
     iter_minors,
+    iter_selected_minors,
     minor,
     minor_span,
     scaled_augmented_matrix,

@@ -11,8 +11,11 @@ Four matrix families are built here:
 * ``scaled_augmented_matrix(n, h)`` -- scaled_matrix(n, h) with an identity
   block appended, realizing the substitution of 1 for an extra family.
 
-Determinants use cofactor expansion memoized on (row, column) subsets, so the
-exponentially many minors of one matrix share their subproblems.
+Every determinant and minor runs on one kernel, ``_PackedMatrix``: the matrix
+is packed once per enumeration, with each monomial an integer key (so that a
+monomial product is one addition), and expanded along the first row with a
+memo on (row, column) subsets, so the exponentially many minors of one matrix
+share their subproblems.  Values become ``Polynomial`` only when returned.
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ class SymbolicMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def entry(self, r: int, c: int) -> Polynomial:
-        return self.entries[r][c]
 
     @classmethod
     def from_rows(cls, rows) -> "SymbolicMatrix":
@@ -140,60 +140,98 @@ def build_matrix(family: str, n: int, h: int, k: int | None = None) -> SymbolicM
 
 # -- determinants and minors --------------------------------------------------
 
-_DetMemo = dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial]
+_Packed = dict[int, int | Fraction]  # packed monomial key -> nonzero coefficient
 
 
-def _det_recursive(
-    m: SymbolicMatrix,
-    rows: tuple[int, ...],
-    cols: tuple[int, ...],
-    memo: _DetMemo,
-) -> Polynomial:
-    if not rows:
-        return ONE
-    key = (rows, cols)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    r = rows[0]
-    rest_rows = rows[1:]
-    acc = ZERO
-    for pos, c in enumerate(cols):
-        e = m.entry(r, c)
-        if e.is_zero:
-            continue
-        sub = _det_recursive(m, rest_rows, cols[:pos] + cols[pos + 1 :], memo)
-        if sub.is_zero:
-            continue
-        term = e * sub
-        acc = acc - term if pos % 2 else acc + term
-    memo[key] = acc
-    return acc
+class _PackedMatrix:
+    """A matrix packed for exact determinant expansion: the one minor kernel.
+
+    The variables occurring in the entries are numbered in variable order, and
+    a monomial with exponent e_v at the v-th of them is the integer key
+    sum(e_v * base**v).  Every minor is a sum of products of at most
+    min(rows, cols) entries, so none of its exponents exceeds that count
+    times the largest entry degree, which is below the base: no digit carries
+    into the next, and a monomial product is one integer addition.  Entries
+    keep integer coefficients as ``int``; only non-integral ones (the 1/i! of
+    the scaled families) stay ``Fraction``.
+    """
+
+    def __init__(self, m: SymbolicMatrix):
+        monomials = {mono for row in m.entries for p in row for mono in p.terms}
+        self.variables = sorted({v for mono in monomials for v in mono.variables()})
+        degree = max((mono.degree for mono in monomials), default=0)
+        self.base = degree * min(m.rows, m.cols) + 1
+        place = {v: self.base**i for i, v in enumerate(self.variables)}
+        key = {mono: sum(e * place[v] for v, e in mono.pairs) for mono in monomials}
+        self.entries = [
+            [
+                {key[mono]: int(c) if c.denominator == 1 else c for mono, c in p.terms.items()}
+                for p in row
+            ]
+            for row in m.entries
+        ]
+        self.memo: dict[tuple[tuple[int, ...], tuple[int, ...]], _Packed] = {((), ()): {0: 1}}
+        self.monomials: dict[int, Monomial] = {}
+
+    def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> _Packed:
+        """First-row cofactor expansion, memoized on (rows, cols); terms that
+        cancel are dropped as soon as they do."""
+        memo = self.memo
+        got = memo.get((rows, cols))
+        if got is not None:
+            return got
+        first = self.entries[rows[0]]
+        rest = rows[1:]
+        acc: _Packed = {}
+        for pos, c in enumerate(cols):
+            entry = first[c]
+            if not entry:
+                continue
+            sub_cols = cols[:pos] + cols[pos + 1 :]
+            sub = memo.get((rest, sub_cols))
+            if sub is None:
+                sub = self.det(rest, sub_cols)
+            for ka, ca in entry.items():
+                if pos % 2:
+                    ca = -ca
+                for kb, cb in sub.items():
+                    k = ka + kb
+                    v = acc.pop(k, 0) + ca * cb
+                    if v:
+                        acc[k] = v
+        memo[(rows, cols)] = acc
+        return acc
+
+    def value(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
+        """The minor on (rows, cols) as a ``Polynomial``."""
+        det = self.det(rows, cols)
+        if not det:
+            return ZERO
+        return Polynomial({self._monomial(k): c for k, c in det.items()})
+
+    def _monomial(self, key: int) -> Monomial:
+        got = self.monomials.get(key)
+        if got is None:
+            pairs = []
+            rest = key
+            for v in self.variables:
+                rest, e = divmod(rest, self.base)
+                if e:
+                    pairs.append((v, e))
+            got = self.monomials[key] = Monomial(pairs)
+        return got
 
 
 def determinant(m: SymbolicMatrix) -> Polynomial:
     """Exact symbolic determinant of a square matrix."""
     if m.rows != m.cols:
         raise ValueError(f"determinant of a {m.rows}x{m.cols} matrix")
-    return _det_recursive(m, tuple(range(m.rows)), tuple(range(m.cols)), {})
+    return _PackedMatrix(m).value(tuple(range(m.rows)), tuple(range(m.cols)))
 
 
-def minor(
-    m: SymbolicMatrix,
-    rows: tuple[int, ...] | list[int],
-    cols: tuple[int, ...] | list[int],
-    _memo: _DetMemo | None = None,
-) -> Polynomial:
+def minor(m: SymbolicMatrix, rows, cols) -> Polynomial:
     """Determinant of the selected square submatrix; the empty minor is 1."""
-    rows = tuple(rows)
-    cols = tuple(cols)
-    if len(rows) != len(cols):
-        raise ValueError("minor needs equally many rows and columns")
-    if any(r < 0 or r >= m.rows for r in rows) or any(c < 0 or c >= m.cols for c in cols):
-        raise ValueError("minor selector out of bounds")
-    if list(rows) != sorted(set(rows)) or list(cols) != sorted(set(cols)):
-        raise ValueError("minor selectors must be strictly increasing")
-    return _det_recursive(m, rows, cols, {} if _memo is None else _memo)
+    return next(iter_selected_minors(m, [(rows, cols)]))[3]
 
 
 def wronskian(fs: list[Polynomial]) -> Polynomial:
@@ -208,13 +246,30 @@ def wronskian(fs: list[Polynomial]) -> Polynomial:
 
 def iter_minors(m: SymbolicMatrix, sizes):
     """Yield (size, rows, cols, value) by size, then lexicographic (rows, cols)."""
-    memo: _DetMemo = {}
+    packed = _PackedMatrix(m)
     for size in sorted(sizes):
-        if size < 0 or size > min(m.rows, m.cols):
-            continue
-        for rows in itertools.combinations(range(m.rows), size):
-            for cols in itertools.combinations(range(m.cols), size):
-                yield size, rows, cols, _det_recursive(m, rows, cols, memo)
+        if 0 <= size <= min(m.rows, m.cols):
+            for rows in itertools.combinations(range(m.rows), size):
+                for cols in itertools.combinations(range(m.cols), size):
+                    yield size, rows, cols, packed.value(rows, cols)
+
+
+def iter_selected_minors(m: SymbolicMatrix, selections):
+    """Yield (size, rows, cols, value) for each (rows, cols) selection, in order.
+
+    The selections share one packed matrix, so their subproblems are computed
+    once.  Selectors must be equally long, strictly increasing and in bounds.
+    """
+    packed = _PackedMatrix(m)
+    for rows, cols in selections:
+        rows, cols = tuple(rows), tuple(cols)
+        if len(rows) != len(cols):
+            raise ValueError("minor needs equally many rows and columns")
+        if any(r < 0 or r >= m.rows for r in rows) or any(c < 0 or c >= m.cols for c in cols):
+            raise ValueError("minor selector out of bounds")
+        if list(rows) != sorted(set(rows)) or list(cols) != sorted(set(cols)):
+            raise ValueError("minor selectors must be strictly increasing")
+        yield len(rows), rows, cols, packed.value(rows, cols)
 
 
 class GradedSpan:

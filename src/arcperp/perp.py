@@ -19,7 +19,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .hankel import GradedSpan, hankel_matrix, minor, minor_span, triangular_matrix
+from .hankel import GradedSpan, hankel_matrix, iter_selected_minors, minor_span, triangular_matrix
 from .linalg import MonomialIndex, Span, nullspace, reduced_echelon, span_equal, span_witness
 from .pairing import directional_derivative
 from .ring import E, Monomial, Polynomial, al, x, xi, y
@@ -127,15 +127,16 @@ def hankel_minor_intersection_span(n: int, degree: int, max_order: int) -> Span:
     max_offset = max(degree * max_order - base_weight, 0)
     matrix = hankel_matrix(n, degree, max_offset)
     rows = tuple(range(degree))
-    memo: dict = {}
-    values: list[Polynomial] = []
-    for cols in itertools.combinations(range(matrix.cols), degree):
-        offsets = sum(c // n for c in cols)
-        if base_weight + offsets > degree * max_order:
-            continue
-        value = minor(matrix, rows, cols, _memo=memo)
-        if not value.is_zero:
-            values.append(value)
+    selections = (
+        (rows, cols)
+        for cols in itertools.combinations(range(matrix.cols), degree)
+        if base_weight + sum(c // n for c in cols) <= degree * max_order
+    )
+    values = [
+        value
+        for _, _, _, value in iter_selected_minors(matrix, selections)
+        if not value.is_zero
+    ]
     ambient = MonomialIndex.graded(n, degree, max_order)
     return Span.from_polynomials(_intersect_with_order_bound(values, max_order), ambient)
 

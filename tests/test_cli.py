@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +80,21 @@ class TestMinors:
         code, _, err = run(capsys, "minors", "--family", "H", "--n", "1", "--h", "2")
         assert code == 2
         assert "k" in err
+
+    @pytest.mark.parametrize(
+        "golden,argv",
+        [
+            ("minors_T_n1_h3.json", ["--family", "T", "--n", "1", "--h", "3"]),
+            ("minors_S_n2_h1.json", ["--family", "S", "--n", "2", "--h", "1"]),
+            ("minors_S1_n2_h2.json", ["--family", "S1", "--n", "2", "--h", "2"]),
+            ("minors_H_n2_h2_k1.json", ["--family", "H", "--n", "2", "--h", "2", "--k", "1"]),
+        ],
+    )
+    def test_json_matches_golden(self, capsys, golden, argv):
+        # The files pin value formatting, enumeration order and zero minors.
+        code, out, _ = run(capsys, "minors", *argv, "--json")
+        assert code == 0
+        assert out == (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
 
     def test_max_size(self, capsys):
         code, out, _ = run(

@@ -1,14 +1,19 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import (
     SymbolicMatrix,
     build_matrix,
+    _PackedMatrix,
     determinant,
     hankel_matrix,
     iter_minors,
+    iter_selected_minors,
     minor,
     minor_span,
     scaled_augmented_matrix,
@@ -18,7 +23,7 @@ from arcperp.hankel import (
 )
 from arcperp.linalg import Span, span_equal
 from arcperp.pairing import annihilates, double_derivative_vanishes
-from arcperp.ring import Polynomial, parse, x
+from arcperp.ring import E, Monomial, Polynomial, al, parse, x, xi, y
 
 from oracles import naive_determinant
 
@@ -142,6 +147,59 @@ class TestMinorsAndDeterminant:
     def test_non_square_determinant_rejected(self):
         with pytest.raises(ValueError):
             determinant(hankel_matrix(1, 2, 2))
+
+
+_ORACLE_VARIABLES = [x(1, 0), x(1, 1), x(2, 0), y(0), E(1), xi(1), al(1, 1)]
+_coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+_monomials = st.dictionaries(
+    st.sampled_from(_ORACLE_VARIABLES), st.integers(1, 3), max_size=2
+).map(lambda exps: Monomial(exps.items()))
+_entries = st.one_of(
+    st.just(Polynomial.zero()),
+    _coefficients.map(Polynomial.constant),
+    st.lists(st.tuples(_monomials, _coefficients), max_size=3).map(Polynomial.from_terms),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    size = draw(st.integers(0, 4))
+    return [[draw(_entries) for _ in range(size)] for _ in range(size)]
+
+
+class TestKernelAgainstOracle:
+    """The packed-key kernel against the permutation expansion of the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    @example([[P("x1_0^3")]])
+    @example([[P("x1_0^2*y_0"), P("E1^3 + xi1")], [P("al1_1^3"), P("x1_0*x1_1^3")]])
+    @example([[P("x1_0 + 1/2*E1"), P("x1_0")], [P("x1_0 + 1/2*E1"), P("x1_0")]])
+    def test_determinant_matches_naive_expansion(self, rows):
+        matrix = SymbolicMatrix.from_rows(rows)
+        expected = naive_determinant(rows)
+        assert determinant(matrix) == expected
+        # Terms that cancel are dropped, not stored with coefficient zero.
+        full = tuple(range(len(rows)))
+        assert len(_PackedMatrix(matrix).det(full, full)) == len(expected.terms)
+
+    @pytest.mark.parametrize(
+        "family,n,h,k", [("T", 1, 2, None), ("S", 2, 1, None), ("S1", 1, 2, None), ("H", 2, 2, 1)]
+    )
+    def test_every_minor_of_each_family(self, family, n, h, k):
+        m = build_matrix(family, n, h, k)
+        sizes = range(min(m.rows, m.cols) + 1)
+        listing = list(iter_minors(m, sizes))
+        assert len(listing) == sum(math.comb(m.rows, s) * math.comb(m.cols, s) for s in sizes)
+        selected = iter_selected_minors(m, [(rows, cols) for _, rows, cols, _ in listing])
+        for (size, rows, cols, value), again in zip(listing, selected, strict=True):
+            assert value == naive_determinant([[m.entries[r][c] for c in cols] for r in rows])
+            assert again == (size, rows, cols, value)
+        if family == "S1":  # x1_2/2 on its second superdiagonal
+            assert any(c.denominator > 1 for _, _, _, v in listing for c in v.terms.values())
 
 
 class TestMinorSpan:

@@ -1,7 +1,7 @@
 import json
 
 from arcperp import perp, reports
-from arcperp.hankel import GradedSpan, scaled_matrix, triangular_matrix
+from arcperp.hankel import GradedSpan, hankel_matrix, scaled_matrix, triangular_matrix
 from arcperp.linalg import Span
 from arcperp.perp import scaled_of_triangular_map
 from arcperp.reports import (
@@ -9,7 +9,7 @@ from arcperp.reports import (
     dimension_series,
     run_verification,
 )
-from arcperp.ring import format_polynomial
+from arcperp.ring import format_polynomial, parse
 
 
 class TestDimensionSeries:
@@ -205,3 +205,62 @@ class TestNegativeControls:
         assert check.name == "triangular_scaled_dimension_chain"
         assert check.dimensions["bijection_lands_in_scaled"] is True
         assert check.witness == "triangular: 3 != 4"
+
+
+def _corrupt_one_minor(monkeypatch, matrix, stray):
+    """Make ``reports.iter_minors`` add ``stray`` to the first nonzero minor of
+    ``matrix`` it yields; returns the list that receives the corrupted value."""
+    real = reports.iter_minors
+    corrupted = []
+
+    def lossy(m, sizes):
+        for size, rows, cols, value in real(m, sizes):
+            if m == matrix and not corrupted and not value.is_zero:
+                value = value + parse(stray)
+                corrupted.append(value)
+            yield size, rows, cols, value
+
+    monkeypatch.setattr(reports, "iter_minors", lossy)
+    return corrupted
+
+
+class TestMinorFedNegativeControls:
+    """The checks fed by minors, and the series, fail naming a witness when
+    one minor or one basis element is corrupted."""
+
+    def test_hankel_minor_with_a_stray_term(self, monkeypatch):
+        corrupted = _corrupt_one_minor(monkeypatch, hankel_matrix(1, 1, 1), "x1_0^2")
+        report = run_verification(1, 1)
+        # Both Hankel checks read the same minors, and x1_0^2 fails both.
+        failed = {c.name: c.witness for c in _failed(report)}
+        assert failed == {
+            "hankel_minors_annihilated_by_generators": format_polynomial(corrupted[0]),
+            "hankel_minors_double_derivative_vanishes": format_polynomial(corrupted[0]),
+        }
+        assert format_polynomial(corrupted[0]) == "x1_0^2 + 1"  # the size-0 minor
+
+    def test_scaled_maximal_minor_with_a_stray_term(self, monkeypatch):
+        corrupted = _corrupt_one_minor(monkeypatch, scaled_matrix(2, 1), "x1_1^2")
+        report = run_verification(1, 1)
+        (check,) = _failed(report)
+        assert check.name == "scaled_maximal_minors_differentially_homogeneous"
+        assert check.witness == format_polynomial(corrupted[0])
+        assert check.dimensions == {"maximal_minors": 1}
+
+    def test_series_missing_a_basis_element(self, monkeypatch):
+        real = reports.truncated_perp_basis
+
+        def lossy(n, h):
+            graded = real(n, h)
+            if h != 1:
+                return graded
+            spans = dict(graded.spans)
+            spans[2] = Span.from_polynomials(spans[2].basis_polynomials()[1:], spans[2].index)
+            return GradedSpan(spans)
+
+        monkeypatch.setattr(reports, "truncated_perp_basis", lossy)
+        report = run_verification(1, 1)
+        (check,) = _failed(report)
+        assert check.name == "dimension_series_matches_closed_form"
+        assert check.witness == "h=1: 3 != 4"
+        assert check.dimensions == {"0": 2, "1": 3}
