@@ -57,7 +57,6 @@ from .perp import (
     perp_graded_basis,
     restriction_span,
     scaled_of_triangular_map,
-    stabilized_restriction_span,
     truncated_perp_basis,
     truncation_matches_restriction,
     vanishes_on_exponential_sums,

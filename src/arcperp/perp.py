@@ -31,20 +31,26 @@ def perp_graded_basis(n: int, degree: int, max_order: int) -> Span:
     Solves, per weight class, the linear system "g applied to P vanishes"
     over every arc generator, applied from its structure by
     ``_generator_images``; generators with t-power above 2*max_order act as
-    zero on the ambient space and never occur there.  Weight classes never
-    interact: a weight-l generator maps weight-w candidates into weight-(w-l)
-    monomials.
+    zero on the ambient space and never occur there.
     """
     if degree < 0 or max_order < 0 or n < 1:
         raise ValueError("perp_graded_basis needs n >= 1, degree >= 0, max_order >= 0")
     ambient = MonomialIndex.graded(n, degree, max_order)
+    return Span.from_polynomials(_kernel_up_to_weight(ambient, degree * max_order), ambient)
+
+
+def _kernel_up_to_weight(monomials: MonomialIndex, max_weight: int) -> list[Polynomial]:
+    """Kernel vectors of every weight block of weight <= max_weight.
+
+    Weight classes never interact: a weight-l generator maps weight-w
+    candidates into weight-(w-l) monomials, so each block is solved alone.
+    """
     by_weight: dict[int, list[Monomial]] = {}
-    for m in ambient:
-        by_weight.setdefault(m.weight(), []).append(m)
-    kernel_polys: list[Polynomial] = []
-    for _, monomials in sorted(by_weight.items()):
-        kernel_polys.extend(_weight_block_kernel(monomials))
-    return Span.from_polynomials(kernel_polys, ambient)
+    for m in monomials:
+        w = m.weight()
+        if w <= max_weight:
+            by_weight.setdefault(w, []).append(m)
+    return [p for _, block in sorted(by_weight.items()) for p in _weight_block_kernel(block)]
 
 
 def _weight_block_kernel(monomials: list[Monomial]) -> list[Polynomial]:
@@ -98,12 +104,24 @@ def truncated_perp_basis(n: int, h: int) -> GradedSpan:
     return minor_span(triangular_matrix(n, h), range(h + 2))
 
 
-def restriction_span(n: int, h: int, degree: int, max_order: int) -> Span:
-    """Span of the order->h restrictions of the degree-d inverse-system basis."""
-    basis = perp_graded_basis(n, degree, max_order).basis_polynomials()
-    restricted = [p.restrict_above(h) for p in basis]
-    ambient = MonomialIndex.graded(n, degree, h)
-    return Span.from_polynomials([p for p in restricted if not p.is_zero], ambient)
+def restriction_span(n: int, h: int, degree: int) -> Span:
+    """Span of the order->h restrictions of the degree-d inverse system.
+
+    Exact, with no order bound to choose.  Every arc generator is
+    weight-homogeneous, so the inverse system is the sum of its weight
+    blocks, and the degree-d, weight-w block uses only orders <= w: the
+    blocks of weight w <= H are the same at every order bound H >= w.  A
+    degree-d monomial with all orders <= h has weight <= d*h, so only the
+    blocks of weight <= d*h restrict to nonzero polynomials.  Those are
+    solved once, at order d*h.
+    """
+    if degree < 0 or h < 0 or n < 1:
+        raise ValueError("restriction_span needs n >= 1, h >= 0, degree >= 0")
+    weight = degree * h
+    kernel = _kernel_up_to_weight(MonomialIndex.graded(n, degree, weight), weight)
+    return Span.from_polynomials(
+        [p.restrict_above(h) for p in kernel], MonomialIndex.graded(n, degree, h)
+    )
 
 
 # -- span equality of the kernel and minor descriptions -----------------------
@@ -178,28 +196,6 @@ def minor_span_matches_kernel(n: int, degree: int, max_order: int) -> bool:
 # -- elimination / truncation certificate -------------------------------------
 
 
-def stabilized_restriction_span(
-    n: int, h: int, degree: int, start_order: int | None = None, max_steps: int = 8
-) -> tuple[Span, int]:
-    """Restriction span with the order bound raised until two steps agree.
-
-    Returns the stabilized span and the order at which it stabilized.  Raises
-    ``RuntimeError`` when no stabilization happens within ``max_steps``
-    increments (which would leave the certificate incomplete).
-    """
-    order = max(start_order if start_order is not None else h + degree, h)
-    current = restriction_span(n, h, degree, order)
-    for _ in range(max_steps):
-        nxt = restriction_span(n, h, degree, order + 1)
-        if span_equal(current, nxt):
-            return nxt, order + 1
-        current = nxt
-        order += 1
-    raise RuntimeError(
-        f"restriction span did not stabilize for n={n}, h={h}, degree={degree}"
-    )
-
-
 def truncation_matches_restriction(n: int, h: int) -> bool:
     """Does restricting the inverse system reproduce the triangular minor span?"""
     return restriction_mismatch(n, h) is None
@@ -208,16 +204,16 @@ def truncation_matches_restriction(n: int, h: int) -> bool:
 def restriction_mismatch(
     n: int, h: int, truncated: GradedSpan | None = None
 ) -> tuple[int, Polynomial] | None:
-    """The first degree d <= h+1 at which the stabilized restriction span and
-    the triangular minor span differ, with a basis polynomial of one side
-    missing from the other; None when all agree.  Degrees above h+1 cannot
-    occur: the triangular family has h+1 rows, which bounds minor size.
-    ``truncated`` is ``truncated_perp_basis(n, h)`` when the caller has it."""
+    """The first degree d <= h+1 at which the exact restriction span
+    (``restriction_span``) and the triangular minor span differ, with a basis
+    polynomial of one side missing from the other; None when all agree.
+    Degrees above h+1 cannot occur: the triangular family has h+1 rows,
+    which bounds minor size.  ``truncated`` is ``truncated_perp_basis(n, h)``
+    when the caller has it."""
     if truncated is None:
         truncated = truncated_perp_basis(n, h)
     for degree in range(h + 2):
-        restricted, _ = stabilized_restriction_span(n, h, degree)
-        witness = span_witness(restricted, truncated.span(degree))
+        witness = span_witness(restriction_span(n, h, degree), truncated.span(degree))
         if witness is not None:
             return degree, witness
     return None

@@ -26,7 +26,7 @@ from .hankel import (
     triangular_matrix,
     wronskian,
 )
-from .linalg import Span, span_witness
+from .linalg import span_witness
 from .pairing import annihilates, apply_pairing, double_derivative_vanishes
 from .perp import (
     hankel_minor_intersection_span,
@@ -95,19 +95,20 @@ def dimension_chain(n: int, h: int) -> ChainDims:
 
     ``equal`` records whether all three match (n+1)^(h+1).  The explicit
     substitution x^(i) -> x^(h-i)/(h-i)! is also applied to every triangular
-    basis element and checked to land in the scaled span.  On failure the
-    witness is the first triangular basis element whose image lands outside,
-    or else the first family whose dimension is off.
+    basis element and checked to land in the scaled span of its degree: the
+    map keeps degree and the degree pieces share no monomials, so that is
+    landing in the whole scaled span.  On failure the witness is the first
+    triangular basis element whose image lands outside, or else the first
+    family whose dimension is off.
     """
     closed = (n + 1) ** (h + 1)
     tri = minor_span(triangular_matrix(n, h), range(h + 2))
     sca = minor_span(scaled_matrix(n, h), range(h + 2))
     aug = minor_span(scaled_augmented_matrix(n, h), [h + 1])
     dims = (tri.total_dimension, sca.total_dimension, aug.total_dimension)
-    scaled_all = Span.from_polynomials(sca.basis_polynomials())
     outside = next(
-        (p for p in tri.basis_polynomials()
-         if not scaled_all.contains(scaled_of_triangular_map(p, h))),
+        (p for d, span in tri.spans.items() for p in span.basis_polynomials()
+         if not sca.span(d).contains(scaled_of_triangular_map(p, h))),
         None,
     )
     off = [
@@ -270,9 +271,9 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
         )
     )
 
-    # The stabilization raises the kernel order bound to h + degree + 1; at
-    # h = 3 that is past the desk-scale order cap of 5, so the battery trims
-    # this sweep while the standalone API stays unbounded.
+    # The restriction solves every weight block up to d*h for d <= h+1; at
+    # h = 3 the degree-4 blocks (weight up to 12) take seconds, so the
+    # battery trims this sweep while the standalone API stays unbounded.
     h_elim = min(h, 2)
 
     def check_elimination():

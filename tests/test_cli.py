@@ -107,6 +107,22 @@ class TestMinors:
         assert all(m["size"] <= 1 for m in data["minors"])
 
 
+class TestReportGoldens:
+    @pytest.mark.parametrize(
+        "golden,argv",
+        [
+            ("verify_n1_h2.json", ["verify", "--n", "1", "--h", "2", "--no-timings"]),
+            ("verify_n2_h2.json", ["verify", "--n", "2", "--h", "2", "--no-timings"]),
+            ("dims_chain_n2_h3.json", ["dims-chain", "--n", "2", "--h", "3"]),
+        ],
+    )
+    def test_json_matches_golden(self, capsys, golden, argv):
+        # The files pin every check's name, instance, dimensions and order.
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out == (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
+
+
 class TestSeries:
     def test_matching_series(self, capsys):
         code, out, _ = run(capsys, "series", "--n", "1", "--h-max", "2", "--json")

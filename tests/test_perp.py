@@ -13,7 +13,6 @@ from arcperp.perp import (
     perp_graded_basis,
     restriction_span,
     scaled_of_triangular_map,
-    stabilized_restriction_span,
     truncated_perp_basis,
     truncation_matches_restriction,
     vanishes_on_exponential_sums,
@@ -127,27 +126,47 @@ class TestTruncatedPerp:
         assert [str(p) for p in gs.basis_polynomials()] == ["1", "x1_0", "x2_0"]
 
 
+def _restricted_kernel(n, h, degree, max_order):
+    """Span of the order->h restrictions of ``perp_graded_basis`` at order H."""
+    basis = perp_graded_basis(n, degree, max_order).basis_polynomials()
+    return Span.from_polynomials(
+        [p.restrict_above(h) for p in basis], MonomialIndex.graded(n, degree, h)
+    )
+
+
 class TestRestriction:
     def test_wronskian_restricts_to_square(self):
-        span = restriction_span(1, 1, 2, 2)
+        span = restriction_span(1, 1, 2)
         assert [str(p) for p in span.basis_polynomials()] == ["x1_1^2"]
 
     def test_low_order_kernel_is_empty(self):
-        assert restriction_span(1, 1, 2, 1).dimension == 0
+        assert perp_graded_basis(1, 2, 1).dimension == 0
 
     def test_linear_restriction(self):
-        span = restriction_span(1, 0, 1, 3)
+        span = restriction_span(1, 0, 1)
         assert [str(p) for p in span.basis_polynomials()] == ["x1_0"]
 
-    def test_dimensions_nondecreasing_in_order(self):
-        dims = [restriction_span(1, 1, 2, H).dimension for H in range(1, 5)]
-        assert dims == sorted(dims)
+    @pytest.mark.parametrize(
+        "n,h,d", [(n, h, d) for n in (1, 2) for h in (0, 1, 2) for d in range(h + 2)]
+    )
+    def test_weight_bound_is_exact(self, n, h, d):
+        # Restricting the order-H kernel gives the same span at H = d*h and
+        # at H = d*h + 1: the blocks of weight above d*h add nothing.
+        exact = restriction_span(n, h, d)
+        for order in (d * h, d * h + 1):
+            assert span_equal(_restricted_kernel(n, h, d, order), exact)
 
-    def test_stabilization(self):
-        span, order = stabilized_restriction_span(1, 1, 2)
-        assert span.dimension == 1
-        assert order >= 3
-        assert span_equal(span, restriction_span(1, 1, 2, order + 1))
+    @pytest.mark.parametrize("n,h,d", [(1, 1, 1), (1, 1, 2)])
+    def test_weight_bound_is_needed(self, n, h, d):
+        # One order below d*h loses the top weight block.
+        short = _restricted_kernel(n, h, d, d * h - 1)
+        assert short.dimension < restriction_span(n, h, d).dimension
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            restriction_span(1, -1, 1)
+        with pytest.raises(ValueError):
+            restriction_span(0, 1, 1)
 
 
 class TestSpanEquality:

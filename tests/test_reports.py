@@ -264,3 +264,47 @@ class TestMinorFedNegativeControls:
         assert check.name == "dimension_series_matches_closed_form"
         assert check.witness == "h=1: 3 != 4"
         assert check.dimensions == {"0": 2, "1": 3}
+
+
+class TestPointwiseNegativeControls:
+    """The checks that test single polynomials fail naming a witness when fed
+    a polynomial, or a law, that is wrong."""
+
+    def test_hankel_minor_with_a_high_order_stray_term(self, monkeypatch):
+        # Generators up to t-power 4 cannot see a term of weight 11, so only
+        # the double-derivative check fails.
+        _corrupt_one_minor(monkeypatch, hankel_matrix(1, 1, 1), "x1_5*x1_6")
+        report = run_verification(1, 1)
+        (check,) = _failed(report)
+        assert check.name == "hankel_minors_double_derivative_vanishes"
+        assert check.witness == "x1_5*x1_6 + 1"
+
+    def test_kernel_basis_with_a_stray_element(self, monkeypatch):
+        real = reports.perp_graded_basis
+
+        def padded(n, degree, max_order):
+            span = real(n, degree, max_order)
+            if degree != 2:
+                return span
+            stray = [*span.basis_polynomials(), parse("x1_0^2")]
+            return Span.from_polynomials(stray, span.index)
+
+        monkeypatch.setattr(reports, "perp_graded_basis", padded)
+        report = run_verification(1, 1)
+        failed = {c.name: c.witness for c in _failed(report)}
+        assert failed == {
+            "kernel_basis_pointwise_certificates": "x1_0^2",
+            "kernel_equals_hankel_minor_span": "degree 2: x1_0^2",
+        }
+
+    def test_broken_wronskian_law(self, monkeypatch):
+        # A Wronskian that ignores the order of its arguments is symmetric,
+        # not alternating.
+        real = reports.wronskian
+        monkeypatch.setattr(
+            reports, "wronskian", lambda fs: real(sorted(fs, key=format_polynomial))
+        )
+        report = run_verification(1, 1)
+        (check,) = _failed(report)
+        assert check.name == "randomized_property_samples"
+        assert check.witness == "wronskian alternation"
