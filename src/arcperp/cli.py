@@ -14,9 +14,9 @@ import sys
 
 from . import __version__
 from .arcgen import arc_generators_up_to
-from .hankel import build_matrix, iter_minors, minor_span
+from .hankel import GradedSpan, build_matrix, iter_minors
 from .pairing import apply_pairing
-from .perp import perp_graded_basis
+from .perp import perp_graded_basis, truncated_perp_basis
 from .reports import dimension_chain, dimension_series, run_verification
 from .ring import PolynomialSyntaxError, format_polynomial, parse
 
@@ -126,7 +126,9 @@ def _cmd_minors(args) -> int:
     max_size = args.max_size
     if max_size is None:
         max_size = min(matrix.rows, matrix.cols)
-    sizes = range(max_size + 1)
+    if max_size < 0:
+        raise ValueError("minors needs --max-size >= 0")
+    minors = list(iter_minors(matrix, range(max_size + 1)))
     listing = [
         {
             "size": size,
@@ -134,9 +136,9 @@ def _cmd_minors(args) -> int:
             "cols": list(cols),
             "value": format_polynomial(value),
         }
-        for size, rows, cols, value in iter_minors(matrix, sizes)
+        for size, rows, cols, value in minors
     ]
-    graded = minor_span(matrix, sizes)
+    graded = GradedSpan.from_polynomials(value for _, _, _, value in minors)
     dims = {str(d): graded.dimension(d) for d in graded.degrees()}
     if args.json:
         text = json.dumps(
@@ -164,7 +166,10 @@ def _cmd_minors(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    rows = dimension_series(args.n, args.h_max)
+    if args.h_max < 0:
+        raise ValueError("the series needs h_max >= 0")
+    truncated = (truncated_perp_basis(args.n, h) for h in range(args.h_max + 1))
+    rows = dimension_series(args.n, truncated)
     if args.json:
         text = json.dumps([r.to_dict() for r in rows], indent=2)
     else:
@@ -197,7 +202,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dims_chain(args) -> int:
-    chain = dimension_chain(args.n, args.h)
+    chain = dimension_chain(args.n, args.h, truncated_perp_basis(args.n, args.h))
     if args.json:
         text = json.dumps(chain.to_dict(), indent=2)
     else:

@@ -118,7 +118,6 @@ def _hconcat(blocks: list[list[list[Polynomial]]]) -> SymbolicMatrix:
 
 
 MATRIX_FAMILIES = {
-    "H": hankel_matrix,
     "T": triangular_matrix,
     "S": scaled_matrix,
     "S1": scaled_augmented_matrix,
@@ -135,6 +134,8 @@ def build_matrix(family: str, n: int, h: int, k: int | None = None) -> SymbolicM
         builder = MATRIX_FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown matrix family {family!r}") from None
+    if k is not None:
+        raise ValueError(f"the {family} family takes no offset bound k")
     return builder(n, h)
 
 
@@ -278,6 +279,15 @@ class GradedSpan:
     def __init__(self, spans: dict[int, Span]):
         self.spans = dict(sorted(spans.items()))
 
+    @classmethod
+    def from_polynomials(cls, polys) -> "GradedSpan":
+        """Reduced spans of the nonzero polynomials, grouped by total degree."""
+        by_degree: dict[int, list[Polynomial]] = {}
+        for p in polys:
+            if not p.is_zero:
+                by_degree.setdefault(p.total_degree(), []).append(p)
+        return cls({d: Span.from_polynomials(group) for d, group in by_degree.items()})
+
     def degrees(self) -> list[int]:
         return list(self.spans)
 
@@ -305,23 +315,10 @@ class GradedSpan:
         return out
 
 
-def minor_span(
-    m: SymbolicMatrix, sizes, degree_filter: int | None = None
-) -> GradedSpan:
+def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     """Reduced span of all minors of the given sizes, grouped by degree.
 
     Size 0 contributes the constant 1.  Zero minors are discarded before the
     reduction.
     """
-    by_degree: dict[int, list[Polynomial]] = {}
-    for _, _, _, value in iter_minors(m, sizes):
-        if value.is_zero:
-            continue
-        d = value.homogeneous_degree()
-        if d is None:
-            d = value.total_degree()
-        if degree_filter is not None and d != degree_filter:
-            continue
-        by_degree.setdefault(d, []).append(value)
-    spans = {d: Span.from_polynomials(polys) for d, polys in by_degree.items()}
-    return GradedSpan(spans)
+    return GradedSpan.from_polynomials(value for _, _, _, value in iter_minors(m, sizes))

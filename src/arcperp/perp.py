@@ -198,20 +198,16 @@ def minor_span_matches_kernel(n: int, degree: int, max_order: int) -> bool:
 
 def truncation_matches_restriction(n: int, h: int) -> bool:
     """Does restricting the inverse system reproduce the triangular minor span?"""
-    return restriction_mismatch(n, h) is None
+    return restriction_mismatch(n, h, truncated_perp_basis(n, h)) is None
 
 
-def restriction_mismatch(
-    n: int, h: int, truncated: GradedSpan | None = None
-) -> tuple[int, Polynomial] | None:
+def restriction_mismatch(n: int, h: int, truncated: GradedSpan) -> tuple[int, Polynomial] | None:
     """The first degree d <= h+1 at which the exact restriction span
-    (``restriction_span``) and the triangular minor span differ, with a basis
-    polynomial of one side missing from the other; None when all agree.
-    Degrees above h+1 cannot occur: the triangular family has h+1 rows,
-    which bounds minor size.  ``truncated`` is ``truncated_perp_basis(n, h)``
-    when the caller has it."""
-    if truncated is None:
-        truncated = truncated_perp_basis(n, h)
+    (``restriction_span``) and ``truncated``, the triangular minor span
+    ``truncated_perp_basis(n, h)``, differ, with a basis polynomial of one
+    side missing from the other; None when all agree.  Degrees above h+1
+    cannot occur: the triangular family has h+1 rows, which bounds minor
+    size."""
     for degree in range(h + 2):
         witness = span_witness(restriction_span(n, h, degree), truncated.span(degree))
         if witness is not None:

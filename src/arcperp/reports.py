@@ -9,21 +9,23 @@ those can be omitted entirely (``to_dict(include_timings=False)``, CLI
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
-from . import __version__, perp
+from . import __version__
 from .arcgen import arc_generators_up_to
 from .hankel import (
+    GradedSpan,
     iter_minors,
     hankel_matrix,
     minor_span,
     scaled_augmented_matrix,
     scaled_matrix,
-    triangular_matrix,
     wronskian,
 )
 from .linalg import span_witness
@@ -57,13 +59,11 @@ class SeriesRow:
         }
 
 
-def dimension_series(n: int, h_max: int) -> list[SeriesRow]:
-    """Truncated inverse-system dimensions against (n+1)^(h+1) for h <= h_max."""
-    if h_max < 0:
-        raise ValueError("the series needs h_max >= 0")
+def dimension_series(n: int, truncated) -> list[SeriesRow]:
+    """Dimensions of ``truncated_perp_basis(n, h)``, drawn for h = 0, 1, ... from
+    ``truncated``, against (n+1)^(h+1); no span is held while the next is built."""
     rows = []
-    for h in range(h_max + 1):
-        dim = truncated_perp_basis(n, h).total_dimension
+    for h, dim in enumerate(map(attrgetter("total_dimension"), truncated)):
         closed = (n + 1) ** (h + 1)
         rows.append(SeriesRow(h, dim, closed, dim == closed))
     return rows
@@ -90,9 +90,10 @@ class ChainDims:
         }
 
 
-def dimension_chain(n: int, h: int) -> ChainDims:
+def dimension_chain(n: int, h: int, tri: GradedSpan) -> ChainDims:
     """Compare the triangular, scaled, and augmented-maximal minor dimensions.
 
+    ``tri`` is the triangular minor span ``truncated_perp_basis(n, h)``.
     ``equal`` records whether all three match (n+1)^(h+1).  The explicit
     substitution x^(i) -> x^(h-i)/(h-i)! is also applied to every triangular
     basis element and checked to land in the scaled span of its degree: the
@@ -102,7 +103,6 @@ def dimension_chain(n: int, h: int) -> ChainDims:
     family whose dimension is off.
     """
     closed = (n + 1) ** (h + 1)
-    tri = minor_span(triangular_matrix(n, h), range(h + 2))
     sca = minor_span(scaled_matrix(n, h), range(h + 2))
     aug = minor_span(scaled_augmented_matrix(n, h), [h + 1])
     dims = (tri.total_dimension, sca.total_dimension, aug.total_dimension)
@@ -271,17 +271,19 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
         )
     )
 
+    # Built on first use and shared by the restriction, chain and series checks.
+    @functools.cache
+    def triangular(k: int) -> GradedSpan:
+        return truncated_perp_basis(n, k)
+
     # The restriction solves every weight block up to d*h for d <= h+1; at
     # h = 3 the degree-4 blocks (weight up to 12) take seconds, so the
     # battery trims this sweep while the standalone API stays unbounded.
     h_elim = min(h, 2)
 
     def check_elimination():
-        # Looked up on the module, so that a substituted truncated side reaches
-        # both the certificate and its total, which share one object at h <= 2.
-        truncated = perp.truncated_perp_basis(n, h)
-        mismatch = restriction_mismatch(n, h_elim, truncated if h_elim == h else None)
-        dims = {"h": h_elim, "total": truncated.total_dimension}
+        mismatch = restriction_mismatch(n, h_elim, triangular(h_elim))
+        dims = {"h": h_elim, "total": triangular(h).total_dimension}
         if mismatch is None:
             return True, dims, None
         degree, witness = mismatch
@@ -296,7 +298,7 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     )
 
     def check_chain():
-        chain = dimension_chain(n, h)
+        chain = dimension_chain(n, h, triangular(h))
         return chain.equal and chain.bijection_lands_in_scaled, chain.to_dict(), chain.witness
 
     checks.append(_timed("triangular_scaled_dimension_chain", {"n": n, "h": h}, check_chain))
@@ -323,7 +325,7 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     series_h = min(2 * h, 6) if deep else h
 
     def check_series():
-        rows = dimension_series(n, series_h)
+        rows = dimension_series(n, (triangular(k) for k in range(series_h + 1)))
         dims = {str(r.h): r.dimension for r in rows}
         bad = [r for r in rows if not r.match]
         witness = None if not bad else f"h={bad[0].h}: {bad[0].dimension} != {bad[0].closed_form}"

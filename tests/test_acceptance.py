@@ -64,7 +64,7 @@ def test_criterion_2_dimension_formula():
 def test_criterion_3_poincare_series():
     start = time.perf_counter()
     for n in (1, 2):
-        rows = dimension_series(n, 3)
+        rows = dimension_series(n, (truncated_perp_basis(n, h) for h in range(4)))
         assert [r.dimension for r in rows] == [(n + 1) ** (h + 1) for h in range(4)]
         assert all(r.match for r in rows)
     elapsed = time.perf_counter() - start
@@ -115,7 +115,7 @@ def test_criterion_6_elimination():
 def test_criterion_7_dimension_chain():
     start = time.perf_counter()
     for n, h in itertools.product((1, 2), (0, 1, 2)):
-        chain = dimension_chain(n, h)
+        chain = dimension_chain(n, h, truncated_perp_basis(n, h))
         closed = (n + 1) ** (h + 1)
         assert (
             chain.triangular == chain.scaled == chain.scaled_augmented == closed

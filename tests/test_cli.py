@@ -81,6 +81,23 @@ class TestMinors:
         assert code == 2
         assert "k" in err
 
+    @pytest.mark.parametrize("family", ["T", "S", "S1"])
+    def test_k_rejected_outside_hankel(self, capsys, family):
+        code, out, err = run(
+            capsys, "minors", "--family", family, "--n", "1", "--h", "1", "--k", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_negative_max_size_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "minors", "--family", "T", "--n", "1", "--h", "1", "--max-size", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     @pytest.mark.parametrize(
         "golden,argv",
         [
@@ -114,6 +131,14 @@ class TestReportGoldens:
             ("verify_n1_h2.json", ["verify", "--n", "1", "--h", "2", "--no-timings"]),
             ("verify_n2_h2.json", ["verify", "--n", "2", "--h", "2", "--no-timings"]),
             ("dims_chain_n2_h3.json", ["dims-chain", "--n", "2", "--h", "3"]),
+            # h = 3 is the cheapest run whose restriction is trimmed below h.
+            ("verify_n1_h3.json", ["verify", "--n", "1", "--h", "3", "--no-timings"]),
+            # --deep runs the series past h.
+            (
+                "verify_deep_n1_h2.json",
+                ["verify", "--deep", "--n", "1", "--h", "2", "--no-timings"],
+            ),
+            ("series_n2_h3.json", ["series", "--n", "2", "--h-max", "3"]),
         ],
     )
     def test_json_matches_golden(self, capsys, golden, argv):

@@ -72,6 +72,8 @@ class TestBuilders:
             build_matrix("H", 1, 2)  # k required
         with pytest.raises(ValueError):
             build_matrix("Q", 1, 1)
+        with pytest.raises(ValueError):
+            build_matrix("T", 1, 1, 2)  # k belongs to H alone
 
 
 class TestWronskian:
@@ -224,9 +226,9 @@ class TestMinorSpan:
         assert [str(p) for p in gs.basis_polynomials()] == ["1", "x1_0", "x2_0"]
 
     def test_degree_filter(self):
-        gs = minor_span(triangular_matrix(1, 2), range(4), degree_filter=2)
-        assert gs.degrees() == [2]
-        assert gs.total_dimension == 3
+        span = minor_span(triangular_matrix(1, 2), range(4)).span(2)
+        assert span.dimension == 3
+        assert all(p.homogeneous_degree() == 2 for p in span.basis_polynomials())
 
     def test_enumeration_order(self):
         listing = list(iter_minors(triangular_matrix(1, 1), range(3)))

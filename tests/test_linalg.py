@@ -180,6 +180,32 @@ class TestSparseCoreAgainstOracle:
         assert matrix.kernel_basis() == [tuple(v) for v in expected]
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestSparseCoreAgainstSympy:
+    @settings(max_examples=200, deadline=None)
+    @given(case=matrices_with_zero_lines())
+    def test_rank_rref_and_kernel(self, sympy, case):
+        rows, cols = case
+        sparse = [{j: e for j, e in enumerate(row) if e != 0} for row in rows]
+        exact = [[sympy.Rational(e.numerator, e.denominator) for e in row] for row in rows]
+        matrix = sympy.Matrix(len(rows), cols, [e for row in exact for e in row])
+
+        reduced, pivots = reduced_echelon(sparse)
+        expected, expected_pivots = matrix.rref()
+        assert len(pivots) == matrix.rank()
+        assert tuple(pivots) == expected_pivots
+        assert [[row.get(j, 0) for j in range(cols)] for row in reduced] == [
+            list(expected.row(i)) for i in range(len(pivots))
+        ]
+        assert [[v.get(j, 0) for j in range(cols)] for v in nullspace(sparse, cols)] == [
+            list(v) for v in matrix.nullspace()
+        ]
+
+
 class TestSpan:
     def test_equal_after_row_mixing(self):
         a = Span.from_polynomials([P("x1_0"), P("x1_1")])

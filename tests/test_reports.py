@@ -1,9 +1,12 @@
 import json
+from collections import Counter
 
-from arcperp import perp, reports
+import pytest
+
+from arcperp import hankel, perp, reports
 from arcperp.hankel import GradedSpan, hankel_matrix, scaled_matrix, triangular_matrix
 from arcperp.linalg import Span
-from arcperp.perp import scaled_of_triangular_map
+from arcperp.perp import scaled_of_triangular_map, truncated_perp_basis
 from arcperp.reports import (
     dimension_chain,
     dimension_series,
@@ -12,53 +15,59 @@ from arcperp.reports import (
 from arcperp.ring import format_polynomial, parse
 
 
+def _series(n, h_max):
+    return dimension_series(n, (truncated_perp_basis(n, h) for h in range(h_max + 1)))
+
+
+def _chain(n, h):
+    return dimension_chain(n, h, truncated_perp_basis(n, h))
+
+
 class TestDimensionSeries:
     def test_n1(self):
-        rows = dimension_series(1, 3)
+        rows = _series(1, 3)
         assert [r.dimension for r in rows] == [2, 4, 8, 16]
         assert all(r.match for r in rows)
 
     def test_n2(self):
-        rows = dimension_series(2, 2)
+        rows = _series(2, 2)
         assert [r.dimension for r in rows] == [3, 9, 27]
         assert all(r.match for r in rows)
 
     def test_h_max_zero(self):
-        rows = dimension_series(1, 0)
+        rows = _series(1, 0)
         assert [r.dimension for r in rows] == [2]
 
     def test_closed_form_column(self):
-        rows = dimension_series(3, 1)
+        rows = _series(3, 1)
         assert [(r.h, r.closed_form) for r in rows] == [(0, 4), (1, 16)]
 
     def test_totals_are_sums_of_graded_dimensions(self):
-        from arcperp.perp import truncated_perp_basis
-
         for n, h in [(1, 2), (2, 1)]:
             graded = truncated_perp_basis(n, h).graded_dimensions
-            row = dimension_series(n, h)[-1]
+            row = _series(n, h)[-1]
             assert row.dimension == sum(graded.values())
 
 
 class TestDimensionChain:
     def test_n1_h1(self):
-        chain = dimension_chain(1, 1)
+        chain = _chain(1, 1)
         assert (chain.triangular, chain.scaled, chain.scaled_augmented) == (4, 4, 4)
         assert chain.equal
         assert chain.bijection_lands_in_scaled
 
     def test_n1_h2(self):
-        chain = dimension_chain(1, 2)
+        chain = _chain(1, 2)
         assert (chain.triangular, chain.scaled, chain.scaled_augmented) == (8, 8, 8)
         assert chain.equal
 
     def test_n2_h0(self):
-        chain = dimension_chain(2, 0)
+        chain = _chain(2, 0)
         assert (chain.triangular, chain.scaled, chain.scaled_augmented) == (3, 3, 3)
         assert chain.equal
 
     def test_n3_h3(self):
-        chain = dimension_chain(3, 3)
+        chain = _chain(3, 3)
         assert (chain.triangular, chain.scaled, chain.scaled_augmented) == (256, 256, 256)
         assert chain.equal
         assert chain.bijection_lands_in_scaled
@@ -119,6 +128,28 @@ def _failed(report):
     return [c for c in report.checks if not c.passed]
 
 
+def _drop_from_truncated(monkeypatch, order):
+    """Make ``reports.truncated_perp_basis``, the one place the battery gets
+    its triangular spans, lose the first basis element of the top degree at
+    ``order``; returns the dropped list."""
+    real = reports.truncated_perp_basis
+    dropped = []
+
+    def lossy(n, h):
+        graded = real(n, h)
+        if h != order:
+            return graded
+        spans = dict(graded.spans)
+        top = max(spans)
+        basis = spans[top].basis_polynomials()
+        dropped.append(basis[0])
+        spans[top] = Span.from_polynomials(basis[1:], spans[top].index)
+        return GradedSpan(spans)
+
+    monkeypatch.setattr(reports, "truncated_perp_basis", lossy)
+    return dropped
+
+
 def _drop_top_element(monkeypatch, matrix):
     """Make ``reports.minor_span`` lose the first basis element of the top
     degree when it spans the minors of ``matrix``; returns the dropped list."""
@@ -163,21 +194,30 @@ class TestNegativeControls:
         assert check.witness == f"degree 1: {format_polynomial(dropped[0])}"
 
     def test_truncated_side_missing_an_element(self, monkeypatch):
-        real = perp.truncated_perp_basis
-        dropped = []
+        # At h = 3 the restriction is trimmed to order 2, and the chain reads
+        # order 3 only.
+        dropped = _drop_from_truncated(monkeypatch, 2)
+        report = run_verification(1, 3)
+        failed = {c.name: c.witness for c in _failed(report)}
+        assert failed == {
+            "restriction_matches_truncated_minors": f"degree 3: {format_polynomial(dropped[0])}",
+            "dimension_series_matches_closed_form": "h=2: 7 != 8",
+        }
+        assert format_polynomial(dropped[0]) == "x1_2^3"
 
-        def lossy(n, h):
-            spans = dict(real(n, h).spans)
-            basis = spans[2].basis_polynomials()
-            dropped.append(basis[0])
-            spans[2] = Span.from_polynomials(basis[1:], spans[2].index)
-            return GradedSpan(spans)
-
-        monkeypatch.setattr(perp, "truncated_perp_basis", lossy)
+    def test_every_reader_of_one_order_fails(self, monkeypatch):
+        # The restriction, the chain and the series all read order 1 at h = 1.
+        dropped = _drop_from_truncated(monkeypatch, 1)
         report = run_verification(1, 1)
-        (check,) = _failed(report)
-        assert check.name == "restriction_matches_truncated_minors"
-        assert check.witness == f"degree 2: {format_polynomial(dropped[0])}"
+        failed = {c.name: c.witness for c in _failed(report)}
+        assert failed == {
+            "restriction_matches_truncated_minors": f"degree 2: {format_polynomial(dropped[0])}",
+            "triangular_scaled_dimension_chain": "triangular: 3 != 4",
+            "dimension_series_matches_closed_form": "h=1: 3 != 4",
+        }
+        assert format_polynomial(dropped[0]) == "x1_1^2"
+        elim = next(c for c in report.checks if c.name == "restriction_matches_truncated_minors")
+        assert elim.dimensions == {"h": 1, "total": 3}
 
     def test_scaled_side_missing_an_element(self, monkeypatch):
         dropped = _drop_top_element(monkeypatch, scaled_matrix(1, 1))
@@ -199,12 +239,18 @@ class TestNegativeControls:
         )
 
     def test_triangular_side_missing_an_element(self, monkeypatch):
-        _drop_top_element(monkeypatch, triangular_matrix(1, 1))
-        report = run_verification(1, 1)
-        (check,) = _failed(report)
-        assert check.name == "triangular_scaled_dimension_chain"
-        assert check.dimensions["bijection_lands_in_scaled"] is True
-        assert check.witness == "triangular: 3 != 4"
+        # Order 3 is read by the chain and the last row of the series; the
+        # restriction, trimmed to order 2, reads only its total.
+        _drop_from_truncated(monkeypatch, 3)
+        report = run_verification(1, 3)
+        failed = {c.name: c for c in _failed(report)}
+        assert {name: c.witness for name, c in failed.items()} == {
+            "triangular_scaled_dimension_chain": "triangular: 15 != 16",
+            "dimension_series_matches_closed_form": "h=3: 15 != 16",
+        }
+        assert failed["triangular_scaled_dimension_chain"].dimensions["bijection_lands_in_scaled"]
+        elim = next(c for c in report.checks if c.name == "restriction_matches_truncated_minors")
+        assert elim.dimensions == {"h": 2, "total": 15}
 
 
 def _corrupt_one_minor(monkeypatch, matrix, stray):
@@ -248,22 +294,33 @@ class TestMinorFedNegativeControls:
         assert check.dimensions == {"maximal_minors": 1}
 
     def test_series_missing_a_basis_element(self, monkeypatch):
-        real = reports.truncated_perp_basis
-
-        def lossy(n, h):
-            graded = real(n, h)
-            if h != 1:
-                return graded
-            spans = dict(graded.spans)
-            spans[2] = Span.from_polynomials(spans[2].basis_polynomials()[1:], spans[2].index)
-            return GradedSpan(spans)
-
-        monkeypatch.setattr(reports, "truncated_perp_basis", lossy)
-        report = run_verification(1, 1)
+        # At h = 2 only the series reads order 1.
+        _drop_from_truncated(monkeypatch, 1)
+        report = run_verification(1, 2)
         (check,) = _failed(report)
         assert check.name == "dimension_series_matches_closed_form"
         assert check.witness == "h=1: 3 != 4"
-        assert check.dimensions == {"0": 2, "1": 3}
+        assert check.dimensions == {"0": 2, "1": 3, "2": 8}
+
+
+class TestBuildCounts:
+    @pytest.mark.parametrize("n,h,deep", [(1, 3, False), (2, 2, False), (1, 2, True)])
+    def test_each_triangular_matrix_packed_once(self, monkeypatch, n, h, deep):
+        # Every minor enumeration packs its matrix once, so this counts the
+        # triangular spans the battery builds.
+        packed = Counter()
+
+        class Counting(hankel._PackedMatrix):
+            def __init__(self, m):
+                packed[m] += 1
+                super().__init__(m)
+
+        monkeypatch.setattr(hankel, "_PackedMatrix", Counting)
+        assert run_verification(n, h, deep=deep).passed
+        top = min(2 * h, 6) if deep else h
+        orders = {triangular_matrix(n, k): k for k in range(top + 3)}
+        built = {orders[m]: count for m, count in packed.items() if m in orders}
+        assert built == dict.fromkeys(range(top + 1), 1)
 
 
 class TestPointwiseNegativeControls:
