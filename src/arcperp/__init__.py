@@ -26,7 +26,6 @@ from .ring import (
     y,
 )
 from .pairing import (
-    OrderOverflowError,
     annihilates,
     apply_pairing,
     directional_derivative,

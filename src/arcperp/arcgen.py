@@ -11,8 +11,8 @@ x*x'), since scaling changes neither the ideal nor any kernel.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ring import Monomial, Polynomial, x
 
@@ -35,11 +35,10 @@ class ArcGeneratorKey:
 def arc_generator(n: int, key: ArcGeneratorKey) -> Polynomial:
     """The generator indexed by (i, j, order) for the n-coordinate double point."""
     key.validate(n)
-    acc: dict[Monomial, Fraction] = {}
-    for s in range(key.order + 1):
-        m = Monomial.of(x(key.i, s)).mul(Monomial.of(x(key.j, key.order - s)))
-        acc[m] = acc.get(m, Fraction(0)) + 1
-    return Polynomial(acc)
+    return Polynomial(Counter(
+        Monomial.of(x(key.i, s)).mul(Monomial.of(x(key.j, key.order - s)))
+        for s in range(key.order + 1)
+    ))
 
 
 def arc_generators_up_to(n: int, max_order: int) -> list[Polynomial]:

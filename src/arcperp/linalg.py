@@ -113,7 +113,7 @@ class MonomialIndex:
     """
 
     def __init__(self, monomials: Iterable[Monomial]):
-        ordered = sorted(set(monomials), reverse=True)
+        ordered = sorted(set(monomials), key=Monomial.order_key, reverse=True)
         self.monomials: tuple[Monomial, ...] = tuple(ordered)
         self.position: dict[Monomial, int] = {m: i for i, m in enumerate(ordered)}
 

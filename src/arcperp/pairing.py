@@ -19,14 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import Monomial, Polynomial, al, x, xi
+from .ring import Monomial, Polynomial, al, xi
 
 
-class OrderOverflowError(ValueError):
-    """Raised when a polynomial exceeds the requested truncation order."""
-
-
-def _monomial_pairing(beta: Monomial, alpha: Monomial) -> tuple[Fraction, Monomial] | None:
+def _monomial_pairing(beta: Monomial, alpha: Monomial) -> tuple[int, Monomial] | None:
     """Pair two monomials; returns (scale, quotient monomial) or None.
 
     Only differential variables of ``beta`` differentiate; its auxiliary part
@@ -47,19 +43,19 @@ def _monomial_pairing(beta: Monomial, alpha: Monomial) -> tuple[Fraction, Monomi
             del remaining[v]
         else:
             remaining[v] = a - b
-    return Fraction(scale), Monomial(remaining.items())
+    return scale, Monomial(remaining.items())
 
 
 def apply_pairing(f: Polynomial, p: Polynomial) -> Polynomial:
     """Bilinear extension of the monomial pairing rule."""
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, int | Fraction] = {}
     for beta, cf in f.terms.items():
         for alpha, cp in p.terms.items():
             hit = _monomial_pairing(beta, alpha)
             if hit is None:
                 continue
             scale, quotient = hit
-            acc[quotient] = acc.get(quotient, Fraction(0)) + cf * cp * scale
+            acc[quotient] = acc.get(quotient, 0) + cf * cp * scale
     return Polynomial(acc)
 
 
@@ -68,22 +64,13 @@ def annihilates(f: Polynomial, p: Polynomial) -> bool:
     return apply_pairing(f, p).is_zero
 
 
-def directional_derivative(p: Polynomial, max_order: int | None = None) -> Polynomial:
+def directional_derivative(p: Polynomial) -> Polynomial:
     """Derivative of p in the direction of a one-exponential perturbation.
 
-    Returns sum_j sum_{i <= max_order} al_{1,j} xi_1^i dp/dx_j^(i), a
-    polynomial in the original variables and the auxiliaries xi_1, al_{1,j}.
-    Raises :class:`OrderOverflowError` when p contains a differential
-    variable of order above an explicit max_order.
+    Returns sum_j sum_i al_{1,j} xi_1^i dp/dx_j^(i), a polynomial in the
+    original variables and the auxiliaries xi_1, al_{1,j}.
     """
-    actual = p.max_order()
-    if max_order is None:
-        max_order = max(actual, 0)
-    elif actual > max_order:
-        raise OrderOverflowError(
-            f"polynomial has order {actual}, above the truncation {max_order}"
-        )
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, int | Fraction] = {}
     for m, c in p.terms.items():
         for idx, (v, e) in enumerate(m.pairs):
             if v.kind != "x":
@@ -96,7 +83,7 @@ def directional_derivative(p: Polynomial, max_order: int | None = None) -> Polyn
             marker = Monomial(rest_pairs).mul(
                 Monomial(((al(1, v.i), 1), (xi(1), v.j)))
             )
-            acc[marker] = acc.get(marker, Fraction(0)) + c * e
+            acc[marker] = acc.get(marker, 0) + c * e
     return Polynomial(acc)
 
 

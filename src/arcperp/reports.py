@@ -361,7 +361,7 @@ def _random_polynomial(rng: random.Random, n: int, max_order: int) -> Polynomial
             pairs[v] = pairs.get(v, 0) + 1
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         m = Monomial(pairs.items())
-        terms[m] = terms.get(m, Fraction(0)) + coeff
+        terms[m] = terms.get(m, 0) + coeff
     return Polynomial(terms)
 
 

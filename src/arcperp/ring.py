@@ -1,7 +1,8 @@
 """Sparse differential polynomial ring over exact rationals.
 
-A polynomial is a sparse map from monomials to ``Fraction`` coefficients.
-Variables come in two flavours:
+A polynomial is a sparse map from monomials to nonzero exact coefficients,
+each an ``int`` or a ``Fraction`` as the arithmetic produced it, so integer
+arithmetic stays in ``int``.  Variables come in two flavours:
 
 * differential variables ``x<i>_<j>`` standing for the j-th formal derivative
   of the i-th coordinate (the derivation sends ``x<i>_<j>`` to ``x<i>_<j+1>``);
@@ -11,40 +12,36 @@ Variables come in two flavours:
   (derivative ``y_<k+1>``).
 
 All values are immutable after construction and every operation is a pure
-function, so concurrent use is safe.  Coefficients are exact rationals only;
-there is no floating-point mode.
+function, so concurrent use is safe.  There is no floating-point mode.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
-
-_KIND_RANK = {"x": 0, "xi": 1, "al": 2, "E": 3, "y": 4}
+from typing import Iterable, Mapping, NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
-    """A single ring variable.
+class Variable(NamedTuple):
+    """A single ring variable: the plain tuple ``(rank, i, j, kind)``.
 
-    ``kind`` is one of ``x``, ``xi``, ``al``, ``E``, ``y``.  For ``x`` the
-    fields are (family ``i`` >= 1, derivative order ``j`` >= 0); for ``al``
-    they are (group ``i``, coordinate ``j``); for ``xi``/``E`` only ``i`` is
-    used; for ``y`` only ``j`` (the derivative order).
+    ``kind`` is one of ``x``, ``xi``, ``al``, ``E``, ``y`` and ``rank`` is its
+    position in that list.  For ``x`` the fields are (family ``i`` >= 1,
+    derivative order ``j`` >= 0); for ``al`` they are (group ``i``,
+    coordinate ``j``); for ``xi``/``E`` only ``i`` is used; for ``y`` only
+    ``j`` (the derivative order).
+
+    Order, equality and hashing are the tuple's: differential variables come
+    first, family-major with orders ascending, then ``xi``, ``al``, ``E`` and
+    ``y``, each by ``(i, j)``.  Build variables with :func:`x`, :func:`xi`,
+    :func:`al`, :func:`E` and :func:`y` only.
     """
 
+    rank: int
+    i: int
+    j: int
     kind: str
-    i: int = 0
-    j: int = 0
-
-    def sort_key(self) -> tuple[int, int, int, int]:
-        # Differential variables first (family-major, order ascending),
-        # auxiliaries after, in a fixed kind order.
-        rank = _KIND_RANK[self.kind]
-        return (0 if rank == 0 else 1, rank, self.i, self.j)
 
     def token(self) -> str:
         if self.kind == "x":
@@ -57,9 +54,6 @@ class Variable:
             return f"E{self.i}"
         return f"y_{self.j}"
 
-    def __lt__(self, other: "Variable") -> bool:
-        return self.sort_key() < other.sort_key()
-
     def __repr__(self) -> str:
         return f"Variable({self.token()!r})"
 
@@ -68,29 +62,29 @@ def x(i: int, j: int = 0) -> Variable:
     """The differential variable x_i^(j)."""
     if i < 1 or j < 0:
         raise ValueError(f"invalid differential variable x{i}_{j}")
-    return Variable("x", i, j)
+    return Variable(0, i, j, "x")
 
 
 def xi(m: int) -> Variable:
     """The transcendental constant xi_m (derivative zero)."""
-    return Variable("xi", m, 0)
+    return Variable(1, m, 0, "xi")
 
 
 def al(m: int, i: int) -> Variable:
     """The transcendental constant al_{m,i} (derivative zero)."""
-    return Variable("al", m, i)
+    return Variable(2, m, i, "al")
 
 
 def E(m: int) -> Variable:
     """The exponential marker E_m, with derivation E_m' = xi_m * E_m."""
-    return Variable("E", m, 0)
+    return Variable(3, m, 0, "E")
 
 
 def y(k: int) -> Variable:
     """The k-th derivative of the differential indeterminate y."""
     if k < 0:
         raise ValueError(f"invalid derivative order y_{k}")
-    return Variable("y", 0, k)
+    return Variable(4, 0, k, "y")
 
 
 def differential_variables(n: int, max_order: int) -> list[Variable]:
@@ -105,6 +99,8 @@ class Monomial:
     Zero exponents are never stored; the empty product is the monomial 1.
     Ordering is graded lexicographic: higher total degree wins, ties are
     broken by the exponent at the earliest variable where the two differ.
+    :meth:`order_key` spells that order as one flat tuple; sort with
+    ``key=Monomial.order_key``, since ``<`` builds two keys per comparison.
     """
 
     __slots__ = ("pairs", "degree", "_hash")
@@ -114,7 +110,7 @@ class Monomial:
         for _, e in items:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
-        items.sort(key=lambda p: p[0].sort_key())
+        items.sort()
         self.pairs: tuple[tuple[Variable, int], ...] = tuple(items)
         self.degree: int = sum(e for _, e in items)
         self._hash = hash(self.pairs)
@@ -126,6 +122,18 @@ class Monomial:
     @classmethod
     def of(cls, v: Variable, e: int = 1) -> "Monomial":
         return cls(((v, e),))
+
+    def order_key(self) -> tuple[int, ...]:
+        """``(degree, -rank, -i, -j, e, ...)`` over the pairs in variable order.
+
+        Every variable takes the same four places, so comparing keys compares
+        the exponents at the first variable where two monomials differ, and a
+        monomial holding the earlier variable is the larger one.
+        """
+        key = [self.degree]
+        for (rank, i, j, _), e in self.pairs:
+            key += (-rank, -i, -j, e)
+        return tuple(key)
 
     def exponent(self, v: Variable) -> int:
         for w, e in self.pairs:
@@ -164,29 +172,7 @@ class Monomial:
         return self._hash
 
     def __lt__(self, other: "Monomial") -> bool:
-        if self.degree != other.degree:
-            return self.degree < other.degree
-        a, b = self.pairs, other.pairs
-        i = j = 0
-        while i < len(a) and j < len(b):
-            va, ea = a[i]
-            vb, eb = b[j]
-            ka, kb = va.sort_key(), vb.sort_key()
-            if ka == kb:
-                if ea != eb:
-                    return ea < eb
-                i += 1
-                j += 1
-            elif ka < kb:
-                # self has a positive exponent at an earlier variable
-                return False
-            else:
-                return True
-        if i < len(a):
-            return False
-        if j < len(b):
-            return True
-        return False
+        return self.order_key() < other.order_key()
 
     def __str__(self) -> str:
         if not self.pairs:
@@ -207,19 +193,17 @@ class Polynomial:
     """Sparse rational-coefficient sum of monomials.
 
     The term map never stores zero coefficients; the zero polynomial has an
-    empty map.  Instances are immutable by convention and hashable.
+    empty map.  Coefficients are kept as given, ``int`` or ``Fraction``; the
+    two compare and hash alike, so ``3`` and ``Fraction(3)`` make equal
+    polynomials.  Instances are immutable by convention and hashable.
     """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[m] = c
-        self.terms: dict[Monomial, Fraction] = clean
+    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
+        self.terms: dict[Monomial, int | Fraction] = (
+            {m: c for m, c in terms.items() if c} if terms else {}
+        )
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
@@ -230,21 +214,21 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: int | Fraction) -> "Polynomial":
-        return cls({Monomial.one(): Fraction(c)})
+        return cls({Monomial.one(): c})
 
     @classmethod
     def from_variable(cls, v: Variable) -> "Polynomial":
-        return cls({Monomial.of(v): Fraction(1)})
+        return cls({Monomial.of(v): 1})
 
     @classmethod
     def from_monomial(cls, m: Monomial, c: int | Fraction = 1) -> "Polynomial":
-        return cls({m: Fraction(c)})
+        return cls({m: c})
 
     @classmethod
-    def from_terms(cls, items: Iterable[tuple[Monomial, Fraction]]) -> "Polynomial":
-        acc: dict[Monomial, Fraction] = {}
+    def from_terms(cls, items: Iterable[tuple[Monomial, int | Fraction]]) -> "Polynomial":
+        acc: dict[Monomial, int | Fraction] = {}
         for m, c in items:
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, 0) + c
         return cls(acc)
 
     # -- basic queries ------------------------------------------------------
@@ -253,11 +237,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+    def coeff(self, m: Monomial) -> int | Fraction:
+        return self.terms.get(m, 0)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
+    def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
+        return sorted(self.terms.items(), key=lambda t: t[0].order_key(), reverse=True)
 
     def monomials(self) -> list[Monomial]:
         return [m for m, _ in self.sorted_terms()]
@@ -285,11 +269,11 @@ class Polynomial:
 
     def coefficient_of_power(self, v: Variable, e: int) -> "Polynomial":
         """The coefficient of v**e: terms with exponent exactly e, with v removed."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
             if m.exponent(v) == e:
                 rest = Monomial(tuple((w, k) for w, k in m.pairs if w != v))
-                out[rest] = out.get(rest, Fraction(0)) + c
+                out[rest] = out.get(rest, 0) + c
         return Polynomial(out)
 
     # -- arithmetic ---------------------------------------------------------
@@ -308,7 +292,7 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return Polynomial(out)
 
     __radd__ = __add__
@@ -331,11 +315,11 @@ class Polynomial:
             return NotImplemented
         if not self.terms or not other.terms:
             return Polynomial.zero()
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = ma.mul(mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
+                out[m] = out.get(m, 0) + ca * cb
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -364,7 +348,7 @@ class Polynomial:
         """Leibniz extension of the per-variable derivation rules."""
         p = self
         for _ in range(times):
-            acc: dict[Monomial, Fraction] = {}
+            acc: dict[Monomial, int | Fraction] = {}
             for m, c in p.terms.items():
                 for idx, (v, e) in enumerate(m.pairs):
                     dv = _derive_variable(v)
@@ -378,7 +362,7 @@ class Polynomial:
                     rest = Monomial(rest_pairs)
                     for dm, dc in dv.terms.items():
                         key = rest.mul(dm)
-                        acc[key] = acc.get(key, Fraction(0)) + c * e * dc
+                        acc[key] = acc.get(key, 0) + c * e * dc
             p = Polynomial(acc)
         return p
 
@@ -537,7 +521,7 @@ def parse(text: str) -> Polynomial:
 
 
 def _parse_term(toks: _Tokens) -> Polynomial:
-    coeff = Fraction(1)
+    coeff: int | Fraction = 1
     pairs: dict[Variable, int] = {}
     while True:
         item = toks.next()
@@ -574,7 +558,7 @@ def _parse_term(toks: _Tokens) -> Polynomial:
     return Polynomial.from_monomial(Monomial(pairs.items()), coeff)
 
 
-def _format_coeff(c: Fraction) -> str:
+def _format_coeff(c: int | Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they are checking: differentiation is
 done one variable at a time from the textbook definition, determinants by
 full permutation expansion, and row reduction by plain rational
-Gauss-Jordan without any fraction-free shortcuts.
+Gauss-Jordan without any fraction-free shortcuts.  The monomial order is
+read off dense exponent vectors over a variable list written out by hand.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from arcperp.ring import E, Monomial, Polynomial, x, xi, y
+from arcperp.ring import E, Monomial, Polynomial, al, x, xi, y
 
 
 def diff_wrt(p: Polynomial, v) -> Polynomial:
@@ -114,3 +115,29 @@ def naive_rref(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
 
 def naive_rank(rows: list[list[Fraction]], cols: int) -> int:
     return len(naive_rref(rows, cols))
+
+
+def order_oracle_variables(n: int, max_order: int, groups: int) -> list:
+    """Every variable of small index, listed in the documented variable order:
+    x family-major with orders ascending, then xi, al, E and y."""
+    return (
+        [x(i, j) for i in range(1, n + 1) for j in range(max_order + 1)]
+        + [xi(m) for m in range(1, groups + 1)]
+        + [al(m, i) for m in range(1, groups + 1) for i in range(1, n + 1)]
+        + [E(m) for m in range(1, groups + 1)]
+        + [y(k) for k in range(max_order + 1)]
+    )
+
+
+def monomial_order_oracle(a: Monomial, b: Monomial, variables: list) -> int:
+    """-1, 0 or 1 as a is below, equal to or above b in graded lex order:
+    total degree first, then the dense exponent vectors over ``variables``
+    compared left to right."""
+    def dense(m: Monomial) -> list[int]:
+        exps = dict(m.pairs)
+        assert set(exps) <= set(variables), "monomial outside the oracle's variables"
+        vector = [exps.get(v, 0) for v in variables]
+        return [sum(vector)] + vector
+
+    va, vb = dense(a), dense(b)
+    return (va > vb) - (va < vb)

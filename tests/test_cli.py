@@ -148,6 +148,28 @@ class TestReportGoldens:
         assert out == (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
 
 
+_PAIR_F = "x1_0 + 1/2*x1_1"
+_PAIR_P = "xi2*x1_0^2 + al1_1*x1_0^2 - 2/3*E1*y_1*x1_0*x1_1 + xi1^2*al2_1*E2*x1_1"
+
+
+class TestTermOrderGoldens:
+    @pytest.mark.parametrize(
+        "golden,argv",
+        [
+            # The image mixes all five variable kinds, so its term order pins
+            # the monomial order across kinds, families and degrees.
+            ("pair_mixed.txt", ["pair", _PAIR_F, _PAIR_P]),
+            ("pair_mixed.json", ["pair", "--json", _PAIR_F, _PAIR_P]),
+            ("perp_n2_d3_o3.json", ["perp", "--json", "--n", "2", "--degree", "3", "--order", "3"]),
+            ("gens_n2_m3.json", ["gens", "--json", "--n", "2", "--max-order", "3"]),
+        ],
+    )
+    def test_output_matches_golden(self, capsys, golden, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
+
+
 class TestSeries:
     def test_matching_series(self, capsys):
         code, out, _ = run(capsys, "series", "--n", "1", "--h-max", "2", "--json")

@@ -2,7 +2,6 @@ import pytest
 
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.pairing import (
-    OrderOverflowError,
     annihilates,
     apply_pairing,
     directional_derivative,
@@ -67,23 +66,15 @@ class TestAnnihilates:
 
 class TestDirectionalDerivative:
     def test_linear(self):
-        assert directional_derivative(P("x1_0"), max_order=0) == P("al1_1")
+        assert directional_derivative(P("x1_0")) == P("al1_1")
 
     def test_square(self):
-        assert directional_derivative(P("x1_0^2"), max_order=0) == P("2*al1_1*x1_0")
+        assert directional_derivative(P("x1_0^2")) == P("2*al1_1*x1_0")
 
     def test_wronskian_frozen(self):
         # term-by-term partials: al * (x'' - 2 xi x' + xi^2 x)
         expected = P("al1_1*x1_2 - 2*al1_1*xi1*x1_1 + al1_1*xi1^2*x1_0")
-        assert directional_derivative(P(WRONSKIAN_2), max_order=2) == expected
-
-    def test_default_truncation_matches_explicit(self):
-        p = P(WRONSKIAN_2)
-        assert directional_derivative(p) == directional_derivative(p, max_order=2)
-
-    def test_order_overflow(self):
-        with pytest.raises(OrderOverflowError):
-            directional_derivative(P("x1_3"), max_order=2)
+        assert directional_derivative(P(WRONSKIAN_2)) == expected
 
     def test_two_families(self):
         out = directional_derivative(P("x1_0*x2_0"))

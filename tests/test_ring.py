@@ -1,6 +1,13 @@
-import pytest
+import itertools
 from fractions import Fraction
+from functools import cmp_to_key
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from arcperp.hankel import SymbolicMatrix, determinant
+from arcperp.linalg import MonomialIndex, Span
+from arcperp.pairing import apply_pairing, directional_derivative
 from arcperp.ring import (
     E,
     Monomial,
@@ -14,7 +21,7 @@ from arcperp.ring import (
     y,
 )
 
-from oracles import derivative_oracle
+from oracles import derivative_oracle, monomial_order_oracle, order_oracle_variables
 
 
 def P(text: str) -> Polynomial:
@@ -210,6 +217,69 @@ class TestMonomialOrder:
 
     def test_auxiliaries_sort_after_differentials(self):
         assert Monomial.of(xi(1)) < Monomial.of(x(1, 9))
+
+
+ORDER_VARIABLES = order_oracle_variables(n=2, max_order=2, groups=2)
+
+# Degree <= 4 monomials that mix all five variable kinds.
+mixed_monomials = st.lists(st.sampled_from(ORDER_VARIABLES), max_size=4).map(
+    lambda vs: Monomial((v, vs.count(v)) for v in set(vs))
+)
+
+
+def oracle_compare(a: Monomial, b: Monomial) -> int:
+    return monomial_order_oracle(a, b, ORDER_VARIABLES)
+
+
+class TestMonomialOrderOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(mixed_monomials, min_size=1, max_size=8))
+    def test_order_matches_oracle(self, monos):
+        for a, b in itertools.product(monos, repeat=2):
+            assert (a < b) == (oracle_compare(a, b) < 0)
+            assert (a == b) == (oracle_compare(a, b) == 0)
+        for m in monos:
+            assert [v for v, _ in m.pairs] == [v for v in ORDER_VARIABLES if m.exponent(v)]
+        expected = sorted(set(monos), key=cmp_to_key(oracle_compare), reverse=True)
+        assert Polynomial.from_terms((m, 1) for m in monos).monomials() == expected
+        assert list(MonomialIndex(monos)) == expected
+
+
+def assert_exact(p: Polynomial) -> None:
+    assert all(type(c) in (int, Fraction) and c != 0 for c in p.terms.values()), p.terms
+
+
+EXACT_PAIRS = [
+    ("x1_0 + 1/2*x1_1 - 3", "2*x1_0*x1_1 - 4/2*x1_1^2 + xi1*E1*y_0"),
+    ("4/2*x1_0 - 2*x1_0 + 1/3", "x1_0^2 - 1/3"),
+    ("-5/3*x2_2*x1_0 + 6/3", "x2_0*x1_2 + 1/2*al1_2*x1_1^2"),
+]
+
+
+class TestExactCoefficients:
+    @pytest.mark.parametrize("f_text,p_text", EXACT_PAIRS)
+    def test_every_operation_keeps_exact_nonzero_coefficients(self, f_text, p_text):
+        f, p = parse(f_text), parse(p_text)
+        matrix = SymbolicMatrix.from_rows([[f, p], [p * p, f + 1]])
+        results = [
+            f, p, f + p, f - p, f - f, p - Fraction(1, 2), f * p, 3 * p, p**3,
+            p.derivative(), p.derivative(3),
+            p.substitute({x(1, 0): f, x(1, 1): Polynomial.constant(Fraction(2, 4))}),
+            apply_pairing(f, p), apply_pairing(p, p * f),
+            directional_derivative(p), directional_derivative(directional_derivative(f * p)),
+            determinant(matrix),
+            *Span.from_polynomials([f, p, f + p, f * p]).basis_polynomials(),
+        ]
+        for r in results:
+            assert_exact(r)
+
+    def test_integral_fraction_equals_int(self):
+        m = Monomial.of(x(1, 0))
+        as_fraction = Polynomial.from_monomial(m, Fraction(3))
+        as_int = Polynomial.from_monomial(m, 3)
+        assert as_fraction == as_int
+        assert hash(as_fraction) == hash(as_int)
+        assert Polynomial.constant(Fraction(3)) == 3
 
 
 class TestSubstitute:
