@@ -16,6 +16,9 @@ is packed once per enumeration, with each monomial an integer key (so that a
 monomial product is one addition), and expanded along the first row with a
 memo on (row, column) subsets, so the exponentially many minors of one matrix
 share their subproblems.  Values become ``Polynomial`` only when returned.
+``minor_span`` expands only the minors on the top rows: in T, S and S1 each
+row is the block shift of the one above, so every other minor is a constant
+combination of those (the proof is in its docstring).
 """
 
 from __future__ import annotations
@@ -316,9 +319,31 @@ class GradedSpan:
 
 
 def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
-    """Reduced span of all minors of the given sizes, grouped by degree.
+    """Reduced span of the minors of the given sizes, grouped by degree.
 
-    Size 0 contributes the constant 1.  Zero minors are discarded before the
-    reduction.
+    For each size s only the minors on rows 0..s-1 are expanded, over every
+    column s-subset.  That is exact because m must be shift-structured: row r
+    is vS^r, v = row 0, for the constant shift S: e_c -> e_(c+1) inside each
+    block of ``rows`` columns, a block's last column going to 0.  The minors on
+    rows r_1 < ... < r_s are the Pluecker coordinates of vS^(r_1) ^ ... ^
+    vS^(r_s), which is 1/s! times the alternant a_(lambda+delta)(S_1, ...,
+    S_s), lambda+delta = (r_s, ..., r_1), applied to v (x) ... (x) v, with S_i
+    acting on the i-th factor.  As a_(lambda+delta) = s_lambda * a_delta
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3), that is
+    s_lambda(S_1, ..., S_s), a constant matrix on the s-th exterior power,
+    applied to +-(v ^ vS ^ ... ^ vS^(s-1)): every size-s minor is a constant
+    combination of those on rows 0..s-1.  T, S and S1 are shift-structured
+    (block size h+1 = rows); any other matrix raises ``ValueError``.  Size 0
+    gives the constant 1; zero minors are dropped before the reduction.
     """
-    return GradedSpan.from_polynomials(value for _, _, _, value in iter_minors(m, sizes))
+    e = m.entries
+    for r in range(1, m.rows):
+        for c in range(m.cols):
+            if e[r][c] != (e[r - 1][c - 1] if c % m.rows else ZERO):
+                raise ValueError(f"minor_span needs a shift-structured matrix: entry ({r}, {c})")
+    packed = _PackedMatrix(m)
+    return GradedSpan.from_polynomials(
+        packed.value(tuple(range(s)), cols)
+        for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)
+        for cols in itertools.combinations(range(m.cols), s)
+    )

@@ -117,7 +117,8 @@ class Monomial:
 
     @classmethod
     def one(cls) -> "Monomial":
-        return cls(())
+        """The monomial 1: one shared instance, as monomials are immutable."""
+        return _ONE
 
     @classmethod
     def of(cls, v: Variable, e: int = 1) -> "Monomial":
@@ -149,10 +150,28 @@ class Monomial:
             return other
         if not other.pairs:
             return self
-        merged: dict[Variable, int] = dict(self.pairs)
-        for v, e in other.pairs:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(merged.items())
+        # One merge of the two sorted pair tuples; exponents only add.
+        a, b = self.pairs, other.pairs
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (va, ea), (vb, eb) = a[i], b[j]
+            if va == vb:
+                out.append((va, ea + eb))
+                i += 1
+                j += 1
+            elif va < vb:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        out += a[i:] or b[j:]
+        # The pairs are sorted already: skip the sorting constructor.
+        product = object.__new__(Monomial)
+        product.pairs, product.degree = tuple(out), self.degree + other.degree
+        product._hash = hash(product.pairs)
+        return product
 
     def weight(self) -> int:
         """Sum of derivative orders of the differential variables, with multiplicity."""
@@ -185,6 +204,8 @@ class Monomial:
     def __repr__(self) -> str:
         return f"Monomial({self})"
 
+
+_ONE = Monomial(())
 
 _Scalar = (int, Fraction)
 

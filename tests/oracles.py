@@ -141,3 +141,12 @@ def monomial_order_oracle(a: Monomial, b: Monomial, variables: list) -> int:
 
     va, vb = dense(a), dense(b)
     return (va > vb) - (va < vb)
+
+
+def monomial_product_oracle(a: Monomial, b: Monomial) -> Monomial:
+    """a * b by adding exponents in a dict and sorting again in the
+    constructor: the merge ``Monomial.mul`` replaced."""
+    merged = dict(a.pairs)
+    for v, e in b.pairs:
+        merged[v] = merged.get(v, 0) + e
+    return Monomial(merged.items())

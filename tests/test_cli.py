@@ -139,6 +139,9 @@ class TestReportGoldens:
                 ["verify", "--deep", "--n", "1", "--h", "2", "--no-timings"],
             ),
             ("series_n2_h3.json", ["series", "--n", "2", "--h-max", "3"]),
+            # Top-row minor spans at larger sizes: recorded from full enumeration.
+            ("dims_chain_n3_h3.json", ["dims-chain", "--n", "3", "--h", "3"]),
+            ("series_n1_h8.json", ["series", "--n", "1", "--h-max", "8"]),
         ],
     )
     def test_json_matches_golden(self, capsys, golden, argv):

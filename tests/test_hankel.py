@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import (
+    GradedSpan,
     SymbolicMatrix,
     build_matrix,
     _PackedMatrix,
@@ -229,6 +230,35 @@ class TestMinorSpan:
         span = minor_span(triangular_matrix(1, 2), range(4)).span(2)
         assert span.dimension == 3
         assert all(p.homogeneous_degree() == 2 for p in span.basis_polynomials())
+
+    # The top-row span against the span of every minor, degree by degree.
+    @pytest.mark.parametrize(
+        "family,n,h",
+        [("T", n, h) for n, h in [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]]
+        + [("S", n, h) for n, h in [(1, 4), (1, 5), (2, 3), (2, 4), (3, 3)]]
+        + [("S1", 1, 3), ("S1", 2, 2)],
+    )
+    def test_top_rows_span_every_minor(self, family, n, h):
+        m = build_matrix(family, n, h)
+        sizes = [h + 1] if family == "S1" else range(h + 2)
+        full = GradedSpan.from_polynomials(value for _, _, _, value in iter_minors(m, sizes))
+        top = minor_span(m, sizes)
+        assert top.degrees() == full.degrees()
+        for d in full.degrees():
+            # Equal spans with the same support reduce to the same basis.
+            assert top.span(d).basis_polynomials() == full.span(d).basis_polynomials(), d
+
+    def test_rejects_a_matrix_without_the_shift_structure(self):
+        with pytest.raises(ValueError, match="shift-structured"):
+            minor_span(hankel_matrix(2, 2, 1), range(3))
+        rows = [list(row) for row in triangular_matrix(1, 2).entries]
+        rows[1][2] = rows[1][2] + P("x1_0")
+        with pytest.raises(ValueError, match="shift-structured"):
+            minor_span(SymbolicMatrix.from_rows(rows), range(4))
+        rows = [list(row) for row in triangular_matrix(2, 1).entries]
+        rows[1][2] = P("x2_1")  # the first column of the second block
+        with pytest.raises(ValueError, match="shift-structured"):
+            minor_span(SymbolicMatrix.from_rows(rows), range(3))
 
     def test_enumeration_order(self):
         listing = list(iter_minors(triangular_matrix(1, 1), range(3)))

@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arcperp.hankel import SymbolicMatrix, determinant
 from arcperp.linalg import MonomialIndex, Span
@@ -21,7 +21,12 @@ from arcperp.ring import (
     y,
 )
 
-from oracles import derivative_oracle, monomial_order_oracle, order_oracle_variables
+from oracles import (
+    derivative_oracle,
+    monomial_order_oracle,
+    monomial_product_oracle,
+    order_oracle_variables,
+)
 
 
 def P(text: str) -> Polynomial:
@@ -243,6 +248,39 @@ class TestMonomialOrderOracle:
         expected = sorted(set(monos), key=cmp_to_key(oracle_compare), reverse=True)
         assert Polynomial.from_terms((m, 1) for m in monos).monomials() == expected
         assert list(MonomialIndex(monos)) == expected
+
+
+# Few variables and exponents up to 3, so that factors often share variables.
+shared_monomials = st.dictionaries(
+    st.sampled_from(ORDER_VARIABLES[::3]), st.integers(1, 3), max_size=4
+).map(lambda exps: Monomial(exps.items()))
+
+
+class TestMonomialProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(shared_monomials, shared_monomials)
+    @example(
+        Monomial(((x(1, 0), 2), (xi(1), 1))),
+        Monomial(((x(1, 0), 1), (x(2, 1), 1), (xi(1), 3))),
+    )
+    def test_merge_matches_dict_oracle(self, a, b):
+        product = a.mul(b)
+        expected = monomial_product_oracle(a, b)
+        assert product == expected
+        assert product.pairs == expected.pairs
+        assert product.degree == expected.degree == a.degree + b.degree
+        assert hash(product) == hash(expected)
+        assert product.order_key() == expected.order_key()
+        assert b.mul(a) == product
+
+    def test_one_is_shared_and_neutral(self):
+        one = Monomial.one()
+        assert one is Monomial.one() and one == Monomial(())
+        assert one.pairs == () and one.degree == 0
+        m = Monomial.of(x(1, 2), 2)
+        assert one.mul(m) is m and m.mul(one) is m
+        with pytest.raises(AttributeError):
+            one.extra = 1  # slots: no attribute beyond pairs, degree and hash
 
 
 def assert_exact(p: Polynomial) -> None:
