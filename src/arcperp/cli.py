@@ -2,8 +2,9 @@
 
 Subcommands: gens, pair, perp, minors, series, verify, dims-chain.
 Global flags: --json (machine-readable output), --out PATH (write the output
-to a file), --seed N (randomized property sampling inside verify).  The exit
-code is 0 iff all requested checks pass; invalid input exits with code 2.
+to a file).  ``verify`` alone takes --seed N (randomized property sampling).
+The exit code is 0 iff all requested checks pass; invalid input exits with
+code 2.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .hankel import GradedSpan, build_matrix, iter_minors
 from .pairing import apply_pairing
 from .perp import perp_graded_basis, truncated_perp_basis
 from .reports import dimension_chain, dimension_series, run_verification
-from .ring import PolynomialSyntaxError, format_polynomial, parse
+from .ring import format_polynomial, parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,8 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument("--out", metavar="PATH", help="write output to a file")
-    common.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed for randomized property sampling")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -64,6 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--deep", action="store_true", help="widen the sweeps")
+    p.add_argument("--seed", type=int, default=0, metavar="N",
+                   help="seed for randomized property sampling")
     p.add_argument("--no-timings", action="store_true",
                    help="omit wall-clock timings for byte-identical reports")
 
@@ -230,10 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except PolynomialSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # PolynomialSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

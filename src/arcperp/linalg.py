@@ -10,13 +10,11 @@ row is its first nonzero column, so every result is deterministic.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .ring import Monomial, Polynomial, differential_variables
+from .ring import Monomial, Polynomial
 
 def reduced_echelon(
     rows: Iterable[Mapping[int, int | Fraction]],
@@ -116,13 +114,6 @@ class MonomialIndex:
         ordered = sorted(set(monomials), key=Monomial.order_key, reverse=True)
         self.monomials: tuple[Monomial, ...] = tuple(ordered)
         self.position: dict[Monomial, int] = {m: i for i, m in enumerate(ordered)}
-
-    @classmethod
-    def graded(cls, n: int, degree: int, max_order: int) -> "MonomialIndex":
-        """All degree-d monomials in the variables x_i^(j), i <= n, j <= max_order."""
-        variables = differential_variables(n, max_order)
-        combos = itertools.combinations_with_replacement(variables, degree)
-        return cls(Monomial(Counter(combo).items()) for combo in combos)
 
     @classmethod
     def spanning(cls, polys: Iterable[Polynomial]) -> "MonomialIndex":

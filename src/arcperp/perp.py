@@ -4,7 +4,10 @@
 degree-d polynomials in derivative orders <= H annihilated by every arc
 generator.  Annihilation by the degree-2 generators alone characterizes the
 space: a monomial multiple m*g acts as m acting after g, so the generator
-constraints propagate to the whole ideal.
+constraints propagate to the whole ideal.  Every generator is
+weight-homogeneous, so the kernel side scans the candidates of each (degree,
+weight) block itself and solves the blocks one at a time; every ``Span``
+returned here indexes its own support, with no ambient index.
 
 The other entry points certify, on concrete instances, that this kernel
 description agrees with the independently computed Wronskian/Hankel-minor
@@ -17,12 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .hankel import GradedSpan, hankel_matrix, iter_selected_minors, minor_span, triangular_matrix
 from .linalg import MonomialIndex, Span, nullspace, reduced_echelon, span_equal, span_witness
 from .pairing import directional_derivative
-from .ring import E, Monomial, Polynomial, al, x, xi, y
+from .ring import E, Monomial, Polynomial, al, differential_variables, x, xi, y
 
 
 def perp_graded_basis(n: int, degree: int, max_order: int) -> Span:
@@ -35,21 +39,24 @@ def perp_graded_basis(n: int, degree: int, max_order: int) -> Span:
     """
     if degree < 0 or max_order < 0 or n < 1:
         raise ValueError("perp_graded_basis needs n >= 1, degree >= 0, max_order >= 0")
-    ambient = MonomialIndex.graded(n, degree, max_order)
-    return Span.from_polynomials(_kernel_up_to_weight(ambient, degree * max_order), ambient)
+    return Span.from_polynomials(_kernel_up_to_weight(n, degree, max_order, degree * max_order))
 
 
-def _kernel_up_to_weight(monomials: MonomialIndex, max_weight: int) -> list[Polynomial]:
-    """Kernel vectors of every weight block of weight <= max_weight.
+def _kernel_up_to_weight(n: int, degree: int, max_order: int, max_weight: int) -> list[Polynomial]:
+    """Kernel vectors of every weight block of weight <= max_weight among the
+    degree-d monomials of orders <= max_order.
 
     Weight classes never interact: a weight-l generator maps weight-w
     candidates into weight-(w-l) monomials, so each block is solved alone.
+    Candidates are scanned as multisets of variables, and a monomial is built
+    only for a kept one.
     """
     by_weight: dict[int, list[Monomial]] = {}
-    for m in monomials:
-        w = m.weight()
+    variables = differential_variables(n, max_order)
+    for combo in itertools.combinations_with_replacement(variables, degree):
+        w = sum(v.j for v in combo)
         if w <= max_weight:
-            by_weight.setdefault(w, []).append(m)
+            by_weight.setdefault(w, []).append(Monomial(Counter(combo).items()))
     return [p for _, block in sorted(by_weight.items()) for p in _weight_block_kernel(block)]
 
 
@@ -113,15 +120,14 @@ def restriction_span(n: int, h: int, degree: int) -> Span:
     blocks of weight w <= H are the same at every order bound H >= w.  A
     degree-d monomial with all orders <= h has weight <= d*h, so only the
     blocks of weight <= d*h restrict to nonzero polynomials.  Those are
-    solved once, at order d*h.
+    solved once, at order d*h, scanning only the candidates of weight <= d*h,
+    and the span indexes the support of the restrictions.
     """
     if degree < 0 or h < 0 or n < 1:
         raise ValueError("restriction_span needs n >= 1, h >= 0, degree >= 0")
     weight = degree * h
-    kernel = _kernel_up_to_weight(MonomialIndex.graded(n, degree, weight), weight)
-    return Span.from_polynomials(
-        [p.restrict_above(h) for p in kernel], MonomialIndex.graded(n, degree, h)
-    )
+    kernel = _kernel_up_to_weight(n, degree, weight, weight)
+    return Span.from_polynomials(p.restrict_above(h) for p in kernel)
 
 
 # -- span equality of the kernel and minor descriptions -----------------------
@@ -136,11 +142,10 @@ def hankel_minor_intersection_span(n: int, degree: int, max_order: int) -> Span:
     d(d-1)/2 + sum of the chosen column offsets; minors of weight above d*H
     cannot meet the order <= H subspace, and every admissible one uses
     offsets at most d*H - d(d-1)/2.  The block with that offset bound is
-    therefore an exact finite certificate, no stabilization needed.
+    therefore an exact finite certificate, no stabilization needed.  At
+    degree 0 the block is empty and its one minor, of size 0, is 1.  The
+    span indexes the support of the intersection.
     """
-    if degree == 0:
-        one = Polynomial.constant(1)
-        return Span.from_polynomials([one], MonomialIndex([Monomial.one()]))
     base_weight = degree * (degree - 1) // 2
     max_offset = max(degree * max_order - base_weight, 0)
     matrix = hankel_matrix(n, degree, max_offset)
@@ -155,8 +160,7 @@ def hankel_minor_intersection_span(n: int, degree: int, max_order: int) -> Span:
         for _, _, _, value in iter_selected_minors(matrix, selections)
         if not value.is_zero
     ]
-    ambient = MonomialIndex.graded(n, degree, max_order)
-    return Span.from_polynomials(_intersect_with_order_bound(values, max_order), ambient)
+    return Span.from_polynomials(_intersect_with_order_bound(values, max_order))
 
 
 def _intersect_with_order_bound(polys: list[Polynomial], max_order: int) -> list[Polynomial]:

@@ -190,6 +190,8 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     ``deep`` widens the degree and order sweeps (doubling the order bounds
     and the series horizon).  All checks are deterministic given (n, h, seed).
     """
+    if n < 1 or h < 0:
+        raise ValueError(f"run_verification needs n >= 1, h >= 0 (got n={n}, h={h})")
     checks: list[CheckResult] = []
     h_cap = min(h, 3)
     k_cap = h_cap if not deep else min(2 * h_cap, 4) if h_cap else 1

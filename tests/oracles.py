@@ -117,6 +117,26 @@ def naive_rank(rows: list[list[Fraction]], cols: int) -> int:
     return len(naive_rref(rows, cols))
 
 
+def graded_monomials(n: int, degree: int, max_order: int) -> list[Monomial]:
+    """Every degree-d monomial in x_i^(j), 1 <= i <= n, 0 <= j <= max_order:
+    one per composition of d into exponents over that variable list, built by
+    choosing the exponent of the first variable and recursing on the rest."""
+    variables = [x(i, j) for i in range(1, n + 1) for j in range(max_order + 1)]
+
+    def compositions(k: int, remaining: int):
+        if k == len(variables):
+            if remaining == 0:
+                yield ()
+            return
+        for e in range(remaining + 1):
+            for rest in compositions(k + 1, remaining - e):
+                yield (e,) + rest
+
+    return [
+        Monomial(zip(variables, exponents)) for exponents in compositions(0, degree)
+    ]
+
+
 def order_oracle_variables(n: int, max_order: int, groups: int) -> list:
     """Every variable of small index, listed in the documented variable order:
     x family-major with orders ascending, then xi, al, E and y."""

@@ -165,6 +165,7 @@ class TestTermOrderGoldens:
             ("pair_mixed.json", ["pair", "--json", _PAIR_F, _PAIR_P]),
             ("perp_n2_d3_o3.json", ["perp", "--json", "--n", "2", "--degree", "3", "--order", "3"]),
             ("gens_n2_m3.json", ["gens", "--json", "--n", "2", "--max-order", "3"]),
+            ("perp_n3_d3_o3.json", ["perp", "--json", "--n", "3", "--degree", "3", "--order", "3"]),
         ],
     )
     def test_output_matches_golden(self, capsys, golden, argv):
@@ -210,6 +211,18 @@ class TestVerify:
         assert "all checks passed" in out
         assert "[pass]" in out
 
+    def test_seed_reaches_the_report(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "1", "--h", "0", "--json", "--seed", "5")
+        assert code == 0
+        assert json.loads(out)["parameters"]["seed"] == 5
+
+    @pytest.mark.parametrize("n,h", [(1, -1), (0, 1)])
+    def test_invalid_instance_rejected(self, capsys, n, h):
+        code, out, err = run(capsys, "verify", "--n", str(n), "--h", str(h))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: run_verification needs n >= 1, h >= 0 (got n={n}, h={h})\n"
+
 
 class TestDimsChain:
     def test_agreement(self, capsys):
@@ -234,6 +247,20 @@ class TestGlobalFlags:
         assert code == 0
         assert out == ""
         assert target.read_text() == "x1_0^2\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "--n", "1", "--h-max", "1"],
+            ["dims-chain", "--n", "1", "--h", "1"],
+            ["gens", "--n", "1", "--max-order", "1"],
+        ],
+    )
+    def test_seed_only_on_verify(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

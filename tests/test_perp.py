@@ -1,5 +1,6 @@
 import pytest
 
+from arcperp import perp
 from arcperp.arcgen import ArcGeneratorKey, arc_generator
 from arcperp.hankel import iter_minors, scaled_matrix, wronskian
 from arcperp.linalg import MonomialIndex, Span, span_equal
@@ -11,6 +12,7 @@ from arcperp.perp import (
     linear_in_exponential_shift,
     minor_span_matches_kernel,
     perp_graded_basis,
+    restriction_mismatch,
     restriction_span,
     scaled_of_triangular_map,
     truncated_perp_basis,
@@ -19,7 +21,7 @@ from arcperp.perp import (
 )
 from arcperp.ring import Monomial, Polynomial, parse
 
-from oracles import pairing_oracle
+from oracles import graded_monomials, pairing_oracle
 
 P = parse
 WRONSKIAN_2 = "x1_0*x1_2 - x1_1^2"
@@ -28,11 +30,9 @@ WRONSKIAN_2 = "x1_0*x1_2 - x1_1^2"
 class TestGeneratorImages:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_structural_image_matches_pairing(self, n):
-        # every monomial of MonomialIndex.graded(n, d, H) for d, H <= 3, against
-        # every generator up to t-power 7 (those above 2H = 6 must act as zero)
-        monomials = {
-            m for d in range(4) for h in range(4) for m in MonomialIndex.graded(n, d, h)
-        }
+        # every degree-d monomial of orders <= H for d, H <= 3, against every
+        # generator up to t-power 7 (those above 2H = 6 must act as zero)
+        monomials = {m for d in range(4) for h in range(4) for m in graded_monomials(n, d, h)}
         generators = {
             (i, j, order): arc_generator(n, ArcGeneratorKey(i, j, order))
             for order in range(8)
@@ -130,7 +130,7 @@ def _restricted_kernel(n, h, degree, max_order):
     """Span of the order->h restrictions of ``perp_graded_basis`` at order H."""
     basis = perp_graded_basis(n, degree, max_order).basis_polynomials()
     return Span.from_polynomials(
-        [p.restrict_above(h) for p in basis], MonomialIndex.graded(n, degree, h)
+        [p.restrict_above(h) for p in basis], MonomialIndex(graded_monomials(n, degree, h))
     )
 
 
@@ -162,11 +162,59 @@ class TestRestriction:
         short = _restricted_kernel(n, h, d, d * h - 1)
         assert short.dimension < restriction_span(n, h, d).dimension
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_certified_at_h3(self, n):
+        # The battery trims the restriction check to h <= 2.
+        assert restriction_mismatch(n, 3, truncated_perp_basis(n, 3)) is None
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             restriction_span(1, -1, 1)
         with pytest.raises(ValueError):
             restriction_span(0, 1, 1)
+
+
+class TestWeightBlocks:
+    """Every block the kernel side hands to ``_weight_block_kernel`` holds
+    exactly the oracle's monomials of one weight, blocks in ascending weight."""
+
+    @staticmethod
+    def _recorded_blocks(monkeypatch):
+        blocks = []
+        monkeypatch.setattr(perp, "_weight_block_kernel", lambda block: blocks.append(block) or [])
+        return blocks
+
+    @staticmethod
+    def _oracle_blocks(n, degree, max_order, max_weight):
+        by_weight = {}
+        for m in graded_monomials(n, degree, max_order):
+            w = sum(v.j * e for v, e in m.pairs)
+            if w <= max_weight:
+                by_weight.setdefault(w, []).append(m)
+        return [sorted(by_weight[w], key=Monomial.order_key) for w in sorted(by_weight)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_perp_graded_basis_blocks(self, monkeypatch, n):
+        blocks = self._recorded_blocks(monkeypatch)
+        for degree in range(5):
+            for order in range(5):
+                blocks.clear()
+                perp_graded_basis(n, degree, order)
+                got = [sorted(b, key=Monomial.order_key) for b in blocks]
+                assert got == self._oracle_blocks(n, degree, order, degree * order)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_restriction_span_blocks(self, monkeypatch, n):
+        # Orders up to d*h are scanned, but only weights up to d*h are kept.
+        blocks = self._recorded_blocks(monkeypatch)
+        for degree in range(5):
+            for h in range(5):
+                if degree * h > 4:
+                    continue
+                blocks.clear()
+                restriction_span(n, h, degree)
+                got = [sorted(b, key=Monomial.order_key) for b in blocks]
+                assert got == self._oracle_blocks(n, degree, degree * h, degree * h)
 
 
 class TestSpanEquality:

@@ -12,7 +12,7 @@ from arcperp.reports import (
     dimension_series,
     run_verification,
 )
-from arcperp.ring import format_polynomial, parse
+from arcperp.ring import Polynomial, format_polynomial, parse
 
 
 def _series(n, h_max):
@@ -344,7 +344,7 @@ class TestPointwiseNegativeControls:
             if degree != 2:
                 return span
             stray = [*span.basis_polynomials(), parse("x1_0^2")]
-            return Span.from_polynomials(stray, span.index)
+            return Span.from_polynomials(stray)
 
         monkeypatch.setattr(reports, "perp_graded_basis", padded)
         report = run_verification(1, 1)
@@ -365,3 +365,51 @@ class TestPointwiseNegativeControls:
         (check,) = _failed(report)
         assert check.name == "randomized_property_samples"
         assert check.witness == "wronskian alternation"
+
+
+class TestUpstreamNegativeControls:
+    """A wrong input further upstream, a generator or a kernel vector, fails
+    exactly the checks that read it, naming a witness."""
+
+    def test_generator_with_a_flipped_sign(self, monkeypatch):
+        real = reports.arc_generators_up_to
+        target = parse("2*x1_0*x1_2 + x1_1^2")
+        flipped = parse("2*x1_0*x1_2 - x1_1^2")
+        hits = []
+
+        def perturbed(n, max_order):
+            gens = real(n, max_order)
+            hits.extend(g for g in gens if g == target)
+            return [flipped if g == target else g for g in gens]
+
+        monkeypatch.setattr(reports, "arc_generators_up_to", perturbed)
+        report = run_verification(1, 2)
+        assert hits
+        failed = {c.name: c.witness for c in _failed(report)}
+        assert failed == {"hankel_minors_annihilated_by_generators": "x1_0*x1_2 - x1_1^2"}
+
+    def test_kernel_vector_with_a_flipped_sign(self, monkeypatch):
+        # Only the first two-term vector of the run is changed; it belongs
+        # to the kernel bases, so the restriction check still passes.
+        real = perp._weight_block_kernel
+        flipped = []
+
+        def perturbed(monomials):
+            vectors = real(monomials)
+            for k, p in enumerate(vectors):
+                if not flipped and len(p.terms) == 2:
+                    terms = dict(p.terms)
+                    first = next(iter(terms))
+                    terms[first] = -terms[first]
+                    vectors[k] = Polynomial(terms)
+                    flipped.append(vectors[k])
+            return vectors
+
+        monkeypatch.setattr(perp, "_weight_block_kernel", perturbed)
+        report = run_verification(1, 2)
+        assert len(flipped) == 1
+        failed = {c.name: c.witness for c in _failed(report)}
+        assert failed == {
+            "kernel_basis_pointwise_certificates": "x1_0*x1_2 + x1_1^2",
+            "kernel_equals_hankel_minor_span": "degree 2: x1_0*x1_2 + x1_1^2",
+        }
