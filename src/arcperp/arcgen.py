@@ -12,13 +12,12 @@ x*x'), since scaling changes neither the ideal nor any kernel.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ring import Monomial, Polynomial, x
 
 
-@dataclass(frozen=True, slots=True)
-class ArcGeneratorKey:
+class ArcGeneratorKey(NamedTuple):
     """The coefficient of t^order in x_i(t) * x_j(t), with i <= j."""
 
     i: int

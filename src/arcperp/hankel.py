@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import MonomialIndex, Span
 from .ring import ONE, ZERO, Monomial, Polynomial, x
 
 
-@dataclass(frozen=True)
-class SymbolicMatrix:
+class SymbolicMatrix(NamedTuple):
     """A rectangular array of polynomials."""
 
     entries: tuple[tuple[Polynomial, ...], ...]

@@ -18,6 +18,7 @@ differentially homogeneous polynomials.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -26,7 +27,7 @@ from fractions import Fraction
 from .hankel import GradedSpan, hankel_matrix, iter_selected_minors, minor_span, triangular_matrix
 from .linalg import MonomialIndex, Span, nullspace, reduced_echelon, span_equal, span_witness
 from .pairing import directional_derivative
-from .ring import E, Monomial, Polynomial, al, differential_variables, x, xi, y
+from .ring import E, Monomial, Polynomial, al, differential_variables, x, xi
 
 
 def perp_graded_basis(n: int, degree: int, max_order: int) -> Span:
@@ -260,17 +261,64 @@ def linear_in_exponential_shift(p: Polynomial) -> bool:
 
 
 def is_differentially_homogeneous(p: Polynomial, d: int) -> bool:
-    """Does replacing x by y*x under Leibniz multiply p by y^d?"""
-    mapping = {}
-    for v in _diff_variables_of(p):
-        total = Polynomial.zero()
-        for k in range(v.j + 1):
-            total = total + Polynomial.from_monomial(
-                Monomial(((y(k), 1), (x(v.i, v.j - k), 1))), math.comb(v.j, k)
-            )
-        mapping[v] = total
-    expected = Polynomial.from_monomial(Monomial.of(y(0), d)) * p
-    return p.substitute(mapping) == expected
+    """Does replacing x by y*x under Leibniz multiply p by y^d?
+
+    The substitution is x_i^(j) -> sum_k C(j, k) y^(k) x_i^(j-k), the other
+    variables staying fixed, and it is tested in its infinitesimal form:
+    every term of p has x-degree d, and D_k p = 0 for 1 <= k <= N, N the
+    largest order in p, where
+
+        D_k = sum_{i, j >= k} C(j, k) x_i^(j-k) d/dx_i^(j).
+
+    Proof of the equivalence.  Put x_i(t) = sum_j x_i^(j) t^j/j! and y(t)
+    likewise in A = C[t]/t^(N+1); by Leibniz the substitution is x_i(t) ->
+    y(t) x_i(t), so p(y x) = y_0^d p(x) says that p is a semi-invariant of
+    weight y -> y_0^d under the group of units of A (the units, y_0 != 0,
+    are dense, so the identity on them is the identity of polynomials in
+    y_0, ..., y_N; orders above N do not occur).  (=>) Apply d/dy_k at
+    y = 1, i.e. y_0 = 1 and y_k = 0 for k >= 1: the left side gives
+    sum C(j, k) x_i^(j-k) dp/dx_i^(j) = D_k p and the right side gives
+    d*p for k = 0 (the Euler operator D_0 = sum x d/dx, so each term has
+    x-degree d) and 0 for k >= 1.  (<=) The units are C* x (1 + tA), y =
+    y_0 * (y/y_0).  C* acts by x -> c*x, which multiplies each term by c to
+    its x-degree, here c^d.  The factor 1 + tA is commutative and
+    unipotent, the exponential of its Lie algebra tA, which is spanned by
+    t^k/k!, 1 <= k <= N; the element t^k/k! acts on p as D_k, since
+    t^k/k! * x_i(t) has x_i^(j-k) C(j, k) at t^j/j!.  Along the
+    one-parameter group exp(s t^k/k!) the derivative of p(exp(s t^k/k!) x)
+    is (D_k p)(exp(s t^k/k!) x) = 0, so p is invariant under each of them
+    and hence under their product, which is all of 1 + tA.
+
+    The y^(k) must be new to p: a p that involves y already raises
+    ``ValueError``, since substituting the y it holds conflates its
+    coefficients with the scaling.
+    """
+    if any(m.pairs and m.pairs[-1][0].kind == "y" for m in p.terms):
+        raise ValueError("is_differentially_homogeneous needs p free of y")
+    # The test is linear in p, so it runs on the integral multiple scale*p.
+    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    # D_k p, keyed by (k, the sorted pairs of each image monomial).
+    images: dict[tuple[int, tuple], int] = {}
+    for m, c in p.terms.items():
+        c = c.numerator * (scale // c.denominator)
+        pairs = m.pairs
+        if sum(e for v, e in pairs if v.kind == "x") != d:
+            return False
+        for idx, (v, e) in enumerate(pairs):
+            if v.kind != "x":
+                break  # differential variables sort first
+            tail = ((v, e - 1),) + pairs[idx + 1:] if e > 1 else pairs[idx + 1:]
+            for k in range(1, v.j + 1):
+                # x_i^(j-k) sorts before v = x_i^(j): raise its exponent there.
+                w = x(v.i, v.j - k)
+                pos = bisect.bisect_left(pairs, (w,), 0, idx)
+                if pairs[pos][0] == w:
+                    head = pairs[:pos] + ((w, pairs[pos][1] + 1),) + pairs[pos + 1:idx]
+                else:
+                    head = pairs[:pos] + ((w, 1),) + pairs[pos:idx]
+                key = (k, head + tail)
+                images[key] = images.get(key, 0) + c * e * math.comb(v.j, k)
+    return not any(images.values())
 
 
 def _diff_variables_of(p: Polynomial):

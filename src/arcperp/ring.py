@@ -167,11 +167,7 @@ class Monomial:
                 out.append(b[j])
                 j += 1
         out += a[i:] or b[j:]
-        # The pairs are sorted already: skip the sorting constructor.
-        product = object.__new__(Monomial)
-        product.pairs, product.degree = tuple(out), self.degree + other.degree
-        product._hash = hash(product.pairs)
-        return product
+        return _sorted_monomial(tuple(out), self.degree + other.degree)
 
     def weight(self) -> int:
         """Sum of derivative orders of the differential variables, with multiplicity."""
@@ -203,6 +199,14 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
+
+
+def _sorted_monomial(pairs: tuple[tuple[Variable, int], ...], degree: int) -> Monomial:
+    """The monomial of pairs already sorted, with no zero exponent, and of
+    the given degree: skips the sorting constructor."""
+    m = object.__new__(Monomial)
+    m.pairs, m.degree, m._hash = pairs, degree, hash(pairs)
+    return m
 
 
 _ONE = Monomial(())
@@ -366,22 +370,36 @@ class Polynomial:
     # -- derivation and substitution ----------------------------------------
 
     def derivative(self, times: int = 1) -> "Polynomial":
-        """Leibniz extension of the per-variable derivation rules."""
+        """Leibniz extension of the per-variable derivation rules.
+
+        For ``x`` and ``y`` the derivative v' is the next variable of v's own
+        family, so in the sorted pairs it is the next pair or absent: the
+        pair tuple is edited in place of a product.  ``E`` takes the generic
+        rule; ``xi`` and ``al`` are constants.
+        """
         p = self
         for _ in range(times):
             acc: dict[Monomial, int | Fraction] = {}
             for m, c in p.terms.items():
-                for idx, (v, e) in enumerate(m.pairs):
-                    dv = _derive_variable(v)
-                    if dv.is_zero:
+                pairs = m.pairs
+                for idx, (v, e) in enumerate(pairs):
+                    rank, i, j, kind = v
+                    if kind == "x" or kind == "y":
+                        dv = Variable(rank, i, j + 1, kind)
+                        head = pairs[:idx] + ((v, e - 1),) if e > 1 else pairs[:idx]
+                        after = pairs[idx + 1:]
+                        if after and after[0][0] == dv:
+                            edited = head + ((dv, after[0][1] + 1),) + after[1:]
+                        else:
+                            edited = head + ((dv, 1),) + after
+                        key = _sorted_monomial(edited, m.degree)
+                        acc[key] = acc.get(key, 0) + c * e
                         continue
-                    rest_pairs = list(m.pairs)
-                    if e == 1:
-                        del rest_pairs[idx]
-                    else:
-                        rest_pairs[idx] = (v, e - 1)
-                    rest = Monomial(rest_pairs)
-                    for dm, dc in dv.terms.items():
+                    dv_poly = _derive_variable(v)
+                    if dv_poly.is_zero:
+                        continue
+                    rest = Monomial(pairs[:idx] + ((v, e - 1),) + pairs[idx + 1:])
+                    for dm, dc in dv_poly.terms.items():
                         key = rest.mul(dm)
                         acc[key] = acc.get(key, 0) + c * e * dc
             p = Polynomial(acc)
@@ -394,18 +412,31 @@ class Polynomial:
         )
 
     def substitute(self, mapping: Mapping[Variable, "Polynomial"]) -> "Polynomial":
-        """Replace each mapped variable by a polynomial, multiplicatively."""
-        result = Polynomial.zero()
+        """Replace each mapped variable by a polynomial, multiplicatively.
+
+        Each power ``repl**e`` is built once per call, and every expanded
+        term is added into one accumulator.
+        """
+        powers: dict[tuple[Variable, int], Polynomial] = {}
+        acc: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
-            term = Polynomial.constant(c)
+            kept = []
+            factors = []
             for v, e in m.pairs:
                 repl = mapping.get(v)
                 if repl is None:
-                    term = term * Polynomial.from_monomial(Monomial.of(v, e))
-                else:
-                    term = term * repl**e
-            result = result + term
-        return result
+                    kept.append((v, e))
+                    continue
+                power = powers.get((v, e))
+                if power is None:
+                    power = powers[v, e] = repl**e
+                factors.append(power)
+            term = Polynomial({_sorted_monomial(tuple(kept), sum(e for _, e in kept)): c})
+            for power in factors:
+                term = term * power
+            for tm, tc in term.terms.items():
+                acc[tm] = acc.get(tm, 0) + tc
+        return Polynomial(acc)
 
     # -- rendering ----------------------------------------------------------
 
@@ -417,10 +448,8 @@ class Polynomial:
 
 
 def _derive_variable(v: Variable) -> Polynomial:
-    if v.kind == "x":
-        return Polynomial.from_variable(x(v.i, v.j + 1))
-    if v.kind == "y":
-        return Polynomial.from_variable(y(v.j + 1))
+    """The derivative of an ``E``, ``xi`` or ``al`` variable; ``x`` and ``y``
+    are derived in :meth:`Polynomial.derivative` itself."""
     if v.kind == "E":
         return Polynomial.from_monomial(Monomial(((xi(v.i), 1), (v, 1))))
     return Polynomial.zero()  # xi, al are constants

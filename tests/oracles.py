@@ -5,13 +5,18 @@ done one variable at a time from the textbook definition, determinants by
 full permutation expansion, and row reduction by plain rational
 Gauss-Jordan without any fraction-free shortcuts.  The monomial order is
 read off dense exponent vectors over a variable list written out by hand.
+Substitution multiplies out one term at a time, differential homogeneity is
+tested by substituting y*x itself, and annihilation applies every generator
+through the apolarity pairing.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
+from arcperp.pairing import annihilates
 from arcperp.ring import E, Monomial, Polynomial, al, x, xi, y
 
 
@@ -170,3 +175,38 @@ def monomial_product_oracle(a: Monomial, b: Monomial) -> Monomial:
     for v, e in b.pairs:
         merged[v] = merged.get(v, 0) + e
     return Monomial(merged.items())
+
+
+def substitute_oracle(p: Polynomial, mapping) -> Polynomial:
+    """Replace each mapped variable by a polynomial, rebuilding every term
+    from a constant and adding the terms up one at a time."""
+    result = Polynomial.zero()
+    for m, c in p.terms.items():
+        term = Polynomial.constant(c)
+        for v, e in m.pairs:
+            repl = mapping.get(v)
+            if repl is None:
+                term = term * Polynomial.from_monomial(Monomial.of(v, e))
+            else:
+                term = term * repl**e
+        result = result + term
+    return result
+
+
+def differentially_homogeneous_oracle(p: Polynomial, d: int) -> bool:
+    """Does substituting x_i^(j) -> sum_k C(j, k) y_k x_i^(j-k) multiply p by y_0^d?"""
+    mapping = {}
+    for m in p.terms:
+        for v, _ in m.pairs:
+            if v.kind == "x":
+                mapping[v] = Polynomial.from_terms(
+                    (Monomial(((y(k), 1), (x(v.i, v.j - k), 1))), math.comb(v.j, k))
+                    for k in range(v.j + 1)
+                )
+    expected = Polynomial.from_monomial(Monomial.of(y(0), d)) * p
+    return substitute_oracle(p, mapping) == expected
+
+
+def annihilated_by_all_oracle(generators: list[Polynomial], w: Polynomial) -> bool:
+    """Does every generator, applied through the pairing, annihilate w?"""
+    return all(annihilates(g, w) for g in generators)

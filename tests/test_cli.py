@@ -142,6 +142,10 @@ class TestReportGoldens:
             # Top-row minor spans at larger sizes: recorded from full enumeration.
             ("dims_chain_n3_h3.json", ["dims-chain", "--n", "3", "--h", "3"]),
             ("series_n1_h8.json", ["series", "--n", "1", "--h-max", "8"]),
+            # n = 3 tabulates cross-family second partials; h = 3 reaches
+            # order 3 in the homogeneity check.
+            ("verify_n3_h2.json", ["verify", "--n", "3", "--h", "2", "--no-timings"]),
+            ("verify_n2_h3.json", ["verify", "--n", "2", "--h", "3", "--no-timings"]),
         ],
     )
     def test_json_matches_golden(self, capsys, golden, argv):

@@ -4,9 +4,15 @@ from collections import Counter
 import pytest
 
 from arcperp import hankel, perp, reports
+from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import GradedSpan, hankel_matrix, scaled_matrix, triangular_matrix
 from arcperp.linalg import Span
-from arcperp.perp import scaled_of_triangular_map, truncated_perp_basis
+from arcperp.pairing import apply_pairing
+from arcperp.perp import (
+    is_differentially_homogeneous,
+    scaled_of_triangular_map,
+    truncated_perp_basis,
+)
 from arcperp.reports import (
     dimension_chain,
     dimension_series,
@@ -292,6 +298,34 @@ class TestMinorFedNegativeControls:
         assert check.name == "scaled_maximal_minors_differentially_homogeneous"
         assert check.witness == format_polynomial(corrupted[0])
         assert check.dimensions == {"maximal_minors": 1}
+
+    def test_scaled_maximal_minor_failing_the_degree_alone(self, monkeypatch):
+        corrupted = _corrupt_one_minor(monkeypatch, scaled_matrix(2, 1), "x1_0")
+        report = run_verification(1, 1)
+        (check,) = _failed(report)
+        assert check.name == "scaled_maximal_minors_differentially_homogeneous"
+        assert check.witness == format_polynomial(corrupted[0])
+        assert check.dimensions == {"maximal_minors": 1}
+        # Each degree part passes on its own: every D_k kills both, and only
+        # the degree condition sees their sum.
+        stray = parse("x1_0")
+        assert is_differentially_homogeneous(corrupted[0] - stray, 2)
+        assert is_differentially_homogeneous(stray, 1)
+
+    def test_hankel_minor_seen_only_by_a_cross_family_generator(self, monkeypatch):
+        corrupted = _corrupt_one_minor(monkeypatch, hankel_matrix(2, 1, 1), "x1_0*x2_0")
+        report = run_verification(2, 1)
+        failed = {c.name: c.witness for c in _failed(report)}
+        assert failed == {
+            "hankel_minors_annihilated_by_generators": format_polynomial(corrupted[0]),
+            "hankel_minors_double_derivative_vanishes": format_polynomial(corrupted[0]),
+        }
+        assert format_polynomial(corrupted[0]) == "x1_0*x2_0 + 1"  # the size-0 minor
+        # Of the generators the check reads, only g_{12,0} = x1_0*x2_0 sees it.
+        generators = arc_generators_up_to(2, 4)
+        assert [g for g in generators if not apply_pairing(g, corrupted[0]).is_zero] == [
+            parse("x1_0*x2_0")
+        ]
 
     def test_series_missing_a_basis_element(self, monkeypatch):
         # At h = 2 only the series reads order 1.
