@@ -26,13 +26,12 @@ from .ring import (
     y,
 )
 from .pairing import (
-    annihilates,
     apply_pairing,
     directional_derivative,
     double_derivative_vanishes,
 )
 from .arcgen import ArcGeneratorKey, arc_generator, arc_generators_up_to
-from .linalg import MonomialIndex, RationalMatrix, Span, coeff_matrix, span_equal
+from .linalg import MonomialIndex, RationalMatrix, Span
 from .hankel import (
     GradedSpan,
     SymbolicMatrix,
@@ -41,7 +40,6 @@ from .hankel import (
     hankel_matrix,
     iter_minors,
     iter_selected_minors,
-    minor,
     minor_span,
     scaled_augmented_matrix,
     scaled_matrix,
@@ -52,12 +50,10 @@ from .perp import (
     hankel_minor_intersection_span,
     is_differentially_homogeneous,
     linear_in_exponential_shift,
-    minor_span_matches_kernel,
     perp_graded_basis,
     restriction_span,
     scaled_of_triangular_map,
     truncated_perp_basis,
-    truncation_matches_restriction,
     vanishes_on_exponential_sums,
 )
 from .reports import (

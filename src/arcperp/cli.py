@@ -77,11 +77,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    except OSError as exc:  # an unwritable --out is invalid input, not a failed check
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _cmd_gens(args) -> int:
@@ -140,7 +143,7 @@ def _cmd_minors(args) -> int:
         for size, rows, cols, value in minors
     ]
     graded = GradedSpan.from_polynomials(value for _, _, _, value in minors)
-    dims = {str(d): graded.dimension(d) for d in graded.degrees()}
+    dims = {str(d): dim for d, dim in graded.graded_dimensions.items()}
     if args.json:
         text = json.dumps(
             {
@@ -172,7 +175,7 @@ def _cmd_series(args) -> int:
     truncated = (truncated_perp_basis(args.n, h) for h in range(args.h_max + 1))
     rows = dimension_series(args.n, truncated)
     if args.json:
-        text = json.dumps([r.to_dict() for r in rows], indent=2)
+        text = json.dumps([r._asdict() for r in rows], indent=2)
     else:
         lines = [
             f"h={r.h}: dimension={r.dimension} closed_form={r.closed_form} "

@@ -232,11 +232,6 @@ def determinant(m: SymbolicMatrix) -> Polynomial:
     return _PackedMatrix(m).value(tuple(range(m.rows)), tuple(range(m.cols)))
 
 
-def minor(m: SymbolicMatrix, rows, cols) -> Polynomial:
-    """Determinant of the selected square submatrix; the empty minor is 1."""
-    return next(iter_selected_minors(m, [(rows, cols)]))[3]
-
-
 def wronskian(fs: list[Polynomial]) -> Polynomial:
     """Determinant of the matrix whose i-th row is the i-th derivative of fs."""
     if not fs:
@@ -290,17 +285,11 @@ class GradedSpan:
                 by_degree.setdefault(p.total_degree(), []).append(p)
         return cls({d: Span.from_polynomials(group) for d, group in by_degree.items()})
 
-    def degrees(self) -> list[int]:
-        return list(self.spans)
-
     def span(self, degree: int) -> Span:
         got = self.spans.get(degree)
         if got is None:
             return Span(MonomialIndex(()), [], [])
         return got
-
-    def dimension(self, degree: int) -> int:
-        return self.span(degree).dimension
 
     @property
     def graded_dimensions(self) -> dict[int, int]:
@@ -309,12 +298,6 @@ class GradedSpan:
     @property
     def total_dimension(self) -> int:
         return sum(s.dimension for s in self.spans.values())
-
-    def basis_polynomials(self) -> list[Polynomial]:
-        out: list[Polynomial] = []
-        for d in self.degrees():
-            out.extend(self.spans[d].basis_polynomials())
-        return out
 
 
 def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:

@@ -129,18 +129,6 @@ class MonomialIndex:
     def __iter__(self):
         return iter(self.monomials)
 
-    def __getitem__(self, i: int) -> Monomial:
-        return self.monomials[i]
-
-    def __contains__(self, m: Monomial) -> bool:
-        return m in self.position
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MonomialIndex) and self.monomials == other.monomials
-
-    def __hash__(self) -> int:
-        return hash(self.monomials)
-
 
 class RationalMatrix:
     """A dense matrix of exact rationals; it reduces on the sparse core."""
@@ -197,12 +185,6 @@ class RationalMatrix:
         return [tuple(_dense(v, self.cols)) for v in nullspace(self._sparse_rows(), self.cols)]
 
 
-def coeff_matrix(polys: Sequence[Polynomial], index: MonomialIndex) -> RationalMatrix:
-    """Row r, column c holds the coefficient of index[c] in polys[r]."""
-    rows = [_dense(_coefficient_row(p, index), len(index)) for p in polys]
-    return RationalMatrix(rows, cols=len(index))
-
-
 def _coefficient_row(p: Polynomial, index: MonomialIndex) -> dict[int, Fraction]:
     row = {}
     for m, c in p.terms.items():
@@ -239,10 +221,6 @@ class Span:
         return cls(index, *reduced_echelon(_coefficient_row(p, index) for p in polys))
 
     @property
-    def basis(self) -> list[list[Fraction]]:
-        return [_dense(row, len(self.index)) for row in self.rows]
-
-    @property
     def dimension(self) -> int:
         return len(self.pivots)
 
@@ -271,15 +249,10 @@ class Span:
         return isinstance(other, Span) and self.basis_polynomials() == other.basis_polynomials()
 
 
-def span_equal(a: Span, b: Span) -> bool:
-    """Exact subspace equality via the unique reduced bases."""
-    return a == b
-
-
 def span_witness(a: Span, b: Span) -> Polynomial | None:
     """None when the spans are equal; otherwise the first basis polynomial of
     ``a`` that ``b`` does not contain, or failing that, of ``b`` not in ``a``."""
-    if span_equal(a, b):
+    if a == b:
         return None
     for this, other in ((a, b), (b, a)):
         for p in this.basis_polynomials():

@@ -59,11 +59,6 @@ def apply_pairing(f: Polynomial, p: Polynomial) -> Polynomial:
     return Polynomial(acc)
 
 
-def annihilates(f: Polynomial, p: Polynomial) -> bool:
-    """True iff f applied to p is identically zero."""
-    return apply_pairing(f, p).is_zero
-
-
 def directional_derivative(p: Polynomial) -> Polynomial:
     """Derivative of p in the direction of a one-exponential perturbation.
 

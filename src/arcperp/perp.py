@@ -9,11 +9,11 @@ weight-homogeneous, so the kernel side scans the candidates of each (degree,
 weight) block itself and solves the blocks one at a time; every ``Span``
 returned here indexes its own support, with no ambient index.
 
-The other entry points certify, on concrete instances, that this kernel
-description agrees with the independently computed Wronskian/Hankel-minor
-spans, that restricting high orders to zero realizes the truncated inverse
-systems, and that the scaled-triangle minor spaces are exactly the
-differentially homogeneous polynomials.
+The other entry points build what ``reports.run_verification`` compares
+with it on concrete instances: the independently computed Hankel-minor
+spans, the restrictions of high orders to zero that realize the truncated
+inverse systems, and pointwise certificates on single polynomials, among
+them differential homogeneity.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .hankel import GradedSpan, hankel_matrix, iter_selected_minors, minor_span, triangular_matrix
-from .linalg import MonomialIndex, Span, nullspace, reduced_echelon, span_equal, span_witness
+from .linalg import MonomialIndex, Span, nullspace, reduced_echelon, span_witness
 from .pairing import directional_derivative
 from .ring import E, Monomial, Polynomial, al, differential_variables, x, xi
 
@@ -186,24 +186,7 @@ def _intersect_with_order_bound(polys: list[Polynomial], max_order: int) -> list
     ]
 
 
-def minor_span_matches_kernel(n: int, degree: int, max_order: int) -> bool:
-    """Do the kernel and Hankel-minor descriptions of the graded piece agree?
-
-    The two sides are computed by independent code paths: exact kernel
-    extraction from the generator constraints, versus symbolic determinants
-    of the Hankel block intersected with the order bound.
-    """
-    kernel_side = perp_graded_basis(n, degree, max_order)
-    minor_side = hankel_minor_intersection_span(n, degree, max_order)
-    return span_equal(kernel_side, minor_side)
-
-
 # -- elimination / truncation certificate -------------------------------------
-
-
-def truncation_matches_restriction(n: int, h: int) -> bool:
-    """Does restricting the inverse system reproduce the triangular minor span?"""
-    return restriction_mismatch(n, h, truncated_perp_basis(n, h)) is None
 
 
 def restriction_mismatch(n: int, h: int, truncated: GradedSpan) -> tuple[int, Polynomial] | None:
@@ -332,12 +315,22 @@ def _diff_variables_of(p: Polynomial):
 
 def scaled_of_triangular_map(p: Polynomial, h: int) -> Polynomial:
     """The substitution x^(i) -> x^(h-i)/(h-i)! that carries the triangular
-    minor space onto the scaled one."""
-    mapping = {}
-    for v in _diff_variables_of(p):
-        if v.j > h:
-            raise ValueError(f"variable {v.token()} has order above h={h}")
-        mapping[v] = Polynomial.from_monomial(
-            Monomial.of(x(v.i, h - v.j)), Fraction(1, math.factorial(h - v.j))
-        )
-    return p.substitute(mapping)
+    minor space onto the scaled one.
+
+    It is a renaming: each x_i^(j) becomes x_i^(h-j), and a term's coefficient
+    is divided by the product of ((h-j)!)^e over its x-factors.  The renaming
+    is a bijection on variables, so no two terms merge.
+    """
+    out = {}
+    for m, c in p.terms.items():
+        pairs = []
+        scale = 1
+        for v, e in m.pairs:
+            if v.kind == "x":
+                if v.j > h:
+                    raise ValueError(f"variable {v.token()} has order above h={h}")
+                scale *= math.factorial(h - v.j) ** e
+                v = x(v.i, h - v.j)
+            pairs.append((v, e))
+        out[Monomial(pairs)] = Fraction(c, scale)
+    return Polynomial(out)

@@ -49,14 +49,6 @@ class SeriesRow(NamedTuple):
     closed_form: int
     match: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "dimension": self.dimension,
-            "closed_form": self.closed_form,
-            "match": self.match,
-        }
-
 
 def dimension_series(n: int, truncated) -> list[SeriesRow]:
     """Dimensions of ``truncated_perp_basis(n, h)``, drawn for h = 0, 1, ... from
@@ -251,8 +243,10 @@ def _annihilated_by_all(split: list, w: Polynomial) -> bool:
 def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> VerificationReport:
     """Run the full cross-check battery at desk scale.
 
-    ``deep`` widens the degree and order sweeps (doubling the order bounds
-    and the series horizon).  All checks are deterministic given (n, h, seed).
+    ``deep`` widens the sweeps: it doubles ``k_cap`` (at most 4, and 1 at
+    h = 0) and the series horizon (at most 6), adds 2 to the order bound (at
+    most 5, and 2 at h = 0) and 1 to the degree cap, and takes 200 samples
+    instead of 60.  All checks are deterministic given (n, h, seed).
     """
     if n < 1 or h < 0:
         raise ValueError(f"run_verification needs n >= 1, h >= 0 (got n={n}, h={h})")

@@ -17,7 +17,6 @@ function, so concurrent use is safe.  There is no floating-point mode.
 
 from __future__ import annotations
 
-import functools
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -92,7 +91,6 @@ def differential_variables(n: int, max_order: int) -> list[Variable]:
     return [x(i, j) for i in range(1, n + 1) for j in range(max_order + 1)]
 
 
-@functools.total_ordering
 class Monomial:
     """A power product, stored as a sorted tuple of (variable, exponent) pairs.
 
@@ -100,7 +98,7 @@ class Monomial:
     Ordering is graded lexicographic: higher total degree wins, ties are
     broken by the exponent at the earliest variable where the two differ.
     :meth:`order_key` spells that order as one flat tuple; sort with
-    ``key=Monomial.order_key``, since ``<`` builds two keys per comparison.
+    ``key=Monomial.order_key``.
     """
 
     __slots__ = ("pairs", "degree", "_hash")
@@ -169,10 +167,6 @@ class Monomial:
         out += a[i:] or b[j:]
         return _sorted_monomial(tuple(out), self.degree + other.degree)
 
-    def weight(self) -> int:
-        """Sum of derivative orders of the differential variables, with multiplicity."""
-        return sum(v.j * e for v, e in self.pairs if v.kind == "x")
-
     def max_order(self) -> int:
         """Largest derivative order among differential variables; -1 if none."""
         return max((v.j for v, _ in self.pairs if v.kind == "x"), default=-1)
@@ -185,9 +179,6 @@ class Monomial:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.order_key() < other.order_key()
 
     def __str__(self) -> str:
         if not self.pairs:
@@ -274,16 +265,6 @@ class Polynomial:
     def total_degree(self) -> int:
         """Maximal term degree; -1 for the zero polynomial."""
         return max((m.degree for m in self.terms), default=-1)
-
-    def homogeneous_degree(self) -> int | None:
-        """The common degree of all terms, or None if mixed or zero."""
-        degs = {m.degree for m in self.terms}
-        return degs.pop() if len(degs) == 1 else None
-
-    def homogeneous_weight(self) -> int | None:
-        """The common differential weight of all terms, or None if mixed or zero."""
-        ws = {m.weight() for m in self.terms}
-        return ws.pop() if len(ws) == 1 else None
 
     def max_order(self) -> int:
         """Largest derivative order of any differential variable; -1 if none."""

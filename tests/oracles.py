@@ -16,7 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from arcperp.pairing import annihilates
+from arcperp.pairing import apply_pairing
 from arcperp.ring import E, Monomial, Polynomial, al, x, xi, y
 
 
@@ -205,6 +205,11 @@ def differentially_homogeneous_oracle(p: Polynomial, d: int) -> bool:
                 )
     expected = Polynomial.from_monomial(Monomial.of(y(0), d)) * p
     return substitute_oracle(p, mapping) == expected
+
+
+def annihilates(f: Polynomial, p: Polynomial) -> bool:
+    """Is f applied to p through the apolarity pairing identically zero?"""
+    return apply_pairing(f, p).is_zero
 
 
 def annihilated_by_all_oracle(generators: list[Polynomial], w: Polynomial) -> bool:

@@ -1,8 +1,15 @@
+import contextlib
+import importlib
+import inspect
+import io
 import json
+import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
+import arcperp
 from arcperp.cli import main
 
 
@@ -266,7 +273,95 @@ class TestGlobalFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing/gens.txt", "."])
+    def test_unwritable_out_is_invalid_input(self, capsys, tmp_path, target):
+        # A path in a missing directory, and a path that is a directory.
+        path = tmp_path / target
+        code, out, err = run(capsys, "gens", "--n", "1", "--max-order", "1", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+# Public functions and methods that no subcommand calls, with the reason each
+# stays: the dense matrix class is named by the benchmark's tracer, and the
+# Polynomial readers and builder are how tests build inputs and read results.
+NEVER_CALLED_BY_A_COMMAND = {
+    "linalg.RationalMatrix.identity",
+    "linalg.RationalMatrix.kernel_basis",
+    "linalg.RationalMatrix.multiply_vector",
+    "linalg.RationalMatrix.rank",
+    "linalg.RationalMatrix.row_reduce",
+    "linalg.RationalMatrix.zero",
+    "ring.Polynomial.coeff",
+    "ring.Polynomial.from_terms",
+    "ring.Polynomial.max_order",
+    "ring.Polynomial.monomials",
+}
+
+
+def _public_code() -> dict:
+    """Code object -> name of every public function of the package, and of
+    every public method, classmethod and property of the classes it defines."""
+    found = {}
+    for info in pkgutil.iter_modules(arcperp.__path__):
+        module = importlib.import_module(f"arcperp.{info.name}")
+        for attr, value in vars(module).items():
+            if attr.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value):
+                found[value.__code__] = f"{info.name}.{attr}"
+            elif inspect.isclass(value):
+                for name, raw in vars(value).items():
+                    fn = raw.fget if isinstance(raw, property) else getattr(raw, "__func__", raw)
+                    if not name.startswith("_") and inspect.isfunction(fn):
+                        found[fn.__code__] = f"{info.name}.{attr}.{name}"
+    return found
+
+
+class TestReachability:
+    def test_every_public_function_is_reached_by_a_command(self, tmp_path):
+        runs = [
+            ["gens", "--n", "2", "--max-order", "2"],
+            ["gens", "--json", "--n", "1", "--max-order", "1", "--out", str(tmp_path / "g")],
+            ["pair", "x1_0^2 + y_0*E1", "x1_0^3*y_1 + xi1*al1_1"],
+            ["pair", "--json", "x1_0", "1/2*x1_0"],
+            ["perp", "--n", "2", "--degree", "2", "--order", "1"],
+            ["perp", "--json", "--n", "1", "--degree", "2", "--order", "2"],
+            ["minors", "--family", "H", "--n", "1", "--h", "2", "--k", "1"],
+            ["minors", "--json", "--family", "S1", "--n", "1", "--h", "1", "--max-size", "1"],
+            ["series", "--n", "1", "--h-max", "2"],
+            ["series", "--json", "--n", "1", "--h-max", "1"],
+            ["verify", "--n", "1", "--h", "1"],
+            ["verify", "--json", "--no-timings", "--deep", "--n", "1", "--h", "1"],
+            ["dims-chain", "--n", "1", "--h", "1"],
+            ["dims-chain", "--json", "--n", "1", "--h", "1"],
+            # the error paths
+            ["gens", "--n", "0", "--max-order", "1"],
+            ["pair", "x1_", "x1_0"],
+            ["minors", "--family", "T", "--n", "1", "--h", "1", "--k", "1"],
+            ["series", "--n", "1", "--h-max", "-1"],
+            ["gens", "--n", "1", "--max-order", "0", "--out", str(tmp_path)],
+        ]
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                sys.setprofile(profile)
+                try:
+                    main(argv)
+                finally:
+                    sys.setprofile(None)
+        never = {name for code, name in _public_code().items() if code not in called}
+        assert never == NEVER_CALLED_BY_A_COMMAND

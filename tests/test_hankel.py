@@ -15,20 +15,30 @@ from arcperp.hankel import (
     hankel_matrix,
     iter_minors,
     iter_selected_minors,
-    minor,
     minor_span,
     scaled_augmented_matrix,
     scaled_matrix,
     triangular_matrix,
     wronskian,
 )
-from arcperp.linalg import Span, span_equal
-from arcperp.pairing import annihilates, double_derivative_vanishes
+from arcperp.linalg import Span
+from arcperp.pairing import double_derivative_vanishes
 from arcperp.ring import E, Monomial, Polynomial, al, parse, x, xi, y
 
-from oracles import naive_determinant
+from oracles import annihilates, naive_determinant
 
 P = parse
+
+
+def one_minor(m: SymbolicMatrix, rows, cols) -> Polynomial:
+    """The minor on (rows, cols), selected with ``iter_selected_minors``."""
+    ((_, _, _, value),) = iter_selected_minors(m, [(rows, cols)])
+    return value
+
+
+def graded_basis(gs: GradedSpan) -> list[str]:
+    """The basis polynomials of every degree, degrees ascending."""
+    return [str(p) for span in gs.spans.values() for p in span.basis_polynomials()]
 
 
 def grid(m: SymbolicMatrix) -> list[list[str]]:
@@ -103,29 +113,35 @@ class TestWronskian:
 
 class TestMinorsAndDeterminant:
     def test_triangular_full_minor(self):
-        assert minor(triangular_matrix(1, 1), (0, 1), (0, 1)) == P("x1_1^2")
+        assert one_minor(triangular_matrix(1, 1), (0, 1), (0, 1)) == P("x1_1^2")
 
     def test_hankel_minor(self):
-        assert minor(hankel_matrix(1, 2, 2), (0, 1), (0, 2)) == P(
+        assert one_minor(hankel_matrix(1, 2, 2), (0, 1), (0, 2)) == P(
             "x1_0*x1_3 - x1_1*x1_2"
         )
 
     def test_hankel_minor_is_wronskian(self):
-        assert minor(hankel_matrix(1, 2, 2), (0, 1), (0, 2)) == wronskian(
+        assert one_minor(hankel_matrix(1, 2, 2), (0, 1), (0, 2)) == wronskian(
             [P("x1_0"), P("x1_2")]
         )
 
     def test_size_zero(self):
-        assert minor(hankel_matrix(1, 2, 2), (), ()) == Polynomial.constant(1)
+        assert one_minor(hankel_matrix(1, 2, 2), (), ()) == Polynomial.constant(1)
 
     def test_selector_validation(self):
         m = hankel_matrix(1, 2, 2)
-        with pytest.raises(ValueError):
-            minor(m, (0,), (0, 1))
-        with pytest.raises(ValueError):
-            minor(m, (1, 0), (0, 1))
-        with pytest.raises(ValueError):
-            minor(m, (0, 5), (0, 1))
+        with pytest.raises(ValueError, match="equally many"):
+            list(iter_selected_minors(m, [((0,), (0, 1))]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            list(iter_selected_minors(m, [((1, 0), (0, 1))]))
+        with pytest.raises(ValueError, match="out of bounds"):
+            list(iter_selected_minors(m, [((0, 5), (0, 1))]))
+        # A bad selector stops the enumeration where it stands.
+        good, bad = ((0,), (0,)), ((0, 1), (1, 0))
+        listing = iter_selected_minors(m, [good, bad])
+        assert next(listing)[3] == P("x1_0")
+        with pytest.raises(ValueError, match="strictly increasing"):
+            next(listing)
 
     def test_determinant_identity(self):
         ident = SymbolicMatrix.from_rows(
@@ -209,7 +225,7 @@ class TestMinorSpan:
     def test_triangular_1_1(self):
         gs = minor_span(triangular_matrix(1, 1), {0, 1, 2})
         assert gs.total_dimension == 4
-        assert [str(p) for p in gs.basis_polynomials()] == [
+        assert graded_basis(gs) == [
             "1",
             "x1_0",
             "x1_1",
@@ -224,12 +240,12 @@ class TestMinorSpan:
     def test_triangular_2_0(self):
         gs = minor_span(triangular_matrix(2, 0), {0, 1})
         assert gs.total_dimension == 3
-        assert [str(p) for p in gs.basis_polynomials()] == ["1", "x1_0", "x2_0"]
+        assert graded_basis(gs) == ["1", "x1_0", "x2_0"]
 
     def test_degree_filter(self):
         span = minor_span(triangular_matrix(1, 2), range(4)).span(2)
         assert span.dimension == 3
-        assert all(p.homogeneous_degree() == 2 for p in span.basis_polynomials())
+        assert all({m.degree for m in p.terms} == {2} for p in span.basis_polynomials())
 
     # The top-row span against the span of every minor, degree by degree.
     @pytest.mark.parametrize(
@@ -243,8 +259,8 @@ class TestMinorSpan:
         sizes = [h + 1] if family == "S1" else range(h + 2)
         full = GradedSpan.from_polynomials(value for _, _, _, value in iter_minors(m, sizes))
         top = minor_span(m, sizes)
-        assert top.degrees() == full.degrees()
-        for d in full.degrees():
+        assert top.graded_dimensions == full.graded_dimensions
+        for d in full.spans:
             # Equal spans with the same support reduce to the same basis.
             assert top.span(d).basis_polynomials() == full.span(d).basis_polynomials(), d
 
@@ -310,6 +326,4 @@ class TestStructuralInvariants:
             for _, _, _, value in iter_minors(hankel_matrix(n, d, J), [d])
             if not value.is_zero
         ]
-        assert span_equal(
-            Span.from_polynomials(wronskians), Span.from_polynomials(minors)
-        )
+        assert Span.from_polynomials(wronskians) == Span.from_polynomials(minors)

@@ -1,30 +1,36 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from arcperp import perp
 from arcperp.arcgen import ArcGeneratorKey, arc_generator
 from arcperp.hankel import iter_minors, scaled_matrix, wronskian
-from arcperp.linalg import MonomialIndex, Span, span_equal
+from arcperp.linalg import MonomialIndex, Span
 from arcperp.pairing import apply_pairing
 from arcperp.perp import (
     _generator_images,
     hankel_minor_intersection_span,
     is_differentially_homogeneous,
     linear_in_exponential_shift,
-    minor_span_matches_kernel,
     perp_graded_basis,
     restriction_mismatch,
     restriction_span,
     scaled_of_triangular_map,
     truncated_perp_basis,
-    truncation_matches_restriction,
     vanishes_on_exponential_sums,
 )
-from arcperp.ring import Monomial, Polynomial, parse
+from arcperp.ring import Monomial, Polynomial, parse, x
 
-from oracles import graded_monomials, pairing_oracle
+from oracles import annihilates, graded_monomials, pairing_oracle, substitute_oracle
 
 P = parse
 WRONSKIAN_2 = "x1_0*x1_2 - x1_1^2"
+
+
+def graded_basis(gs) -> list[str]:
+    """The basis polynomials of every degree, degrees ascending."""
+    return [str(p) for span in gs.spans.values() for p in span.basis_polynomials()]
 
 
 class TestGeneratorImages:
@@ -78,7 +84,6 @@ class TestPerpGradedBasis:
 
     def test_every_element_in_kernel_of_generators(self):
         from arcperp.arcgen import arc_generators_up_to
-        from arcperp.pairing import annihilates
 
         span = perp_graded_basis(2, 2, 2)
         gens = arc_generators_up_to(2, 4)
@@ -115,7 +120,7 @@ class TestTruncatedPerp:
     def test_n1_h1(self):
         gs = truncated_perp_basis(1, 1)
         assert gs.total_dimension == 4
-        assert [str(p) for p in gs.basis_polynomials()] == ["1", "x1_0", "x1_1", "x1_1^2"]
+        assert graded_basis(gs) == ["1", "x1_0", "x1_1", "x1_1^2"]
 
     def test_n1_h2_total(self):
         assert truncated_perp_basis(1, 2).total_dimension == 8
@@ -123,7 +128,7 @@ class TestTruncatedPerp:
     def test_n2_h0(self):
         gs = truncated_perp_basis(2, 0)
         assert gs.total_dimension == 3
-        assert [str(p) for p in gs.basis_polynomials()] == ["1", "x1_0", "x2_0"]
+        assert graded_basis(gs) == ["1", "x1_0", "x2_0"]
 
 
 def _restricted_kernel(n, h, degree, max_order):
@@ -154,7 +159,7 @@ class TestRestriction:
         # at H = d*h + 1: the blocks of weight above d*h add nothing.
         exact = restriction_span(n, h, d)
         for order in (d * h, d * h + 1):
-            assert span_equal(_restricted_kernel(n, h, d, order), exact)
+            assert _restricted_kernel(n, h, d, order) == exact
 
     @pytest.mark.parametrize("n,h,d", [(1, 1, 1), (1, 1, 2)])
     def test_weight_bound_is_needed(self, n, h, d):
@@ -220,11 +225,11 @@ class TestWeightBlocks:
 class TestSpanEquality:
     @pytest.mark.parametrize("n,d,J", [(1, 2, 3), (1, 1, 2), (2, 2, 2)])
     def test_examples(self, n, d, J):
-        assert minor_span_matches_kernel(n, d, J)
+        assert perp_graded_basis(n, d, J) == hankel_minor_intersection_span(n, d, J)
 
     @pytest.mark.parametrize("n,d,J", [(1, 2, 4), (2, 1, 4)])
     def test_higher_order_samples(self, n, d, J):
-        assert minor_span_matches_kernel(n, d, J)
+        assert perp_graded_basis(n, d, J) == hankel_minor_intersection_span(n, d, J)
 
     def test_degree_one_is_all_linear_forms(self):
         side = hankel_minor_intersection_span(1, 1, 2)
@@ -243,15 +248,16 @@ class TestSpanEquality:
 
 class TestElimination:
     def test_n1_h1_with_witness(self):
-        assert truncation_matches_restriction(1, 1)
+        assert restriction_mismatch(1, 1, truncated_perp_basis(1, 1)) is None
         assert wronskian([P("x1_0"), P("x1_1")]).restrict_above(1) == P("-x1_1^2")
 
     def test_n1_h0(self):
-        assert truncation_matches_restriction(1, 0)
+        assert restriction_mismatch(1, 0, truncated_perp_basis(1, 0)) is None
 
     def test_n2_h1_total(self):
-        assert truncation_matches_restriction(2, 1)
-        assert truncated_perp_basis(2, 1).total_dimension == 9
+        truncated = truncated_perp_basis(2, 1)
+        assert restriction_mismatch(2, 1, truncated) is None
+        assert truncated.total_dimension == 9
 
 
 class TestExponentialVanishing:
@@ -311,3 +317,29 @@ class TestTriangularToScaledMap:
     def test_order_above_h_rejected(self):
         with pytest.raises(ValueError):
             scaled_of_triangular_map(P("x1_3"), 2)
+        with pytest.raises(ValueError, match="x2_3"):
+            scaled_of_triangular_map(P("x1_0 + x1_1*x2_3"), 2)
+
+    @staticmethod
+    def _substitution(p, h):
+        """x_i^(j) -> x_i^(h-j)/(h-j)! for every differential variable of p."""
+        return {
+            v: Polynomial.from_monomial(Monomial.of(x(v.i, h - v.j)), Fraction(1, math.factorial(h - v.j)))
+            for m in p.terms for v, _ in m.pairs if v.kind == "x"
+        }
+
+    @pytest.mark.parametrize("n,h", [(2, 3), (3, 3), (1, 6)])
+    def test_rename_matches_substitution_on_the_triangular_basis(self, n, h):
+        basis = [p for span in truncated_perp_basis(n, h).spans.values() for p in span.basis_polynomials()]
+        assert len(basis) == (n + 1) ** (h + 1)
+        for p in basis:
+            mapping = self._substitution(p, h)
+            image = scaled_of_triangular_map(p, h)
+            assert image == p.substitute(mapping) == substitute_oracle(p, mapping), str(p)
+            assert len(image.terms) == len(p.terms)
+
+    def test_auxiliaries_ride_along(self):
+        p = P("2/3*x1_0*x1_2*xi1 - x1_1^2*E1*y_0 + al1_1")
+        image = scaled_of_triangular_map(p, 2)
+        assert image == P("1/3*x1_2*x1_0*xi1 - x1_1^2*E1*y_0 + al1_1")
+        assert image == p.substitute(self._substitution(p, 2))

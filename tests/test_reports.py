@@ -237,7 +237,8 @@ class TestNegativeControls:
         # the first triangular element whose image has a term at m is outside.
         pivot = dropped[0].monomials()[0]
         expected = next(
-            p for p in perp.truncated_perp_basis(1, 1).basis_polynomials()
+            p for span in perp.truncated_perp_basis(1, 1).spans.values()
+            for p in span.basis_polynomials()
             if scaled_of_triangular_map(p, 1).coeff(pivot) != 0
         )
         assert check.witness == (
