@@ -36,10 +36,8 @@ from .hankel import (
     GradedSpan,
     SymbolicMatrix,
     build_matrix,
-    determinant,
     hankel_matrix,
     iter_minors,
-    iter_selected_minors,
     minor_span,
     scaled_augmented_matrix,
     scaled_matrix,
@@ -49,7 +47,6 @@ from .hankel import (
 from .perp import (
     hankel_minor_intersection_span,
     is_differentially_homogeneous,
-    linear_in_exponential_shift,
     perp_graded_basis,
     restriction_span,
     scaled_of_triangular_map,

@@ -76,15 +76,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(out: str, mode: str, text: str = "") -> None:
+    try:
+        with open(out, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:  # an unwritable --out is invalid input, not a failed check
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if not out:
         print(text)
         return
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    except OSError as exc:  # an unwritable --out is invalid input, not a failed check
-        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
+    _write(out, "w", text if text.endswith("\n") else text + "\n")
 
 
 def _cmd_gens(args) -> int:
@@ -233,6 +237,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.out:
+            # Fail on an unwritable path before the work; append leaves a file as it is.
+            _write(args.out, "a")
         return _COMMANDS[args.command](args)
     except ValueError as exc:  # PolynomialSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

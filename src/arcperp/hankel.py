@@ -11,14 +11,16 @@ Four matrix families are built here:
 * ``scaled_augmented_matrix(n, h)`` -- scaled_matrix(n, h) with an identity
   block appended, realizing the substitution of 1 for an extra family.
 
-Every determinant and minor runs on one kernel, ``_PackedMatrix``: the matrix
+Every determinant and minor runs on one kernel, ``PackedMatrix``: the matrix
 is packed once per enumeration, with each monomial an integer key (so that a
 monomial product is one addition), and expanded along the first row with a
 memo on (row, column) subsets, so the exponentially many minors of one matrix
 share their subproblems.  Values become ``Polynomial`` only when returned.
-``minor_span`` expands only the minors on the top rows: in T, S and S1 each
-row is the block shift of the one above, so every other minor is a constant
-combination of those (the proof is in its docstring).
+Its users here are ``wronskian`` (one full determinant), ``iter_minors``
+(every minor of the given sizes) and ``minor_span``, which expands only the
+minors on the top rows: in T, S and S1 each row is the block shift of the one
+above, so every other minor is a constant combination of those (the proof is
+in its docstring).  ``perp`` calls it directly for the maximal Hankel minors.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def build_matrix(family: str, n: int, h: int, k: int | None = None) -> SymbolicM
 _Packed = dict[int, int | Fraction]  # packed monomial key -> nonzero coefficient
 
 
-class _PackedMatrix:
+class PackedMatrix:
     """A matrix packed for exact determinant expansion: the one minor kernel.
 
     The variables occurring in the entries are numbered in variable order, and
@@ -225,13 +227,6 @@ class _PackedMatrix:
         return got
 
 
-def determinant(m: SymbolicMatrix) -> Polynomial:
-    """Exact symbolic determinant of a square matrix."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant of a {m.rows}x{m.cols} matrix")
-    return _PackedMatrix(m).value(tuple(range(m.rows)), tuple(range(m.cols)))
-
-
 def wronskian(fs: list[Polynomial]) -> Polynomial:
     """Determinant of the matrix whose i-th row is the i-th derivative of fs."""
     if not fs:
@@ -239,35 +234,18 @@ def wronskian(fs: list[Polynomial]) -> Polynomial:
     rows = [list(fs)]
     for _ in range(len(fs) - 1):
         rows.append([f.derivative() for f in rows[-1]])
-    return determinant(SymbolicMatrix.from_rows(rows))
+    full = tuple(range(len(fs)))
+    return PackedMatrix(SymbolicMatrix.from_rows(rows)).value(full, full)
 
 
 def iter_minors(m: SymbolicMatrix, sizes):
     """Yield (size, rows, cols, value) by size, then lexicographic (rows, cols)."""
-    packed = _PackedMatrix(m)
+    packed = PackedMatrix(m)
     for size in sorted(sizes):
         if 0 <= size <= min(m.rows, m.cols):
             for rows in itertools.combinations(range(m.rows), size):
                 for cols in itertools.combinations(range(m.cols), size):
                     yield size, rows, cols, packed.value(rows, cols)
-
-
-def iter_selected_minors(m: SymbolicMatrix, selections):
-    """Yield (size, rows, cols, value) for each (rows, cols) selection, in order.
-
-    The selections share one packed matrix, so their subproblems are computed
-    once.  Selectors must be equally long, strictly increasing and in bounds.
-    """
-    packed = _PackedMatrix(m)
-    for rows, cols in selections:
-        rows, cols = tuple(rows), tuple(cols)
-        if len(rows) != len(cols):
-            raise ValueError("minor needs equally many rows and columns")
-        if any(r < 0 or r >= m.rows for r in rows) or any(c < 0 or c >= m.cols for c in cols):
-            raise ValueError("minor selector out of bounds")
-        if list(rows) != sorted(set(rows)) or list(cols) != sorted(set(cols)):
-            raise ValueError("minor selectors must be strictly increasing")
-        yield len(rows), rows, cols, packed.value(rows, cols)
 
 
 class GradedSpan:
@@ -323,7 +301,7 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
         for c in range(m.cols):
             if e[r][c] != (e[r - 1][c - 1] if c % m.rows else ZERO):
                 raise ValueError(f"minor_span needs a shift-structured matrix: entry ({r}, {c})")
-    packed = _PackedMatrix(m)
+    packed = PackedMatrix(m)
     return GradedSpan.from_polynomials(
         packed.value(tuple(range(s)), cols)
         for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)

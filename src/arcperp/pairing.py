@@ -88,5 +88,9 @@ def double_derivative_vanishes(p: Polynomial) -> bool:
     The second application still differentiates only with respect to the
     differential variables; the auxiliaries introduced by the first pass
     ride along as constants.
+
+    It is also the test of linearity under the exponential shift x_i^(j) ->
+    x_i^(j) + al_{1,i} xi_1^j E: by Taylor, p(x + E*v) = sum_k E^k/k! D_v^k p
+    with D_v the derivative above, which is linear in E iff D_v^2 p = 0.
     """
     return directional_derivative(directional_derivative(p)).is_zero

@@ -24,9 +24,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .hankel import GradedSpan, hankel_matrix, iter_selected_minors, minor_span, triangular_matrix
+from .hankel import GradedSpan, PackedMatrix, hankel_matrix, minor_span, triangular_matrix
 from .linalg import MonomialIndex, Span, nullspace, reduced_echelon, span_witness
-from .pairing import directional_derivative
 from .ring import E, Monomial, Polynomial, al, differential_variables, x, xi
 
 
@@ -150,17 +149,14 @@ def hankel_minor_intersection_span(n: int, degree: int, max_order: int) -> Span:
     base_weight = degree * (degree - 1) // 2
     max_offset = max(degree * max_order - base_weight, 0)
     matrix = hankel_matrix(n, degree, max_offset)
+    packed = PackedMatrix(matrix)
     rows = tuple(range(degree))
-    selections = (
-        (rows, cols)
+    minors = (
+        packed.value(rows, cols)
         for cols in itertools.combinations(range(matrix.cols), degree)
         if base_weight + sum(c // n for c in cols) <= degree * max_order
     )
-    values = [
-        value
-        for _, _, _, value in iter_selected_minors(matrix, selections)
-        if not value.is_zero
-    ]
+    values = [value for value in minors if not value.is_zero]
     return Span.from_polynomials(_intersect_with_order_bound(values, max_order))
 
 
@@ -221,26 +217,6 @@ def vanishes_on_exponential_sums(p: Polynomial, d: int) -> bool:
             )
         mapping[m_var] = total
     return p.substitute(mapping).is_zero
-
-
-def linear_in_exponential_shift(p: Polynomial) -> bool:
-    """Is p(x + exponential shift) linear in the exponential marker?
-
-    Substitutes x_i^(j) -> x_i^(j) + al_{1,i} * xi_1^j * E_1 and requires the
-    result to have degree <= 1 in E_1 with the degree-1 coefficient equal to
-    the exponential-direction derivative of p.
-    """
-    marker = E(1)
-    mapping = {}
-    for v in _diff_variables_of(p):
-        shift = Polynomial.from_monomial(
-            Monomial(((al(1, v.i), 1), (xi(1), v.j), (marker, 1)))
-        )
-        mapping[v] = Polynomial.from_variable(v) + shift
-    shifted = p.substitute(mapping)
-    if shifted.degree_in(marker) > 1:
-        return False
-    return shifted.coefficient_of_power(marker, 1) == directional_derivative(p)
 
 
 def is_differentially_homogeneous(p: Polynomial, d: int) -> bool:

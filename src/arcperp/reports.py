@@ -33,7 +33,6 @@ from .pairing import apply_pairing, double_derivative_vanishes
 from .perp import (
     hankel_minor_intersection_span,
     is_differentially_homogeneous,
-    linear_in_exponential_shift,
     perp_graded_basis,
     restriction_mismatch,
     scaled_of_triangular_map,
@@ -298,8 +297,6 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
             dims[str(d)] = span.dimension
             for p in span.basis_polynomials():
                 if not double_derivative_vanishes(p):
-                    return False, dims, format_polynomial(p)
-                if not linear_in_exponential_shift(p):
                     return False, dims, format_polynomial(p)
                 if d >= 1 and not vanishes_on_exponential_sums(p, d - 1):
                     return False, dims, format_polynomial(p)

@@ -134,12 +134,6 @@ class Monomial:
             key += (-rank, -i, -j, e)
         return tuple(key)
 
-    def exponent(self, v: Variable) -> int:
-        for w, e in self.pairs:
-            if w == v:
-                return e
-        return 0
-
     def variables(self) -> tuple[Variable, ...]:
         return tuple(v for v, _ in self.pairs)
 
@@ -269,18 +263,6 @@ class Polynomial:
     def max_order(self) -> int:
         """Largest derivative order of any differential variable; -1 if none."""
         return max((m.max_order() for m in self.terms), default=-1)
-
-    def degree_in(self, v: Variable) -> int:
-        return max((m.exponent(v) for m in self.terms), default=0)
-
-    def coefficient_of_power(self, v: Variable, e: int) -> "Polynomial":
-        """The coefficient of v**e: terms with exponent exactly e, with v removed."""
-        out: dict[Monomial, int | Fraction] = {}
-        for m, c in self.terms.items():
-            if m.exponent(v) == e:
-                rest = Monomial(tuple((w, k) for w, k in m.pairs if w != v))
-                out[rest] = out.get(rest, 0) + c
-        return Polynomial(out)
 
     # -- arithmetic ---------------------------------------------------------
 

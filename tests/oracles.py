@@ -6,7 +6,8 @@ full permutation expansion, and row reduction by plain rational
 Gauss-Jordan without any fraction-free shortcuts.  The monomial order is
 read off dense exponent vectors over a variable list written out by hand.
 Substitution multiplies out one term at a time, differential homogeneity is
-tested by substituting y*x itself, and annihilation applies every generator
+tested by substituting y*x itself, linearity under an exponential shift by
+substituting the shift itself, and annihilation applies every generator
 through the apolarity pairing.
 """
 
@@ -16,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from arcperp.pairing import apply_pairing
+from arcperp.pairing import apply_pairing, directional_derivative
 from arcperp.ring import E, Monomial, Polynomial, al, x, xi, y
 
 
@@ -24,7 +25,7 @@ def diff_wrt(p: Polynomial, v) -> Polynomial:
     """Single partial derivative d/dv, straight from the power rule."""
     terms: dict[Monomial, Fraction] = {}
     for m, c in p.terms.items():
-        e = m.exponent(v)
+        e = dict(m.pairs).get(v, 0)
         if e == 0:
             continue
         pairs = {w: k for w, k in m.pairs}
@@ -205,6 +206,37 @@ def differentially_homogeneous_oracle(p: Polynomial, d: int) -> bool:
                 )
     expected = Polynomial.from_monomial(Monomial.of(y(0), d)) * p
     return substitute_oracle(p, mapping) == expected
+
+
+def coefficient_of_power(p: Polynomial, v, e: int) -> Polynomial:
+    """The coefficient of v**e in p: the terms with exponent exactly e, with v removed."""
+    out: dict[Monomial, Fraction] = {}
+    for m, c in p.terms.items():
+        exps = dict(m.pairs)
+        if exps.pop(v, 0) == e:
+            rest = Monomial(exps.items())
+            out[rest] = out.get(rest, 0) + c
+    return Polynomial(out)
+
+
+def linear_in_exponential_shift(p: Polynomial) -> bool:
+    """Is p(x + exponential shift) linear in the exponential marker?
+
+    Substitutes x_i^(j) -> x_i^(j) + al_{1,i} * xi_1^j * E_1 and requires the
+    result to have degree <= 1 in E_1 with the degree-1 coefficient equal to
+    the exponential-direction derivative of p.
+    """
+    marker = E(1)
+    mapping = {}
+    for v in {v for m in p.terms for v, _ in m.pairs if v.kind == "x"}:
+        shift = Polynomial.from_monomial(
+            Monomial(((al(1, v.i), 1), (xi(1), v.j), (marker, 1)))
+        )
+        mapping[v] = Polynomial.from_variable(v) + shift
+    shifted = substitute_oracle(p, mapping)
+    if any(dict(m.pairs).get(marker, 0) > 1 for m in shifted.terms):
+        return False
+    return coefficient_of_power(shifted, marker, 1) == directional_derivative(p)
 
 
 def annihilates(f: Polynomial, p: Polynomial) -> bool:

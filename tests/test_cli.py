@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import arcperp
+from arcperp import cli
 from arcperp.cli import main
 
 
@@ -283,6 +284,25 @@ class TestGlobalFlags:
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_out_fails_before_the_work(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "run_verification", lambda *a, **k: calls.append(a))
+        path = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "verify", "--n", "3", "--h", "3", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert calls == []
+
+    def test_out_probe_keeps_an_existing_file(self, capsys, tmp_path):
+        # The path is probed in append mode, so a command that then rejects
+        # its input leaves the file as it was.
+        target = tmp_path / "kept.txt"
+        target.write_text("before\n")
+        code, _, err = run(capsys, "gens", "--n", "0", "--max-order", "1", "--out", str(target))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert target.read_text() == "before\n"
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

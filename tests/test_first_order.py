@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import hankel_matrix, iter_minors, scaled_matrix, triangular_matrix, wronskian
@@ -26,9 +26,6 @@ from oracles import (
     differentially_homogeneous_oracle,
     substitute_oracle,
 )
-
-settings.register_profile("suite", max_examples=60, deadline=None)
-settings.load_profile("suite")
 
 differential = st.builds(x, st.integers(1, 2), st.integers(0, 3))
 constants = st.sampled_from([xi(1), xi(2), al(1, 1), al(1, 2), al(2, 1), E(1), E(2)])

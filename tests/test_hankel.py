@@ -8,13 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import (
     GradedSpan,
+    PackedMatrix,
     SymbolicMatrix,
     build_matrix,
-    _PackedMatrix,
-    determinant,
     hankel_matrix,
     iter_minors,
-    iter_selected_minors,
     minor_span,
     scaled_augmented_matrix,
     scaled_matrix,
@@ -31,9 +29,12 @@ P = parse
 
 
 def one_minor(m: SymbolicMatrix, rows, cols) -> Polynomial:
-    """The minor on (rows, cols), selected with ``iter_selected_minors``."""
-    ((_, _, _, value),) = iter_selected_minors(m, [(rows, cols)])
-    return value
+    """The minor on (rows, cols), from the packed kernel."""
+    return PackedMatrix(m).value(tuple(rows), tuple(cols))
+
+
+def full_determinant(m: SymbolicMatrix) -> Polynomial:
+    return one_minor(m, range(m.rows), range(m.cols))
 
 
 def graded_basis(gs: GradedSpan) -> list[str]:
@@ -128,44 +129,25 @@ class TestMinorsAndDeterminant:
     def test_size_zero(self):
         assert one_minor(hankel_matrix(1, 2, 2), (), ()) == Polynomial.constant(1)
 
-    def test_selector_validation(self):
-        m = hankel_matrix(1, 2, 2)
-        with pytest.raises(ValueError, match="equally many"):
-            list(iter_selected_minors(m, [((0,), (0, 1))]))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            list(iter_selected_minors(m, [((1, 0), (0, 1))]))
-        with pytest.raises(ValueError, match="out of bounds"):
-            list(iter_selected_minors(m, [((0, 5), (0, 1))]))
-        # A bad selector stops the enumeration where it stands.
-        good, bad = ((0,), (0,)), ((0, 1), (1, 0))
-        listing = iter_selected_minors(m, [good, bad])
-        assert next(listing)[3] == P("x1_0")
-        with pytest.raises(ValueError, match="strictly increasing"):
-            next(listing)
-
     def test_determinant_identity(self):
         ident = SymbolicMatrix.from_rows(
             [[Polynomial.constant(1 if i == j else 0) for j in range(3)] for i in range(3)]
         )
-        assert determinant(ident) == Polynomial.constant(1)
+        assert full_determinant(ident) == Polynomial.constant(1)
 
     def test_determinant_single_entry(self):
         m = SymbolicMatrix.from_rows([[P("x1_0 + 2")]])
-        assert determinant(m) == P("x1_0 + 2")
+        assert full_determinant(m) == P("x1_0 + 2")
 
     def test_determinant_2x2(self):
         m = SymbolicMatrix.from_rows([[P("x1_0"), P("x1_1")], [P("x1_1"), P("x1_2")]])
-        assert determinant(m) == P("x1_0*x1_2 - x1_1^2")
+        assert full_determinant(m) == P("x1_0*x1_2 - x1_1^2")
 
     def test_determinant_matches_oracle(self):
         m = hankel_matrix(2, 3, 1)
         rows = [list(r) for r in m.entries[:3]]
         square = [row[:3] for row in rows]
-        assert determinant(SymbolicMatrix.from_rows(square)) == naive_determinant(square)
-
-    def test_non_square_determinant_rejected(self):
-        with pytest.raises(ValueError):
-            determinant(hankel_matrix(1, 2, 2))
+        assert full_determinant(SymbolicMatrix.from_rows(square)) == naive_determinant(square)
 
 
 _ORACLE_VARIABLES = [x(1, 0), x(1, 1), x(2, 0), y(0), E(1), xi(1), al(1, 1)]
@@ -200,10 +182,10 @@ class TestKernelAgainstOracle:
     def test_determinant_matches_naive_expansion(self, rows):
         matrix = SymbolicMatrix.from_rows(rows)
         expected = naive_determinant(rows)
-        assert determinant(matrix) == expected
+        assert full_determinant(matrix) == expected
         # Terms that cancel are dropped, not stored with coefficient zero.
         full = tuple(range(len(rows)))
-        assert len(_PackedMatrix(matrix).det(full, full)) == len(expected.terms)
+        assert len(PackedMatrix(matrix).det(full, full)) == len(expected.terms)
 
     @pytest.mark.parametrize(
         "family,n,h,k", [("T", 1, 2, None), ("S", 2, 1, None), ("S1", 1, 2, None), ("H", 2, 2, 1)]
@@ -213,10 +195,10 @@ class TestKernelAgainstOracle:
         sizes = range(min(m.rows, m.cols) + 1)
         listing = list(iter_minors(m, sizes))
         assert len(listing) == sum(math.comb(m.rows, s) * math.comb(m.cols, s) for s in sizes)
-        selected = iter_selected_minors(m, [(rows, cols) for _, rows, cols, _ in listing])
-        for (size, rows, cols, value), again in zip(listing, selected, strict=True):
+        packed = PackedMatrix(m)
+        for _, rows, cols, value in listing:
             assert value == naive_determinant([[m.entries[r][c] for c in cols] for r in rows])
-            assert again == (size, rows, cols, value)
+            assert packed.value(rows, cols) == value
         if family == "S1":  # x1_2/2 on its second superdiagonal
             assert any(c.denominator > 1 for _, _, _, v in listing for c in v.terms.values())
 

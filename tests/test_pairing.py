@@ -1,17 +1,40 @@
+from collections import Counter
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from arcperp.arcgen import arc_generators_up_to
+from arcperp.hankel import wronskian
 from arcperp.pairing import (
     apply_pairing,
     directional_derivative,
     double_derivative_vanishes,
 )
-from arcperp.ring import Polynomial, al, parse, x, xi
+from arcperp.ring import Monomial, Polynomial, al, parse, x, xi
 
-from oracles import annihilates, diff_wrt, graded_monomials, pairing_oracle
+from oracles import (
+    annihilates,
+    coefficient_of_power,
+    diff_wrt,
+    graded_monomials,
+    linear_in_exponential_shift,
+    pairing_oracle,
+)
 
 P = parse
 WRONSKIAN_2 = "x1_0*x1_2 - x1_1^2"
+
+# Polynomials in x1, x2 up to order 3: sums of up to four terms of degree
+# <= 3, which mostly pass the double-derivative test only when constant or
+# linear, and Wronskians of linear forms, which pass it at degree 2 and 3.
+_variables = st.builds(x, st.integers(1, 2), st.integers(0, 3))
+_sums = st.lists(
+    st.tuples(st.lists(_variables, max_size=3), st.integers(-3, 3)), max_size=4
+).map(lambda terms: Polynomial.from_terms((Monomial(Counter(vs).items()), c) for vs, c in terms))
+_linear_forms = st.lists(st.tuples(_variables, st.integers(-3, 3)), min_size=1, max_size=3).map(
+    lambda terms: Polynomial.from_terms((Monomial.of(v), c) for v, c in terms)
+)
+x_only_polynomials = st.one_of(_sums, st.lists(_linear_forms, min_size=2, max_size=3).map(wronskian))
 
 
 class TestApplyPairing:
@@ -123,6 +146,14 @@ class TestDoubleDerivative:
             hits += d2
         assert hits > 0  # the equivalence was exercised on both outcomes
 
+    @given(x_only_polynomials)
+    @example(P(WRONSKIAN_2))
+    @example(P("x1_0^2"))
+    @example(P("x1_1"))
+    def test_equals_linearity_under_an_exponential_shift(self, p):
+        # Taylor: p(x + E*v) = sum_k E^k/k! * D_v^k p is linear in E iff D_v^2 p = 0.
+        assert double_derivative_vanishes(p) == linear_in_exponential_shift(p)
+
 
 class TestCoefficientExtraction:
     @pytest.mark.parametrize(
@@ -143,14 +174,14 @@ class TestCoefficientExtraction:
             for j in range(i, n + 1):
                 for ell in range(2 * h + 1):
                     if i == j:
-                        coeff = dd.coefficient_of_power(al(1, i), 2)
+                        coeff = coefficient_of_power(dd, al(1, i), 2)
                         scale = 1
                     else:
-                        coeff = dd.coefficient_of_power(al(1, i), 1).coefficient_of_power(
-                            al(1, j), 1
+                        coeff = coefficient_of_power(
+                            coefficient_of_power(dd, al(1, i), 1), al(1, j), 1
                         )
                         scale = 2
-                    coeff = coeff.coefficient_of_power(xi(1), ell)
+                    coeff = coefficient_of_power(coeff, xi(1), ell)
                     expected = Polynomial.zero()
                     for s in range(ell + 1):
                         if s > h or ell - s > h:

@@ -12,7 +12,6 @@ from arcperp.perp import (
     _generator_images,
     hankel_minor_intersection_span,
     is_differentially_homogeneous,
-    linear_in_exponential_shift,
     perp_graded_basis,
     restriction_mismatch,
     restriction_span,
@@ -22,7 +21,13 @@ from arcperp.perp import (
 )
 from arcperp.ring import Monomial, Polynomial, parse, x
 
-from oracles import annihilates, graded_monomials, pairing_oracle, substitute_oracle
+from oracles import (
+    annihilates,
+    graded_monomials,
+    linear_in_exponential_shift,
+    pairing_oracle,
+    substitute_oracle,
+)
 
 P = parse
 WRONSKIAN_2 = "x1_0*x1_2 - x1_1^2"
@@ -277,6 +282,9 @@ class TestExponentialVanishing:
 
 
 class TestLinearShift:
+    """The exponential-shift oracle on values known by hand; test_pairing
+    checks that it agrees with ``double_derivative_vanishes``."""
+
     def test_wronskian_is_linear(self):
         assert linear_in_exponential_shift(P(WRONSKIAN_2))
 

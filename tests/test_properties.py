@@ -2,15 +2,12 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from arcperp.hankel import wronskian
 from arcperp.linalg import RationalMatrix
 from arcperp.pairing import apply_pairing
 from arcperp.ring import Monomial, Polynomial, format_polynomial, parse, x
-
-settings.register_profile("suite", max_examples=60, deadline=None)
-settings.load_profile("suite")
 
 variables = st.builds(
     x, st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=2)

@@ -7,11 +7,12 @@ from arcperp import hankel, perp, reports
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import GradedSpan, hankel_matrix, scaled_matrix, triangular_matrix
 from arcperp.linalg import Span
-from arcperp.pairing import apply_pairing
+from arcperp.pairing import apply_pairing, double_derivative_vanishes
 from arcperp.perp import (
     is_differentially_homogeneous,
     scaled_of_triangular_map,
     truncated_perp_basis,
+    vanishes_on_exponential_sums,
 )
 from arcperp.reports import (
     dimension_chain,
@@ -345,12 +346,12 @@ class TestBuildCounts:
         # triangular spans the battery builds.
         packed = Counter()
 
-        class Counting(hankel._PackedMatrix):
+        class Counting(hankel.PackedMatrix):
             def __init__(self, m):
                 packed[m] += 1
                 super().__init__(m)
 
-        monkeypatch.setattr(hankel, "_PackedMatrix", Counting)
+        monkeypatch.setattr(hankel, "PackedMatrix", Counting)
         assert run_verification(n, h, deep=deep).passed
         top = min(2 * h, 6) if deep else h
         orders = {triangular_matrix(n, k): k for k in range(top + 3)}
@@ -387,6 +388,30 @@ class TestPointwiseNegativeControls:
         assert failed == {
             "kernel_basis_pointwise_certificates": "x1_0^2",
             "kernel_equals_hankel_minor_span": "degree 2: x1_0^2",
+        }
+
+    def test_kernel_basis_element_seen_only_by_the_exponential_sums(self, monkeypatch):
+        # A 2x2 Wronskian added to the degree-3 Wronskian keeps the double
+        # derivative zero but does not vanish on sums of two exponentials.
+        real = reports.perp_graded_basis
+
+        def shifted(n, degree, max_order):
+            span = real(n, degree, max_order)
+            if degree != 3:
+                return span
+            (p,) = span.basis_polynomials()
+            return Span.from_polynomials([p + parse("x1_0*x2_1 - x1_1*x2_0")])
+
+        monkeypatch.setattr(reports, "perp_graded_basis", shifted)
+        report = run_verification(3, 2)
+        (stray,) = shifted(3, 3, 2).basis_polynomials()
+        assert double_derivative_vanishes(stray)
+        assert not vanishes_on_exponential_sums(stray, 2)
+        witness = format_polynomial(stray)
+        failed = {c.name: c.witness for c in _failed(report)}
+        assert failed == {
+            "kernel_basis_pointwise_certificates": witness,
+            "kernel_equals_hankel_minor_span": f"degree 3: {witness}",
         }
 
     def test_broken_wronskian_law(self, monkeypatch):
