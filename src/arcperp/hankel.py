@@ -13,9 +13,10 @@ Four matrix families are built here:
 
 Every determinant and minor runs on one kernel, ``PackedMatrix``: the matrix
 is packed once per enumeration, with each monomial an integer key (so that a
-monomial product is one addition), and expanded along the first row with a
-memo on (row, column) subsets, so the exponentially many minors of one matrix
-share their subproblems.  Values become ``Polynomial`` only when returned.
+monomial product is one addition) and each row cleared of denominators, and
+expanded over ``int`` along the first row with a memo on (row, column)
+subsets, so the exponentially many minors of one matrix share their
+subproblems.  Values become ``Polynomial`` only when returned.
 Its users here are ``wronskian`` (one full determinant), ``iter_minors``
 (every minor of the given sizes) and ``minor_span``, which expands only the
 minors on the top rows: in T, S and S1 each row is the block shift of the one
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import MonomialIndex, Span
-from .ring import ONE, ZERO, Monomial, Polynomial, x
+from .ring import ONE, ZERO, Monomial, Polynomial, _sorted_monomial, x
 
 
 class SymbolicMatrix(NamedTuple):
@@ -145,9 +146,6 @@ def build_matrix(family: str, n: int, h: int, k: int | None = None) -> SymbolicM
 
 # -- determinants and minors --------------------------------------------------
 
-_Packed = dict[int, int | Fraction]  # packed monomial key -> nonzero coefficient
-
-
 class PackedMatrix:
     """A matrix packed for exact determinant expansion: the one minor kernel.
 
@@ -156,9 +154,12 @@ class PackedMatrix:
     sum(e_v * base**v).  Every minor is a sum of products of at most
     min(rows, cols) entries, so none of its exponents exceeds that count
     times the largest entry degree, which is below the base: no digit carries
-    into the next, and a monomial product is one integer addition.  Entries
-    keep integer coefficients as ``int``; only non-integral ones (the 1/i! of
-    the scaled families) stay ``Fraction``.
+    into the next, and a monomial product is one integer addition.
+
+    Each row is multiplied by ``scales[r]``, the lcm of its denominators (the
+    1/i! of the scaled families), so ``det`` expands over ``int`` alone.  A
+    determinant is multilinear in its rows, so ``value`` divides each term
+    once by the product of the chosen rows' scales.
     """
 
     def __init__(self, m: SymbolicMatrix):
@@ -168,26 +169,32 @@ class PackedMatrix:
         self.base = degree * min(m.rows, m.cols) + 1
         place = {v: self.base**i for i, v in enumerate(self.variables)}
         key = {mono: sum(e * place[v] for v, e in mono.pairs) for mono in monomials}
+        self.scales = [
+            math.lcm(*(c.denominator for p in row for c in p.terms.values())) for row in m.entries
+        ]
         self.entries = [
             [
-                {key[mono]: int(c) if c.denominator == 1 else c for mono, c in p.terms.items()}
+                {key[mono]: c.numerator * (s // c.denominator) for mono, c in p.terms.items()}
                 for p in row
             ]
-            for row in m.entries
+            for row, s in zip(m.entries, self.scales)
         ]
-        self.memo: dict[tuple[tuple[int, ...], tuple[int, ...]], _Packed] = {((), ()): {0: 1}}
+        self.memo: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {
+            ((), ()): {0: 1}
+        }
         self.monomials: dict[int, Monomial] = {}
 
-    def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> _Packed:
-        """First-row cofactor expansion, memoized on (rows, cols); terms that
-        cancel are dropped as soon as they do."""
+    def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[int, int]:
+        """The minor of the scaled rows, packed key -> nonzero ``int``: first-row
+        cofactor expansion, memoized on (rows, cols); terms that cancel are
+        dropped as soon as they do."""
         memo = self.memo
         got = memo.get((rows, cols))
         if got is not None:
             return got
         first = self.entries[rows[0]]
         rest = rows[1:]
-        acc: _Packed = {}
+        acc: dict[int, int] = {}
         for pos, c in enumerate(cols):
             entry = first[c]
             if not entry:
@@ -208,22 +215,33 @@ class PackedMatrix:
         return acc
 
     def value(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
-        """The minor on (rows, cols) as a ``Polynomial``."""
+        """The minor on (rows, cols) as a ``Polynomial``, each term divided by
+        the rows' scales; a ``Fraction`` only where that is not integral."""
         det = self.det(rows, cols)
         if not det:
             return ZERO
-        return Polynomial({self._monomial(k): c for k, c in det.items()})
+        scale = math.prod(self.scales[r] for r in rows)
+        return Polynomial(
+            {
+                self._monomial(k): Fraction(c, scale) if c % scale else c // scale
+                for k, c in det.items()
+            }
+        )
 
     def _monomial(self, key: int) -> Monomial:
         got = self.monomials.get(key)
         if got is None:
             pairs = []
+            degree = 0
             rest = key
             for v in self.variables:
+                if not rest:
+                    break
                 rest, e = divmod(rest, self.base)
                 if e:
                     pairs.append((v, e))
-            got = self.monomials[key] = Monomial(pairs)
+                    degree += e
+            got = self.monomials[key] = _sorted_monomial(tuple(pairs), degree)
         return got
 
 

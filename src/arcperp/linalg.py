@@ -2,10 +2,12 @@
 
 All elimination runs on one sparse, fraction-free core, ``reduced_echelon``.
 Rows are ``{column: value}`` maps of their nonzero entries, cleared of
-denominators and eliminated over the integers, each row kept divided by its
-content; the result is the unique reduced row-echelon form over the
-rationals.  Columns a row never mentions are never touched.  The pivot of a
-row is its first nonzero column, so every result is deterministic.
+denominators and eliminated over the integers, sparsest first, each row kept
+divided by its content; the result is the unique reduced row-echelon form
+over the rationals.  Columns a row never mentions are never touched.  The
+pivot of a row is its first nonzero column, so every result is
+deterministic.  Results keep integral values as ``int``: a ``Fraction`` is
+built only for an entry its pivot does not divide.
 """
 
 from __future__ import annotations
@@ -18,14 +20,16 @@ from .ring import Monomial, Polynomial
 
 def reduced_echelon(
     rows: Iterable[Mapping[int, int | Fraction]],
-) -> tuple[list[dict[int, Fraction]], list[int]]:
+) -> tuple[list[dict[int, int | Fraction]], list[int]]:
     """The unique reduced row-echelon form of sparse rational rows.
 
     Returns the nonzero reduced rows, sorted by pivot column, and their pivot
-    columns; rank is the number of rows.
+    columns; rank is the number of rows.  The rows are eliminated in
+    ascending order of their nonzero count, which keeps fill-in low; the
+    result does not depend on that order.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         scale = lcm(*(v.denominator for v in row.values()))
         work = {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
         for c in [c for c in work if c in pivot_rows]:
@@ -44,7 +48,9 @@ def reduced_echelon(
     for p in pivots:
         row = pivot_rows[p]
         d = row[p]
-        reduced.append({c: Fraction(e, d) for c, e in row.items()})
+        if d != 1:
+            row = {c: Fraction(e, d) if e % d else e // d for c, e in row.items()}
+        reduced.append(row)
     return reduced, pivots
 
 
@@ -80,7 +86,9 @@ def _divide_content(row: dict[int, int], lead: int | None) -> None:
             row[k] //= g
 
 
-def nullspace(rows: Iterable[Mapping[int, int | Fraction]], cols: int) -> list[dict[int, Fraction]]:
+def nullspace(
+    rows: Iterable[Mapping[int, int | Fraction]], cols: int
+) -> list[dict[int, int | Fraction]]:
     """A basis of the right nullspace of sparse rows with ``cols`` columns.
 
     One vector per free column f, in column order: 1 at f, and minus the
@@ -88,7 +96,7 @@ def nullspace(rows: Iterable[Mapping[int, int | Fraction]], cols: int) -> list[d
     """
     reduced, pivots = reduced_echelon(rows)
     pivot_set = set(pivots)
-    basis = {f: {f: Fraction(1)} for f in range(cols) if f not in pivot_set}
+    basis = {f: {f: 1} for f in range(cols) if f not in pivot_set}
     for row, p in zip(reduced, pivots):
         for c, e in row.items():
             if c != p:
@@ -96,7 +104,7 @@ def nullspace(rows: Iterable[Mapping[int, int | Fraction]], cols: int) -> list[d
     return list(basis.values())
 
 
-def _dense(row: Mapping[int, Fraction], cols: int) -> list[Fraction]:
+def _dense(row: Mapping[int, int | Fraction], cols: int) -> list[Fraction]:
     out = [Fraction(0)] * cols
     for c, e in row.items():
         out[c] = e
@@ -185,7 +193,7 @@ class RationalMatrix:
         return [tuple(_dense(v, self.cols)) for v in nullspace(self._sparse_rows(), self.cols)]
 
 
-def _coefficient_row(p: Polynomial, index: MonomialIndex) -> dict[int, Fraction]:
+def _coefficient_row(p: Polynomial, index: MonomialIndex) -> dict[int, int | Fraction]:
     row = {}
     for m, c in p.terms.items():
         pos = index.position.get(m)
@@ -205,7 +213,9 @@ class Span:
     and shared by every later query, so they must not be mutated.
     """
 
-    def __init__(self, index: MonomialIndex, rows: list[dict[int, Fraction]], pivots: list[int]):
+    def __init__(
+        self, index: MonomialIndex, rows: list[dict[int, int | Fraction]], pivots: list[int]
+    ):
         self.index = index
         self.rows = rows
         self.pivots = pivots
@@ -239,7 +249,9 @@ class Span:
         remainder = dict(p.terms)
         for m, c in p.terms.items():
             for k, e in self._by_pivot.get(m, ()):
-                remainder[k] = remainder.get(k, 0) - c * e
+                t = c if e == 1 else c * e
+                old = remainder.get(k)
+                remainder[k] = -t if old is None else old - t
         return Polynomial(remainder)
 
     def contains(self, p: Polynomial) -> bool:

@@ -17,9 +17,10 @@ do not occur, so they act as zero.
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 
-from .ring import Monomial, Polynomial, al, xi
+from .ring import Monomial, Polynomial, _sorted_monomial, al, xi
 
 
 def _monomial_pairing(beta: Monomial, alpha: Monomial) -> tuple[int, Monomial] | None:
@@ -50,12 +51,17 @@ def apply_pairing(f: Polynomial, p: Polynomial) -> Polynomial:
     """Bilinear extension of the monomial pairing rule."""
     acc: dict[Monomial, int | Fraction] = {}
     for beta, cf in f.terms.items():
+        unit = cf == 1
         for alpha, cp in p.terms.items():
             hit = _monomial_pairing(beta, alpha)
             if hit is None:
                 continue
             scale, quotient = hit
-            acc[quotient] = acc.get(quotient, 0) + cf * cp * scale
+            c = cp if unit else cf * cp
+            if scale != 1:
+                c *= scale
+            old = acc.get(quotient)
+            acc[quotient] = c if old is None else old + c
     return Polynomial(acc)
 
 
@@ -64,22 +70,48 @@ def directional_derivative(p: Polynomial) -> Polynomial:
 
     Returns sum_j sum_i al_{1,j} xi_1^i dp/dx_j^(i), a polynomial in the
     original variables and the auxiliaries xi_1, al_{1,j}.
+
+    Each image monomial is the sorted pair tuple of m edited, as in
+    ``Polynomial.derivative``: the differential pairs sort first, so the
+    lowered exponent stays among them and the marker al_{1,j} xi_1^i merges
+    into the auxiliary tail.
     """
     acc: dict[Monomial, int | Fraction] = {}
     for m, c in p.terms.items():
-        for idx, (v, e) in enumerate(m.pairs):
-            if v.kind != "x":
-                continue
-            rest_pairs = list(m.pairs)
-            if e == 1:
-                del rest_pairs[idx]
-            else:
-                rest_pairs[idx] = (v, e - 1)
-            marker = Monomial(rest_pairs).mul(
-                Monomial(((al(1, v.i), 1), (xi(1), v.j)))
+        pairs = m.pairs
+        split = next((k for k, (v, _) in enumerate(pairs) if v.kind != "x"), len(pairs))
+        tail = pairs[split:]
+        for idx in range(split):
+            v, e = pairs[idx]
+            head = pairs[:idx] + ((v, e - 1),) if e > 1 else pairs[:idx]
+            key = _sorted_monomial(
+                head + pairs[idx + 1:split] + _with_marker(tail, v.i, v.j), m.degree + v.j
             )
-            acc[marker] = acc.get(marker, 0) + c * e
+            t = c if e == 1 else c * e
+            old = acc.get(key)
+            acc[key] = t if old is None else old + t
     return Polynomial(acc)
+
+
+_XI1 = xi(1)
+
+
+def _with_marker(tail: tuple, i: int, j: int) -> tuple:
+    """The sorted auxiliary pairs ``tail`` times al_{1,i} * xi_1^j.  xi_1 is
+    the least auxiliary variable, so it can only be the first pair."""
+    out = list(tail)
+    if j:
+        if out and out[0][0] == _XI1:
+            out[0] = (_XI1, out[0][1] + j)
+        else:
+            out.insert(0, (_XI1, j))
+    a = al(1, i)
+    pos = bisect.bisect_left(out, (a,))
+    if pos < len(out) and out[pos][0] == a:
+        out[pos] = (a, out[pos][1] + 1)
+    else:
+        out.insert(pos, (a, 1))
+    return tuple(out)
 
 
 def double_derivative_vanishes(p: Polynomial) -> bool:

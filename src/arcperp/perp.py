@@ -308,5 +308,5 @@ def scaled_of_triangular_map(p: Polynomial, h: int) -> Polynomial:
                 scale *= math.factorial(h - v.j) ** e
                 v = x(v.i, h - v.j)
             pairs.append((v, e))
-        out[Monomial(pairs)] = Fraction(c, scale)
+        out[Monomial(pairs)] = c if scale == 1 else Fraction(c, scale)
     return Polynomial(out)

@@ -227,8 +227,11 @@ def _generator_image(split, w: Polynomial, partials) -> Polynomial:
     for key, c in quadratic:
         column = partials.get(key)
         if column:
+            unit = c == 1
             for q, e in column.items():
-                acc[q] = acc.get(q, 0) + c * e
+                t = e if unit else c * e
+                old = acc.get(q)
+                acc[q] = t if old is None else old + t
     return Polynomial(acc)
 
 
@@ -421,7 +424,8 @@ def _random_polynomial(rng: random.Random, variables: list) -> Polynomial:
         else:
             coeff = numerator // denominator
         m = Monomial(pairs.items())
-        terms[m] = terms.get(m, 0) + coeff
+        old = terms.get(m)
+        terms[m] = coeff if old is None else old + coeff
     return Polynomial(terms)
 
 

@@ -238,7 +238,8 @@ class Polynomial:
     def from_terms(cls, items: Iterable[tuple[Monomial, int | Fraction]]) -> "Polynomial":
         acc: dict[Monomial, int | Fraction] = {}
         for m, c in items:
-            acc[m] = acc.get(m, 0) + c
+            old = acc.get(m)
+            acc[m] = c if old is None else old + c
         return cls(acc)
 
     # -- basic queries ------------------------------------------------------
@@ -280,7 +281,8 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
+            old = out.get(m)
+            out[m] = c if old is None else old + c
         return Polynomial(out)
 
     __radd__ = __add__
@@ -305,9 +307,12 @@ class Polynomial:
             return Polynomial.zero()
         out: dict[Monomial, int | Fraction] = {}
         for ma, ca in self.terms.items():
+            unit = ca == 1
             for mb, cb in other.terms.items():
                 m = ma.mul(mb)
-                out[m] = out.get(m, 0) + ca * cb
+                c = cb if unit else ca * cb
+                old = out.get(m)
+                out[m] = c if old is None else old + c
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -356,7 +361,9 @@ class Polynomial:
                         else:
                             edited = head + ((dv, 1),) + after
                         key = _sorted_monomial(edited, m.degree)
-                        acc[key] = acc.get(key, 0) + c * e
+                        t = c if e == 1 else c * e
+                        old = acc.get(key)
+                        acc[key] = t if old is None else old + t
                         continue
                     dv_poly = _derive_variable(v)
                     if dv_poly.is_zero:
@@ -364,7 +371,9 @@ class Polynomial:
                     rest = Monomial(pairs[:idx] + ((v, e - 1),) + pairs[idx + 1:])
                     for dm, dc in dv_poly.terms.items():
                         key = rest.mul(dm)
-                        acc[key] = acc.get(key, 0) + c * e * dc
+                        t = c * e * dc
+                        old = acc.get(key)
+                        acc[key] = t if old is None else old + t
             p = Polynomial(acc)
         return p
 
@@ -398,7 +407,8 @@ class Polynomial:
             for power in factors:
                 term = term * power
             for tm, tc in term.terms.items():
-                acc[tm] = acc.get(tm, 0) + tc
+                old = acc.get(tm)
+                acc[tm] = tc if old is None else old + tc
         return Polynomial(acc)
 
     # -- rendering ----------------------------------------------------------

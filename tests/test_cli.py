@@ -113,6 +113,8 @@ class TestMinors:
             ("minors_S_n2_h1.json", ["--family", "S", "--n", "2", "--h", "1"]),
             ("minors_S1_n2_h2.json", ["--family", "S1", "--n", "2", "--h", "2"]),
             ("minors_H_n2_h2_k1.json", ["--family", "H", "--n", "2", "--h", "2", "--k", "1"]),
+            # Entries down to x/3!: row scales 6, 2, 1 and 1.
+            ("minors_S_n1_h3.json", ["--family", "S", "--n", "1", "--h", "3"]),
         ],
     )
     def test_json_matches_golden(self, capsys, golden, argv):

@@ -42,6 +42,10 @@ def graded_basis(gs: GradedSpan) -> list[str]:
     return [str(p) for span in gs.spans.values() for p in span.basis_polynomials()]
 
 
+def all_integral_are_int(coefficients) -> bool:
+    return all(type(c) is int for c in coefficients if c.denominator == 1)
+
+
 def grid(m: SymbolicMatrix) -> list[list[str]]:
     return [[str(e) for e in row] for row in m.entries]
 
@@ -179,16 +183,29 @@ class TestKernelAgainstOracle:
     @example([[P("x1_0^3")]])
     @example([[P("x1_0^2*y_0"), P("E1^3 + xi1")], [P("al1_1^3"), P("x1_0*x1_1^3")]])
     @example([[P("x1_0 + 1/2*E1"), P("x1_0")], [P("x1_0 + 1/2*E1"), P("x1_0")]])
+    # Row scales 6 and 4 whose product the determinant's terms absorb: x1_0^2 - x1_1^2.
+    @example([[P("1/2*x1_0"), P("1/3*x1_1")], [P("3/4*x1_1"), P("1/2*x1_0")]])
+    # Row scales 2 and 3 that stay in the value: 1/2*x1_0^2 - 1/3*x1_1^2.
+    @example([[P("1/2*x1_0"), P("x1_1")], [P("1/3*x1_1"), P("x1_0")]])
     def test_determinant_matches_naive_expansion(self, rows):
         matrix = SymbolicMatrix.from_rows(rows)
         expected = naive_determinant(rows)
-        assert full_determinant(matrix) == expected
+        value = full_determinant(matrix)
+        assert value == expected
+        assert all_integral_are_int(value.terms.values())
         # Terms that cancel are dropped, not stored with coefficient zero.
         full = tuple(range(len(rows)))
         assert len(PackedMatrix(matrix).det(full, full)) == len(expected.terms)
 
     @pytest.mark.parametrize(
-        "family,n,h,k", [("T", 1, 2, None), ("S", 2, 1, None), ("S1", 1, 2, None), ("H", 2, 2, 1)]
+        "family,n,h,k",
+        [
+            ("T", 1, 2, None),
+            ("S", 2, 1, None),
+            ("S1", 1, 2, None),
+            ("H", 2, 2, 1),
+            ("S", 1, 3, None),  # row scales 6, 2, 1, 1
+        ],
     )
     def test_every_minor_of_each_family(self, family, n, h, k):
         m = build_matrix(family, n, h, k)
@@ -199,7 +216,10 @@ class TestKernelAgainstOracle:
         for _, rows, cols, value in listing:
             assert value == naive_determinant([[m.entries[r][c] for c in cols] for r in rows])
             assert packed.value(rows, cols) == value
-        if family == "S1":  # x1_2/2 on its second superdiagonal
+            # Rows are cleared of denominators at packing; a minor holds a
+            # Fraction only for a term that is not integral.
+            assert all_integral_are_int(value.terms.values())
+        if family in ("S", "S1") and h >= 2:  # x1_2/2 on the second superdiagonal
             assert any(c.denominator > 1 for _, _, _, v in listing for c in v.terms.values())
 
 

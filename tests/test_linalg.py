@@ -150,6 +150,10 @@ def matrices_with_zero_lines(draw):
     ], cols
 
 
+def _all_integral_are_int(values) -> bool:
+    return all(type(e) is int for e in values if e.denominator == 1)
+
+
 class TestSparseCoreAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(matrices_with_zero_lines())
@@ -163,6 +167,7 @@ class TestSparseCoreAgainstOracle:
         assert [[row.get(j, 0) for j in range(cols)] for row in reduced] == oracle
         assert pivots == oracle_pivots
         assert len(pivots) == naive_rank(rows, cols)
+        assert all(_all_integral_are_int(row.values()) for row in reduced)
 
         # the kernel read off the oracle's RREF, one vector per free column
         expected = []
@@ -176,6 +181,7 @@ class TestSparseCoreAgainstOracle:
             expected.append(vec)
         kernel = nullspace(sparse, cols)
         assert [[v.get(j, 0) for j in range(cols)] for v in kernel] == expected
+        assert all(_all_integral_are_int(v.values()) for v in kernel)
         for vec in expected:
             assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
         assert naive_rank(expected, cols) == len(expected) == cols - len(pivots)
@@ -184,6 +190,31 @@ class TestSparseCoreAgainstOracle:
         assert matrix.row_reduce().entries == oracle
         assert matrix.rank() == len(oracle)
         assert matrix.kernel_basis() == [tuple(v) for v in expected]
+
+
+class TestRowOrderAndResultTypes:
+    @settings(max_examples=200, deadline=None)
+    @given(matrices_with_zero_lines(), st.data())
+    def test_rref_independent_of_row_order(self, case, data):
+        # Rows are eliminated sparsest first; the RREF is unique all the same.
+        rows, cols = case
+        order = data.draw(st.permutations(range(len(rows))))
+        sparse = [{j: e for j, e in enumerate(row) if e != 0} for row in rows]
+        permuted = reduced_echelon(sparse[k] for k in order)
+        assert permuted == reduced_echelon(sparse)
+        assert [[row.get(j, 0) for j in range(cols)] for row in permuted[0]] == naive_rref(rows, cols)
+
+    def test_span_rows_and_basis_are_int_where_integral(self):
+        polys = [P("2*x1_0 + x1_2"), P("4*x1_0 + 6*x1_1 + 5*x1_2"), P("3*x1_1 + 3/2*x1_2")]
+        span = Span.from_polynomials(polys, MonomialIndex(graded_monomials(1, 1, 2)))
+        entries = [e for row in span.rows for e in row.values()]
+        coefficients = [c for p in span.basis_polynomials() for c in p.terms.values()]
+        for values in (entries, coefficients):
+            assert any(type(e) is Fraction for e in values)
+            assert _all_integral_are_int(values)
+        assert sorted(map(str, span.basis_polynomials())) == [
+            "x1_0 + 1/2*x1_2", "x1_1 + 1/2*x1_2"
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from arcperp.pairing import (
     directional_derivative,
     double_derivative_vanishes,
 )
-from arcperp.ring import Monomial, Polynomial, al, parse, x, xi
+from arcperp.ring import E, Monomial, Polynomial, al, parse, x, xi, y
 
 from oracles import (
     annihilates,
@@ -101,6 +101,27 @@ class TestDirectionalDerivative:
     def test_two_families(self):
         out = directional_derivative(P("x1_0*x2_0"))
         assert out == P("al1_1*x2_0 + al1_2*x1_0")
+
+
+# x-only polynomials times auxiliary factors, as the first pass of the double
+# derivative leaves them (xi1, al1_i) and beside them (xi2, al2_1, E1, y_0).
+_auxiliary = st.lists(st.sampled_from([xi(1), xi(2), al(1, 1), al(1, 2), al(2, 1), E(1), y(0)]), max_size=3)
+with_auxiliaries = st.tuples(x_only_polynomials, _auxiliary).map(
+    lambda pa: pa[0] * Polynomial.from_monomial(Monomial(Counter(pa[1]).items()))
+)
+
+
+class TestDirectionalDerivativeAgainstOracle:
+    @given(with_auxiliaries)
+    @example(P("xi1*al1_1*x1_0^2*x2_1"))
+    @example(P("xi1^2*al1_2*al2_1*E1*x1_0*x2_0"))
+    def test_sum_of_marked_partials(self, p):
+        # D p = sum_{i,j} al_{1,i} * xi_1^j * dp/dx_i^(j), one partial at a time.
+        expected = Polynomial.zero()
+        for v in {v for m in p.terms for v, _ in m.pairs if v.kind == "x"}:
+            marker = Polynomial.from_monomial(Monomial(((al(1, v.i), 1), (xi(1), v.j))))
+            expected = expected + marker * diff_wrt(p, v)
+        assert directional_derivative(p) == expected
 
 
 class TestDoubleDerivative:
