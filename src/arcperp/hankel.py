@@ -14,14 +14,17 @@ Four matrix families are built here:
 Every determinant and minor runs on one kernel, ``PackedMatrix``: the matrix
 is packed once per enumeration, with each monomial an integer key (so that a
 monomial product is one addition) and each row cleared of denominators, and
-expanded over ``int`` along the first row with a memo on (row, column)
+expanded over ``int`` along the last chosen row with a memo on (row, column)
 subsets, so the exponentially many minors of one matrix share their
-subproblems.  Values become ``Polynomial`` only when returned.
-Its users here are ``wronskian`` (one full determinant), ``iter_minors``
-(every minor of the given sizes) and ``minor_span``, which expands only the
-minors on the top rows: in T, S and S1 each row is the block shift of the one
-above, so every other minor is a constant combination of those (the proof is
-in its docstring).  ``perp`` calls it directly for the maximal Hankel minors.
+subproblems.  Its users here are ``wronskian`` (one full determinant) and
+``iter_minors`` (every minor of the given sizes), which read values as
+``Polynomial``, and ``minor_span``, which expands only the minors on the top
+rows: in T, S and S1 each row is the block shift of the one above, so every
+other minor is a constant combination of those (the proof is in its
+docstring).  The subproblems of a top-row minor are the top-row minors one
+size down, and ``minor_span`` builds its spans from the packed values, with
+no ``Polynomial`` per minor.  ``perp`` reads the maximal Hankel minors as
+``Polynomial`` values.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import MonomialIndex, Span
+from .linalg import MonomialIndex, Span, reduced_echelon
 from .ring import ONE, ZERO, Monomial, Polynomial, _sorted_monomial, x
 
 
@@ -150,11 +153,13 @@ class PackedMatrix:
     """A matrix packed for exact determinant expansion: the one minor kernel.
 
     The variables occurring in the entries are numbered in variable order, and
-    a monomial with exponent e_v at the v-th of them is the integer key
-    sum(e_v * base**v).  Every minor is a sum of products of at most
-    min(rows, cols) entries, so none of its exponents exceeds that count
-    times the largest entry degree, which is below the base: no digit carries
-    into the next, and a monomial product is one integer addition.
+    a monomial of degree d with exponent e_v at the v-th of them is the
+    integer key d*top + sum(e_v * base**v), top = base**(number of
+    variables).  Every minor is a sum of products of at most min(rows, cols)
+    entries, so neither its exponents nor its degrees exceed that count times
+    the largest entry degree, which is below the base: no digit carries into
+    the next, and a monomial product is one integer addition.  The degree is
+    the leading digit, so the largest key of a minor has its largest degree.
 
     Each row is multiplied by ``scales[r]``, the lcm of its denominators (the
     1/i! of the scaled families), so ``det`` expands over ``int`` alone.  A
@@ -167,8 +172,12 @@ class PackedMatrix:
         self.variables = sorted({v for mono in monomials for v in mono.variables()})
         degree = max((mono.degree for mono in monomials), default=0)
         self.base = degree * min(m.rows, m.cols) + 1
+        self.top = self.base ** len(self.variables)
         place = {v: self.base**i for i, v in enumerate(self.variables)}
-        key = {mono: sum(e * place[v] for v, e in mono.pairs) for mono in monomials}
+        key = {
+            mono: mono.degree * self.top + sum(e * place[v] for v, e in mono.pairs)
+            for mono in monomials
+        }
         self.scales = [
             math.lcm(*(c.denominator for p in row for c in p.terms.values())) for row in m.entries
         ]
@@ -185,18 +194,20 @@ class PackedMatrix:
         self.monomials: dict[int, Monomial] = {}
 
     def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[int, int]:
-        """The minor of the scaled rows, packed key -> nonzero ``int``: first-row
-        cofactor expansion, memoized on (rows, cols); terms that cancel are
-        dropped as soon as they do."""
+        """The minor of the scaled rows, packed key -> nonzero ``int``: cofactor
+        expansion along the last chosen row, memoized on (rows, cols); terms
+        that cancel are dropped as soon as they do.  The subproblems of a minor
+        on rows 0..s-1 are the minors on rows 0..s-2."""
         memo = self.memo
         got = memo.get((rows, cols))
         if got is not None:
             return got
-        first = self.entries[rows[0]]
-        rest = rows[1:]
+        last = self.entries[rows[-1]]
+        rest = rows[:-1]
+        odd = len(rest) % 2  # the cofactor sign is (-1)**(len(rest) + pos)
         acc: dict[int, int] = {}
         for pos, c in enumerate(cols):
-            entry = first[c]
+            entry = last[c]
             if not entry:
                 continue
             sub_cols = cols[:pos] + cols[pos + 1 :]
@@ -204,7 +215,7 @@ class PackedMatrix:
             if sub is None:
                 sub = self.det(rest, sub_cols)
             for ka, ca in entry.items():
-                if pos % 2:
+                if pos % 2 != odd:
                     ca = -ca
                 for kb, cb in sub.items():
                     k = ka + kb
@@ -229,18 +240,17 @@ class PackedMatrix:
         )
 
     def _monomial(self, key: int) -> Monomial:
+        """The monomial of a packed key, decoded once per matrix."""
         got = self.monomials.get(key)
         if got is None:
+            degree, rest = divmod(key, self.top)
             pairs = []
-            degree = 0
-            rest = key
             for v in self.variables:
                 if not rest:
                     break
                 rest, e = divmod(rest, self.base)
                 if e:
                     pairs.append((v, e))
-                    degree += e
             got = self.monomials[key] = _sorted_monomial(tuple(pairs), degree)
         return got
 
@@ -313,6 +323,12 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     combination of those on rows 0..s-1.  T, S and S1 are shift-structured
     (block size h+1 = rows); any other matrix raises ``ValueError``.  Size 0
     gives the constant 1; zero minors are dropped before the reduction.
+
+    The spans are built from the packed values, with no ``Polynomial`` per
+    minor: the minors are grouped by degree (that of their highest term, the
+    leading digit of their largest key), and each degree's distinct keys are
+    decoded once into its ``MonomialIndex``.  A row is a minor times its
+    rows' scales, which leaves the reduced row-echelon form as it is.
     """
     e = m.entries
     for r in range(1, m.rows):
@@ -320,8 +336,19 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
             if e[r][c] != (e[r - 1][c - 1] if c % m.rows else ZERO):
                 raise ValueError(f"minor_span needs a shift-structured matrix: entry ({r}, {c})")
     packed = PackedMatrix(m)
-    return GradedSpan.from_polynomials(
-        packed.value(tuple(range(s)), cols)
-        for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)
-        for cols in itertools.combinations(range(m.cols), s)
-    )
+    by_degree: dict[int, list[dict[int, int]]] = {}
+    for s in sorted(sizes):
+        if 0 <= s <= min(m.rows, m.cols):
+            rows = tuple(range(s))
+            for cols in itertools.combinations(range(m.cols), s):
+                det = packed.det(rows, cols)
+                if det:
+                    by_degree.setdefault(max(det) // packed.top, []).append(det)
+    spans = {}
+    for d, dets in by_degree.items():
+        monomials = {k: packed._monomial(k) for k in set().union(*dets)}
+        index = MonomialIndex(monomials.values())
+        column = {k: index.position[mono] for k, mono in monomials.items()}
+        coefficient_rows = ({column[k]: c for k, c in det.items()} for det in dets)
+        spans[d] = Span(index, *reduced_echelon(coefficient_rows))
+    return GradedSpan(spans)

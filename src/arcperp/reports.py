@@ -217,8 +217,9 @@ def _split_generator(g: Polynomial) -> tuple[list[tuple[tuple, int | Fraction]],
     return quadratic, Polynomial(other)
 
 
-def _generator_image(split, w: Polynomial, partials) -> Polynomial:
-    """g applied to w, for g split by :func:`_split_generator` and the table
+def _generator_image(split, w: Polynomial, partials) -> dict:
+    """g applied to w as a monomial -> coefficient map, whose values may
+    include zeros, for g split by :func:`_split_generator` and the table
     ``partials = _second_partials(w)``: each product term c*u*v of g reads
     c * du dv w from the table, and the other terms go through
     :func:`apply_pairing`."""
@@ -232,14 +233,14 @@ def _generator_image(split, w: Polynomial, partials) -> Polynomial:
                 t = e if unit else c * e
                 old = acc.get(q)
                 acc[q] = t if old is None else old + t
-    return Polynomial(acc)
+    return acc
 
 
 def _annihilated_by_all(split: list, w: Polynomial) -> bool:
     """Does every generator, split by :func:`_split_generator`, annihilate w?
     The second partials of w are tabulated once for all of them."""
     partials = _second_partials(w)
-    return all(_generator_image(s, w, partials).is_zero for s in split)
+    return all(not any(_generator_image(s, w, partials).values()) for s in split)
 
 
 def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> VerificationReport:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from arcperp import hankel
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import (
     GradedSpan,
@@ -44,6 +45,17 @@ def graded_basis(gs: GradedSpan) -> list[str]:
 
 def all_integral_are_int(coefficients) -> bool:
     return all(type(c) is int for c in coefficients if c.denominator == 1)
+
+
+def shift_structured(first_row: list[Polynomial], rows: int) -> SymbolicMatrix:
+    """The matrix whose row r is row r-1 shifted one column to the right
+    inside each block of ``rows`` columns, the block's first column 0."""
+    return SymbolicMatrix.from_rows(
+        [
+            [first_row[c - r] if c % rows >= r else Polynomial.zero() for c in range(len(first_row))]
+            for r in range(rows)
+        ]
+    )
 
 
 def grid(m: SymbolicMatrix) -> list[list[str]]:
@@ -175,6 +187,12 @@ def square_matrices(draw):
     return [[draw(_entries) for _ in range(size)] for _ in range(size)]
 
 
+@st.composite
+def rectangular_matrices(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return [[draw(_entries) for _ in range(cols)] for _ in range(rows)]
+
+
 class TestKernelAgainstOracle:
     """The packed-key kernel against the permutation expansion of the oracle."""
 
@@ -196,6 +214,23 @@ class TestKernelAgainstOracle:
         # Terms that cancel are dropped, not stored with coefficient zero.
         full = tuple(range(len(rows)))
         assert len(PackedMatrix(matrix).det(full, full)) == len(expected.terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rectangular_matrices())
+    # Row scales 2, 1 and 12 on every row set: rows (0, 2), (1, 2) are not top rows.
+    @example(
+        [
+            [P("1/2*x1_0"), P("x1_1"), P("E1")],
+            [P("x1_1"), P("3"), P("x2_0^2")],
+            [P("1/3*xi1"), P("1/4*x1_0"), P("x1_0*x1_1")],
+        ]
+    )
+    def test_every_minor_on_any_rows_matches_naive_expansion(self, rows):
+        # The cofactor sign of the last chosen row depends on the number of
+        # chosen rows, not on that row's index in the matrix.
+        matrix = SymbolicMatrix.from_rows(rows)
+        for _, r, c, value in iter_minors(matrix, range(min(matrix.rows, matrix.cols) + 1)):
+            assert value == naive_determinant([[rows[i][j] for j in c] for i in r]), (r, c)
 
     @pytest.mark.parametrize(
         "family,n,h,k",
@@ -277,6 +312,77 @@ class TestMinorSpan:
         rows[1][2] = P("x2_1")  # the first column of the second block
         with pytest.raises(ValueError, match="shift-structured"):
             minor_span(SymbolicMatrix.from_rows(rows), range(3))
+
+    @pytest.mark.parametrize(
+        "m,sizes",
+        [
+            pytest.param(build_matrix(family, n, h), sizes, id=f"{family}-{n}-{h}-{sizes}")
+            for family, n, h, sizes in [
+                ("T", 1, 3, "all"),
+                ("T", 2, 2, "all"),
+                ("S", 1, 3, "all"),
+                ("S", 2, 2, "all"),
+                ("S1", 1, 2, "all"),
+                ("S1", 2, 1, "all"),
+                ("S1", 2, 2, "maximal"),
+            ]
+        ]
+        # Minors with terms of several degrees, grouped by the highest.
+        + [
+            pytest.param(
+                shift_structured(
+                    [P("x1_0 + 1"), P("1/2*x1_1^2 + x1_0"), P("3"), P("E1"), P("x1_1 - 1/3"), P("x1_0*E1")],
+                    3,
+                ),
+                "all",
+                id="inhomogeneous",
+            )
+        ],
+    )
+    def test_packed_rows_match_the_polynomial_construction(self, m, sizes):
+        # The spans built from packed values against those of the decoded
+        # minors: the same index, reduced rows (with their types) and pivots.
+        sizes = range(m.rows + 1) if sizes == "all" else [m.rows]
+        packed = PackedMatrix(m)
+        expected = GradedSpan.from_polynomials(
+            packed.value(tuple(range(s)), cols)
+            for s in sizes
+            for cols in itertools.combinations(range(m.cols), s)
+        )
+        got = minor_span(m, sizes)
+        assert list(got.spans) == list(expected.spans)
+        for d, want in expected.spans.items():
+            span = got.spans[d]
+            assert span.index.monomials == want.index.monomials, d
+            assert span.pivots == want.pivots, d
+            assert span.rows == want.rows, d
+            assert [list(map(type, r.values())) for r in span.rows] == [
+                list(map(type, r.values())) for r in want.rows
+            ], d
+
+    @pytest.mark.parametrize("n,h,entries", [(1, 7, 256), (2, 3, 163)])
+    def test_only_top_row_minors_are_expanded(self, monkeypatch, n, h, entries):
+        # Expanded along its last row, a top-row minor needs only the top-row
+        # minors one size down, so the memo holds the minors enumerated.
+        built = []
+
+        class Capturing(hankel.PackedMatrix):
+            def __init__(self, m):
+                super().__init__(m)
+                built.append(self)
+
+        monkeypatch.setattr(hankel, "PackedMatrix", Capturing)
+        m = triangular_matrix(n, h)
+        minor_span(m, range(h + 2))
+        (packed,) = built
+        top_row_minors = {
+            (tuple(range(s)), cols)
+            for s in range(h + 2)
+            for cols in itertools.combinations(range(m.cols), s)
+        }
+        assert len(top_row_minors) == entries
+        assert len(packed.memo) == entries
+        assert set(packed.memo) == top_row_minors
 
     def test_enumeration_order(self):
         listing = list(iter_minors(triangular_matrix(1, 1), range(3)))
