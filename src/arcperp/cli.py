@@ -5,6 +5,10 @@ Global flags: --json (machine-readable output), --out PATH (write the output
 to a file).  ``verify`` alone takes --seed N (randomized property sampling).
 The exit code is 0 iff all requested checks pass; invalid input exits with
 code 2.
+
+Each command imports what it calls when it runs, so a run loads only the
+modules of its own command: ``series`` and ``dims-chain`` never load the
+pairing, the arc generators or the verification driver.
 """
 
 from __future__ import annotations
@@ -14,12 +18,6 @@ import json
 import sys
 
 from . import __version__
-from .arcgen import arc_generators_up_to
-from .hankel import GradedSpan, build_matrix, iter_minors
-from .pairing import apply_pairing
-from .perp import perp_graded_basis, truncated_perp_basis
-from .reports import dimension_chain, dimension_series, run_verification
-from .ring import format_polynomial, parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,6 +90,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_gens(args) -> int:
+    from .arcgen import arc_generators_up_to
+    from .ring import format_polynomial
+
     gens = arc_generators_up_to(args.n, args.max_order)
     if args.json:
         text = json.dumps([format_polynomial(g) for g in gens], indent=2)
@@ -102,6 +103,9 @@ def _cmd_gens(args) -> int:
 
 
 def _cmd_pair(args) -> int:
+    from .pairing import apply_pairing
+    from .ring import format_polynomial, parse
+
     result = apply_pairing(parse(args.f), parse(args.P))
     text = json.dumps(format_polynomial(result)) if args.json else format_polynomial(result)
     _emit(text, args.out)
@@ -109,6 +113,9 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_perp(args) -> int:
+    from .perp import perp_graded_basis
+    from .ring import format_polynomial
+
     span = perp_graded_basis(args.n, args.degree, args.order)
     basis = [format_polynomial(p) for p in span.basis_polynomials()]
     if args.json:
@@ -130,6 +137,9 @@ def _cmd_perp(args) -> int:
 
 
 def _cmd_minors(args) -> int:
+    from .hankel import GradedSpan, build_matrix, iter_minors
+    from .ring import format_polynomial
+
     matrix = build_matrix(args.family, args.n, args.h, args.k)
     max_size = args.max_size
     if max_size is None:
@@ -174,6 +184,8 @@ def _cmd_minors(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .perp import dimension_series, truncated_perp_basis
+
     if args.h_max < 0:
         raise ValueError("the series needs h_max >= 0")
     truncated = (truncated_perp_basis(args.n, h) for h in range(args.h_max + 1))
@@ -192,6 +204,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .reports import run_verification
+
     report = run_verification(args.n, args.h, deep=args.deep, seed=args.seed)
     include_timings = not args.no_timings
     if args.json:
@@ -210,6 +224,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dims_chain(args) -> int:
+    from .perp import dimension_chain, truncated_perp_basis
+
     chain = dimension_chain(args.n, args.h, truncated_perp_basis(args.n, args.h))
     if args.json:
         text = json.dumps(chain.to_dict(), indent=2)

@@ -13,22 +13,25 @@ Four matrix families are built here:
 
 Every determinant and minor runs on one kernel, ``PackedMatrix``: the matrix
 is packed once per enumeration, with each monomial an integer key (so that a
-monomial product is one addition) and each row cleared of denominators, and
-expanded over ``int`` along the last chosen row with a memo on (row, column)
-subsets, so the exponentially many minors of one matrix share their
-subproblems.  Its users here are ``wronskian`` (one full determinant) and
-``iter_minors`` (every minor of the given sizes), which read values as
-``Polynomial``, and ``minor_span``, which expands only the minors on the top
-rows: in T, S and S1 each row is the block shift of the one above, so every
-other minor is a constant combination of those (the proof is in its
-docstring).  The subproblems of a top-row minor are the top-row minors one
-size down, and ``minor_span`` builds its spans from the packed values, with
-no ``Polynomial`` per minor.  ``perp`` reads the maximal Hankel minors as
+monomial product is one addition, and integer order is monomial order) and
+each row cleared of denominators, and expanded over ``int`` along the last
+chosen row with a memo on (row, column) subsets, so the exponentially many
+minors of one matrix share their subproblems.  Its users here are
+``wronskian`` (one full determinant) and ``iter_minors`` (every minor of the
+given sizes), which read values as ``Polynomial``, and ``minor_span``, which
+expands only the minors on the top rows: in T, S and S1 each row is the
+block shift of the one above, so every other minor is a constant
+combination of those (the proof is in its docstring).  The subproblems of a
+top-row minor are the top-row minors one size down, and ``minor_span``
+builds its spans from the packed values, with no ``Polynomial`` per minor,
+and decodes their keys into monomials only when a caller reads a basis
+rather than a dimension.  ``perp`` reads the maximal Hankel minors as
 ``Polynomial`` values.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -152,14 +155,18 @@ def build_matrix(family: str, n: int, h: int, k: int | None = None) -> SymbolicM
 class PackedMatrix:
     """A matrix packed for exact determinant expansion: the one minor kernel.
 
-    The variables occurring in the entries are numbered in variable order, and
-    a monomial of degree d with exponent e_v at the v-th of them is the
-    integer key d*top + sum(e_v * base**v), top = base**(number of
-    variables).  Every minor is a sum of products of at most min(rows, cols)
-    entries, so neither its exponents nor its degrees exceed that count times
-    the largest entry degree, which is below the base: no digit carries into
-    the next, and a monomial product is one integer addition.  The degree is
-    the leading digit, so the largest key of a minor has its largest degree.
+    The L variables occurring in the entries are numbered in variable order,
+    and a monomial of degree d with exponent e_v at the v-th of them is the
+    integer key d*top + sum(e_v * base**(L-1-v)), top = base**L: the degree is
+    the leading digit and the earliest variable the next.  Every minor is a
+    sum of products of at most min(rows, cols) entries, so neither its
+    exponents nor its degrees exceed that count times the largest entry
+    degree, which is below the base: no digit carries into the next, and a
+    monomial product is one integer addition.  Comparing keys as integers
+    compares the degrees, then the exponents at the first variable where two
+    monomials differ, so integer order is the graded-lex order of
+    ``Monomial.order_key``, and the largest key of a minor has its largest
+    degree.
 
     Each row is multiplied by ``scales[r]``, the lcm of its denominators (the
     1/i! of the scaled families), so ``det`` expands over ``int`` alone.  A
@@ -172,8 +179,9 @@ class PackedMatrix:
         self.variables = sorted({v for mono in monomials for v in mono.variables()})
         degree = max((mono.degree for mono in monomials), default=0)
         self.base = degree * min(m.rows, m.cols) + 1
-        self.top = self.base ** len(self.variables)
-        place = {v: self.base**i for i, v in enumerate(self.variables)}
+        last = len(self.variables) - 1
+        self.top = self.base ** (last + 1)
+        place = {v: self.base ** (last - i) for i, v in enumerate(self.variables)}
         key = {
             mono: mono.degree * self.top + sum(e * place[v] for v, e in mono.pairs)
             for mono in monomials
@@ -243,16 +251,41 @@ class PackedMatrix:
         """The monomial of a packed key, decoded once per matrix."""
         got = self.monomials.get(key)
         if got is None:
-            degree, rest = divmod(key, self.top)
-            pairs = []
-            for v in self.variables:
-                if not rest:
-                    break
-                rest, e = divmod(rest, self.base)
-                if e:
-                    pairs.append((v, e))
-            got = self.monomials[key] = _sorted_monomial(tuple(pairs), degree)
+            got = self.monomials[key] = _decode(key, self.variables, self.base, self.top)
         return got
+
+
+def _decode(key: int, variables: list, base: int, top: int) -> Monomial:
+    """The monomial of a key packed by ``PackedMatrix``: the last variable
+    is the lowest digit."""
+    degree, rest = divmod(key, top)
+    pairs = []
+    for v in reversed(variables):
+        if not rest:
+            break
+        rest, e = divmod(rest, base)
+        if e:
+            pairs.append((v, e))
+    pairs.reverse()
+    return _sorted_monomial(tuple(pairs), degree)
+
+
+class _PackedIndex(MonomialIndex):
+    """A ``MonomialIndex`` over packed keys sorted descending, which is
+    descending monomial order: the monomials are decoded on the first read of
+    ``monomials`` or ``position``, so a reader of dimensions decodes none."""
+
+    def __init__(self, keys: list[int], packed: PackedMatrix):
+        self.keys = keys
+        self._layout = (packed.variables, packed.base, packed.top)
+
+    @functools.cached_property
+    def monomials(self) -> tuple[Monomial, ...]:
+        return tuple(_decode(k, *self._layout) for k in self.keys)
+
+    @functools.cached_property
+    def position(self) -> dict[Monomial, int]:
+        return {m: i for i, m in enumerate(self.monomials)}
 
 
 def wronskian(fs: list[Polynomial]) -> Polynomial:
@@ -326,9 +359,12 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
 
     The spans are built from the packed values, with no ``Polynomial`` per
     minor: the minors are grouped by degree (that of their highest term, the
-    leading digit of their largest key), and each degree's distinct keys are
-    decoded once into its ``MonomialIndex``.  A row is a minor times its
-    rows' scales, which leaves the reduced row-echelon form as it is.
+    leading digit of their largest key), and each degree's distinct keys,
+    sorted descending as integers, number its columns in descending monomial
+    order, as a ``MonomialIndex`` of the decoded monomials would.  The index
+    decodes them on first read, so ``dimension`` and ``total_dimension``
+    decode nothing.  A row is a minor times its rows' scales, which leaves
+    the reduced row-echelon form as it is.
     """
     e = m.entries
     for r in range(1, m.rows):
@@ -346,9 +382,8 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
                     by_degree.setdefault(max(det) // packed.top, []).append(det)
     spans = {}
     for d, dets in by_degree.items():
-        monomials = {k: packed._monomial(k) for k in set().union(*dets)}
-        index = MonomialIndex(monomials.values())
-        column = {k: index.position[mono] for k, mono in monomials.items()}
+        keys = sorted(set().union(*dets), reverse=True)
+        column = {k: c for c, k in enumerate(keys)}
         coefficient_rows = ({column[k]: c for k, c in det.items()} for det in dets)
-        spans[d] = Span(index, *reduced_echelon(coefficient_rows))
+        spans[d] = Span(_PackedIndex(keys, packed), *reduced_echelon(coefficient_rows))
     return GradedSpan(spans)

@@ -13,7 +13,9 @@ The other entry points build what ``reports.run_verification`` compares
 with it on concrete instances: the independently computed Hankel-minor
 spans, the restrictions of high orders to zero that realize the truncated
 inverse systems, and pointwise certificates on single polynomials, among
-them differential homogeneity.
+them differential homogeneity.  The truncated dimension series and the
+triangular/scaled dimension chain, which the ``series`` and ``dims-chain``
+commands print, read only the minor side: nothing here reaches the pairing.
 """
 
 from __future__ import annotations
@@ -23,10 +25,20 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import attrgetter
+from typing import NamedTuple
 
-from .hankel import GradedSpan, PackedMatrix, hankel_matrix, minor_span, triangular_matrix
+from .hankel import (
+    GradedSpan,
+    PackedMatrix,
+    hankel_matrix,
+    minor_span,
+    scaled_augmented_matrix,
+    scaled_matrix,
+    triangular_matrix,
+)
 from .linalg import MonomialIndex, Span, nullspace, reduced_echelon, span_witness
-from .ring import E, Monomial, Polynomial, al, differential_variables, x, xi
+from .ring import E, Monomial, Polynomial, al, differential_variables, format_polynomial, x, xi
 
 
 def perp_graded_basis(n: int, degree: int, max_order: int) -> Span:
@@ -109,6 +121,76 @@ def _lowered(pairs: tuple, p: int, q: int) -> tuple:
 def truncated_perp_basis(n: int, h: int) -> GradedSpan:
     """Graded span of all minors of the triangular family, sizes 0..h+1."""
     return minor_span(triangular_matrix(n, h), range(h + 2))
+
+
+class SeriesRow(NamedTuple):
+    h: int
+    dimension: int
+    closed_form: int
+    match: bool
+
+
+def dimension_series(n: int, truncated) -> list[SeriesRow]:
+    """Dimensions of ``truncated_perp_basis(n, h)``, drawn for h = 0, 1, ... from
+    ``truncated``, against (n+1)^(h+1); no span is held while the next is built."""
+    rows = []
+    for h, dim in enumerate(map(attrgetter("total_dimension"), truncated)):
+        closed = (n + 1) ** (h + 1)
+        rows.append(SeriesRow(h, dim, closed, dim == closed))
+    return rows
+
+
+class ChainDims(NamedTuple):
+    """Dimensions of the three independently enumerated minor spaces."""
+
+    triangular: int
+    scaled: int
+    scaled_augmented: int
+    equal: bool
+    bijection_lands_in_scaled: bool
+    witness: str | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "triangular": self.triangular,
+            "scaled": self.scaled,
+            "scaled_augmented": self.scaled_augmented,
+            "equal": self.equal,
+            "bijection_lands_in_scaled": self.bijection_lands_in_scaled,
+        }
+
+
+def dimension_chain(n: int, h: int, tri: GradedSpan) -> ChainDims:
+    """Compare the triangular, scaled, and augmented-maximal minor dimensions.
+
+    ``tri`` is the triangular minor span ``truncated_perp_basis(n, h)``.
+    ``equal`` records whether all three match (n+1)^(h+1).  The explicit
+    substitution x^(i) -> x^(h-i)/(h-i)! is also applied to every triangular
+    basis element and checked to land in the scaled span of its degree: the
+    map keeps degree and the degree pieces share no monomials, so that is
+    landing in the whole scaled span.  On failure the witness is the first
+    triangular basis element whose image lands outside, or else the first
+    family whose dimension is off.
+    """
+    closed = (n + 1) ** (h + 1)
+    sca = minor_span(scaled_matrix(n, h), range(h + 2))
+    aug = minor_span(scaled_augmented_matrix(n, h), [h + 1])
+    dims = (tri.total_dimension, sca.total_dimension, aug.total_dimension)
+    outside = next(
+        (p for d, span in tri.spans.items() for p in span.basis_polynomials()
+         if not sca.span(d).contains(scaled_of_triangular_map(p, h))),
+        None,
+    )
+    off = [
+        f"{family}: {d} != {closed}"
+        for family, d in zip(("triangular", "scaled", "scaled_augmented"), dims)
+        if d != closed
+    ]
+    witness = off[0] if off else None
+    if outside is not None:
+        witness = f"image outside the scaled span: {format_polynomial(outside)}"
+    return ChainDims(*dims, equal=not off, bijection_lands_in_scaled=outside is None,
+                     witness=witness)
 
 
 def restriction_span(n: int, h: int, degree: int) -> Span:

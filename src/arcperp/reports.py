@@ -1,10 +1,10 @@
-"""Dimension series, the triangular/scaled dimension chain, and the
-verification driver producing reproducible reports.
+"""The verification driver producing reproducible reports.
 
 A report is a plain dict rendered to JSON; everything in it except the
 wall-clock ``elapsed_ms`` entries is deterministic for fixed inputs, and
 those can be omitted entirely (``to_dict(include_timings=False)``, CLI
-``--no-timings``) for byte-identical CI diffs.
+``--no-timings``) for byte-identical CI diffs.  The dimension series and the
+dimension chain it checks live in ``perp``, next to the triangular span.
 """
 
 from __future__ import annotations
@@ -14,102 +14,26 @@ import json
 import random
 import time
 from fractions import Fraction
-from operator import attrgetter
 from typing import NamedTuple
 
 from . import __version__
 from .arcgen import arc_generators_up_to
-from .hankel import (
-    GradedSpan,
-    iter_minors,
-    hankel_matrix,
-    minor_span,
-    scaled_augmented_matrix,
-    scaled_matrix,
-    wronskian,
-)
+from .hankel import GradedSpan, hankel_matrix, iter_minors, scaled_matrix, wronskian
 from .linalg import span_witness
 from .pairing import apply_pairing, double_derivative_vanishes
-from .perp import (
+from .perp import (  # SeriesRow and ChainDims: perfbench/tracer.py traces them here
+    ChainDims,
+    SeriesRow,
+    dimension_chain,
+    dimension_series,
     hankel_minor_intersection_span,
     is_differentially_homogeneous,
     perp_graded_basis,
     restriction_mismatch,
-    scaled_of_triangular_map,
     truncated_perp_basis,
     vanishes_on_exponential_sums,
 )
 from .ring import Monomial, Polynomial, differential_variables, format_polynomial
-
-
-class SeriesRow(NamedTuple):
-    h: int
-    dimension: int
-    closed_form: int
-    match: bool
-
-
-def dimension_series(n: int, truncated) -> list[SeriesRow]:
-    """Dimensions of ``truncated_perp_basis(n, h)``, drawn for h = 0, 1, ... from
-    ``truncated``, against (n+1)^(h+1); no span is held while the next is built."""
-    rows = []
-    for h, dim in enumerate(map(attrgetter("total_dimension"), truncated)):
-        closed = (n + 1) ** (h + 1)
-        rows.append(SeriesRow(h, dim, closed, dim == closed))
-    return rows
-
-
-class ChainDims(NamedTuple):
-    """Dimensions of the three independently enumerated minor spaces."""
-
-    triangular: int
-    scaled: int
-    scaled_augmented: int
-    equal: bool
-    bijection_lands_in_scaled: bool
-    witness: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "triangular": self.triangular,
-            "scaled": self.scaled,
-            "scaled_augmented": self.scaled_augmented,
-            "equal": self.equal,
-            "bijection_lands_in_scaled": self.bijection_lands_in_scaled,
-        }
-
-
-def dimension_chain(n: int, h: int, tri: GradedSpan) -> ChainDims:
-    """Compare the triangular, scaled, and augmented-maximal minor dimensions.
-
-    ``tri`` is the triangular minor span ``truncated_perp_basis(n, h)``.
-    ``equal`` records whether all three match (n+1)^(h+1).  The explicit
-    substitution x^(i) -> x^(h-i)/(h-i)! is also applied to every triangular
-    basis element and checked to land in the scaled span of its degree: the
-    map keeps degree and the degree pieces share no monomials, so that is
-    landing in the whole scaled span.  On failure the witness is the first
-    triangular basis element whose image lands outside, or else the first
-    family whose dimension is off.
-    """
-    closed = (n + 1) ** (h + 1)
-    sca = minor_span(scaled_matrix(n, h), range(h + 2))
-    aug = minor_span(scaled_augmented_matrix(n, h), [h + 1])
-    dims = (tri.total_dimension, sca.total_dimension, aug.total_dimension)
-    outside = next(
-        (p for d, span in tri.spans.items() for p in span.basis_polynomials()
-         if not sca.span(d).contains(scaled_of_triangular_map(p, h))),
-        None,
-    )
-    off = [
-        f"{family}: {d} != {closed}"
-        for family, d in zip(("triangular", "scaled", "scaled_augmented"), dims)
-        if d != closed
-    ]
-    witness = off[0] if off else None
-    if outside is not None:
-        witness = f"image outside the scaled span: {format_polynomial(outside)}"
-    return ChainDims(*dims, equal=not off, bijection_lands_in_scaled=outside is None,
-                     witness=witness)
 
 
 # -- the verification driver ---------------------------------------------------
@@ -441,9 +365,10 @@ def _property_samples(n: int, max_order: int, seed: int, count: int):
         r = _random_polynomial(rng, variables)
         if (p + q) * r != p * r + q * r:
             return False, {"sample": i}, "distributivity"
-        if (p * q).derivative() != p.derivative() * q + p * q.derivative():
+        pq = p * q
+        if pq.derivative() != p.derivative() * q + p * q.derivative():
             return False, {"sample": i}, "leibniz"
-        if apply_pairing(p * q, r) != apply_pairing(p, apply_pairing(q, r)):
+        if apply_pairing(pq, r) != apply_pairing(p, apply_pairing(q, r)):
             return False, {"sample": i}, "pairing composition"
         fs = [_random_polynomial(rng, first_order) for _ in range(2)]
         if wronskian(fs) != -wronskian(list(reversed(fs))):

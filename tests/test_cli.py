@@ -3,14 +3,17 @@ import importlib
 import inspect
 import io
 import json
+import os
 import pkgutil
+import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import arcperp
-from arcperp import cli
+from arcperp import reports
 from arcperp.cli import main
 
 
@@ -288,8 +291,10 @@ class TestGlobalFlags:
         assert not (tmp_path / "missing").exists()
 
     def test_unwritable_out_fails_before_the_work(self, capsys, monkeypatch, tmp_path):
+        # The verify command reads reports.run_verification when it runs, so
+        # the stub stands in for the work it would start.
         calls = []
-        monkeypatch.setattr(cli, "run_verification", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(reports, "run_verification", lambda *a, **k: calls.append(a))
         path = tmp_path / "missing" / "x"
         code, out, err = run(capsys, "verify", "--n", "3", "--h", "3", "--out", str(path))
         assert (code, out) == (2, "")
@@ -387,3 +392,47 @@ class TestReachability:
                     sys.setprofile(None)
         never = {name for code, name in _public_code().items() if code not in called}
         assert never == NEVER_CALLED_BY_A_COMMAND
+
+
+# Modules that only the kernel side and the verification driver need.
+NOT_ON_THE_MINOR_SIDE = {"arcperp.reports", "arcperp.pairing", "arcperp.arcgen", "random"}
+
+
+def _fresh_run(*args):
+    """Exit code, stdout and the set of modules a fresh interpreter imported
+    running ``args``.  ``-S`` leaves out the site hooks, so sys.modules starts
+    clean and every module listed by ``-X importtime`` was loaded by the run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(arcperp.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    loaded = set(re.findall(r"^import time:\s+\d+ \|\s+\d+ \| +(\S+)$", proc.stderr, re.M))
+    return proc.returncode, proc.stdout, loaded
+
+
+class TestEntryPointImports:
+    """What each command loads through the real ``python -m arcperp.cli``."""
+
+    def test_importing_the_cli_loads_no_other_module(self):
+        code, _, loaded = _fresh_run("-c", "import arcperp.cli")
+        assert code == 0
+        assert {m for m in loaded if m.startswith("arcperp")} == {"arcperp", "arcperp.cli"}
+
+    @pytest.mark.parametrize(
+        "argv", [["series", "--n", "1", "--h-max", "2"], ["dims-chain", "--n", "1", "--h", "1"]]
+    )
+    def test_minor_side_commands_never_load_the_kernel_side(self, argv):
+        code, out, loaded = _fresh_run("-m", "arcperp.cli", *argv, "--json")
+        assert code == 0
+        assert json.loads(out)
+        assert {"arcperp.perp", "arcperp.hankel", "arcperp.linalg", "arcperp.ring"} <= loaded
+        assert loaded & NOT_ON_THE_MINOR_SIDE == set()
+
+    def test_verify_loads_every_module(self):
+        code, out, loaded = _fresh_run(
+            "-m", "arcperp.cli", "verify", "--n", "1", "--h", "1", "--json", "--no-timings"
+        )
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        assert NOT_ON_THE_MINOR_SIDE <= loaded

@@ -389,6 +389,60 @@ class TestMinorSpan:
         keys = [(size, rows, cols) for size, rows, cols, _ in listing]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("n,h", [(1, 7), (2, 2)])
+    def test_dimensions_decode_no_key(self, monkeypatch, n, h):
+        # Reading dimensions decodes nothing; reading the bases decodes each
+        # distinct key once, and reading positions then decodes no more.
+        decoded = []
+        real = hankel._decode
+
+        def counting(key, *layout):
+            decoded.append(key)
+            return real(key, *layout)
+
+        monkeypatch.setattr(hankel, "_decode", counting)
+        graded = minor_span(triangular_matrix(n, h), range(h + 2))
+        assert graded.total_dimension == (n + 1) ** (h + 1)
+        assert decoded == []
+        keys = [k for span in graded.spans.values() for k in span.index.keys]
+        for span in graded.spans.values():
+            span.basis_polynomials()
+            span.index.position
+        assert len(set(keys)) == len(keys)
+        assert sorted(decoded) == sorted(keys)
+
+
+def _key_order_is_monomial_order(m: SymbolicMatrix) -> None:
+    """Sorting the packed keys of every entry and minor of m as integers
+    sorts their monomials in descending ``Monomial.order_key`` order."""
+    packed = PackedMatrix(m)
+    keys = {k for row in packed.entries for entry in row for k in entry}
+    for s in range(1, min(m.rows, m.cols) + 1):
+        for rows in itertools.combinations(range(m.rows), s):
+            for cols in itertools.combinations(range(m.cols), s):
+                keys.update(packed.det(rows, cols))
+    monomials = [packed._monomial(k) for k in keys]
+    assert [packed._monomial(k) for k in sorted(keys, reverse=True)] == sorted(
+        monomials, key=Monomial.order_key, reverse=True
+    )
+
+
+class TestKeyOrder:
+    """Within a matrix, integer order of packed keys is graded-lex order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rectangular_matrices())
+    @example([[P("x1_0*x2_0"), P("x1_1^2"), P("E1*y_0^2")], [P("x1_1*al1_1"), P("xi1^3"), P("1")]])
+    def test_random_entries(self, rows):
+        _key_order_is_monomial_order(SymbolicMatrix.from_rows(rows))
+
+    @pytest.mark.parametrize(
+        "family,n,h,k",
+        [("T", 2, 3, None), ("S", 3, 2, None), ("S1", 2, 3, None), ("H", 2, 3, 2), ("T", 1, 6, None)],
+    )
+    def test_families(self, family, n, h, k):
+        _key_order_is_monomial_order(build_matrix(family, n, h, k))
+
 
 class TestStructuralInvariants:
     @pytest.mark.parametrize("n,h,k", [(1, 2, 2), (2, 2, 1)])

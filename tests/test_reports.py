@@ -158,9 +158,10 @@ def _drop_from_truncated(monkeypatch, order):
 
 
 def _drop_top_element(monkeypatch, matrix):
-    """Make ``reports.minor_span`` lose the first basis element of the top
-    degree when it spans the minors of ``matrix``; returns the dropped list."""
-    real = reports.minor_span
+    """Make ``perp.minor_span``, which the dimension chain calls, lose the
+    first basis element of the top degree when it spans the minors of
+    ``matrix``; returns the dropped list."""
+    real = perp.minor_span
     dropped = []
 
     def lossy(m, sizes):
@@ -174,7 +175,7 @@ def _drop_top_element(monkeypatch, matrix):
         spans[top] = Span.from_polynomials(basis[1:], spans[top].index)
         return GradedSpan(spans)
 
-    monkeypatch.setattr(reports, "minor_span", lossy)
+    monkeypatch.setattr(perp, "minor_span", lossy)
     return dropped
 
 
