@@ -17,16 +17,18 @@ monomial product is one addition, and integer order is monomial order) and
 each row cleared of denominators, and expanded over ``int`` along the last
 chosen row with a memo on (row, column) subsets, so the exponentially many
 minors of one matrix share their subproblems.  Its users here are
-``wronskian`` (one full determinant) and ``iter_minors`` (every minor of the
-given sizes), which read values as ``Polynomial``, and ``minor_span``, which
-expands only the minors on the top rows: in T, S and S1 each row is the
-block shift of the one above, so every other minor is a constant
-combination of those (the proof is in its docstring).  The subproblems of a
-top-row minor are the top-row minors one size down, and ``minor_span``
-builds its spans from the packed values, with no ``Polynomial`` per minor,
-and decodes their keys into monomials only when a caller reads a basis
-rather than a dimension.  ``perp`` reads the maximal Hankel minors as
-``Polynomial`` values.
+``wronskian`` (one full determinant, the tests' reference) and
+``iter_minors`` (every minor of the given sizes), which read values as
+``Polynomial``, and ``minor_span``, which expands only the minors on the top
+rows: in T, S and S1 each row is the block shift of the one above, so every
+other minor is a constant combination of those (the proof is in its
+docstring).  The subproblems of a top-row minor are the top-row minors one
+size down, and ``minor_span`` builds its spans from the packed values, with
+no ``Polynomial`` per minor, and decodes their keys into monomials only when
+a caller reads a basis rather than a dimension.  ``perp`` reads the maximal
+Hankel minors as ``Polynomial`` values, and the sampled Wronskian law of
+``reports`` packs all its pairs once, side by side in one two-row matrix,
+and reads each pair's Wronskian as a 2x2 minor.
 """
 
 from __future__ import annotations

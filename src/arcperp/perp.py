@@ -5,9 +5,9 @@ degree-d polynomials in derivative orders <= H annihilated by every arc
 generator.  Annihilation by the degree-2 generators alone characterizes the
 space: a monomial multiple m*g acts as m acting after g, so the generator
 constraints propagate to the whole ideal.  Every generator is
-weight-homogeneous, so the kernel side scans the candidates of each (degree,
-weight) block itself and solves the blocks one at a time; every ``Span``
-returned here indexes its own support, with no ambient index.
+weight-homogeneous, so the kernel side enumerates the monomials of each
+(degree, weight) block itself and solves the blocks one at a time; every
+``Span`` returned here indexes its own support, with no ambient index.
 
 The other entry points build what ``reports.run_verification`` compares
 with it on concrete instances: the independently computed Hankel-minor
@@ -23,7 +23,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
@@ -38,7 +37,9 @@ from .hankel import (
     triangular_matrix,
 )
 from .linalg import MonomialIndex, Span, nullspace, reduced_echelon, span_witness
-from .ring import E, Monomial, Polynomial, al, differential_variables, format_polynomial, x, xi
+from .ring import (
+    E, Monomial, Polynomial, _sorted_monomial, al, differential_variables, format_polynomial, x, xi,
+)
 
 
 def perp_graded_basis(n: int, degree: int, max_order: int) -> Span:
@@ -60,16 +61,34 @@ def _kernel_up_to_weight(n: int, degree: int, max_order: int, max_weight: int) -
 
     Weight classes never interact: a weight-l generator maps weight-w
     candidates into weight-(w-l) monomials, so each block is solved alone.
-    Candidates are scanned as multisets of variables, and a monomial is built
-    only for a kept one.
     """
     by_weight: dict[int, list[Monomial]] = {}
-    variables = differential_variables(n, max_order)
-    for combo in itertools.combinations_with_replacement(variables, degree):
-        w = sum(v.j for v in combo)
-        if w <= max_weight:
-            by_weight.setdefault(w, []).append(Monomial(Counter(combo).items()))
+    for w, m in _monomials_up_to_weight(n, degree, max_order, max_weight):
+        by_weight.setdefault(w, []).append(m)
     return [p for _, block in sorted(by_weight.items()) for p in _weight_block_kernel(block)]
+
+
+def _monomials_up_to_weight(n: int, degree: int, max_order: int, max_weight: int) -> list:
+    """(weight, monomial) for each degree-d monomial of orders <= max_order and
+    weight <= max_weight, in ``combinations_with_replacement`` order over
+    ``differential_variables``: a walk over the variables, each exponent from
+    the largest the remaining degree and weight allow down to 0, that enters a
+    variable only if the remaining degree fits the weight at its lightest."""
+    variables = differential_variables(n, max_order)
+    lightest = [min(v.j for v in variables[k:]) for k in range(len(variables))]
+    found = []
+
+    def walk(k: int, left: int, budget: int, pairs: tuple) -> None:
+        if not left:
+            found.append((max_weight - budget, _sorted_monomial(pairs, degree)))
+        elif k < len(variables) and left * lightest[k] <= budget:
+            v = variables[k]
+            for e in range(min(left, budget // v.j) if v.j else left, 0, -1):
+                walk(k + 1, left - e, budget - e * v.j, (*pairs, (v, e)))
+            walk(k + 1, left, budget, pairs)
+
+    walk(0, degree, max_weight, ())
+    return found
 
 
 def _weight_block_kernel(monomials: list[Monomial]) -> list[Polynomial]:
@@ -202,7 +221,7 @@ def restriction_span(n: int, h: int, degree: int) -> Span:
     blocks of weight w <= H are the same at every order bound H >= w.  A
     degree-d monomial with all orders <= h has weight <= d*h, so only the
     blocks of weight <= d*h restrict to nonzero polynomials.  Those are
-    solved once, at order d*h, scanning only the candidates of weight <= d*h,
+    solved once, at order d*h, enumerating only the monomials of weight <= d*h,
     and the span indexes the support of the restrictions.
     """
     if degree < 0 or h < 0 or n < 1:

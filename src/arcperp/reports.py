@@ -18,7 +18,9 @@ from typing import NamedTuple
 
 from . import __version__
 from .arcgen import arc_generators_up_to
-from .hankel import GradedSpan, hankel_matrix, iter_minors, scaled_matrix, wronskian
+from .hankel import (
+    GradedSpan, PackedMatrix, SymbolicMatrix, hankel_matrix, iter_minors, scaled_matrix,
+)
 from .linalg import span_witness
 from .pairing import apply_pairing, double_derivative_vanishes
 from .perp import (  # SeriesRow and ChainDims: perfbench/tracer.py traces them here
@@ -355,14 +357,24 @@ def _random_polynomial(rng: random.Random, variables: list) -> Polynomial:
 
 
 def _property_samples(n: int, max_order: int, seed: int, count: int):
-    """Seeded spot checks of the algebra laws used everywhere else."""
+    """Seeded spot checks of the algebra laws used everywhere else.
+
+    Every sample is drawn first, in the order of a sample-by-sample loop (p,
+    q, r, then the pair f, g).  W(f, g) = -W(g, f) is read off one
+    ``PackedMatrix`` whose rows are every f_i, g_i side by side and their
+    derivatives: the minors on columns (2i, 2i+1) and (2i+1, 2i), under one
+    row scale.  The laws run sample by sample in the order below, and the
+    first failure is returned.
+    """
     rng = random.Random(seed)
     variables = differential_variables(n, max_order)
     first_order = differential_variables(n, 1)
-    for i in range(count):
-        p = _random_polynomial(rng, variables)
-        q = _random_polynomial(rng, variables)
-        r = _random_polynomial(rng, variables)
+    samples, pairs = [], []
+    for _ in range(count):
+        samples.append([_random_polynomial(rng, variables) for _ in range(3)])
+        pairs += (_random_polynomial(rng, first_order) for _ in range(2))
+    packed = PackedMatrix(SymbolicMatrix.from_rows([pairs, [f.derivative() for f in pairs]]))
+    for i, (p, q, r) in enumerate(samples):
         if (p + q) * r != p * r + q * r:
             return False, {"sample": i}, "distributivity"
         pq = p * q
@@ -370,7 +382,7 @@ def _property_samples(n: int, max_order: int, seed: int, count: int):
             return False, {"sample": i}, "leibniz"
         if apply_pairing(pq, r) != apply_pairing(p, apply_pairing(q, r)):
             return False, {"sample": i}, "pairing composition"
-        fs = [_random_polynomial(rng, first_order) for _ in range(2)]
-        if wronskian(fs) != -wronskian(list(reversed(fs))):
+        swapped = packed.det((0, 1), (2 * i + 1, 2 * i))
+        if packed.det((0, 1), (2 * i, 2 * i + 1)) != {k: -c for k, c in swapped.items()}:
             return False, {"sample": i}, "wronskian alternation"
     return True, {"samples": count}, None

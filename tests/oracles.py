@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from arcperp.pairing import apply_pairing, directional_derivative
-from arcperp.ring import E, Monomial, Polynomial, al, x, xi, y
+from arcperp.ring import E, Monomial, Polynomial, al, differential_variables, x, xi, y
 
 
 def diff_wrt(p: Polynomial, v) -> Polynomial:
@@ -141,6 +142,20 @@ def graded_monomials(n: int, degree: int, max_order: int) -> list[Monomial]:
     return [
         Monomial(zip(variables, exponents)) for exponents in compositions(0, degree)
     ]
+
+
+def weight_bounded_scan(n: int, degree: int, max_order: int, max_weight: int) -> list:
+    """(weight, monomial) for every degree-d multiset of the variables of
+    orders <= max_order, as ``combinations_with_replacement`` lists them, kept
+    when its weight is at most max_weight: the full scan that the kernel
+    side's direct enumeration replaces."""
+    found = []
+    variables = differential_variables(n, max_order)
+    for combo in itertools.combinations_with_replacement(variables, degree):
+        w = sum(v.j for v in combo)
+        if w <= max_weight:
+            found.append((w, Monomial(Counter(combo).items())))
+    return found
 
 
 def order_oracle_variables(n: int, max_order: int, groups: int) -> list:

@@ -318,9 +318,11 @@ class TestGlobalFlags:
 
 
 # Public functions and methods that no subcommand calls, with the reason each
-# stays: the dense matrix class is named by the benchmark's tracer, and the
-# Polynomial readers and builder are how tests build inputs and read results.
+# stays: the dense matrix class is named by the benchmark's tracer, the
+# Polynomial readers and builder are how tests build inputs and read results,
+# and ``wronskian`` is the tests' reference Wronskian, one packing per call.
 NEVER_CALLED_BY_A_COMMAND = {
+    "hankel.wronskian",
     "linalg.RationalMatrix.identity",
     "linalg.RationalMatrix.kernel_basis",
     "linalg.RationalMatrix.multiply_vector",

@@ -27,6 +27,7 @@ from oracles import (
     linear_in_exponential_shift,
     pairing_oracle,
     substitute_oracle,
+    weight_bounded_scan,
 )
 
 P = parse
@@ -225,6 +226,20 @@ class TestWeightBlocks:
                 restriction_span(n, h, degree)
                 got = [sorted(b, key=Monomial.order_key) for b in blocks]
                 assert got == self._oracle_blocks(n, degree, degree * h, degree * h)
+
+
+class TestBoundedWeightMonomials:
+    """The direct enumeration yields the full scan's kept monomials, with
+    their weights, in the scan's order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_same_as_the_full_scan(self, n):
+        for degree in range(5):
+            for order in range(6):
+                for max_weight in range(degree * order + 1):
+                    got = perp._monomials_up_to_weight(n, degree, order, max_weight)
+                    assert got == weight_bounded_scan(n, degree, order, max_weight)
+                    assert all(m.degree == degree for _, m in got)
 
 
 class TestSpanEquality:

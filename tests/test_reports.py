@@ -359,6 +359,31 @@ class TestBuildCounts:
         built = {orders[m]: count for m, count in packed.items() if m in orders}
         assert built == dict.fromkeys(range(top + 1), 1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_wronskians_share_one_packing(self, monkeypatch, seed):
+        # Every pair's Wronskian is a minor of one packed matrix, and each
+        # equals the Wronskian of that sample's pair packed on its own.
+        packings, draws = [], []
+        real_init, real_draw = hankel.PackedMatrix.__init__, reports._random_polynomial
+
+        def counting_init(self, m):
+            packings.append(self)
+            real_init(self, m)
+
+        def recorded_draw(rng, variables):
+            draws.append(real_draw(rng, variables))
+            return draws[-1]
+
+        monkeypatch.setattr(hankel.PackedMatrix, "__init__", counting_init)
+        monkeypatch.setattr(reports, "_random_polynomial", recorded_draw)
+        assert reports._property_samples(2, 2, seed, 60) == (True, {"samples": 60}, None)
+        (packed,) = packings
+        assert len(draws) == 5 * 60
+        monkeypatch.undo()
+        for i in range(60):
+            f, g = draws[5 * i + 3 : 5 * i + 5]  # p, q, r, then the pair
+            assert packed.value((0, 1), (2 * i, 2 * i + 1)) == hankel.wronskian([f, g])
+
 
 class TestPointwiseNegativeControls:
     """The checks that test single polynomials fail naming a witness when fed
@@ -416,16 +441,55 @@ class TestPointwiseNegativeControls:
         }
 
     def test_broken_wronskian_law(self, monkeypatch):
-        # A Wronskian that ignores the order of its arguments is symmetric,
-        # not alternating.
-        real = reports.wronskian
-        monkeypatch.setattr(
-            reports, "wronskian", lambda fs: real(sorted(fs, key=format_polynomial))
-        )
+        # A determinant that sorts its columns first is symmetric, not
+        # alternating; every caller that passes sorted columns reads the same.
+        real = hankel.PackedMatrix.det
+
+        def symmetric(self, rows, cols):
+            return real(self, rows, tuple(sorted(cols)))
+
+        monkeypatch.setattr(hankel.PackedMatrix, "det", symmetric)
         report = run_verification(1, 1)
         (check,) = _failed(report)
         assert check.name == "randomized_property_samples"
         assert check.witness == "wronskian alternation"
+
+
+def _dropping_first_term(p):
+    return Polynomial(dict(list(p.terms.items())[1:]))
+
+
+class TestSampledLawNegativeControls:
+    """Each sampled algebra law fails, naming itself and its sample, when the
+    operation it checks is broken."""
+
+    def test_addition_dropping_a_term_of_its_right_operand(self, monkeypatch):
+        real = Polynomial.__add__
+        monkeypatch.setattr(
+            Polynomial, "__add__", lambda self, other: real(self, _dropping_first_term(other))
+        )
+        assert reports._property_samples(2, 2, 0, 60) == (False, {"sample": 0}, "distributivity")
+
+    def test_derivative_dropping_a_term(self, monkeypatch):
+        real = Polynomial.derivative
+        monkeypatch.setattr(
+            Polynomial, "derivative", lambda self, times=1: _dropping_first_term(real(self, times))
+        )
+        assert reports._property_samples(2, 2, 0, 60) == (False, {"sample": 0}, "leibniz")
+
+    def test_pairing_doubling_operators_of_degree_two_and_up(self, monkeypatch):
+        real = reports.apply_pairing
+
+        def doubled(f, p):
+            image = real(f, p)
+            return image * 2 if f.total_degree() >= 2 else image
+
+        monkeypatch.setattr(reports, "apply_pairing", doubled)
+        assert reports._property_samples(2, 2, 0, 60) == (
+            False,
+            {"sample": 0},
+            "pairing composition",
+        )
 
 
 class TestUpstreamNegativeControls:
