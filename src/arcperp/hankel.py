@@ -25,10 +25,10 @@ other minor is a constant combination of those (the proof is in its
 docstring).  The subproblems of a top-row minor are the top-row minors one
 size down, and ``minor_span`` builds its spans from the packed values, with
 no ``Polynomial`` per minor, and decodes their keys into monomials only when
-a caller reads a basis rather than a dimension.  ``perp`` reads the maximal
-Hankel minors as ``Polynomial`` values, and the sampled Wronskian law of
-``reports`` packs all its pairs once, side by side in one two-row matrix,
-and reads each pair's Wronskian as a 2x2 minor.
+a caller reads a basis rather than a dimension.  ``perp`` reads the span of
+the maximal minors of one Hankel block from ``minor_span``, and the sampled
+Wronskian law of ``reports`` packs all its pairs once, side by side in one
+two-row matrix, and reads each pair's Wronskian as a 2x2 minor.
 """
 
 from __future__ import annotations
@@ -345,9 +345,10 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     """Reduced span of the minors of the given sizes, grouped by degree.
 
     For each size s only the minors on rows 0..s-1 are expanded, over every
-    column s-subset.  That is exact because m must be shift-structured: row r
-    is vS^r, v = row 0, for the constant shift S: e_c -> e_(c+1) inside each
-    block of ``rows`` columns, a block's last column going to 0.  The minors on
+    column s-subset.  For s = rows those are all the minors; for a smaller s
+    that is exact because m must then be shift-structured: row r is vS^r,
+    v = row 0, for the constant shift S: e_c -> e_(c+1) inside each block of
+    ``rows`` columns, a block's last column going to 0.  The minors on
     rows r_1 < ... < r_s are the Pluecker coordinates of vS^(r_1) ^ ... ^
     vS^(r_s), which is 1/s! times the alternant a_(lambda+delta)(S_1, ...,
     S_s), lambda+delta = (r_s, ..., r_1), applied to v (x) ... (x) v, with S_i
@@ -356,8 +357,10 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     s_lambda(S_1, ..., S_s), a constant matrix on the s-th exterior power,
     applied to +-(v ^ vS ^ ... ^ vS^(s-1)): every size-s minor is a constant
     combination of those on rows 0..s-1.  T, S and S1 are shift-structured
-    (block size h+1 = rows); any other matrix raises ``ValueError``.  Size 0
-    gives the constant 1; zero minors are dropped before the reduction.
+    (block size h+1 = rows); for any other matrix a size below the row
+    count raises ``ValueError``, while a request for size ``rows`` alone, as
+    of the maximal Hankel minors, is not checked.  Size 0 gives the constant
+    1; zero minors are dropped before the reduction.
 
     The spans are built from the packed values, with no ``Polynomial`` per
     minor: the minors are grouped by degree (that of their highest term, the
@@ -368,14 +371,16 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     decode nothing.  A row is a minor times its rows' scales, which leaves
     the reduced row-echelon form as it is.
     """
+    sizes = sorted(sizes)
     e = m.entries
-    for r in range(1, m.rows):
-        for c in range(m.cols):
-            if e[r][c] != (e[r - 1][c - 1] if c % m.rows else ZERO):
-                raise ValueError(f"minor_span needs a shift-structured matrix: entry ({r}, {c})")
+    if any(s < m.rows for s in sizes):
+        for r in range(1, m.rows):
+            for c in range(m.cols):
+                if e[r][c] != (e[r - 1][c - 1] if c % m.rows else ZERO):
+                    raise ValueError(f"minor_span needs a shift-structured matrix: entry ({r}, {c})")
     packed = PackedMatrix(m)
     by_degree: dict[int, list[dict[int, int]]] = {}
-    for s in sorted(sizes):
+    for s in sizes:
         if 0 <= s <= min(m.rows, m.cols):
             rows = tuple(range(s))
             for cols in itertools.combinations(range(m.cols), s):

@@ -21,7 +21,6 @@ commands print, read only the minor side: nothing here reaches the pairing.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from fractions import Fraction
 from operator import attrgetter
@@ -29,14 +28,13 @@ from typing import NamedTuple
 
 from .hankel import (
     GradedSpan,
-    PackedMatrix,
     hankel_matrix,
     minor_span,
     scaled_augmented_matrix,
     scaled_matrix,
     triangular_matrix,
 )
-from .linalg import MonomialIndex, Span, nullspace, reduced_echelon, span_witness
+from .linalg import Span, nullspace, span_witness
 from .ring import (
     E, Monomial, Polynomial, _sorted_monomial, al, differential_variables, format_polynomial, x, xi,
 )
@@ -235,52 +233,23 @@ def restriction_span(n: int, h: int, degree: int) -> Span:
 
 
 def hankel_minor_intersection_span(n: int, degree: int, max_order: int) -> Span:
-    """Span of the degree-d variable Wronskians, intersected with orders <= H.
+    """Span of the Wronskians of d distinct derivative variables of orders
+    <= H-d+1, the degree-d part of the inverse system cut to orders <= H.
 
-    The Wronskian of d distinct derivative variables is exactly the maximal
-    minor of the d-row Hankel block picking those columns, so the span is
-    enumerated as maximal minors.  Each one is weight-homogeneous with weight
-    d(d-1)/2 + sum of the chosen column offsets; minors of weight above d*H
-    cannot meet the order <= H subspace, and every admissible one uses
-    offsets at most d*H - d(d-1)/2.  The block with that offset bound is
-    therefore an exact finite certificate, no stabilization needed.  At
-    degree 0 the block is empty and its one minor, of size 0, is 1.  The
-    span indexes the support of the intersection.
+    The Wronskian of d distinct variables is the maximal minor of the d-row
+    Hankel block picking those columns, so the span is that of the maximal
+    minors of ``hankel_matrix(n, d, H-d+1)``, every entry of which has order
+    <= H; it has dimension C(n(H-d+2), d) and is empty when d > H+1.  At
+    degree 0 the block has no rows and its one minor, of size 0, is 1.
+
+    Compared with the kernel, this certifies on each instance that the
+    kernel cut to orders <= H is the span of these low Wronskians.  That it
+    is also the span of all Wronskians cut to orders <= H was measured
+    (n <= 3, d <= 5, d*H <= 20), not proven.
     """
-    base_weight = degree * (degree - 1) // 2
-    max_offset = max(degree * max_order - base_weight, 0)
-    matrix = hankel_matrix(n, degree, max_offset)
-    packed = PackedMatrix(matrix)
-    rows = tuple(range(degree))
-    minors = (
-        packed.value(rows, cols)
-        for cols in itertools.combinations(range(matrix.cols), degree)
-        if base_weight + sum(c // n for c in cols) <= degree * max_order
-    )
-    values = [value for value in minors if not value.is_zero]
-    return Span.from_polynomials(_intersect_with_order_bound(values, max_order))
-
-
-def _intersect_with_order_bound(polys: list[Polynomial], max_order: int) -> list[Polynomial]:
-    """Basis of span(polys) intersected with the span of order <= H monomials.
-
-    Reduces with the monomials of order above H as the leading columns.  A
-    reduced row pivoting on a low-order monomial is zero on every high-order
-    one; a vector of the span that is zero on the high-order monomials has
-    coefficient zero on each row pivoting there, so the former rows are a
-    basis of the intersection.
-    """
-    columns = sorted(MonomialIndex.spanning(polys), key=lambda m: m.max_order() <= max_order)
-    position = {m: c for c, m in enumerate(columns)}
-    high = sum(1 for m in columns if m.max_order() > max_order)
-    reduced, pivots = reduced_echelon(
-        {position[m]: c for m, c in p.terms.items()} for p in polys
-    )
-    return [
-        Polynomial({columns[c]: e for c, e in row.items()})
-        for row, pivot in zip(reduced, pivots)
-        if pivot >= high
-    ]
+    if degree > max_order + 1:
+        return Span.from_polynomials(())
+    return minor_span(hankel_matrix(n, degree, max_order - degree + 1), [degree]).span(degree)
 
 
 # -- elimination / truncation certificate -------------------------------------

@@ -161,10 +161,6 @@ class Monomial:
         out += a[i:] or b[j:]
         return _sorted_monomial(tuple(out), self.degree + other.degree)
 
-    def max_order(self) -> int:
-        """Largest derivative order among differential variables; -1 if none."""
-        return max((v.j for v, _ in self.pairs if v.kind == "x"), default=-1)
-
     def has_order_above(self, h: int) -> bool:
         return any(v.kind == "x" and v.j > h for v, _ in self.pairs)
 
@@ -263,7 +259,7 @@ class Polynomial:
 
     def max_order(self) -> int:
         """Largest derivative order of any differential variable; -1 if none."""
-        return max((m.max_order() for m in self.terms), default=-1)
+        return max((v.j for m in self.terms for v, _ in m.pairs if v.kind == "x"), default=-1)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -159,6 +159,9 @@ class TestReportGoldens:
             # order 3 in the homogeneity check.
             ("verify_n3_h2.json", ["verify", "--n", "3", "--h", "2", "--no-timings"]),
             ("verify_n2_h3.json", ["verify", "--n", "2", "--h", "3", "--no-timings"]),
+            # The target instance: recorded from the order-bound intersection
+            # of all Wronskians.
+            ("verify_n3_h3.json", ["verify", "--n", "3", "--h", "3", "--no-timings"]),
         ],
     )
     def test_json_matches_golden(self, capsys, golden, argv):

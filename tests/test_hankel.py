@@ -285,15 +285,22 @@ class TestMinorSpan:
         assert all({m.degree for m in p.terms} == {2} for p in span.basis_polynomials())
 
     # The top-row span against the span of every minor, degree by degree.
+    # The maximal minors of a Hankel block are all on its top rows, so it
+    # needs no shift structure; h = 0 gives the constant 1, k+1 < h nothing.
     @pytest.mark.parametrize(
-        "family,n,h",
-        [("T", n, h) for n, h in [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]]
-        + [("S", n, h) for n, h in [(1, 4), (1, 5), (2, 3), (2, 4), (3, 3)]]
-        + [("S1", 1, 3), ("S1", 2, 2)],
+        "family,n,h,k",
+        [
+            pytest.param(family, n, h, None, id=f"{family}-{n}-{h}")
+            for family, n, h in
+            [("T", n, h) for n, h in [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]]
+            + [("S", n, h) for n, h in [(1, 4), (1, 5), (2, 3), (2, 4), (3, 3)]]
+            + [("S1", 1, 3), ("S1", 2, 2)]
+        ]
+        + [("H", n, h, k) for n, h, k in [(1, 2, 3), (1, 3, 1), (2, 2, 2), (2, 3, 1), (3, 3, 1), (2, 0, 2), (1, 3, 0)]],
     )
-    def test_top_rows_span_every_minor(self, family, n, h):
-        m = build_matrix(family, n, h)
-        sizes = [h + 1] if family == "S1" else range(h + 2)
+    def test_top_rows_span_every_minor(self, family, n, h, k):
+        m = build_matrix(family, n, h, k)
+        sizes = [h + 1] if family == "S1" else [h] if family == "H" else range(h + 2)
         full = GradedSpan.from_polynomials(value for _, _, _, value in iter_minors(m, sizes))
         top = minor_span(m, sizes)
         assert top.graded_dimensions == full.graded_dimensions

@@ -243,13 +243,21 @@ class TestBoundedWeightMonomials:
 
 
 class TestSpanEquality:
-    @pytest.mark.parametrize("n,d,J", [(1, 2, 3), (1, 1, 2), (2, 2, 2)])
+    # The kernel is the span of the Wronskians of d distinct variables of
+    # orders <= J-d+1, of dimension C(n(J-d+2), d); empty when d > J+1.
+    @pytest.mark.parametrize(
+        "n,d,J", [(1, 2, 3), (1, 1, 2), (2, 2, 2), (3, 2, 2), (3, 3, 2), (2, 3, 1), (3, 2, 0)]
+    )
     def test_examples(self, n, d, J):
-        assert perp_graded_basis(n, d, J) == hankel_minor_intersection_span(n, d, J)
+        kernel = perp_graded_basis(n, d, J)
+        assert kernel == hankel_minor_intersection_span(n, d, J)
+        assert kernel.dimension == math.comb(max(n * (J - d + 2), 0), d)
 
-    @pytest.mark.parametrize("n,d,J", [(1, 2, 4), (2, 1, 4)])
+    @pytest.mark.parametrize("n,d,J", [(1, 2, 4), (2, 1, 4), (3, 1, 4), (1, 4, 2)])
     def test_higher_order_samples(self, n, d, J):
-        assert perp_graded_basis(n, d, J) == hankel_minor_intersection_span(n, d, J)
+        kernel = perp_graded_basis(n, d, J)
+        assert kernel == hankel_minor_intersection_span(n, d, J)
+        assert kernel.dimension == math.comb(max(n * (J - d + 2), 0), d)
 
     def test_degree_one_is_all_linear_forms(self):
         side = hankel_minor_intersection_span(1, 1, 2)
@@ -260,8 +268,9 @@ class TestSpanEquality:
         assert [str(p) for p in side.basis_polynomials()] == ["1"]
 
     def test_intersection_really_cuts(self):
-        # of the four low minors of the 2-row block, only the square-free
-        # Wronskian survives the order <= 2 cut
+        # The order <= 2 cut leaves one Wronskian, W(x1_0, x1_1), the single
+        # maximal minor of hankel_matrix(1, 2, 1); the next one,
+        # W(x1_0, x1_2) = x1_0*x1_3 - x1_1*x1_2, already reaches order 3.
         side = hankel_minor_intersection_span(1, 2, 2)
         assert [str(p) for p in side.basis_polynomials()] == [WRONSKIAN_2]
 

@@ -201,6 +201,21 @@ class TestNegativeControls:
         assert check.name == "kernel_equals_hankel_minor_span"
         assert check.witness == f"degree 1: {format_polynomial(dropped[0])}"
 
+    @pytest.mark.parametrize(
+        "shift,n,h,witness",
+        [(1, 1, 1, "x1_2"), (-1, 1, 1, "x1_1"), (1, 2, 2, "x1_3"), (-1, 2, 2, "x1_2")],
+    )
+    def test_minor_side_off_by_one_order_cut(self, monkeypatch, shift, n, h, witness):
+        # One Hankel offset too many brings in a Wronskian of order H+1, one
+        # too few loses those reaching order H; at degree 1 the Wronskians
+        # are the variables themselves.
+        real = perp.hankel_matrix
+        monkeypatch.setattr(perp, "hankel_matrix", lambda n, rows, k: real(n, rows, k + shift))
+        report = run_verification(n, h)
+        (check,) = _failed(report)
+        assert check.name == "kernel_equals_hankel_minor_span"
+        assert check.witness == f"degree 1: {witness}"
+
     def test_truncated_side_missing_an_element(self, monkeypatch):
         # At h = 3 the restriction is trimmed to order 2, and the chain reads
         # order 3 only.
