@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -252,12 +253,17 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    created = False
     try:
         if args.out:
             # Fail on an unwritable path before the work; append leaves a file as it is.
+            existed = os.path.exists(args.out)
             _write(args.out, "a")
+            created = not existed
         return _COMMANDS[args.command](args)
     except ValueError as exc:  # PolynomialSyntaxError is a ValueError
+        if created:
+            os.remove(args.out)  # leave no empty file from the check behind
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

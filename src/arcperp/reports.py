@@ -130,28 +130,22 @@ def _second_partials(w: Polynomial) -> dict[tuple, dict[Monomial, int | Fraction
     return table
 
 
-def _split_generator(g: Polynomial) -> tuple[list[tuple[tuple, int | Fraction]], Polynomial]:
-    """The terms of g that are products of two differential variables, as
-    (pairs, coefficient), and the polynomial of all its other terms."""
-    quadratic = []
-    other = {}
-    for m, c in g.terms.items():
-        if m.degree == 2 and all(v.kind == "x" for v, _ in m.pairs):
-            quadratic.append((m.pairs, c))
-        else:
-            other[m] = c
-    return quadratic, Polynomial(other)
+def _quadratic_terms(g: Polynomial) -> list[tuple[tuple, int | Fraction]]:
+    """The terms of g as (pairs, coefficient), each pairs a key shape of
+    :func:`_second_partials`.  Every arc generator is a quadratic form in the
+    differential variables, and a term of any other shape raises ``ValueError``."""
+    if any(m.degree != 2 or m.pairs[-1][0].kind != "x" for m in g.terms):  # x sorts first
+        raise ValueError(f"generator {g} is not a quadratic form in the differential variables")
+    return [(m.pairs, c) for m, c in g.terms.items()]
 
 
-def _generator_image(split, w: Polynomial, partials) -> dict:
+def _generator_image(terms, partials) -> dict:
     """g applied to w as a monomial -> coefficient map, whose values may
-    include zeros, for g split by :func:`_split_generator` and the table
-    ``partials = _second_partials(w)``: each product term c*u*v of g reads
-    c * du dv w from the table, and the other terms go through
-    :func:`apply_pairing`."""
-    quadratic, other = split
-    acc = dict(apply_pairing(other, w).terms) if other.terms else {}
-    for key, c in quadratic:
+    include zeros, for g given by :func:`_quadratic_terms` and the table
+    ``partials = _second_partials(w)``: each term c*u*v of g reads
+    c * du dv w from the table."""
+    acc: dict = {}
+    for key, c in terms:
         column = partials.get(key)
         if column:
             unit = c == 1
@@ -162,11 +156,11 @@ def _generator_image(split, w: Polynomial, partials) -> dict:
     return acc
 
 
-def _annihilated_by_all(split: list, w: Polynomial) -> bool:
-    """Does every generator, split by :func:`_split_generator`, annihilate w?
+def _annihilated_by_all(generators: list, w: Polynomial) -> bool:
+    """Does every generator, given by :func:`_quadratic_terms`, annihilate w?
     The second partials of w are tabulated once for all of them."""
     partials = _second_partials(w)
-    return all(not any(_generator_image(s, w, partials).values()) for s in split)
+    return all(not any(_generator_image(terms, partials).values()) for terms in generators)
 
 
 def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> VerificationReport:
@@ -189,9 +183,9 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     generators = arc_generators_up_to(n, 2 * (h_cap + k_cap))
 
     def check_minor_annihilation():
-        split = [_split_generator(g) for g in generators]
+        quadratic = [_quadratic_terms(g) for g in generators]
         for w in minors:
-            if not _annihilated_by_all(split, w):
+            if not _annihilated_by_all(quadratic, w):
                 return False, {"minors": len(minors)}, format_polynomial(w)
         return True, {"minors": len(minors), "generators": len(generators)}, None
 

@@ -328,18 +328,21 @@ class Polynomial:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            terms = self.terms  # zero and the constants hash as the scalar they equal
+            scalar = terms.keys() <= {_ONE}
+            self._hash = hash(terms.get(_ONE, 0) if scalar else frozenset(terms.items()))
         return self._hash
 
     # -- derivation and substitution ----------------------------------------
 
     def derivative(self, times: int = 1) -> "Polynomial":
-        """Leibniz extension of the per-variable derivation rules.
+        """Leibniz extension of the per-variable derivation rules, one edit
+        of the pair tuple per factor.
 
         For ``x`` and ``y`` the derivative v' is the next variable of v's own
-        family, so in the sorted pairs it is the next pair or absent: the
-        pair tuple is edited in place of a product.  ``E`` takes the generic
-        rule; ``xi`` and ``al`` are constants.
+        family, so in the sorted pairs it is the next pair or absent: v^e
+        becomes e*v^(e-1)*v'.  E_m^e becomes e*xi_m*E_m^e, the monomial times
+        ``xi_m``.  ``xi`` and ``al`` are constants.
         """
         p = self
         for _ in range(times):
@@ -357,19 +360,13 @@ class Polynomial:
                         else:
                             edited = head + ((dv, 1),) + after
                         key = _sorted_monomial(edited, m.degree)
-                        t = c if e == 1 else c * e
-                        old = acc.get(key)
-                        acc[key] = t if old is None else old + t
+                    elif kind == "E":
+                        key = m.mul(Monomial.of(xi(i)))
+                    else:
                         continue
-                    dv_poly = _derive_variable(v)
-                    if dv_poly.is_zero:
-                        continue
-                    rest = Monomial(pairs[:idx] + ((v, e - 1),) + pairs[idx + 1:])
-                    for dm, dc in dv_poly.terms.items():
-                        key = rest.mul(dm)
-                        t = c * e * dc
-                        old = acc.get(key)
-                        acc[key] = t if old is None else old + t
+                    t = c if e == 1 else c * e
+                    old = acc.get(key)
+                    acc[key] = t if old is None else old + t
             p = Polynomial(acc)
         return p
 
@@ -414,14 +411,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)})"
-
-
-def _derive_variable(v: Variable) -> Polynomial:
-    """The derivative of an ``E``, ``xi`` or ``al`` variable; ``x`` and ``y``
-    are derived in :meth:`Polynomial.derivative` itself."""
-    if v.kind == "E":
-        return Polynomial.from_monomial(Monomial(((xi(v.i), 1), (v, 1))))
-    return Polynomial.zero()  # xi, al are constants
 
 
 # -- parsing and formatting ---------------------------------------------------

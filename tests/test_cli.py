@@ -314,6 +314,18 @@ class TestGlobalFlags:
         assert err.startswith("error: ")
         assert target.read_text() == "before\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["gens", "--n", "0", "--max-order", "1"], ["pair", "x1_", "x1_0"]],
+    )
+    def test_invalid_input_leaves_no_new_out_file(self, capsys, tmp_path, argv):
+        # The probe creates a missing --out file; invalid input removes it again.
+        target = tmp_path / "new.txt"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert not target.exists()
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

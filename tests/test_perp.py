@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from arcperp import perp
-from arcperp.arcgen import ArcGeneratorKey, arc_generator
+from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import iter_minors, scaled_matrix, wronskian
 from arcperp.linalg import MonomialIndex, Span
 from arcperp.pairing import apply_pairing
@@ -45,12 +45,8 @@ class TestGeneratorImages:
         # every degree-d monomial of orders <= H for d, H <= 3, against every
         # generator up to t-power 7 (those above 2H = 6 must act as zero)
         monomials = {m for d in range(4) for h in range(4) for m in graded_monomials(n, d, h)}
-        generators = {
-            (i, j, order): arc_generator(n, ArcGeneratorKey(i, j, order))
-            for order in range(8)
-            for i in range(1, n + 1)
-            for j in range(i, n + 1)
-        }
+        keys = [(i, j, order) for order in range(8) for i in range(1, n + 1) for j in range(i, n + 1)]
+        generators = dict(zip(keys, arc_generators_up_to(n, 7), strict=True))
         for m in monomials:
             images: dict[tuple, Polynomial] = {}
             for (i, j), order, quotient, coeff in _generator_images(m):

@@ -345,6 +345,18 @@ class TestMinorFedNegativeControls:
             parse("x1_0*x2_0")
         ]
 
+    @pytest.mark.parametrize("stray", ["x1_0", "xi1*x1_0", "xi1*x1_0*x1_1", "x1_0^3", "2"])
+    def test_generator_that_is_not_a_quadratic_form_is_rejected(self, monkeypatch, stray):
+        # The annihilation check reads generators from second partials only,
+        # so a term of any other shape is invalid input, not a second route.
+        def padded(n, max_order):
+            first, *rest = arc_generators_up_to(n, max_order)
+            return [first + parse(stray), *rest]
+
+        monkeypatch.setattr(reports, "arc_generators_up_to", padded)
+        with pytest.raises(ValueError, match="not a quadratic form in the differential variables"):
+            run_verification(1, 1)
+
     def test_series_missing_a_basis_element(self, monkeypatch):
         # At h = 2 only the series reads order 1.
         _drop_from_truncated(monkeypatch, 1)

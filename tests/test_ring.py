@@ -316,6 +316,13 @@ class TestExactCoefficients:
         assert as_fraction == as_int
         assert hash(as_fraction) == hash(as_int)
         assert Polynomial.constant(Fraction(3)) == 3
+        # a polynomial equal to a scalar hashes as that scalar
+        for scalar in (0, 3, Fraction(-1, 2)):
+            p = Polynomial.constant(scalar)
+            assert p == scalar and hash(p) == hash(scalar)
+            assert len({p, scalar}) == 1
+        assert hash(Polynomial.zero()) == hash(0)
+        assert len({Polynomial.constant(Fraction(3)), 3, Fraction(3)}) == 1
 
 
 class TestSubstitute:
