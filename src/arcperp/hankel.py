@@ -75,59 +75,39 @@ def hankel_matrix(n: int, h: int, k: int) -> SymbolicMatrix:
     return SymbolicMatrix.from_rows(rows)
 
 
-def _triangle(family: int, h: int, entry_for_diag) -> list[list[Polynomial]]:
-    block = []
-    for r in range(h + 1):
-        row = []
-        for c in range(h + 1):
-            row.append(entry_for_diag(family, c - r) if c >= r else ZERO)
-        block.append(row)
-    return block
+def _triangles(n: int, h: int, entry) -> SymbolicMatrix:
+    """n upper-triangular (h+1)-square blocks side by side, one per family,
+    emitted row by row across the families: row r of family j's block is r
+    zeros, then entry(j, 0), ..., entry(j, h - r), so entry(j, i) fills its
+    i-th superdiagonal."""
+    return SymbolicMatrix.from_rows(
+        [entry(j, c - r) if c >= r else ZERO for j in range(1, n + 1) for c in range(h + 1)]
+        for r in range(h + 1)
+    )
 
 
 def triangular_matrix(n: int, h: int) -> SymbolicMatrix:
     """Concatenated upper triangles with x_j^(h-i) on the i-th superdiagonal."""
     if n < 1 or h < 0:
         raise ValueError("triangular_matrix needs n >= 1, h >= 0")
-    blocks = [
-        _triangle(j, h, lambda fam, i: Polynomial.from_variable(x(fam, h - i)))
-        for j in range(1, n + 1)
-    ]
-    return _hconcat(blocks)
-
-
-def _scaled_entry(family: int, i: int) -> Polynomial:
-    return Polynomial.from_monomial(
-        Monomial.of(x(family, i)), Fraction(1, math.factorial(i))
-    )
+    return _triangles(n, h, lambda j, i: Polynomial.from_variable(x(j, h - i)))
 
 
 def scaled_matrix(n: int, h: int) -> SymbolicMatrix:
     """Concatenated upper triangles with x_j^(i)/i! on the i-th superdiagonal."""
     if n < 1 or h < 0:
         raise ValueError("scaled_matrix needs n >= 1, h >= 0")
-    blocks = [_triangle(j, h, _scaled_entry) for j in range(1, n + 1)]
-    return _hconcat(blocks)
+    return _triangles(
+        n, h, lambda j, i: Polynomial({Monomial.of(x(j, i)): Fraction(1, math.factorial(i))})
+    )
 
 
 def scaled_augmented_matrix(n: int, h: int) -> SymbolicMatrix:
     """scaled_matrix(n, h) with the (h+1)-dimensional identity block appended."""
-    base = scaled_matrix(n, h)
-    rows = []
-    for r in range(h + 1):
-        identity_row = [ONE if c == r else ZERO for c in range(h + 1)]
-        rows.append(list(base.entries[r]) + identity_row)
-    return SymbolicMatrix.from_rows(rows)
-
-
-def _hconcat(blocks: list[list[list[Polynomial]]]) -> SymbolicMatrix:
-    rows = []
-    for r in range(len(blocks[0])):
-        row: list[Polynomial] = []
-        for block in blocks:
-            row.extend(block[r])
-        rows.append(row)
-    return SymbolicMatrix.from_rows(rows)
+    return SymbolicMatrix.from_rows(
+        row + tuple(ONE if c == r else ZERO for c in range(h + 1))
+        for r, row in enumerate(scaled_matrix(n, h).entries)
+    )
 
 
 MATRIX_FAMILIES = {

@@ -427,72 +427,33 @@ class PolynomialSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([+\-*/^]))")
-
-_VAR_PATTERNS = (
-    (re.compile(r"^x(\d+)_(\d+)$"), lambda a, b: x(int(a), int(b))),
-    (re.compile(r"^xi(\d+)$"), lambda a, b: xi(int(a))),
-    (re.compile(r"^al(\d+)_(\d+)$"), lambda a, b: al(int(a), int(b))),
-    (re.compile(r"^E(\d+)$"), lambda a, b: E(int(a))),
-    (re.compile(r"^y_(\d+)$"), lambda a, b: y(int(a))),
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[+\-*/^])|(?P<bad>\S))"
 )
+_VARIABLE_RE = re.compile(r"(xi|al|x|E|y_)(\d+)(?:_(\d+))?")
 
 
-def _variable_from_token(tok: str, pos: int) -> Variable:
-    for pattern, make in _VAR_PATTERNS:
-        m = pattern.match(tok)
-        if m:
-            groups = m.groups()
-            a = groups[0]
-            b = groups[1] if len(groups) > 1 else None
+def _variable(tok: str, pos: int) -> Variable:
+    """The variable a name token spells: ``x`` and ``al`` take two indices,
+    ``xi``, ``E`` and ``y_`` one."""
+    m = _VARIABLE_RE.fullmatch(tok)
+    if m:
+        name, a, b = m.groups()
+        if (b is None) == (name in ("xi", "E", "y_")):
+            make = {"x": x, "xi": xi, "al": al, "E": E, "y_": y}[name]
             try:
-                return make(a, b)
+                return make(int(a)) if b is None else make(int(a), int(b))
             except ValueError as exc:
                 raise PolynomialSyntaxError(str(exc), pos) from None
     raise PolynomialSyntaxError(f"unknown variable name {tok!r}", pos)
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []  # (type, value, position)
-        pos = 0
-        while pos < len(text):
-            if text[pos:].isspace():
-                break
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                at = len(text) - len(stripped)
-                raise PolynomialSyntaxError(
-                    f"unexpected character {text[at]!r}", at
-                )
-            num, ident, op = m.groups()
-            if num is not None:
-                self.items.append(("num", num, m.start(1)))
-            elif ident is not None:
-                self.items.append(("ident", ident, m.start(2)))
-            elif op is not None:
-                self.items.append(("op", op, m.start(3)))
-            pos = m.end()
-        self.index = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.items[self.index] if self.index < len(self.items) else None
-
-    def next(self) -> tuple[str, str, int] | None:
-        item = self.peek()
-        if item is not None:
-            self.index += 1
-        return item
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        item = self.next()
-        if item is None:
-            raise PolynomialSyntaxError(f"expected {kind}, found end of input", len(self.text))
-        if item[0] != kind:
-            raise PolynomialSyntaxError(f"expected {kind}, found {item[1]!r}", item[2])
-        return item
+def _number(token: tuple[str, str, int]) -> int:
+    kind, tok, pos = token
+    if kind != "num":
+        found = "end of input" if kind == "end" else repr(tok)
+        raise PolynomialSyntaxError(f"expected num, found {found}", pos)
+    return int(tok)
 
 
 def parse(text: str) -> Polynomial:
@@ -502,68 +463,64 @@ def parse(text: str) -> Polynomial:
     an optional rational ``p`` or ``p/q`` and powered variables ``tok^e``.
     Whitespace is ignored.  Raises :class:`PolynomialSyntaxError` on malformed
     input or unknown variable names.
+
+    One pass of ``_TOKEN_RE`` splits the whole text into (kind, text,
+    position) tokens of kind ``num``, ``ident`` or ``op``, so a stray
+    character is reported before any other error.  An ``end`` sentinel at
+    ``len(text)`` closes the list, so every lookahead is one index read.
+    One loop then reads each term: an optional sign and the ``*``-joined
+    factors that follow it.
     """
-    toks = _Tokens(text)
-    if toks.peek() is None:
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise PolynomialSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+    if not tokens:
         raise PolynomialSyntaxError("empty input", 0)
+    tokens.append(("end", "", len(text)))
     result = Polynomial.zero()
-    sign = 1
-    first = True
-    while True:
-        item = toks.peek()
-        if item is None:
-            if first:
-                raise PolynomialSyntaxError("empty input", 0)
-            break
-        if item[0] == "op" and item[1] in "+-":
-            toks.next()
-            sign = 1 if item[1] == "+" else -1
-            if toks.peek() is None:
-                raise PolynomialSyntaxError("dangling sign", item[2])
-        elif not first:
-            raise PolynomialSyntaxError(f"expected '+' or '-', found {item[1]!r}", item[2])
-        result = result + sign * _parse_term(toks)
-        sign = 1
-        first = False
-    return result
-
-
-def _parse_term(toks: _Tokens) -> Polynomial:
-    coeff: int | Fraction = 1
-    pairs: dict[Variable, int] = {}
-    while True:
-        item = toks.next()
-        if item is None:
-            raise PolynomialSyntaxError("expected a factor", len(toks.text))
-        kind, value, pos = item
-        if kind == "num":
-            numer = int(value)
-            nxt = toks.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
-                toks.next()
-                denom_item = toks.expect("num")
-                denom = int(denom_item[1])
-                if denom == 0:
-                    raise PolynomialSyntaxError("zero denominator", denom_item[2])
-                coeff *= Fraction(numer, denom)
-            else:
+    i = 0
+    while tokens[i][0] != "end":
+        _, tok, pos = tokens[i]
+        sign = -1 if tok == "-" else 1
+        if tok in ("+", "-"):
+            i += 1
+            if tokens[i][0] == "end":
+                raise PolynomialSyntaxError("dangling sign", pos)
+        elif i:
+            raise PolynomialSyntaxError(f"expected '+' or '-', found {tok!r}", pos)
+        coeff: int | Fraction = 1
+        pairs: dict[Variable, int] = {}
+        while True:
+            kind, tok, pos = tokens[i]
+            if kind == "num":
+                numer = int(tok)
+                if tokens[i + 1][1] == "/":
+                    i += 2
+                    denom = _number(tokens[i])
+                    if denom == 0:
+                        raise PolynomialSyntaxError("zero denominator", tokens[i][2])
+                    numer = Fraction(numer, denom)
                 coeff *= numer
-        elif kind == "ident":
-            v = _variable_from_token(value, pos)
-            e = 1
-            nxt = toks.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
-                toks.next()
-                e = int(toks.expect("num")[1])
-            pairs[v] = pairs.get(v, 0) + e
-        else:
-            raise PolynomialSyntaxError(f"unexpected {value!r} in term", pos)
-        nxt = toks.peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == "*":
-            toks.next()
-            continue
-        break
-    return Polynomial.from_monomial(Monomial(pairs.items()), coeff)
+            elif kind == "ident":
+                v = _variable(tok, pos)
+                e = 1
+                if tokens[i + 1][1] == "^":
+                    i += 2
+                    e = _number(tokens[i])
+                pairs[v] = pairs.get(v, 0) + e
+            elif kind == "op":
+                raise PolynomialSyntaxError(f"unexpected {tok!r} in term", pos)
+            else:
+                raise PolynomialSyntaxError("expected a factor", pos)
+            i += 1
+            if tokens[i][1] != "*":
+                break
+            i += 1
+        result = result + sign * Polynomial.from_monomial(Monomial(pairs.items()), coeff)
+    return result
 
 
 def _format_coeff(c: int | Fraction) -> str:

@@ -58,6 +58,16 @@ class TestPair:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.parametrize(
+        "f_text, p_text, line",
+        [
+            ("x1_0", "1/x1_0", "error: expected num, found 'x1_0' (at position 2)"),
+            ("x1_0 x1_1", "x1_0", "error: expected '+' or '-', found 'x1_1' (at position 5)"),
+        ],
+    )
+    def test_syntax_error_line(self, capsys, f_text, p_text, line):
+        assert run(capsys, "pair", f_text, p_text) == (2, "", line + "\n")
+
 
 class TestPerp:
     def test_worked_example(self, capsys):

@@ -93,6 +93,25 @@ class TestBuilders:
         m = triangular_matrix(2, 2)
         assert (m.rows, m.cols) == (3, 6)
 
+    @pytest.mark.parametrize("n, h", [(n, h) for n in range(1, 4) for h in range(4)])
+    def test_every_entry_matches_its_formula(self, n, h):
+        """Column (j-1)(h+1) + c is column c of family j's block; entry (r, c)
+        of a block lies on superdiagonal c - r."""
+        t, s, s1 = triangular_matrix(n, h), scaled_matrix(n, h), scaled_augmented_matrix(n, h)
+        assert (t.rows, t.cols) == (s.rows, s.cols) == (h + 1, n * (h + 1))
+        assert (s1.rows, s1.cols) == (h + 1, (n + 1) * (h + 1))
+        for r in range(h + 1):
+            for col in range(n * (h + 1)):
+                j, i = col // (h + 1) + 1, col % (h + 1) - r
+                if i < 0:
+                    assert t.entries[r][col].is_zero and s.entries[r][col].is_zero
+                else:
+                    assert t.entries[r][col] == Polynomial.from_variable(x(j, h - i))
+                    scaled = Fraction(1, math.factorial(i)) * Polynomial.from_variable(x(j, i))
+                    assert s.entries[r][col] == scaled
+            identity = tuple(Polynomial.constant(int(c == r)) for c in range(h + 1))
+            assert s1.entries[r] == s.entries[r] + identity
+
     def test_build_matrix_dispatch(self):
         assert grid(build_matrix("T", 1, 1)) == grid(triangular_matrix(1, 1))
         assert grid(build_matrix("H", 1, 2, 2)) == grid(hankel_matrix(1, 2, 2))

@@ -85,6 +85,43 @@ class TestParse:
         with pytest.raises(PolynomialSyntaxError):
             parse("1/0")
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("x1_0 $", "unexpected character '$'", 5),
+            ("   ", "empty input", 0),
+            ("-", "dangling sign", 0),
+            ("x1_0 x1_1", "expected '+' or '-', found 'x1_1'", 5),
+            ("x1_0*", "expected a factor", 5),
+            ("x1_0^", "expected num, found end of input", 5),
+            ("1/x1_0", "expected num, found 'x1_0'", 2),
+            ("1/0", "zero denominator", 2),
+            ("+-x1_0", "unexpected '-' in term", 1),
+            ("xi1_2", "unknown variable name 'xi1_2'", 0),
+            ("x0_1", "invalid differential variable x0_1", 0),
+        ],
+    )
+    def test_every_error_message_and_position(self, text, message, position):
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
+
+# Monomials of degree <= 8 over all five variable kinds, indices up to 12.
+any_monomials = st.dictionaries(
+    st.one_of(
+        st.builds(x, st.integers(1, 12), st.integers(0, 12)),
+        st.builds(xi, st.integers(0, 12)),
+        st.builds(al, st.integers(0, 12), st.integers(0, 12)),
+        st.builds(E, st.integers(0, 12)),
+        st.builds(y, st.integers(0, 12)),
+    ),
+    st.integers(1, 2),
+    max_size=4,
+).map(lambda exps: Monomial(exps.items()))
+coefficients = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12))
+
 
 class TestFormat:
     def test_zero(self):
@@ -109,6 +146,14 @@ class TestFormat:
     )
     def test_roundtrip(self, text):
         p = parse(text)
+        assert parse(format_polynomial(p)) == p
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(any_monomials, coefficients), max_size=6))
+    @example([])
+    @example([(Monomial.one(), Fraction(-7, 3))])
+    def test_roundtrip_property(self, terms):
+        p = Polynomial.from_terms(terms)
         assert parse(format_polynomial(p)) == p
 
 

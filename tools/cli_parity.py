@@ -1,0 +1,123 @@
+"""Compare the command-line behaviour of this checkout with another source tree.
+
+Usage::
+
+    python tools/cli_parity.py PARENT_SRC
+
+``PARENT_SRC`` is the ``src`` directory of another checkout, typically the
+parent commit.  Each call in ``CALLS`` runs twice, as ``python -m arcperp.cli``
+under the interpreter running this script: once with ``PYTHONPATH`` set to
+this checkout's ``src`` and once with ``PARENT_SRC``.  The two runs are
+compared on stdout, stderr, exit code and the ``--out`` file, if one is
+left.  One line is printed per call; the exit code is 1 if any call differs
+and 0 otherwise.  Only the standard library is needed, so the script runs on
+every supported Python, with or without pytest.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+OUT = "{out}"  # replaced by a file in a fresh temporary directory
+UNWRITABLE = "{missing}"  # replaced by a path under a directory that does not exist
+
+# Malformed ``pair`` operands: together they reach every parser error.
+MALFORMED = [
+    "x1_0 $", "   ", "-", "x1_0 x1_1", "x1_0*", "x1_0^", "1/x1_0", "1/0", "+-x1_0",
+    "xi1_2", "x0_1", "x1_0 + z3", "x1",
+]
+
+PAIR_F = "x1_0 + 1/2*x1_1"
+PAIR_P = "xi2*x1_0^2 + al1_1*x1_0^2 - 2/3*E1*y_1*x1_0*x1_1 + xi1^2*al2_1*E2*x1_1"
+
+CALLS = [
+    ["--version"],
+    [],
+    ["gens", "--n", "2", "--max-order", "3"],
+    ["gens", "--json", "--n", "2", "--max-order", "3"],
+    ["gens", "--n", "0", "--max-order", "1"],
+    ["gens", "--n", "1", "--max-order", "-1"],
+    ["gens", "--n", "1"],
+    ["pair", "2*x1_0*x1_2 + x1_1^2", "x1_0*x1_2 - x1_1^2"],
+    ["pair", PAIR_F, PAIR_P],
+    ["pair", "--json", PAIR_F, PAIR_P],
+    *(["pair", text, "x1_0"] for text in MALFORMED),
+    ["pair", "x1_0", "1/x1_0"],
+    ["perp", "--n", "1", "--degree", "2", "--order", "2"],
+    ["perp", "--json", "--n", "2", "--degree", "3", "--order", "3"],
+    ["perp", "--n", "0", "--degree", "1", "--order", "1"],
+    ["minors", "--family", "T", "--n", "1", "--h", "3", "--json"],
+    ["minors", "--family", "T", "--n", "2", "--h", "2"],
+    ["minors", "--family", "S", "--n", "2", "--h", "1", "--json"],
+    ["minors", "--family", "S1", "--n", "2", "--h", "2", "--json"],
+    ["minors", "--family", "H", "--n", "2", "--h", "2", "--k", "1", "--json"],
+    ["minors", "--family", "S", "--n", "2", "--h", "2", "--max-size", "1"],
+    ["minors", "--family", "H", "--n", "1", "--h", "1"],
+    ["minors", "--family", "T", "--n", "1", "--h", "1", "--k", "1"],
+    ["minors", "--family", "T", "--n", "1", "--h", "1", "--max-size", "-1"],
+    ["minors", "--family", "T", "--n", "0", "--h", "1"],
+    ["minors", "--family", "Q", "--n", "1", "--h", "1"],
+    ["series", "--n", "1", "--h-max", "7"],
+    ["series", "--json", "--n", "2", "--h-max", "3"],
+    ["series", "--n", "1", "--h-max", "-1"],
+    ["series", "--n", "0", "--h-max", "2"],
+    *(
+        ["verify", "--json", "--no-timings", "--n", n, "--h", h]
+        for n, h in [("1", "0"), ("1", "1"), ("2", "2"), ("2", "3"), ("3", "3")]
+    ),
+    ["verify", "--json", "--no-timings", "--deep", "--n", "1", "--h", "2"],
+    ["verify", "--no-timings", "--seed", "7", "--n", "2", "--h", "2"],
+    ["verify", "--n", "0", "--h", "1"],
+    ["verify", "--n", "1", "--h", "-1"],
+    ["dims-chain", "--n", "2", "--h", "3"],
+    ["dims-chain", "--json", "--n", "3", "--h", "3"],
+    ["dims-chain", "--n", "1", "--h", "-1"],
+    ["series", "--n", "1", "--h-max", "3", "--out", OUT],
+    ["pair", "x1_0 +", "x1_0", "--out", OUT],
+    ["gens", "--n", "1", "--max-order", "1", "--out", UNWRITABLE],
+    ["verify", "--no-timings", "--n", "1", "--h", "1", "--out", UNWRITABLE],
+]
+
+
+def run(src: Path, argv: list[str], tmp: Path) -> tuple:
+    """Exit code, stdout, stderr and the ``--out`` file's text (or None)."""
+    out = tmp / "out.txt"
+    if out.exists():
+        out.unlink()
+    paths = {OUT: str(out), UNWRITABLE: str(tmp / "missing" / "out.txt")}
+    argv = [paths.get(a, a) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "arcperp.cli", *argv],
+        env=env, cwd=tmp, capture_output=True, text=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, out.read_text() if out.exists() else None
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    here = Path(__file__).resolve().parents[1] / "src"
+    parent = Path(argv[0]).resolve()
+    if not (parent / "arcperp" / "cli.py").is_file():
+        print(f"no arcperp package under {parent}", file=sys.stderr)
+        return 2
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for call in CALLS:
+            mine, theirs = run(here, call, Path(tmp)), run(parent, call, Path(tmp))
+            names = ("exit", "stdout", "stderr", "out")
+            fields = [name for name, a, b in zip(names, mine, theirs) if a != b]
+            differ += bool(fields)
+            print(f"{'DIFF ' + ','.join(fields) if fields else 'same'}\texit {mine[0]}\t{call}")
+    print(f"{len(CALLS)} calls on Python {sys.version.split()[0]}, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
