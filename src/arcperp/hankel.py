@@ -281,14 +281,29 @@ def wronskian(fs: list[Polynomial]) -> Polynomial:
     return PackedMatrix(SymbolicMatrix.from_rows(rows)).value(full, full)
 
 
+# The most minors one enumeration expands.  It admits the 155,382 top-row minors
+# of ``series --n 2 --h-max 8`` (1.3 GiB); a larger request would exhaust memory.
+MINOR_LIMIT = 200_000
+
+
+def _check_minor_count(m: SymbolicMatrix, count: int) -> None:
+    if count > MINOR_LIMIT:
+        limit = f"exceed the limit of {MINOR_LIMIT:,} minors per enumeration"
+        raise ValueError(f"{count:,} minors of a {m.rows}x{m.cols} matrix {limit}")
+
+
 def iter_minors(m: SymbolicMatrix, sizes):
-    """Yield (size, rows, cols, value) by size, then lexicographic (rows, cols)."""
+    """An iterator of (size, rows, cols, value) by size, then lexicographic (rows,
+    cols); raises ``ValueError`` on the call past ``MINOR_LIMIT`` minors."""
+    sizes = [s for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)]
+    _check_minor_count(m, sum(math.comb(m.rows, s) * math.comb(m.cols, s) for s in sizes))
     packed = PackedMatrix(m)
-    for size in sorted(sizes):
-        if 0 <= size <= min(m.rows, m.cols):
-            for rows in itertools.combinations(range(m.rows), size):
-                for cols in itertools.combinations(range(m.cols), size):
-                    yield size, rows, cols, packed.value(rows, cols)
+    return (
+        (size, rows, cols, packed.value(rows, cols))
+        for size in sizes
+        for rows in itertools.combinations(range(m.rows), size)
+        for cols in itertools.combinations(range(m.cols), size)
+    )
 
 
 class GradedSpan:
@@ -340,7 +355,8 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     (block size h+1 = rows); for any other matrix a size below the row
     count raises ``ValueError``, while a request for size ``rows`` alone, as
     of the maximal Hankel minors, is not checked.  Size 0 gives the constant
-    1; zero minors are dropped before the reduction.
+    1; zero minors are dropped before the reduction.  Past ``MINOR_LIMIT``
+    top-row minors it raises ``ValueError`` before any check or expansion.
 
     The spans are built from the packed values, with no ``Polynomial`` per
     minor: the minors are grouped by degree (that of their highest term, the
@@ -351,7 +367,8 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     decode nothing.  A row is a minor times its rows' scales, which leaves
     the reduced row-echelon form as it is.
     """
-    sizes = sorted(sizes)
+    sizes = [s for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)]
+    _check_minor_count(m, sum(math.comb(m.cols, s) for s in sizes))
     e = m.entries
     if any(s < m.rows for s in sizes):
         for r in range(1, m.rows):
@@ -361,12 +378,11 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     packed = PackedMatrix(m)
     by_degree: dict[int, list[dict[int, int]]] = {}
     for s in sizes:
-        if 0 <= s <= min(m.rows, m.cols):
-            rows = tuple(range(s))
-            for cols in itertools.combinations(range(m.cols), s):
-                det = packed.det(rows, cols)
-                if det:
-                    by_degree.setdefault(max(det) // packed.top, []).append(det)
+        rows = tuple(range(s))
+        for cols in itertools.combinations(range(m.cols), s):
+            det = packed.det(rows, cols)
+            if det:
+                by_degree.setdefault(max(det) // packed.top, []).append(det)
     spans = {}
     for d, dets in by_degree.items():
         keys = sorted(set().union(*dets), reverse=True)

@@ -20,7 +20,7 @@ commands print, read only the minor side: nothing here reaches the pairing.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
 from fractions import Fraction
 from operator import attrgetter
@@ -36,7 +36,8 @@ from .hankel import (
 )
 from .linalg import Span, nullspace, span_witness
 from .ring import (
-    E, Monomial, Polynomial, _sorted_monomial, al, differential_variables, format_polynomial, x, xi,
+    E, Monomial, Polynomial, Variable, _sorted_monomial, al, differential_variables,
+    format_polynomial, x, xi, y,
 )
 
 
@@ -320,34 +321,26 @@ def is_differentially_homogeneous(p: Polynomial, d: int) -> bool:
 
     The y^(k) must be new to p: a p that involves y already raises
     ``ValueError``, since substituting the y it holds conflates its
-    coefficients with the scaling.
+    coefficients with the scaling.  So sum_k y^(k) D_k p, one derivation of
+    p, is zero exactly when every D_k p is.
     """
     if any(m.pairs and m.pairs[-1][0].kind == "y" for m in p.terms):
         raise ValueError("is_differentially_homogeneous needs p free of y")
+    if any(sum(e for v, e in m.pairs if v.kind == "x") != d for m in p.terms):
+        return False
     # The test is linear in p, so it runs on the integral multiple scale*p.
     scale = math.lcm(*(c.denominator for c in p.terms.values()))
-    # D_k p, keyed by (k, the sorted pairs of each image monomial).
-    images: dict[tuple[int, tuple], int] = {}
-    for m, c in p.terms.items():
-        c = c.numerator * (scale // c.denominator)
-        pairs = m.pairs
-        if sum(e for v, e in pairs if v.kind == "x") != d:
-            return False
-        for idx, (v, e) in enumerate(pairs):
-            if v.kind != "x":
-                break  # differential variables sort first
-            tail = ((v, e - 1),) + pairs[idx + 1:] if e > 1 else pairs[idx + 1:]
-            for k in range(1, v.j + 1):
-                # x_i^(j-k) sorts before v = x_i^(j): raise its exponent there.
-                w = x(v.i, v.j - k)
-                pos = bisect.bisect_left(pairs, (w,), 0, idx)
-                if pairs[pos][0] == w:
-                    head = pairs[:pos] + ((w, pairs[pos][1] + 1),) + pairs[pos + 1:idx]
-                else:
-                    head = pairs[:pos] + ((w, 1),) + pairs[pos:idx]
-                key = (k, head + tail)
-                images[key] = images.get(key, 0) + c * e * math.comb(v.j, k)
-    return not any(images.values())
+    integral = Polynomial({m: c.numerator * (scale // c.denominator) for m, c in p.terms.items()})
+    return integral.derive(_scaling_rule).is_zero
+
+
+@functools.cache
+def _scaling_rule(v: Variable) -> list:
+    """x_i^(j) -> sum_{1 <= k <= j} C(j, k) y_k x_i^(j-k); every other variable
+    is a constant.  Cached: building the j image terms costs more than one use."""
+    if v.kind != "x":
+        return []
+    return [(math.comb(v.j, k), ((x(v.i, v.j - k), 1), (y(k), 1))) for k in range(1, v.j + 1)]
 
 
 def _diff_variables_of(p: Polynomial):

@@ -179,6 +179,8 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     degree_cap = min(h + 1, 3) + (1 if deep else 0)
     order_bound = min(h + (2 if deep else 0), 5) if h else (2 if deep else 1)
 
+    # Counted before any check: by Vandermonde no span of the chain has more minors.
+    maximal_minors = iter_minors(scaled_matrix(n + 1, h), [h + 1])
     minors = _hankel_minor_values(n, h_cap, k_cap)
     generators = arc_generators_up_to(n, 2 * (h_cap + k_cap))
 
@@ -285,9 +287,8 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     checks.append(_timed("triangular_scaled_dimension_chain", {"n": n, "h": h}, check_chain))
 
     def check_diff_homogeneous():
-        matrix = scaled_matrix(n + 1, h)
         count = 0
-        for _, _, _, value in iter_minors(matrix, [h + 1]):
+        for _, _, _, value in maximal_minors:
             if value.is_zero:
                 continue
             count += 1

@@ -17,6 +17,7 @@ function, so concurrent use is safe.  There is no floating-point mode.
 
 from __future__ import annotations
 
+import bisect
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -335,39 +336,53 @@ class Polynomial:
 
     # -- derivation and substitution ----------------------------------------
 
-    def derivative(self, times: int = 1) -> "Polynomial":
-        """Leibniz extension of the per-variable derivation rules, one edit
-        of the pair tuple per factor.
+    def derive(self, rule) -> "Polynomial":
+        """The derivation sum_v rule(v) * dp/dv.
 
-        For ``x`` and ``y`` the derivative v' is the next variable of v's own
-        family, so in the sorted pairs it is the next pair or absent: v^e
-        becomes e*v^(e-1)*v'.  E_m^e becomes e*xi_m*E_m^e, the monomial times
-        ``xi_m``.  ``xi`` and ``al`` are constants.
+        ``rule(v)``, called once per variable of p, lists the image of v as
+        terms (r, pairs), r times the monomial u of the sorted pairs; it is
+        empty for a constant.  A factor v^e of a term c*m gives c*e*r times m
+        with v's exponent lowered and u's pairs merged in at their places: one
+        edit of the pair tuple per image term, with no polynomial product.
         """
-        p = self
-        for _ in range(times):
-            acc: dict[Monomial, int | Fraction] = {}
-            for m, c in p.terms.items():
-                pairs = m.pairs
-                for idx, (v, e) in enumerate(pairs):
-                    rank, i, j, kind = v
-                    if kind == "x" or kind == "y":
-                        dv = Variable(rank, i, j + 1, kind)
-                        head = pairs[:idx] + ((v, e - 1),) if e > 1 else pairs[:idx]
-                        after = pairs[idx + 1:]
-                        if after and after[0][0] == dv:
-                            edited = head + ((dv, after[0][1] + 1),) + after[1:]
+        images: dict[Variable, list] = {}
+        acc: dict[tuple, int | Fraction] = {}
+        for m, c in self.terms.items():
+            pairs = m.pairs
+            for idx, (v, e) in enumerate(pairs):
+                image = images.get(v)
+                if image is None:
+                    image = images[v] = rule(v)
+                if not image:
+                    continue
+                lowered = list(pairs)
+                if e > 1:
+                    lowered[idx] = (v, e - 1)
+                else:
+                    del lowered[idx]
+                ce = c if e == 1 else c * e
+                for r, upairs in image:
+                    out = lowered.copy()
+                    for w, f in upairs:
+                        pos = bisect.bisect_left(out, (w,))
+                        if pos < len(out) and out[pos][0] == w:
+                            out[pos] = (w, out[pos][1] + f)
                         else:
-                            edited = head + ((dv, 1),) + after
-                        key = _sorted_monomial(edited, m.degree)
-                    elif kind == "E":
-                        key = m.mul(Monomial.of(xi(i)))
-                    else:
-                        continue
-                    t = c if e == 1 else c * e
+                            out.insert(pos, (w, f))
+                    key = tuple(out)
+                    t = ce if r == 1 else ce * r
                     old = acc.get(key)
                     acc[key] = t if old is None else old + t
-            p = Polynomial(acc)
+        return Polynomial(
+            {_sorted_monomial(k, sum(e for _, e in k)): t for k, t in acc.items() if t}
+        )
+
+    def derivative(self, times: int = 1) -> "Polynomial":
+        """The formal derivative, applied ``times`` times: :meth:`derive`
+        with the rule :func:`_next_order`."""
+        p = self
+        for _ in range(times):
+            p = p.derive(_next_order)
         return p
 
     def restrict_above(self, h: int) -> "Polynomial":
@@ -413,6 +428,18 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)})"
 
 
+def _next_order(v: Variable) -> list:
+    """The formal derivative as a :meth:`Polynomial.derive` rule: ``x`` and ``y``
+    go to the next order of their own family and E_m to xi_m*E_m, while ``xi``
+    and ``al`` are constants."""
+    rank, i, j, kind = v
+    if kind == "x" or kind == "y":
+        return [(1, ((Variable(rank, i, j + 1, kind), 1),))]
+    if kind == "E":
+        return [(1, ((xi(i), 1), (v, 1)))]
+    return []
+
+
 # -- parsing and formatting ---------------------------------------------------
 
 ZERO = Polynomial.zero()
@@ -449,11 +476,15 @@ def _variable(tok: str, pos: int) -> Variable:
 
 
 def _number(token: tuple[str, str, int]) -> int:
+    """A ``num`` token's value, past Python's integer-string limit a syntax error."""
     kind, tok, pos = token
     if kind != "num":
         found = "end of input" if kind == "end" else repr(tok)
         raise PolynomialSyntaxError(f"expected num, found {found}", pos)
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise PolynomialSyntaxError(str(exc), pos) from None
 
 
 def parse(text: str) -> Polynomial:
@@ -496,7 +527,7 @@ def parse(text: str) -> Polynomial:
         while True:
             kind, tok, pos = tokens[i]
             if kind == "num":
-                numer = int(tok)
+                numer = _number(tokens[i])
                 if tokens[i + 1][1] == "/":
                     i += 2
                     denom = _number(tokens[i])

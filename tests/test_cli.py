@@ -6,6 +6,7 @@ import json
 import os
 import pkgutil
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import arcperp
-from arcperp import reports
+from arcperp import hankel, reports
 from arcperp.cli import main
 
 
@@ -67,6 +68,14 @@ class TestPair:
     )
     def test_syntax_error_line(self, capsys, f_text, p_text, line):
         assert run(capsys, "pair", f_text, p_text) == (2, "", line + "\n")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter converts integers of any length")
+    def test_number_beyond_the_integer_string_limit(self, capsys):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        code, out, err = run(capsys, "pair", "x1_0", "x1_0 + 1/" + digits)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit") and err.endswith("(at position 9)\n")
 
 
 class TestPerp:
@@ -245,6 +254,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "1", "--h", "0", "--json", "--seed", "5")
         assert code == 0
         assert json.loads(out)["parameters"]["seed"] == 5
+
+    def test_oversized_instance_refused_before_any_check(self):
+        # The child gets a 1 GiB address space, so a run that enumerated the
+        # C(100, 10) maximal minors of S(10, 9) would fail, not exhaust memory.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(arcperp.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "arcperp.cli", "verify", "--n", "9", "--h", "9"],
+            env=env, capture_output=True, text=True, timeout=30, preexec_fn=limit_memory,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: 17,310,309,456,440 minors of a 10x100 matrix exceed the limit of "
+            f"{hankel.MINOR_LIMIT:,} minors per enumeration\n"
+        )
 
     @pytest.mark.parametrize("n,h", [(1, -1), (0, 1)])
     def test_invalid_instance_rejected(self, capsys, n, h):

@@ -8,9 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from arcperp import perp
 from arcperp.arcgen import arc_generators_up_to
-from arcperp.hankel import hankel_matrix, iter_minors, scaled_matrix, triangular_matrix, wronskian
-from arcperp.pairing import apply_pairing
+from arcperp.hankel import (
+    hankel_matrix, iter_minors, minor_span, scaled_matrix, triangular_matrix, wronskian,
+)
+from arcperp.pairing import apply_pairing, directional_derivative
 from arcperp.perp import is_differentially_homogeneous
 from arcperp.reports import (
     _annihilated_by_all,
@@ -93,6 +96,51 @@ class TestDerivative:
         # x1_1' = x1_2 is the next pair, so x1_1*x1_2 -> x1_2^2 + x1_1*x1_3.
         assert parse("x1_1*x1_2").derivative() == parse("x1_2^2 + x1_1*x1_3")
         assert parse("y_0^2*y_1").derivative() == parse("2*y_0*y_1^2 + y_0^2*y_2")
+
+
+def _assert_canonical(monomials) -> None:
+    """Each monomial has strictly sorted pairs, no zero exponent, and a
+    degree equal to the sum of its exponents.  Equality and hashing read the
+    pairs alone, so a wrong degree can pass every other test."""
+    for m in monomials:
+        variables = [v for v, _ in m.pairs]
+        assert all(a < b for a, b in zip(variables, variables[1:])), m
+        assert all(e > 0 for _, e in m.pairs), m
+        assert m.degree == sum(e for _, e in m.pairs), m
+
+
+class TestCanonicalMonomials:
+    @given(every_kind, every_kind, replacement_lists)
+    @example(parse("x1_0^2*x1_1*xi1^2*al1_1*E1"), parse("x1_1*E1"), [(E(1), parse("xi1*E1"))])
+    def test_ring_operations(self, p, q, replacements):
+        for r in (
+            p * q,
+            p.derivative(),
+            p.derivative(3),
+            directional_derivative(p),
+            directional_derivative(directional_derivative(p)),
+            p.substitute(dict(replacements)),
+        ):
+            _assert_canonical(r.terms)
+
+    @given(y_free)
+    @example(parse("x1_0*x1_3^2*x2_2 + xi1*al2_1*x1_1*x2_0"))
+    def test_scaling_derivation(self, p):
+        _assert_canonical(p.derive(perp._scaling_rule).terms)
+
+    @pytest.mark.parametrize("n, h", [(1, 3), (2, 2), (3, 1)])
+    def test_decoded_minors(self, n, h):
+        for matrix in (hankel_matrix(n, h, 1), triangular_matrix(n, h), scaled_matrix(n, h)):
+            sizes = range(min(matrix.rows, matrix.cols) + 1)
+            for _, _, _, value in iter_minors(matrix, sizes):
+                _assert_canonical(value.terms)
+        for span in minor_span(triangular_matrix(n, h), range(h + 2)).spans.values():
+            _assert_canonical(span.index.monomials)
+
+    @pytest.mark.parametrize("n, degree, order", [(1, 4, 4), (2, 3, 3), (3, 2, 2)])
+    def test_bounded_weight_enumeration(self, n, degree, order):
+        found = perp._monomials_up_to_weight(n, degree, order, degree * order)
+        _assert_canonical(m for _, m in found)
 
 
 class TestSubstitute:

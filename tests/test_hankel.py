@@ -438,6 +438,36 @@ class TestMinorSpan:
         assert sorted(decoded) == sorted(keys)
 
 
+class TestMinorLimit:
+    """Each enumeration counts its minors before it expands one, and refuses
+    a count above ``MINOR_LIMIT``."""
+
+    def test_iter_minors_refuses_on_the_call(self, monkeypatch):
+        m = triangular_matrix(1, 1)  # 1 + 2*2 + 1 minors
+        monkeypatch.setattr(hankel, "MINOR_LIMIT", 6)
+        assert len(list(iter_minors(m, range(3)))) == 6
+        monkeypatch.setattr(hankel, "MINOR_LIMIT", 5)
+        monkeypatch.setattr(hankel, "PackedMatrix", None)  # nothing may be packed
+        with pytest.raises(ValueError, match="^6 minors of a 2x2 matrix exceed the limit of 5 "):
+            iter_minors(m, range(3))
+
+    def test_minor_span_counts_top_row_minors_before_the_shape_check(self, monkeypatch):
+        m = triangular_matrix(1, 3)  # sum_s C(4, s) = 16 top-row minors
+        monkeypatch.setattr(hankel, "MINOR_LIMIT", 16)
+        assert minor_span(m, range(5)).total_dimension == 16
+        monkeypatch.setattr(hankel, "MINOR_LIMIT", 15)
+        with pytest.raises(ValueError, match="^16 minors of a 4x4 matrix exceed the limit of 15 "):
+            minor_span(m, range(5))
+        with pytest.raises(ValueError, match="exceed the limit"):  # not shift-structured
+            minor_span(hankel_matrix(1, 4, 3), range(5))
+
+    def test_the_maximal_minors_of_s_10_9_are_refused(self):
+        with pytest.raises(ValueError, match="^17,310,309,456,440 minors of a 10x100 matrix"):
+            iter_minors(scaled_matrix(10, 9), [10])
+        with pytest.raises(ValueError, match="^17,310,309,456,440 minors of a 10x100 matrix"):
+            minor_span(scaled_augmented_matrix(9, 9), [10])
+
+
 def _key_order_is_monomial_order(m: SymbolicMatrix) -> None:
     """Sorting the packed keys of every entry and minor of m as integers
     sorts their monomials in descending ``Monomial.order_key`` order."""

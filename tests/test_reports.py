@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from arcperp import hankel, perp, reports
+from arcperp import hankel, pairing, perp, reports
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import GradedSpan, hankel_matrix, scaled_matrix, triangular_matrix
 from arcperp.linalg import Span
@@ -19,7 +19,7 @@ from arcperp.reports import (
     dimension_series,
     run_verification,
 )
-from arcperp.ring import Polynomial, format_polynomial, parse
+from arcperp.ring import Monomial, Polynomial, al, format_polynomial, parse, x, xi, y
 
 
 def _series(n, h_max):
@@ -565,3 +565,43 @@ class TestUpstreamNegativeControls:
             "kernel_basis_pointwise_certificates": "x1_0*x1_2 + x1_1^2",
             "kernel_equals_hankel_minor_span": "degree 2: x1_0*x1_2 + x1_1^2",
         }
+
+
+class TestDerivationRuleNegativeControls:
+    """A derivation rule perturbed at one place makes the check built on it
+    fail with a witness."""
+
+    def test_marker_rule_with_a_squared_order(self, monkeypatch):
+        def squared(v):
+            if v.kind != "x":
+                return []
+            return [(1, Monomial(((xi(1), v.j * v.j), (al(1, v.i), 1))).pairs)]
+
+        monkeypatch.setattr(pairing, "_marker_rule", squared)
+        report = run_verification(1, 2)
+        failed = {c.name: c.witness for c in _failed(report)}
+        assert failed == {
+            "hankel_minors_double_derivative_vanishes": "x1_0*x1_2 - x1_1^2",
+            "kernel_basis_pointwise_certificates": "x1_0*x1_2 - x1_1^2",
+        }
+        monkeypatch.undo()
+        assert double_derivative_vanishes(parse("x1_0*x1_2 - x1_1^2"))
+
+    def test_scaling_rule_with_unit_binomials(self, monkeypatch):
+        def unit_binomials(v):
+            if v.kind != "x":
+                return []
+            return [(1, ((x(v.i, v.j - k), 1), (y(k), 1))) for k in range(1, v.j + 1)]
+
+        monkeypatch.setattr(perp, "_scaling_rule", unit_binomials)
+        report = run_verification(1, 2)
+        (check,) = _failed(report)
+        assert check.name == "scaled_maximal_minors_differentially_homogeneous"
+        assert check.witness == (
+            "1/2*x1_0^2*x2_2 - x1_0*x1_1*x2_1 - 1/2*x1_0*x1_2*x2_0 + x1_1^2*x2_0"
+        )
+        assert check.dimensions == {"maximal_minors": 8}
+        witness = parse(check.witness)
+        assert not is_differentially_homogeneous(witness, 3)
+        monkeypatch.undo()
+        assert is_differentially_homogeneous(witness, 3)

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -106,6 +107,18 @@ class TestParse:
             parse(text)
         assert str(exc.value) == f"{message} (at position {position})"
         assert exc.value.position == position
+
+    @pytest.mark.parametrize("prefix, position", [("", 0), ("1/", 2), ("x1_0^", 5)])
+    def test_number_beyond_the_integer_string_limit(self, prefix, position):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        text = prefix + "9" * max(limit + 1, 5000)
+        if not limit:  # this interpreter converts integers of any length
+            assert not parse(text).is_zero
+            return
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse(text)
+        assert exc.value.position == position
+        assert str(exc.value).endswith(f"(at position {position})")
 
 
 # Monomials of degree <= 8 over all five variable kinds, indices up to 12.

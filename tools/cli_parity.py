@@ -45,10 +45,12 @@ CALLS = [
     ["pair", "2*x1_0*x1_2 + x1_1^2", "x1_0*x1_2 - x1_1^2"],
     ["pair", PAIR_F, PAIR_P],
     ["pair", "--json", PAIR_F, PAIR_P],
+    ["pair", "xi1*x1_0 - al1_2*x1_1", PAIR_P],
     *(["pair", text, "x1_0"] for text in MALFORMED),
     ["pair", "x1_0", "1/x1_0"],
     ["perp", "--n", "1", "--degree", "2", "--order", "2"],
     ["perp", "--json", "--n", "2", "--degree", "3", "--order", "3"],
+    ["perp", "--json", "--n", "3", "--degree", "3", "--order", "3"],
     ["perp", "--n", "0", "--degree", "1", "--order", "1"],
     ["minors", "--family", "T", "--n", "1", "--h", "3", "--json"],
     ["minors", "--family", "T", "--n", "2", "--h", "2"],
@@ -67,7 +69,10 @@ CALLS = [
     ["series", "--n", "0", "--h-max", "2"],
     *(
         ["verify", "--json", "--no-timings", "--n", n, "--h", h]
-        for n, h in [("1", "0"), ("1", "1"), ("2", "2"), ("2", "3"), ("3", "3")]
+        for n, h in [
+            ("1", "0"), ("1", "1"), ("1", "2"), ("1", "3"), ("2", "2"), ("2", "3"), ("3", "2"),
+            ("3", "3"),
+        ]
     ),
     ["verify", "--json", "--no-timings", "--deep", "--n", "1", "--h", "2"],
     ["verify", "--no-timings", "--seed", "7", "--n", "2", "--h", "2"],
