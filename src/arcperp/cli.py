@@ -185,7 +185,7 @@ def _cmd_minors(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    from .perp import dimension_series, truncated_perp_basis
+    from .hankel import dimension_series, truncated_perp_basis
 
     if args.h_max < 0:
         raise ValueError("the series needs h_max >= 0")
@@ -225,7 +225,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dims_chain(args) -> int:
-    from .perp import dimension_chain, truncated_perp_basis
+    from .hankel import truncated_perp_basis
+    from .perp import dimension_chain
 
     chain = dimension_chain(args.n, args.h, truncated_perp_basis(args.n, args.h))
     if args.json:

@@ -1,4 +1,4 @@
-"""Structured symbolic matrices, Wronskians, and minor spans.
+"""Structured symbolic matrices, Wronskians, minor spans, and the dimension series.
 
 Four matrix families are built here:
 
@@ -23,12 +23,17 @@ minors of one matrix share their subproblems.  Its users here are
 rows: in T, S and S1 each row is the block shift of the one above, so every
 other minor is a constant combination of those (the proof is in its
 docstring).  The subproblems of a top-row minor are the top-row minors one
-size down, and ``minor_span`` builds its spans from the packed values, with
-no ``Polynomial`` per minor, and decodes their keys into monomials only when
-a caller reads a basis rather than a dimension.  ``perp`` reads the span of
-the maximal minors of one Hankel block from ``minor_span``, and the sampled
-Wronskian law of ``reports`` packs all its pairs once, side by side in one
-two-row matrix, and reads each pair's Wronskian as a 2x2 minor.
+size down, and ``minor_span`` certifies each degree's dimension by a forward
+echelon of the packed values, led by their lowest monomials, with no
+``Polynomial`` per minor; it decodes keys and builds the reduced row-echelon
+form only when a caller reads a basis rather than a dimension.  ``perp``
+reads the span of the maximal minors of one Hankel block from
+``minor_span``, and the sampled Wronskian law of ``reports`` packs all its
+pairs once, side by side in one two-row matrix, and reads each pair's
+Wronskian as a 2x2 minor.  ``truncated_perp_basis`` is the minor span of
+T(n, h), and ``dimension_series`` compares its total dimensions with
+(n+1)^(h+1), so the ``series`` command loads nothing beyond this module and
+its imports.
 """
 
 from __future__ import annotations
@@ -37,9 +42,10 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
-from .linalg import MonomialIndex, Span, reduced_echelon
+from .linalg import MonomialIndex, Span, forward_echelon, reduced_echelon
 from .ring import ONE, ZERO, Monomial, Polynomial, _sorted_monomial, x
 
 
@@ -163,7 +169,7 @@ class PackedMatrix:
         self.base = degree * min(m.rows, m.cols) + 1
         last = len(self.variables) - 1
         self.top = self.base ** (last + 1)
-        place = {v: self.base ** (last - i) for i, v in enumerate(self.variables)}
+        self.place = place = {v: self.base ** (last - i) for i, v in enumerate(self.variables)}
         key = {
             mono: mono.degree * self.top + sum(e * place[v] for v, e in mono.pairs)
             for mono in monomials
@@ -253,13 +259,18 @@ def _decode(key: int, variables: list, base: int, top: int) -> Monomial:
 
 
 class _PackedIndex(MonomialIndex):
-    """A ``MonomialIndex`` over packed keys sorted descending, which is
-    descending monomial order: the monomials are decoded on the first read of
-    ``monomials`` or ``position``, so a reader of dimensions decodes none."""
+    """A ``MonomialIndex`` over the packed keys of a minor span's kept rows,
+    sorted descending, which is descending monomial order.  The keys are
+    gathered on the first read of ``keys`` and decoded on the first read of
+    ``monomials`` or ``position``, so a reader of dimensions does neither."""
 
-    def __init__(self, keys: list[int], packed: PackedMatrix):
-        self.keys = keys
-        self._layout = (packed.variables, packed.base, packed.top)
+    def __init__(self, kept: dict[int, dict[int, int]], layout: tuple):
+        self._kept = kept
+        self._layout = layout
+
+    @functools.cached_property
+    def keys(self) -> list[int]:
+        return sorted(set().union(*self._kept.values()), reverse=True)
 
     @functools.cached_property
     def monomials(self) -> tuple[Monomial, ...]:
@@ -268,6 +279,40 @@ class _PackedIndex(MonomialIndex):
     @functools.cached_property
     def position(self) -> dict[Monomial, int]:
         return {m: i for i, m in enumerate(self.monomials)}
+
+
+class _MinorSpan(Span):
+    """A ``Span`` of packed minors: its keys are ``PackedMatrix`` keys, so the
+    least key of a kept row, its lead, is its lowest monomial.  A query
+    monomial is packed on the span's layout, and a remainder term decoded.
+    The RREF against the index, whose pivots are the highest monomials, is
+    reduced from the kept rows on the first read of ``rows``, ``pivots`` or
+    the basis polynomials."""
+
+    def __init__(self, kept: dict[int, dict[int, int]], packed: PackedMatrix):
+        self._layout = layout = (packed.variables, packed.base, packed.top)
+        self._place = packed.place
+        super().__init__(_PackedIndex(kept, layout), kept)
+
+    @functools.cached_property
+    def _reduced(self) -> tuple[list[dict[int, int | Fraction]], list[int]]:
+        column = {k: c for c, k in enumerate(self.index.keys)}
+        return reduced_echelon(
+            {column[k]: v for k, v in row.items()} for row in self.kept.values()
+        )
+
+    def _key(self, m: Monomial) -> int | None:
+        _, base, top = self._layout
+        key = m.degree * top
+        for v, e in m.pairs:
+            place = self._place.get(v)
+            if place is None or e >= base:
+                return None
+            key += e * place
+        return key
+
+    def _monomial(self, key: int) -> Monomial:
+        return _decode(key, *self._layout)
 
 
 def wronskian(fs: list[Polynomial]) -> Polynomial:
@@ -281,8 +326,10 @@ def wronskian(fs: list[Polynomial]) -> Polynomial:
     return PackedMatrix(SymbolicMatrix.from_rows(rows)).value(full, full)
 
 
-# The most minors one enumeration expands.  It admits the 155,382 top-row minors
-# of ``series --n 2 --h-max 8`` (1.3 GiB); a larger request would exhaust memory.
+# The most minors one enumeration expands.  It bounds the count, not memory: it
+# admits the 155,382 top-row minors of ``series --n 2 --h-max 8``, whose peak RSS
+# is 945 MiB, about 810 MiB of it the determinant memo of T(2, 8) (8.5 million
+# packed terms, every top-row minor); a larger request would exhaust memory.
 MINOR_LIMIT = 200_000
 
 
@@ -324,7 +371,7 @@ class GradedSpan:
     def span(self, degree: int) -> Span:
         got = self.spans.get(degree)
         if got is None:
-            return Span(MonomialIndex(()), [], [])
+            return Span(MonomialIndex(()), {})
         return got
 
     @property
@@ -360,12 +407,20 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
 
     The spans are built from the packed values, with no ``Polynomial`` per
     minor: the minors are grouped by degree (that of their highest term, the
-    leading digit of their largest key), and each degree's distinct keys,
-    sorted descending as integers, number its columns in descending monomial
-    order, as a ``MonomialIndex`` of the decoded monomials would.  The index
-    decodes them on first read, so ``dimension`` and ``total_dimension``
-    decode nothing.  A row is a minor times its rows' scales, which leaves
-    the reduced row-echelon form as it is.
+    leading digit of their largest key), and ``forward_echelon`` runs on each
+    degree's raw packed rows, in enumeration order.  Its least key is the
+    lowest monomial; the minors of T, S and S1 have (n+1)^(h+1) distinct
+    lowest monomials, so most rows are kept as they stand and the rest are
+    reduced to zero in a few steps (cf. Sturmfels-Zelevinsky, Maximal minors
+    and their leading terms, 1993).  The kept rows, one per dimension,
+    certify the dimension whether or not that holds, and ``dimension``,
+    ``contains`` and ``reduce`` read them alone.  On the first read of
+    ``index``'s keys, ``rows``, ``pivots`` or the basis polynomials, the kept
+    rows' distinct keys, sorted descending as integers, number the columns
+    in descending monomial order, as a ``MonomialIndex`` of the decoded
+    monomials would, and the reduced row-echelon form is built from the kept
+    rows against them.  A row is a minor times its rows' scales, which
+    leaves that form as it is.
     """
     sizes = [s for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)]
     _check_minor_count(m, sum(math.comb(m.cols, s) for s in sizes))
@@ -383,10 +438,26 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
             det = packed.det(rows, cols)
             if det:
                 by_degree.setdefault(max(det) // packed.top, []).append(det)
-    spans = {}
-    for d, dets in by_degree.items():
-        keys = sorted(set().union(*dets), reverse=True)
-        column = {k: c for c, k in enumerate(keys)}
-        coefficient_rows = ({column[k]: c for k, c in det.items()} for det in dets)
-        spans[d] = Span(_PackedIndex(keys, packed), *reduced_echelon(coefficient_rows))
-    return GradedSpan(spans)
+    return GradedSpan({d: _MinorSpan(forward_echelon(dets), packed) for d, dets in by_degree.items()})
+
+
+def truncated_perp_basis(n: int, h: int) -> GradedSpan:
+    """Graded span of all minors of the triangular family, sizes 0..h+1."""
+    return minor_span(triangular_matrix(n, h), range(h + 2))
+
+
+class SeriesRow(NamedTuple):
+    h: int
+    dimension: int
+    closed_form: int
+    match: bool
+
+
+def dimension_series(n: int, truncated) -> list[SeriesRow]:
+    """Dimensions of ``truncated_perp_basis(n, h)``, drawn for h = 0, 1, ... from
+    ``truncated``, against (n+1)^(h+1); no span is held while the next is built."""
+    rows = []
+    for h, dim in enumerate(map(attrgetter("total_dimension"), truncated)):
+        closed = (n + 1) ** (h + 1)
+        rows.append(SeriesRow(h, dim, closed, dim == closed))
+    return rows

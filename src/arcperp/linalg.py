@@ -1,22 +1,99 @@
 """Exact rational linear algebra over monomial-indexed coefficient matrices.
 
-All elimination runs on one sparse, fraction-free core, ``reduced_echelon``.
-Rows are ``{column: value}`` maps of their nonzero entries, cleared of
-denominators and eliminated over the integers, sparsest first, each row kept
-divided by its content; the result is the unique reduced row-echelon form
-over the rationals.  Columns a row never mentions are never touched.  The
-pivot of a row is its first nonzero column, so every result is
-deterministic.  Results keep integral values as ``int``: a ``Fraction`` is
-built only for an entry its pivot does not divide.
+All elimination runs on one sparse, fraction-free core.  Rows are ``{key:
+value}`` maps of their nonzero entries over ``int``, eliminated by integer
+combinations; keys a row never mentions are never touched.
+``forward_echelon`` gives each row a lead, its least key, and reduces each
+new row by its lead until it is zero or its lead is new, which certifies the
+rank.  ``reduced_echelon`` clears rational rows of denominators, runs the
+forward echelon on them, sparsest first, and then ``back_substitute``: the
+unique reduced row-echelon form over the rationals, whose pivot of a row is
+its first nonzero column, so every result is deterministic.  Results keep
+integral values as ``int``: a ``Fraction`` is built only for an entry its
+pivot does not divide.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .ring import Monomial, Polynomial
+
+
+def forward_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Integer rows in echelon form by least key, as ``{lead: row}``.
+
+    Each row in turn is eliminated by its least key against the row kept
+    with that lead, until it is zero or its least key is a new lead; then it
+    is kept as it stands.  Kept rows are never reduced against each other,
+    so this is the rank, with no back-substitution.  A row kept without any
+    elimination is the caller's own dict, so the caller must not mutate it;
+    a row that was eliminated is a copy, divided by its content.
+    """
+    kept: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if not row:
+            continue
+        lead = min(row)
+        if lead not in kept:
+            kept[lead] = row
+            continue
+        work = dict(row)
+        while lead in kept:
+            _eliminate(work, kept[lead], lead)
+            if not work:
+                break
+            lead = min(work)
+        else:
+            _divide_content(work, lead)
+            kept[lead] = work
+    return kept
+
+
+def back_substitute(
+    kept: Mapping[int, dict[int, int]],
+) -> tuple[list[dict[int, int | Fraction]], list[int]]:
+    """The unique reduced row-echelon form of ``forward_echelon``'s rows.
+
+    Returns the reduced rows, sorted by pivot (their leads), each in column
+    order, and the pivots.  The rows are reduced from the highest lead down,
+    each against the rows below it, which are already reduced; ``kept`` is
+    left unchanged.  An entry is a ``Fraction`` only where its pivot entry
+    does not divide it.
+    """
+    pivots = sorted(kept)
+    done: dict[int, dict[int, int]] = {}
+    for p in reversed(pivots):
+        row = kept[p]
+        below = [c for c in row if c != p and c in done]
+        if below:
+            row = dict(row)
+            for c in below:
+                _eliminate(row, done[c], c)
+            _divide_content(row, p)
+        done[p] = row
+    reduced = []
+    for p in pivots:
+        row = done[p]
+        d = row[p]
+        entries = [(c, row[c]) for c in sorted(row)]
+        if d == 1:
+            reduced.append(dict(entries))
+        else:
+            reduced.append({c: Fraction(e, d) if e % d else e // d for c, e in entries})
+    return reduced, pivots
+
+
+def _integral_rows(rows: Iterable[Mapping[int, int | Fraction]]):
+    """Sparse rational rows cleared of denominators, sparsest first, which
+    keeps fill-in low."""
+    for row in sorted(rows, key=len):
+        scale = lcm(*(v.denominator for v in row.values()))
+        yield {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
+
 
 def reduced_echelon(
     rows: Iterable[Mapping[int, int | Fraction]],
@@ -24,42 +101,16 @@ def reduced_echelon(
     """The unique reduced row-echelon form of sparse rational rows.
 
     Returns the nonzero reduced rows, sorted by pivot column, and their pivot
-    columns; rank is the number of rows.  The rows are eliminated in
-    ascending order of their nonzero count, which keeps fill-in low; the
-    result does not depend on that order.
+    columns; rank is the number of rows.  It is ``forward_echelon`` on the
+    rows cleared of denominators, sparsest first, then one
+    ``back_substitute``; the result does not depend on the row order.
     """
-    pivot_rows: dict[int, dict[int, int]] = {}
-    for row in sorted(rows, key=len):
-        scale = lcm(*(v.denominator for v in row.values()))
-        work = {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
-        for c in [c for c in work if c in pivot_rows]:
-            _eliminate(work, pivot_rows[c], c)
-        if not work:
-            continue
-        lead = min(work)
-        _divide_content(work, lead)
-        for other in pivot_rows.values():
-            if lead in other:
-                _eliminate(other, work, lead)
-                _divide_content(other, None)
-        pivot_rows[lead] = work
-    pivots = sorted(pivot_rows)
-    reduced = []
-    for p in pivots:
-        row = pivot_rows[p]
-        d = row[p]
-        if d != 1:
-            row = {c: Fraction(e, d) if e % d else e // d for c, e in row.items()}
-        reduced.append(row)
-    return reduced, pivots
+    return back_substitute(forward_echelon(_integral_rows(rows)))
 
 
-def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> None:
-    """Clear ``col`` from ``row`` in place by an integer combination with ``pivot_row``.
-
-    The pivot entry is positive, so the multiplier of ``row`` is too and the
-    signs of its other entries are kept.
-    """
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> int:
+    """Clear ``col`` from ``row`` in place by an integer combination with
+    ``pivot_row``; returns the factor ``row`` was multiplied by."""
     v = row.pop(col)
     p = pivot_row[col]
     g = gcd(p, v)
@@ -74,12 +125,13 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> None
                 row[k] = t
             else:
                 del row[k]
+    return a
 
 
-def _divide_content(row: dict[int, int], lead: int | None) -> None:
-    """Divide by the gcd of the entries; with ``lead``, also make that entry positive."""
+def _divide_content(row: dict[int, int], lead: int) -> None:
+    """Divide by the gcd of the entries, signed to make the ``lead`` entry positive."""
     g = gcd(*row.values())
-    if lead is not None and row[lead] < 0:
+    if row[lead] < 0:
         g = -g
     if g != 1:
         for k in row:
@@ -204,22 +256,24 @@ def _coefficient_row(p: Polynomial, index: MonomialIndex) -> dict[int, int | Fra
 
 
 class Span:
-    """A finite-dimensional subspace of polynomials in reduced echelon form.
+    """A finite-dimensional subspace of polynomials, held as its kept rows.
 
-    ``rows`` are the unique RREF of the input coefficient rows against the
-    ambient index, sparse as ``reduced_echelon`` returns them, with their
-    ``pivots``; two spans over compatible indexes are equal exactly when
-    their basis polynomials coincide.  Those are built once, on first use,
-    and shared by every later query, so they must not be mutated.
+    ``kept`` is what ``forward_echelon`` returns: integer rows ``{key:
+    value}``, one per dimension, with distinct least keys, their leads.  The
+    keys here are the columns of ``index``, which runs in descending monomial
+    order, so a row's lead is its highest monomial; ``hankel`` keys its minor
+    spans by packed monomials instead.  ``dimension``, ``contains`` and
+    ``reduce`` read the kept rows alone.  ``rows`` and ``pivots``, the unique
+    reduced row-echelon form against the index, and the basis polynomials
+    read off them, are built once, on first read, and shared by every later
+    reader, so they must not be mutated.  Two spans over compatible indexes
+    are equal exactly when their basis polynomials coincide.
     """
 
-    def __init__(
-        self, index: MonomialIndex, rows: list[dict[int, int | Fraction]], pivots: list[int]
-    ):
+    def __init__(self, index: MonomialIndex, kept: dict[int, dict[int, int]]):
         self.index = index
-        self.rows = rows
-        self.pivots = pivots
-        self._polynomials = self._by_pivot = None
+        self.kept = kept
+        self._polynomials = None
 
     @classmethod
     def from_polynomials(
@@ -228,30 +282,62 @@ class Span:
         polys = [p for p in polys if not p.is_zero]
         if index is None:
             index = MonomialIndex.spanning(polys)
-        return cls(index, *reduced_echelon(_coefficient_row(p, index) for p in polys))
+        rows = _integral_rows(_coefficient_row(p, index) for p in polys)
+        return cls(index, forward_echelon(rows))
 
     @property
     def dimension(self) -> int:
-        return len(self.pivots)
+        return len(self.kept)
+
+    @functools.cached_property
+    def _reduced(self) -> tuple[list[dict[int, int | Fraction]], list[int]]:
+        """The RREF; the leads are already its pivot columns."""
+        return back_substitute(self.kept)
+
+    @property
+    def rows(self) -> list[dict[int, int | Fraction]]:
+        return self._reduced[0]
+
+    @property
+    def pivots(self) -> list[int]:
+        return self._reduced[1]
+
+    def _key(self, m: Monomial) -> int | None:
+        """The key of a monomial, None for one no row can hold."""
+        return self.index.position.get(m)
+
+    def _monomial(self, key: int) -> Monomial:
+        return self.index.monomials[key]
 
     def basis_polynomials(self) -> tuple[Polynomial, ...]:
         if self._polynomials is None:
             monomials = self.index.monomials
-            polys = [Polynomial({monomials[c]: e for c, e in row.items()}) for row in self.rows]
-            self._by_pivot = {monomials[c]: b.terms.items() for c, b in zip(self.pivots, polys)}
-            self._polynomials = tuple(polys)
+            self._polynomials = tuple(
+                Polynomial({monomials[c]: e for c, e in row.items()}) for row in self.rows
+            )
         return self._polynomials
 
     def reduce(self, p: Polynomial) -> Polynomial:
-        """The remainder of p after elimination against the basis rows: as the
-        rows are reduced, p minus p's coefficient at each pivot times its row."""
-        self.basis_polynomials()  # builds the pivot map on first use
-        remainder = dict(p.terms)
+        """The remainder of p against the kept rows: p minus the element of
+        the span that agrees with p at every lead.  It depends only on the
+        span and its leads; over ``index`` the leads are the pivots.  The
+        terms with a key form one integer row over their common denominator.
+        Its leads are eliminated least first, and each elimination brings in
+        only keys above its lead, so each is eliminated once."""
+        key, kept = self._key, self.kept
+        remainder, work = {}, {}
         for m, c in p.terms.items():
-            for k, e in self._by_pivot.get(m, ()):
-                t = c if e == 1 else c * e
-                old = remainder.get(k)
-                remainder[k] = -t if old is None else old - t
+            k = key(m)
+            if k is None:
+                remainder[m] = c
+            else:
+                work[k] = c
+        scale = lcm(*(c.denominator for c in work.values()))
+        work = {k: c.numerator * (scale // c.denominator) for k, c in work.items()}
+        while (lead := min((k for k in work if k in kept), default=None)) is not None:
+            scale *= _eliminate(work, kept[lead], lead)
+        for k, v in work.items():
+            remainder[self._monomial(k)] = Fraction(v, scale) if v % scale else v // scale
         return Polynomial(remainder)
 
     def contains(self, p: Polynomial) -> bool:

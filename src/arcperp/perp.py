@@ -13,9 +13,10 @@ The other entry points build what ``reports.run_verification`` compares
 with it on concrete instances: the independently computed Hankel-minor
 spans, the restrictions of high orders to zero that realize the truncated
 inverse systems, and pointwise certificates on single polynomials, among
-them differential homogeneity.  The truncated dimension series and the
-triangular/scaled dimension chain, which the ``series`` and ``dims-chain``
-commands print, read only the minor side: nothing here reaches the pairing.
+them differential homogeneity.  The triangular/scaled dimension chain,
+which the ``dims-chain`` command prints, reads only the minor side: nothing
+here reaches the pairing.  The truncated dimension series lives in
+``hankel``, so the ``series`` command compiles none of this module.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import attrgetter
 from typing import NamedTuple
 
 from .hankel import (
@@ -32,7 +32,6 @@ from .hankel import (
     minor_span,
     scaled_augmented_matrix,
     scaled_matrix,
-    triangular_matrix,
 )
 from .linalg import Span, nullspace, span_witness
 from .ring import (
@@ -136,28 +135,6 @@ def _lowered(pairs: tuple, p: int, q: int) -> tuple:
     return tuple(t for t in out if t[1])
 
 
-def truncated_perp_basis(n: int, h: int) -> GradedSpan:
-    """Graded span of all minors of the triangular family, sizes 0..h+1."""
-    return minor_span(triangular_matrix(n, h), range(h + 2))
-
-
-class SeriesRow(NamedTuple):
-    h: int
-    dimension: int
-    closed_form: int
-    match: bool
-
-
-def dimension_series(n: int, truncated) -> list[SeriesRow]:
-    """Dimensions of ``truncated_perp_basis(n, h)``, drawn for h = 0, 1, ... from
-    ``truncated``, against (n+1)^(h+1); no span is held while the next is built."""
-    rows = []
-    for h, dim in enumerate(map(attrgetter("total_dimension"), truncated)):
-        closed = (n + 1) ** (h + 1)
-        rows.append(SeriesRow(h, dim, closed, dim == closed))
-    return rows
-
-
 class ChainDims(NamedTuple):
     """Dimensions of the three independently enumerated minor spaces."""
 
@@ -181,7 +158,7 @@ class ChainDims(NamedTuple):
 def dimension_chain(n: int, h: int, tri: GradedSpan) -> ChainDims:
     """Compare the triangular, scaled, and augmented-maximal minor dimensions.
 
-    ``tri`` is the triangular minor span ``truncated_perp_basis(n, h)``.
+    ``tri`` is the triangular minor span ``hankel.truncated_perp_basis(n, h)``.
     ``equal`` records whether all three match (n+1)^(h+1).  The explicit
     substitution x^(i) -> x^(h-i)/(h-i)! is also applied to every triangular
     basis element and checked to land in the scaled span of its degree: the
@@ -259,7 +236,7 @@ def hankel_minor_intersection_span(n: int, degree: int, max_order: int) -> Span:
 def restriction_mismatch(n: int, h: int, truncated: GradedSpan) -> tuple[int, Polynomial] | None:
     """The first degree d <= h+1 at which the exact restriction span
     (``restriction_span``) and ``truncated``, the triangular minor span
-    ``truncated_perp_basis(n, h)``, differ, with a basis polynomial of one
+    ``hankel.truncated_perp_basis(n, h)``, differ, with a basis polynomial of one
     side missing from the other; None when all agree.  Degrees above h+1
     cannot occur: the triangular family has h+1 rows, which bounds minor
     size."""

@@ -18,21 +18,26 @@ from typing import NamedTuple
 
 from . import __version__
 from .arcgen import arc_generators_up_to
-from .hankel import (
-    GradedSpan, PackedMatrix, SymbolicMatrix, hankel_matrix, iter_minors, scaled_matrix,
+from .hankel import (  # SeriesRow: perfbench/tracer.py traces it here
+    GradedSpan,
+    PackedMatrix,
+    SeriesRow,
+    SymbolicMatrix,
+    dimension_series,
+    hankel_matrix,
+    iter_minors,
+    scaled_matrix,
+    truncated_perp_basis,
 )
 from .linalg import span_witness
 from .pairing import apply_pairing, double_derivative_vanishes
-from .perp import (  # SeriesRow and ChainDims: perfbench/tracer.py traces them here
+from .perp import (  # ChainDims: perfbench/tracer.py traces it here
     ChainDims,
-    SeriesRow,
     dimension_chain,
-    dimension_series,
     hankel_minor_intersection_span,
     is_differentially_homogeneous,
     perp_graded_basis,
     restriction_mismatch,
-    truncated_perp_basis,
     vanishes_on_exponential_sums,
 )
 from .ring import Monomial, Polynomial, differential_variables, format_polynomial

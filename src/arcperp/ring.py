@@ -454,16 +454,17 @@ class PolynomialSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[+\-*/^])|(?P<bad>\S))"
-)
-_VARIABLE_RE = re.compile(r"(xi|al|x|E|y_)(\d+)(?:_(\d+))?")
+# The token and variable-name patterns.  They are passed to ``re`` as text, so
+# ``re`` compiles each on the first ``parse`` and caches it; a command that
+# parses nothing compiles neither.
+_TOKEN = r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[+\-*/^])|(?P<bad>\S))"
+_VARIABLE = r"(xi|al|x|E|y_)(\d+)(?:_(\d+))?"
 
 
 def _variable(tok: str, pos: int) -> Variable:
     """The variable a name token spells: ``x`` and ``al`` take two indices,
     ``xi``, ``E`` and ``y_`` one."""
-    m = _VARIABLE_RE.fullmatch(tok)
+    m = re.fullmatch(_VARIABLE, tok)
     if m:
         name, a, b = m.groups()
         if (b is None) == (name in ("xi", "E", "y_")):
@@ -495,7 +496,7 @@ def parse(text: str) -> Polynomial:
     Whitespace is ignored.  Raises :class:`PolynomialSyntaxError` on malformed
     input or unknown variable names.
 
-    One pass of ``_TOKEN_RE`` splits the whole text into (kind, text,
+    One pass of ``_TOKEN`` splits the whole text into (kind, text,
     position) tokens of kind ``num``, ``ident`` or ``op``, so a stray
     character is reported before any other error.  An ``end`` sentinel at
     ``len(text)`` closes the list, so every lookahead is one index read.
@@ -503,7 +504,7 @@ def parse(text: str) -> Polynomial:
     factors that follow it.
     """
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in re.finditer(_TOKEN, text):
         kind = m.lastgroup
         if kind == "bad":
             raise PolynomialSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))

@@ -13,7 +13,9 @@ import time
 from fractions import Fraction
 
 from arcperp.arcgen import arc_generators_up_to
-from arcperp.hankel import hankel_matrix, iter_minors, scaled_matrix, wronskian
+from arcperp.hankel import (
+    hankel_matrix, iter_minors, scaled_matrix, truncated_perp_basis, wronskian,
+)
 from arcperp.linalg import RationalMatrix
 from arcperp.pairing import apply_pairing, double_derivative_vanishes
 from arcperp.perp import (
@@ -21,7 +23,6 @@ from arcperp.perp import (
     is_differentially_homogeneous,
     perp_graded_basis,
     restriction_mismatch,
-    truncated_perp_basis,
     vanishes_on_exponential_sums,
 )
 from arcperp.reports import dimension_chain, dimension_series

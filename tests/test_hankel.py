@@ -22,6 +22,7 @@ from arcperp.hankel import (
 )
 from arcperp.linalg import Span
 from arcperp.pairing import double_derivative_vanishes
+from arcperp.perp import scaled_of_triangular_map
 from arcperp.ring import E, Monomial, Polynomial, al, parse, x, xi, y
 
 from oracles import annihilates, naive_determinant
@@ -436,6 +437,57 @@ class TestMinorSpan:
             span.index.position
         assert len(set(keys)) == len(keys)
         assert sorted(decoded) == sorted(keys)
+
+
+class TestKeptMinors:
+    """``minor_span`` keeps one forward-echelon row per dimension, led by its
+    lowest monomial, and builds the reduced row-echelon form only when a
+    basis is read."""
+
+    @pytest.mark.parametrize(
+        "family,n,h,sizes",
+        [("T", 1, h, "all") for h in range(7)]
+        + [("T", 2, h, "all") for h in range(5)]
+        + [("S", 2, 3, "all"), ("S1", 1, 3, "maximal"), ("S1", 2, 2, "maximal")],
+    )
+    def test_kept_rows_have_distinct_lowest_monomials(self, family, n, h, sizes):
+        m = build_matrix(family, n, h)
+        graded = minor_span(m, range(m.rows + 1) if sizes == "all" else [m.rows])
+        for d, span in graded.spans.items():
+            # the lowest monomial of each kept row, found by Monomial.order_key
+            # on the decoded monomials, not by the packed key order
+            lowest = [
+                min((span._monomial(k) for k in row), key=Monomial.order_key)
+                for row in span.kept.values()
+            ]
+            assert lowest == [span._monomial(lead) for lead in span.kept], d
+            assert len(set(lowest)) == len(lowest) == span.dimension, d
+            assert len(span.pivots) == span.dimension, d  # the RREF, built now
+        assert graded.total_dimension == (n + 1) ** (h + 1)
+
+    def test_dimensions_and_containment_build_no_rref(self, monkeypatch):
+        tri = minor_span(triangular_matrix(2, 2), range(4))
+        bases = {d: span.basis_polynomials() for d, span in tri.spans.items()}
+        monkeypatch.setattr(hankel, "reduced_echelon", None)  # a call would raise
+        sca = minor_span(scaled_matrix(2, 2), range(4))
+        assert sca.total_dimension == 27
+        stray = [Polynomial.from_variable(x(3, 0)), P("x1_0^9"), P("x1_2^2 + x2_0*x2_1")]
+        for d, basis in bases.items():
+            span = sca.span(d)
+            # the same span, keyed by the columns of its own support
+            by_columns = Span.from_polynomials(
+                Polynomial({span._monomial(k): c for k, c in row.items()})
+                for row in span.kept.values()
+            )
+            for p in basis:
+                image = scaled_of_triangular_map(p, 2)
+                assert span.contains(image)
+                for q in stray:
+                    assert span.contains(image + q) == by_columns.contains(image + q)
+                    remainder = span.reduce(image + q)
+                    assert all(remainder.coeff(span._monomial(lead)) == 0 for lead in span.kept)
+                    assert span.contains(image + q - remainder)
+        assert "_reduced" not in vars(sca.span(2))
 
 
 class TestMinorLimit:

@@ -9,6 +9,8 @@ from arcperp.linalg import (
     MonomialIndex,
     RationalMatrix,
     Span,
+    back_substitute,
+    forward_echelon,
     nullspace,
     reduced_echelon,
 )
@@ -215,6 +217,45 @@ class TestRowOrderAndResultTypes:
         assert sorted(map(str, span.basis_polynomials())) == [
             "x1_0 + 1/2*x1_2", "x1_1 + 1/2*x1_2"
         ]
+
+
+def _integral(row: list) -> dict[int, int]:
+    """A row's nonzero entries times the lcm of its denominators: the same
+    line, so the same rank and reduced row-echelon form."""
+    scale = math.lcm(*(Fraction(e).denominator for e in row))
+    return {j: int(e * scale) for j, e in enumerate(row) if e != 0}
+
+
+class TestForwardEchelon:
+    """The elimination core's two halves against the textbook oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices_with_zero_lines(), st.data())
+    def test_rank_and_rref_under_any_row_order(self, case, data):
+        rows, cols = case
+        order = data.draw(st.permutations(range(len(rows))))
+        sparse = [_integral(rows[k]) for k in order]
+        before = [dict(row) for row in sparse]
+
+        kept = forward_echelon(sparse)
+        assert len(kept) == naive_rank(rows, cols)
+        assert all(min(row) == lead for lead, row in kept.items())
+        assert sparse == before  # the caller's rows are not mutated
+        kept_before = {lead: dict(row) for lead, row in kept.items()}
+
+        reduced, pivots = back_substitute(kept)
+        assert [[row.get(j, 0) for j in range(cols)] for row in reduced] == naive_rref(rows, cols)
+        assert pivots == sorted(kept)
+        assert kept == kept_before  # nor are the kept rows
+        assert (reduced, pivots) == reduced_echelon({j: e for j, e in enumerate(row) if e} for row in rows)
+
+    def test_a_row_with_a_new_lead_is_kept_as_it_stands(self):
+        first, second, third = {0: 2, 1: 4}, {1: 3, 2: 1}, {0: 1, 1: 2, 2: 5}
+        kept = forward_echelon([first, second, third])
+        assert kept[0] is first and kept[1] is second
+        # third - first/2 = 5 * e_2: reduced, then divided by its content
+        assert kept[2] == {2: 1}
+        assert forward_echelon([first, {0: -3, 1: -6}]) == {0: first}
 
 
 @pytest.fixture(scope="module")

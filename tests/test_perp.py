@@ -5,7 +5,7 @@ import pytest
 
 from arcperp import perp
 from arcperp.arcgen import arc_generators_up_to
-from arcperp.hankel import iter_minors, scaled_matrix, wronskian
+from arcperp.hankel import iter_minors, scaled_matrix, truncated_perp_basis, wronskian
 from arcperp.linalg import MonomialIndex, Span
 from arcperp.pairing import apply_pairing
 from arcperp.perp import (
@@ -16,7 +16,6 @@ from arcperp.perp import (
     restriction_mismatch,
     restriction_span,
     scaled_of_triangular_map,
-    truncated_perp_basis,
     vanishes_on_exponential_sums,
 )
 from arcperp.ring import Monomial, Polynomial, parse, x

@@ -5,13 +5,14 @@ import pytest
 
 from arcperp import hankel, pairing, perp, reports
 from arcperp.arcgen import arc_generators_up_to
-from arcperp.hankel import GradedSpan, hankel_matrix, scaled_matrix, triangular_matrix
+from arcperp.hankel import (
+    GradedSpan, hankel_matrix, scaled_matrix, triangular_matrix, truncated_perp_basis,
+)
 from arcperp.linalg import Span
 from arcperp.pairing import apply_pairing, double_derivative_vanishes
 from arcperp.perp import (
     is_differentially_homogeneous,
     scaled_of_triangular_map,
-    truncated_perp_basis,
     vanishes_on_exponential_sums,
 )
 from arcperp.reports import (
@@ -254,7 +255,7 @@ class TestNegativeControls:
         # the first triangular element whose image has a term at m is outside.
         pivot = dropped[0].monomials()[0]
         expected = next(
-            p for span in perp.truncated_perp_basis(1, 1).spans.values()
+            p for span in hankel.truncated_perp_basis(1, 1).spans.values()
             for p in span.basis_polynomials()
             if scaled_of_triangular_map(p, 1).coeff(pivot) != 0
         )
@@ -365,6 +366,45 @@ class TestMinorFedNegativeControls:
         assert check.name == "dimension_series_matches_closed_form"
         assert check.witness == "h=1: 3 != 4"
         assert check.dimensions == {"0": 2, "1": 3, "2": 8}
+
+    def test_series_with_a_reduced_minor_perturbed(self, monkeypatch):
+        # At h = 2 only the series reads order 1.  Of the five nonzero 2x2
+        # top-row minors of T(2, 1), the forward echelon reduces one to zero,
+        # -x1_1*x2_1; its coefficient at x1_0*x2_1, a monomial of the degree
+        # that leads no kept row, goes from 0 to 1.
+        real_echelon, real_basis = hankel.forward_echelon, reports.truncated_perp_basis
+        perturbed = []
+
+        def perturbing(rows):
+            rows = list(rows)
+            ranks = [len(real_echelon(rows[:i])) for i in range(len(rows) + 1)]
+            reduced = [i for i in range(len(rows)) if ranks[i + 1] == ranks[i]]
+            if not reduced:
+                return real_echelon(rows)
+            # No element of the span has its least key outside the leads, so
+            # adding 1 at such a key takes the minor out of the span.
+            i, leads = reduced[0], real_echelon(rows)
+            key = min(k for k in set().union(*rows) if k not in leads)
+            rows[i] = {**rows[i], key: rows[i].get(key, 0) + 1}
+            perturbed.append(rows[i])
+            kept = real_echelon(rows)
+            assert len(kept) == ranks[-1] + 1
+            return kept
+
+        def basis(n, h):
+            if h != 1:
+                return real_basis(n, h)
+            with monkeypatch.context() as patch:
+                patch.setattr(hankel, "forward_echelon", perturbing)
+                return real_basis(n, h)
+
+        monkeypatch.setattr(reports, "truncated_perp_basis", basis)
+        report = run_verification(2, 2)
+        (check,) = _failed(report)
+        assert check.name == "dimension_series_matches_closed_form"
+        assert check.witness == "h=1: 10 != 9"
+        assert check.dimensions == {"0": 3, "1": 10, "2": 27}
+        assert len(perturbed) == 1  # degree 2; degrees 0 and 1 reduce nothing
 
 
 class TestBuildCounts:

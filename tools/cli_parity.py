@@ -54,6 +54,8 @@ CALLS = [
     ["perp", "--n", "0", "--degree", "1", "--order", "1"],
     ["minors", "--family", "T", "--n", "1", "--h", "3", "--json"],
     ["minors", "--family", "T", "--n", "2", "--h", "2"],
+    ["minors", "--family", "T", "--n", "2", "--h", "3"],
+    ["minors", "--family", "S1", "--n", "1", "--h", "3", "--json"],
     ["minors", "--family", "S", "--n", "2", "--h", "1", "--json"],
     ["minors", "--family", "S1", "--n", "2", "--h", "2", "--json"],
     ["minors", "--family", "H", "--n", "2", "--h", "2", "--k", "1", "--json"],
@@ -65,6 +67,7 @@ CALLS = [
     ["minors", "--family", "Q", "--n", "1", "--h", "1"],
     ["series", "--n", "1", "--h-max", "7"],
     ["series", "--json", "--n", "2", "--h-max", "3"],
+    ["series", "--n", "2", "--h-max", "4", "--json"],
     ["series", "--n", "1", "--h-max", "-1"],
     ["series", "--n", "0", "--h-max", "2"],
     *(
