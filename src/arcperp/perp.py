@@ -12,11 +12,12 @@ weight-homogeneous, so the kernel side enumerates the monomials of each
 The other entry points build what ``reports.run_verification`` compares
 with it on concrete instances: the independently computed Hankel-minor
 spans, the restrictions of high orders to zero that realize the truncated
-inverse systems, and pointwise certificates on single polynomials, among
-them differential homogeneity.  The triangular/scaled dimension chain,
-which the ``dims-chain`` command prints, reads only the minor side: nothing
-here reaches the pairing.  The truncated dimension series lives in
-``hankel``, so the ``series`` command compiles none of this module.
+inverse systems, and the differential homogeneity of single polynomials.
+The triangular/scaled dimension chain, which the ``dims-chain`` command
+prints, reads only the minor side: nothing here reaches the pairing.  The
+truncated dimension series lives in ``hankel``, so the ``series`` command
+compiles none of this module.  Every check on the kernel basis elements
+themselves is in ``reports``, built on the pairing's double derivative.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .hankel import (
 )
 from .linalg import Span, nullspace, span_witness
 from .ring import (
-    E, Monomial, Polynomial, Variable, _sorted_monomial, al, differential_variables,
-    format_polynomial, x, xi, y,
+    Monomial, Polynomial, Variable, _sorted_monomial, differential_variables,
+    format_polynomial, x, y,
 )
 
 
@@ -250,23 +251,6 @@ def restriction_mismatch(n: int, h: int, truncated: GradedSpan) -> tuple[int, Po
 # -- pointwise certificates on single polynomials ------------------------------
 
 
-def vanishes_on_exponential_sums(p: Polynomial, d: int) -> bool:
-    """Is p identically zero on every sum of d exponential trajectories?
-
-    Substitutes x_i^(j) -> sum_{m<=d} al_{m,i} * xi_m^j * E_m and tests
-    whether the result vanishes identically in the auxiliaries.
-    """
-    mapping = {}
-    for m_var in _diff_variables_of(p):
-        total = Polynomial.zero()
-        for m in range(1, d + 1):
-            total = total + Polynomial.from_monomial(
-                Monomial(((al(m, m_var.i), 1), (xi(m), m_var.j), (E(m), 1)))
-            )
-        mapping[m_var] = total
-    return p.substitute(mapping).is_zero
-
-
 def is_differentially_homogeneous(p: Polynomial, d: int) -> bool:
     """Does replacing x by y*x under Leibniz multiply p by y^d?
 
@@ -318,15 +302,6 @@ def _scaling_rule(v: Variable) -> list:
     if v.kind != "x":
         return []
     return [(math.comb(v.j, k), ((x(v.i, v.j - k), 1), (y(k), 1))) for k in range(1, v.j + 1)]
-
-
-def _diff_variables_of(p: Polynomial):
-    seen = set()
-    for m in p.terms:
-        for v, _ in m.pairs:
-            if v.kind == "x":
-                seen.add(v)
-    return sorted(seen)
 
 
 def scaled_of_triangular_map(p: Polynomial, h: int) -> Polynomial:

@@ -18,6 +18,7 @@ function, so concurrent use is safe.  There is no floating-point mode.
 from __future__ import annotations
 
 import bisect
+import decimal
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -334,7 +335,7 @@ class Polynomial:
             self._hash = hash(terms.get(_ONE, 0) if scalar else frozenset(terms.items()))
         return self._hash
 
-    # -- derivation and substitution ----------------------------------------
+    # -- derivation ---------------------------------------------------------
 
     def derive(self, rule) -> "Polynomial":
         """The derivation sum_v rule(v) * dp/dv.
@@ -390,34 +391,6 @@ class Polynomial:
         return Polynomial(
             {m: c for m, c in self.terms.items() if not m.has_order_above(h)}
         )
-
-    def substitute(self, mapping: Mapping[Variable, "Polynomial"]) -> "Polynomial":
-        """Replace each mapped variable by a polynomial, multiplicatively.
-
-        Each power ``repl**e`` is built once per call, and every expanded
-        term is added into one accumulator.
-        """
-        powers: dict[tuple[Variable, int], Polynomial] = {}
-        acc: dict[Monomial, int | Fraction] = {}
-        for m, c in self.terms.items():
-            kept = []
-            factors = []
-            for v, e in m.pairs:
-                repl = mapping.get(v)
-                if repl is None:
-                    kept.append((v, e))
-                    continue
-                power = powers.get((v, e))
-                if power is None:
-                    power = powers[v, e] = repl**e
-                factors.append(power)
-            term = Polynomial({_sorted_monomial(tuple(kept), sum(e for _, e in kept)): c})
-            for power in factors:
-                term = term * power
-            for tm, tc in term.terms.items():
-                old = acc.get(tm)
-                acc[tm] = tc if old is None else old + tc
-        return Polynomial(acc)
 
     # -- rendering ----------------------------------------------------------
 
@@ -556,7 +529,11 @@ def parse(text: str) -> Polynomial:
 
 
 def _format_coeff(c: int | Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    """c as ``p`` or ``p/q``.  An exact product can pass Python's limit on
+    integer-to-string conversion (1700! has 4,756 digits); ``Decimal`` holds
+    an ``int`` exactly and prints every digit, with no process-wide setting."""
+    numerator = str(decimal.Decimal(c.numerator))
+    return numerator if c.denominator == 1 else f"{numerator}/{decimal.Decimal(c.denominator)}"
 
 
 def format_polynomial(p: Polynomial) -> str:

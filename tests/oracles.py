@@ -7,8 +7,9 @@ Gauss-Jordan without any fraction-free shortcuts.  The monomial order is
 read off dense exponent vectors over a variable list written out by hand.
 Substitution multiplies out one term at a time, differential homogeneity is
 tested by substituting y*x itself, linearity under an exponential shift by
-substituting the shift itself, and annihilation applies every generator
-through the apolarity pairing.
+substituting the shift itself, vanishing on sums of exponentials by
+substituting the sums, and annihilation applies every generator through the
+apolarity pairing.
 """
 
 from __future__ import annotations
@@ -252,6 +253,20 @@ def linear_in_exponential_shift(p: Polynomial) -> bool:
     if any(dict(m.pairs).get(marker, 0) > 1 for m in shifted.terms):
         return False
     return coefficient_of_power(shifted, marker, 1) == directional_derivative(p)
+
+
+def vanishes_on_exponential_sums_oracle(p: Polynomial, d: int) -> bool:
+    """Is p identically zero on every sum of d exponential trajectories?
+
+    Substitutes x_i^(j) -> sum_{1 <= m <= d} al_{m,i} * xi_m^j * E_m and
+    tests whether the result vanishes identically in the auxiliaries.
+    """
+    mapping = {}
+    for v in {v for m in p.terms for v, _ in m.pairs if v.kind == "x"}:
+        mapping[v] = Polynomial.from_terms(
+            (Monomial(((al(m, v.i), 1), (xi(m), v.j), (E(m), 1))), 1) for m in range(1, d + 1)
+        )
+    return substitute_oracle(p, mapping).is_zero
 
 
 def annihilates(f: Polynomial, p: Polynomial) -> bool:

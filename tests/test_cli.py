@@ -1,8 +1,10 @@
 import contextlib
+import decimal
 import importlib
 import inspect
 import io
 import json
+import math
 import os
 import pkgutil
 import re
@@ -76,6 +78,27 @@ class TestPair:
         code, out, err = run(capsys, "pair", "x1_0", "x1_0 + 1/" + digits)
         assert (code, out) == (2, "")
         assert err.startswith("error: Exceeds the limit") and err.endswith("(at position 9)\n")
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_coefficient_beyond_the_integer_string_limit(self, capsys, as_json):
+        # x^1700 paired with itself is 1700!, 4,756 digits: past Python's
+        # default limit of 4,300 for converting an int to text.
+        flag = ["--json"] if as_json else []
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "pair", *flag, "x1_0^1700", "x1_0^1700")
+        assert (code, err) == (0, "")
+        text = json.loads(out) if as_json else out.rstrip("\n")
+        assert len(text) == 4756 and text.isdigit()
+        assert decimal.Decimal(text) == math.factorial(1700)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_fraction_beyond_the_integer_string_limit(self, capsys):
+        sevens = "7" * 2000
+        code, out, _ = run(capsys, "pair", "x1_0", f"1/{sevens}*1/{sevens}*1/{sevens}*x1_0")
+        assert code == 0
+        numerator, denominator = out.rstrip("\n").split("/")
+        assert numerator == "1"
+        assert decimal.Decimal(denominator) == int(sevens) ** 3
 
 
 class TestPerp:
@@ -181,6 +204,12 @@ class TestReportGoldens:
             # The target instance: recorded from the order-bound intersection
             # of all Wronskians.
             ("verify_n3_h3.json", ["verify", "--n", "3", "--h", "3", "--no-timings"]),
+            # The pointwise certificate's largest sweep: 129 kernel basis
+            # elements of degree <= 4 and orders <= 5.
+            (
+                "verify_deep_n2_h3.json",
+                ["verify", "--deep", "--n", "2", "--h", "3", "--no-timings"],
+            ),
         ],
     )
     def test_json_matches_golden(self, capsys, golden, argv):

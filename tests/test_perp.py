@@ -16,7 +16,6 @@ from arcperp.perp import (
     restriction_mismatch,
     restriction_span,
     scaled_of_triangular_map,
-    vanishes_on_exponential_sums,
 )
 from arcperp.ring import Monomial, Polynomial, parse, x
 
@@ -26,6 +25,7 @@ from oracles import (
     linear_in_exponential_shift,
     pairing_oracle,
     substitute_oracle,
+    vanishes_on_exponential_sums_oracle,
     weight_bounded_scan,
 )
 
@@ -114,7 +114,7 @@ class TestPerpGradedBasis:
         for p in span.basis_polynomials():
             assert double_derivative_vanishes(p)
             assert linear_in_exponential_shift(p)
-            assert vanishes_on_exponential_sums(p, d - 1)
+            assert vanishes_on_exponential_sums_oracle(p, d - 1)
 
 
 class TestTruncatedPerp:
@@ -285,19 +285,23 @@ class TestElimination:
 
 
 class TestExponentialVanishing:
+    """The exponential-sum oracle on values known by hand; test_reports
+    checks that the battery's degree condition and double derivative decide
+    it on the kernel bases."""
+
     def test_wronskian_one_exponential(self):
-        assert vanishes_on_exponential_sums(P(WRONSKIAN_2), 1)
+        assert vanishes_on_exponential_sums_oracle(P(WRONSKIAN_2), 1)
 
     def test_square_fails(self):
-        assert not vanishes_on_exponential_sums(P("x1_0^2"), 1)
+        assert not vanishes_on_exponential_sums_oracle(P("x1_0^2"), 1)
 
     def test_order_three_wronskian_two_exponentials(self):
         w3 = wronskian([P("x1_0"), P("x1_1"), P("x1_2")])
-        assert vanishes_on_exponential_sums(w3, 2)
+        assert vanishes_on_exponential_sums_oracle(w3, 2)
 
     def test_two_families(self):
         w = wronskian([P("x1_0"), P("x2_0")])
-        assert vanishes_on_exponential_sums(w, 1)
+        assert vanishes_on_exponential_sums_oracle(w, 1)
 
 
 class TestLinearShift:
@@ -362,11 +366,11 @@ class TestTriangularToScaledMap:
         for p in basis:
             mapping = self._substitution(p, h)
             image = scaled_of_triangular_map(p, h)
-            assert image == p.substitute(mapping) == substitute_oracle(p, mapping), str(p)
+            assert image == substitute_oracle(p, mapping), str(p)
             assert len(image.terms) == len(p.terms)
 
     def test_auxiliaries_ride_along(self):
         p = P("2/3*x1_0*x1_2*xi1 - x1_1^2*E1*y_0 + al1_1")
         image = scaled_of_triangular_map(p, 2)
         assert image == P("1/3*x1_2*x1_0*xi1 - x1_1^2*E1*y_0 + al1_1")
-        assert image == p.substitute(self._substitution(p, 2))
+        assert image == substitute_oracle(p, self._substitution(p, 2))

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -11,9 +12,7 @@ from arcperp.hankel import (
 from arcperp.linalg import Span
 from arcperp.pairing import apply_pairing, double_derivative_vanishes
 from arcperp.perp import (
-    is_differentially_homogeneous,
-    scaled_of_triangular_map,
-    vanishes_on_exponential_sums,
+    is_differentially_homogeneous, perp_graded_basis, scaled_of_triangular_map,
 )
 from arcperp.reports import (
     dimension_chain,
@@ -21,6 +20,8 @@ from arcperp.reports import (
     run_verification,
 )
 from arcperp.ring import Monomial, Polynomial, al, format_polynomial, parse, x, xi, y
+
+from oracles import vanishes_on_exponential_sums_oracle
 
 
 def _series(n, h_max):
@@ -452,6 +453,37 @@ class TestBuildCounts:
             assert packed.value((0, 1), (2 * i, 2 * i + 1)) == hankel.wronskian([f, g])
 
 
+class TestExponentialSumCertificate:
+    """The battery's pointwise certificate, a vanishing double derivative on
+    a form of degree d, against the substitution it stands for: vanishing on
+    every sum of d-1 exponentials."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_certified_elements_vanish_on_exponential_sums(self, n):
+        rng = random.Random(23)
+        checked = 0
+        for d in range(1, 5):
+            for order in range(4):
+                basis = perp_graded_basis(n, d, order).basis_polynomials()
+                combinations = [
+                    sum((rng.randint(-3, 3) * p for p in basis), Polynomial.zero())
+                    for _ in range(3 if basis else 0)
+                ]
+                for p in [*basis, *combinations]:
+                    assert double_derivative_vanishes(p), str(p)
+                    assert reports._is_form(p, d), str(p)
+                    assert vanishes_on_exponential_sums_oracle(p, d - 1), str(p)
+                    checked += 1
+        assert checked > 0
+
+    def test_degree_condition(self):
+        assert reports._is_form(parse("x1_0*x1_2 - x1_1^2"), 2)
+        assert reports._is_form(parse("3"), 0)
+        assert not reports._is_form(parse("x1_0*x1_2 - x1_1"), 2)
+        assert not reports._is_form(parse("xi1*x1_0^2"), 2)
+        assert not reports._is_form(parse("x1_0*al1_1"), 2)
+
+
 class TestPointwiseNegativeControls:
     """The checks that test single polynomials fail naming a witness when fed
     a polynomial, or a law, that is wrong."""
@@ -485,7 +517,8 @@ class TestPointwiseNegativeControls:
 
     def test_kernel_basis_element_seen_only_by_the_exponential_sums(self, monkeypatch):
         # A 2x2 Wronskian added to the degree-3 Wronskian keeps the double
-        # derivative zero but does not vanish on sums of two exponentials.
+        # derivative zero but does not vanish on sums of two exponentials:
+        # only the degree condition sees it.
         real = reports.perp_graded_basis
 
         def shifted(n, degree, max_order):
@@ -499,7 +532,7 @@ class TestPointwiseNegativeControls:
         report = run_verification(3, 2)
         (stray,) = shifted(3, 3, 2).basis_polynomials()
         assert double_derivative_vanishes(stray)
-        assert not vanishes_on_exponential_sums(stray, 2)
+        assert not vanishes_on_exponential_sums_oracle(stray, 2)
         witness = format_polynomial(stray)
         failed = {c.name: c.witness for c in _failed(report)}
         assert failed == {

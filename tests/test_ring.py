@@ -358,7 +358,6 @@ class TestExactCoefficients:
         results = [
             f, p, f + p, f - p, f - f, p - Fraction(1, 2), f * p, 3 * p, p**3,
             p.derivative(), p.derivative(3),
-            p.substitute({x(1, 0): f, x(1, 1): Polynomial.constant(Fraction(2, 4))}),
             apply_pairing(f, p), apply_pairing(p, p * f),
             directional_derivative(p), directional_derivative(directional_derivative(f * p)),
             PackedMatrix(matrix).value((0, 1), (0, 1)),
@@ -381,17 +380,6 @@ class TestExactCoefficients:
             assert len({p, scalar}) == 1
         assert hash(Polynomial.zero()) == hash(0)
         assert len({Polynomial.constant(Fraction(3)), 3, Fraction(3)}) == 1
-
-
-class TestSubstitute:
-    def test_simple_substitution(self):
-        p = P("x1_0^2 + x1_1")
-        out = p.substitute({x(1, 0): P("x1_0 + 1")})
-        assert out == P("x1_0^2 + 2*x1_0 + 1 + x1_1")
-
-    def test_substitute_to_zero(self):
-        p = P("x1_2*x1_0")
-        assert p.substitute({x(1, 2): Polynomial.zero()}).is_zero
 
 
 class TestQueries:

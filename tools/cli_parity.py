@@ -78,6 +78,7 @@ CALLS = [
         ]
     ),
     ["verify", "--json", "--no-timings", "--deep", "--n", "1", "--h", "2"],
+    ["verify", "--json", "--no-timings", "--deep", "--n", "2", "--h", "3"],
     ["verify", "--no-timings", "--seed", "7", "--n", "2", "--h", "2"],
     ["verify", "--n", "0", "--h", "1"],
     ["verify", "--n", "1", "--h", "-1"],
