@@ -12,11 +12,12 @@ Four matrix families are built here:
   block appended, realizing the substitution of 1 for an extra family.
 
 Every determinant and minor runs on one kernel, ``PackedMatrix``: the matrix
-is packed once per enumeration, with each monomial an integer key (so that a
-monomial product is one addition, and integer order is monomial order) and
-each row cleared of denominators, and expanded over ``int`` along the last
-chosen row with a memo on (row, column) subsets, so the exponentially many
-minors of one matrix share their subproblems.  Its users here are
+is packed once per enumeration, each monomial its key in a
+``linalg.MonomialIndex`` (so that a monomial product is one addition, and
+integer order is monomial order) and each row cleared of denominators, and
+expanded over ``int`` along the last chosen row with a memo on (row, column)
+subsets, so the exponentially many minors of one matrix share their
+subproblems.  Its users here are
 ``wronskian`` (one full determinant, the tests' reference) and
 ``iter_minors`` (every minor of the given sizes), which read values as
 ``Polynomial``, and ``minor_span``, which expands only the minors on the top
@@ -25,8 +26,9 @@ other minor is a constant combination of those (the proof is in its
 docstring).  The subproblems of a top-row minor are the top-row minors one
 size down, and ``minor_span`` certifies each degree's dimension by a forward
 echelon of the packed values, led by their lowest monomials, with no
-``Polynomial`` per minor; it decodes keys and builds the reduced row-echelon
-form only when a caller reads a basis rather than a dimension.  ``perp``
+``Polynomial`` per minor: each degree is a plain ``Span`` over the matrix's
+index, which decodes keys and builds the reduced row-echelon form only when
+a caller reads a basis rather than a dimension.  ``perp``
 reads the span of the maximal minors of one Hankel block from
 ``minor_span``, and the sampled Wronskian law of ``reports`` packs all its
 pairs once, side by side in one two-row matrix, and reads each pair's
@@ -38,15 +40,14 @@ its imports.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
 
-from .linalg import MonomialIndex, Span, forward_echelon, reduced_echelon
-from .ring import ONE, ZERO, Monomial, Polynomial, _sorted_monomial, x
+from .linalg import MonomialIndex, Span, forward_echelon
+from .ring import ONE, ZERO, Monomial, Polynomial, x
 
 
 class SymbolicMatrix(NamedTuple):
@@ -143,18 +144,13 @@ def build_matrix(family: str, n: int, h: int, k: int | None = None) -> SymbolicM
 class PackedMatrix:
     """A matrix packed for exact determinant expansion: the one minor kernel.
 
-    The L variables occurring in the entries are numbered in variable order,
-    and a monomial of degree d with exponent e_v at the v-th of them is the
-    integer key d*top + sum(e_v * base**(L-1-v)), top = base**L: the degree is
-    the leading digit and the earliest variable the next.  Every minor is a
-    sum of products of at most min(rows, cols) entries, so neither its
-    exponents nor its degrees exceed that count times the largest entry
-    degree, which is below the base: no digit carries into the next, and a
-    monomial product is one integer addition.  Comparing keys as integers
-    compares the degrees, then the exponents at the first variable where two
-    monomials differ, so integer order is the graded-lex order of
-    ``Monomial.order_key``, and the largest key of a minor has its largest
-    degree.
+    Each monomial of an entry is its key in ``index``, a ``MonomialIndex`` of
+    the entries' variables.  Every minor is a sum of products of at most
+    min(rows, cols) entries, so neither its exponents nor its degrees exceed
+    that count times the largest entry degree, which is below the index's
+    base: no digit carries, a monomial product is one integer addition, and
+    integer order of keys is monomial order, so the largest key of a minor
+    has its largest degree.
 
     Each row is multiplied by ``scales[r]``, the lcm of its denominators (the
     1/i! of the scaled families), so ``det`` expands over ``int`` alone.  A
@@ -164,16 +160,11 @@ class PackedMatrix:
 
     def __init__(self, m: SymbolicMatrix):
         monomials = {mono for row in m.entries for p in row for mono in p.terms}
-        self.variables = sorted({v for mono in monomials for v in mono.variables()})
         degree = max((mono.degree for mono in monomials), default=0)
-        self.base = degree * min(m.rows, m.cols) + 1
-        last = len(self.variables) - 1
-        self.top = self.base ** (last + 1)
-        self.place = place = {v: self.base ** (last - i) for i, v in enumerate(self.variables)}
-        key = {
-            mono: mono.degree * self.top + sum(e * place[v] for v, e in mono.pairs)
-            for mono in monomials
-        }
+        self.index = index = MonomialIndex(
+            (v for mono in monomials for v in mono.variables()), degree * min(m.rows, m.cols) + 1
+        )
+        key = {mono: index._key(mono) for mono in monomials}
         self.scales = [
             math.lcm(*(c.denominator for p in row for c in p.terms.values())) for row in m.entries
         ]
@@ -187,7 +178,6 @@ class PackedMatrix:
         self.memo: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {
             ((), ()): {0: 1}
         }
-        self.monomials: dict[int, Monomial] = {}
 
     def det(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[int, int]:
         """The minor of the scaled rows, packed key -> nonzero ``int``: cofactor
@@ -230,89 +220,10 @@ class PackedMatrix:
         scale = math.prod(self.scales[r] for r in rows)
         return Polynomial(
             {
-                self._monomial(k): Fraction(c, scale) if c % scale else c // scale
+                self.index._monomial(k): Fraction(c, scale) if c % scale else c // scale
                 for k, c in det.items()
             }
         )
-
-    def _monomial(self, key: int) -> Monomial:
-        """The monomial of a packed key, decoded once per matrix."""
-        got = self.monomials.get(key)
-        if got is None:
-            got = self.monomials[key] = _decode(key, self.variables, self.base, self.top)
-        return got
-
-
-def _decode(key: int, variables: list, base: int, top: int) -> Monomial:
-    """The monomial of a key packed by ``PackedMatrix``: the last variable
-    is the lowest digit."""
-    degree, rest = divmod(key, top)
-    pairs = []
-    for v in reversed(variables):
-        if not rest:
-            break
-        rest, e = divmod(rest, base)
-        if e:
-            pairs.append((v, e))
-    pairs.reverse()
-    return _sorted_monomial(tuple(pairs), degree)
-
-
-class _PackedIndex(MonomialIndex):
-    """A ``MonomialIndex`` over the packed keys of a minor span's kept rows,
-    sorted descending, which is descending monomial order.  The keys are
-    gathered on the first read of ``keys`` and decoded on the first read of
-    ``monomials`` or ``position``, so a reader of dimensions does neither."""
-
-    def __init__(self, kept: dict[int, dict[int, int]], layout: tuple):
-        self._kept = kept
-        self._layout = layout
-
-    @functools.cached_property
-    def keys(self) -> list[int]:
-        return sorted(set().union(*self._kept.values()), reverse=True)
-
-    @functools.cached_property
-    def monomials(self) -> tuple[Monomial, ...]:
-        return tuple(_decode(k, *self._layout) for k in self.keys)
-
-    @functools.cached_property
-    def position(self) -> dict[Monomial, int]:
-        return {m: i for i, m in enumerate(self.monomials)}
-
-
-class _MinorSpan(Span):
-    """A ``Span`` of packed minors: its keys are ``PackedMatrix`` keys, so the
-    least key of a kept row, its lead, is its lowest monomial.  A query
-    monomial is packed on the span's layout, and a remainder term decoded.
-    The RREF against the index, whose pivots are the highest monomials, is
-    reduced from the kept rows on the first read of ``rows``, ``pivots`` or
-    the basis polynomials."""
-
-    def __init__(self, kept: dict[int, dict[int, int]], packed: PackedMatrix):
-        self._layout = layout = (packed.variables, packed.base, packed.top)
-        self._place = packed.place
-        super().__init__(_PackedIndex(kept, layout), kept)
-
-    @functools.cached_property
-    def _reduced(self) -> tuple[list[dict[int, int | Fraction]], list[int]]:
-        column = {k: c for c, k in enumerate(self.index.keys)}
-        return reduced_echelon(
-            {column[k]: v for k, v in row.items()} for row in self.kept.values()
-        )
-
-    def _key(self, m: Monomial) -> int | None:
-        _, base, top = self._layout
-        key = m.degree * top
-        for v, e in m.pairs:
-            place = self._place.get(v)
-            if place is None or e >= base:
-                return None
-            key += e * place
-        return key
-
-    def _monomial(self, key: int) -> Monomial:
-        return _decode(key, *self._layout)
 
 
 def wronskian(fs: list[Polynomial]) -> Polynomial:
@@ -371,7 +282,7 @@ class GradedSpan:
     def span(self, degree: int) -> Span:
         got = self.spans.get(degree)
         if got is None:
-            return Span(MonomialIndex(()), {})
+            return Span(MonomialIndex((), 1), {})
         return got
 
     @property
@@ -413,14 +324,10 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     lowest monomials, so most rows are kept as they stand and the rest are
     reduced to zero in a few steps (cf. Sturmfels-Zelevinsky, Maximal minors
     and their leading terms, 1993).  The kept rows, one per dimension,
-    certify the dimension whether or not that holds, and ``dimension``,
-    ``contains`` and ``reduce`` read them alone.  On the first read of
-    ``index``'s keys, ``rows``, ``pivots`` or the basis polynomials, the kept
-    rows' distinct keys, sorted descending as integers, number the columns
-    in descending monomial order, as a ``MonomialIndex`` of the decoded
-    monomials would, and the reduced row-echelon form is built from the kept
-    rows against them.  A row is a minor times its rows' scales, which
-    leaves that form as it is.
+    certify the dimension whether or not that holds; each degree's are a
+    ``Span`` over the packed matrix's index, which builds its columns and
+    reduced row-echelon form only when a basis is read.  A row is a minor
+    times its rows' scales, which leaves that form as it is.
     """
     sizes = [s for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)]
     _check_minor_count(m, sum(math.comb(m.cols, s) for s in sizes))
@@ -437,8 +344,8 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
         for cols in itertools.combinations(range(m.cols), s):
             det = packed.det(rows, cols)
             if det:
-                by_degree.setdefault(max(det) // packed.top, []).append(det)
-    return GradedSpan({d: _MinorSpan(forward_echelon(dets), packed) for d, dets in by_degree.items()})
+                by_degree.setdefault(max(det) // packed.index.top, []).append(det)
+    return GradedSpan({d: Span(packed.index, forward_echelon(dets)) for d, dets in by_degree.items()})
 
 
 def truncated_perp_basis(n: int, h: int) -> GradedSpan:

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra over monomial-indexed coefficient matrices.
+"""Exact rational linear algebra over monomial-keyed sparse rows.
 
 All elimination runs on one sparse, fraction-free core.  Rows are ``{key:
 value}`` maps of their nonzero entries over ``int``, eliminated by integer
@@ -11,6 +11,13 @@ unique reduced row-echelon form over the rationals, whose pivot of a row is
 its first nonzero column, so every result is deterministic.  Results keep
 integral values as ``int``: a ``Fraction`` is built only for an entry its
 pivot does not divide.
+
+A monomial becomes a row key in one format, that of ``MonomialIndex``: one
+integer whose order is the graded-lex monomial order and whose sum is the
+key of the product.  Every ``Span``, of kernel vectors and of packed minors
+alike, keeps its forward-echelon rows over those keys, so each lead is a
+lowest monomial, and builds its columns and reduced form only when a basis
+is read.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .ring import Monomial, Polynomial
+from .ring import Monomial, Polynomial, Variable, _sorted_monomial
 
 
 def forward_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
@@ -164,30 +171,61 @@ def _dense(row: Mapping[int, int | Fraction], cols: int) -> list[Fraction]:
 
 
 class MonomialIndex:
-    """An ordered ambient basis of monomials with a position lookup.
+    """The one monomial key format: a monomial as one integer, and back.
 
-    Monomials are kept in descending monomial order (the global graded-lex
-    order), so coefficient matrices built against the index are reproducible.
+    The L ``variables`` are numbered in variable order, and a monomial of
+    degree d with exponent e_k at the k-th of them, every e_k below ``base``,
+    is the key d*top + sum(e_k * base**(L-1-k)), top = base**L: the degree is
+    the leading digit (``key // top``) and the earliest variable the next.
+    Comparing keys as integers compares the degrees, then the exponents at the
+    first variable where two monomials differ, so integer order is the
+    graded-lex order of ``Monomial.order_key``.  No digit carries while every
+    exponent stays below the base, so the key of a product is the sum of the
+    keys.  A monomial with a variable outside the index, or an exponent of
+    ``base`` or more, has no key.  Each key is decoded once per index.
     """
 
-    def __init__(self, monomials: Iterable[Monomial]):
-        ordered = sorted(set(monomials), key=Monomial.order_key, reverse=True)
-        self.monomials: tuple[Monomial, ...] = tuple(ordered)
-        self.position: dict[Monomial, int] = {m: i for i, m in enumerate(ordered)}
+    def __init__(self, variables: Iterable[Variable], base: int):
+        self.variables = sorted(set(variables))
+        self.base = base
+        size = len(self.variables)
+        self.top = base**size
+        self._place = {v: base ** (size - 1 - k) for k, v in enumerate(self.variables)}
+        self._decoded: dict[int, Monomial] = {}
 
     @classmethod
     def spanning(cls, polys: Iterable[Polynomial]) -> "MonomialIndex":
-        """The union of the supports of the given polynomials."""
-        seen = set()
-        for p in polys:
-            seen.update(p.terms)
-        return cls(seen)
+        """The index of the variables in the given polynomials, with base one
+        above their largest exponent."""
+        pairs = [pair for m in {m for p in polys for m in p.terms} for pair in m.pairs]
+        return cls((v for v, _ in pairs), max((e for _, e in pairs), default=0) + 1)
 
-    def __len__(self) -> int:
-        return len(self.monomials)
+    def _key(self, m: Monomial) -> int | None:
+        """The key of m, None for a monomial the index cannot hold."""
+        key = m.degree * self.top
+        for v, e in m.pairs:
+            place = self._place.get(v)
+            if place is None or e >= self.base:
+                return None
+            key += e * place
+        return key
 
-    def __iter__(self):
-        return iter(self.monomials)
+    def _monomial(self, key: int) -> Monomial:
+        """The monomial of a key, decoded once; the last variable is the
+        lowest digit."""
+        got = self._decoded.get(key)
+        if got is None:
+            degree, rest = divmod(key, self.top)
+            pairs = []
+            for v in reversed(self.variables):
+                if not rest:
+                    break
+                rest, e = divmod(rest, self.base)
+                if e:
+                    pairs.append((v, e))
+            pairs.reverse()
+            got = self._decoded[key] = _sorted_monomial(tuple(pairs), degree)
+        return got
 
 
 class RationalMatrix:
@@ -245,29 +283,20 @@ class RationalMatrix:
         return [tuple(_dense(v, self.cols)) for v in nullspace(self._sparse_rows(), self.cols)]
 
 
-def _coefficient_row(p: Polynomial, index: MonomialIndex) -> dict[int, int | Fraction]:
-    row = {}
-    for m, c in p.terms.items():
-        pos = index.position.get(m)
-        if pos is None:
-            raise ValueError(f"monomial {m} outside the ambient index")
-        row[pos] = c
-    return row
-
-
 class Span:
     """A finite-dimensional subspace of polynomials, held as its kept rows.
 
     ``kept`` is what ``forward_echelon`` returns: integer rows ``{key:
-    value}``, one per dimension, with distinct least keys, their leads.  The
-    keys here are the columns of ``index``, which runs in descending monomial
-    order, so a row's lead is its highest monomial; ``hankel`` keys its minor
-    spans by packed monomials instead.  ``dimension``, ``contains`` and
-    ``reduce`` read the kept rows alone.  ``rows`` and ``pivots``, the unique
-    reduced row-echelon form against the index, and the basis polynomials
-    read off them, are built once, on first read, and shared by every later
-    reader, so they must not be mutated.  Two spans over compatible indexes
-    are equal exactly when their basis polynomials coincide.
+    value}`` over the keys of ``index``, one per dimension, with distinct
+    least keys, their leads; the least key is the lowest monomial.
+    ``dimension``, ``contains`` and ``reduce`` read the kept rows alone.  On
+    the first read of ``columns``, ``rows``, ``pivots`` or the basis
+    polynomials, the kept rows' distinct keys, sorted descending, number the
+    columns in descending monomial order, and the unique reduced row-echelon
+    form is built against them, so a row's pivot is its highest monomial.
+    Those are built once and shared by every later reader, so they must not
+    be mutated.  Two spans, over any indexes, are equal exactly when their
+    basis polynomials coincide.
     """
 
     def __init__(self, index: MonomialIndex, kept: dict[int, dict[int, int]]):
@@ -282,17 +311,30 @@ class Span:
         polys = [p for p in polys if not p.is_zero]
         if index is None:
             index = MonomialIndex.spanning(polys)
-        rows = _integral_rows(_coefficient_row(p, index) for p in polys)
-        return cls(index, forward_echelon(rows))
+        key, rows = index._key, []
+        for p in polys:
+            row = {key(m): c for m, c in p.terms.items()}
+            if None in row:
+                outside = next(m for m in p.terms if key(m) is None)
+                raise ValueError(f"monomial {outside} outside the ambient index")
+            rows.append(row)
+        return cls(index, forward_echelon(_integral_rows(rows)))
 
     @property
     def dimension(self) -> int:
         return len(self.kept)
 
     @functools.cached_property
+    def columns(self) -> list[int]:
+        """The keys of the kept rows, descending: column c of ``rows``."""
+        return sorted(set().union(*self.kept.values()), reverse=True)
+
+    @functools.cached_property
     def _reduced(self) -> tuple[list[dict[int, int | Fraction]], list[int]]:
-        """The RREF; the leads are already its pivot columns."""
-        return back_substitute(self.kept)
+        column = {k: c for c, k in enumerate(self.columns)}
+        return reduced_echelon(
+            {column[k]: v for k, v in row.items()} for row in self.kept.values()
+        )
 
     @property
     def rows(self) -> list[dict[int, int | Fraction]]:
@@ -302,16 +344,9 @@ class Span:
     def pivots(self) -> list[int]:
         return self._reduced[1]
 
-    def _key(self, m: Monomial) -> int | None:
-        """The key of a monomial, None for one no row can hold."""
-        return self.index.position.get(m)
-
-    def _monomial(self, key: int) -> Monomial:
-        return self.index.monomials[key]
-
     def basis_polynomials(self) -> tuple[Polynomial, ...]:
         if self._polynomials is None:
-            monomials = self.index.monomials
+            monomials = [self.index._monomial(k) for k in self.columns]
             self._polynomials = tuple(
                 Polynomial({monomials[c]: e for c, e in row.items()}) for row in self.rows
             )
@@ -320,14 +355,14 @@ class Span:
     def reduce(self, p: Polynomial) -> Polynomial:
         """The remainder of p against the kept rows: p minus the element of
         the span that agrees with p at every lead.  It depends only on the
-        span and its leads; over ``index`` the leads are the pivots.  The
-        terms with a key form one integer row over their common denominator.
-        Its leads are eliminated least first, and each elimination brings in
-        only keys above its lead, so each is eliminated once."""
-        key, kept = self._key, self.kept
+        span and its leads.  The terms with a key form one integer row over
+        their common denominator.  Its leads are eliminated least first, and
+        each elimination brings in only keys above its lead, so each is
+        eliminated once."""
+        index, kept = self.index, self.kept
         remainder, work = {}, {}
         for m, c in p.terms.items():
-            k = key(m)
+            k = index._key(m)
             if k is None:
                 remainder[m] = c
             else:
@@ -337,7 +372,7 @@ class Span:
         while (lead := min((k for k in work if k in kept), default=None)) is not None:
             scale *= _eliminate(work, kept[lead], lead)
         for k, v in work.items():
-            remainder[self._monomial(k)] = Fraction(v, scale) if v % scale else v // scale
+            remainder[index._monomial(k)] = Fraction(v, scale) if v % scale else v // scale
         return Polynomial(remainder)
 
     def contains(self, p: Polynomial) -> bool:

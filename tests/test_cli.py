@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import arcperp
-from arcperp import hankel, reports
+from arcperp import hankel, perp, reports
 from arcperp.cli import main
 
 
@@ -115,6 +115,15 @@ class TestPerp:
         code, out, _ = run(capsys, "perp", "--n", "1", "--degree", "1", "--order", "2")
         assert code == 0
         assert out.splitlines()[0] == "dimension 3"
+
+    def test_oversized_kernel_refused(self, capsys):
+        # 2,035,800 monomials; the walk stops at the first past the limit.
+        code, out, err = run(capsys, "perp", "--n", "3", "--degree", "7", "--order", "7")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: over {perp.MONOMIAL_LIMIT:,} monomials of degree 7, orders <= 7 and "
+            f"weight <= 49 exceed the limit of {perp.MONOMIAL_LIMIT:,} monomials per enumeration\n"
+        )
 
 
 class TestMinors:

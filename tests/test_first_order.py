@@ -130,7 +130,7 @@ class TestCanonicalMonomials:
             for _, _, _, value in iter_minors(matrix, sizes):
                 _assert_canonical(value.terms)
         for span in minor_span(triangular_matrix(n, h), range(h + 2)).spans.values():
-            _assert_canonical(span.index.monomials)
+            _assert_canonical(span.index._monomial(k) for k in span.columns)
 
     @pytest.mark.parametrize("n, degree, order", [(1, 4, 4), (2, 3, 3), (3, 2, 2)])
     def test_bounded_weight_enumeration(self, n, degree, order):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from arcperp import hankel
+from arcperp import hankel, linalg
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import (
     GradedSpan,
@@ -380,7 +380,9 @@ class TestMinorSpan:
         assert list(got.spans) == list(expected.spans)
         for d, want in expected.spans.items():
             span = got.spans[d]
-            assert span.index.monomials == want.index.monomials, d
+            assert [span.index._monomial(k) for k in span.columns] == [
+                want.index._monomial(k) for k in want.columns
+            ], d
             assert span.pivots == want.pivots, d
             assert span.rows == want.rows, d
             assert [list(map(type, r.values())) for r in span.rows] == [
@@ -419,24 +421,25 @@ class TestMinorSpan:
     @pytest.mark.parametrize("n,h", [(1, 7), (2, 2)])
     def test_dimensions_decode_no_key(self, monkeypatch, n, h):
         # Reading dimensions decodes nothing; reading the bases decodes each
-        # distinct key once, and reading positions then decodes no more.
+        # distinct key once, and decoding the columns again decodes no more.
         decoded = []
-        real = hankel._decode
+        real = linalg._sorted_monomial
 
-        def counting(key, *layout):
-            decoded.append(key)
-            return real(key, *layout)
+        def counting(pairs, degree):
+            decoded.append(real(pairs, degree))
+            return decoded[-1]
 
-        monkeypatch.setattr(hankel, "_decode", counting)
+        monkeypatch.setattr(linalg, "_sorted_monomial", counting)
         graded = minor_span(triangular_matrix(n, h), range(h + 2))
         assert graded.total_dimension == (n + 1) ** (h + 1)
         assert decoded == []
-        keys = [k for span in graded.spans.values() for k in span.index.keys]
+        keys = [k for span in graded.spans.values() for k in span.columns]
         for span in graded.spans.values():
             span.basis_polynomials()
-            span.index.position
+        monomials = [span.index._monomial(k) for span in graded.spans.values() for k in span.columns]
         assert len(set(keys)) == len(keys)
-        assert sorted(decoded) == sorted(keys)
+        assert sorted(decoded, key=Monomial.order_key) == sorted(monomials, key=Monomial.order_key)
+        assert len(set(monomials)) == len(keys)
 
 
 class TestKeptMinors:
@@ -457,10 +460,10 @@ class TestKeptMinors:
             # the lowest monomial of each kept row, found by Monomial.order_key
             # on the decoded monomials, not by the packed key order
             lowest = [
-                min((span._monomial(k) for k in row), key=Monomial.order_key)
+                min((span.index._monomial(k) for k in row), key=Monomial.order_key)
                 for row in span.kept.values()
             ]
-            assert lowest == [span._monomial(lead) for lead in span.kept], d
+            assert lowest == [span.index._monomial(lead) for lead in span.kept], d
             assert len(set(lowest)) == len(lowest) == span.dimension, d
             assert len(span.pivots) == span.dimension, d  # the RREF, built now
         assert graded.total_dimension == (n + 1) ** (h + 1)
@@ -468,7 +471,7 @@ class TestKeptMinors:
     def test_dimensions_and_containment_build_no_rref(self, monkeypatch):
         tri = minor_span(triangular_matrix(2, 2), range(4))
         bases = {d: span.basis_polynomials() for d, span in tri.spans.items()}
-        monkeypatch.setattr(hankel, "reduced_echelon", None)  # a call would raise
+        monkeypatch.setattr(linalg, "reduced_echelon", None)  # a call would raise
         sca = minor_span(scaled_matrix(2, 2), range(4))
         assert sca.total_dimension == 27
         stray = [Polynomial.from_variable(x(3, 0)), P("x1_0^9"), P("x1_2^2 + x2_0*x2_1")]
@@ -476,7 +479,7 @@ class TestKeptMinors:
             span = sca.span(d)
             # the same span, keyed by the columns of its own support
             by_columns = Span.from_polynomials(
-                Polynomial({span._monomial(k): c for k, c in row.items()})
+                Polynomial({span.index._monomial(k): c for k, c in row.items()})
                 for row in span.kept.values()
             )
             for p in basis:
@@ -485,7 +488,9 @@ class TestKeptMinors:
                 for q in stray:
                     assert span.contains(image + q) == by_columns.contains(image + q)
                     remainder = span.reduce(image + q)
-                    assert all(remainder.coeff(span._monomial(lead)) == 0 for lead in span.kept)
+                    assert all(
+                        remainder.coeff(span.index._monomial(lead)) == 0 for lead in span.kept
+                    )
                     assert span.contains(image + q - remainder)
         assert "_reduced" not in vars(sca.span(2))
 
@@ -529,8 +534,8 @@ def _key_order_is_monomial_order(m: SymbolicMatrix) -> None:
         for rows in itertools.combinations(range(m.rows), s):
             for cols in itertools.combinations(range(m.cols), s):
                 keys.update(packed.det(rows, cols))
-    monomials = [packed._monomial(k) for k in keys]
-    assert [packed._monomial(k) for k in sorted(keys, reverse=True)] == sorted(
+    monomials = [packed.index._monomial(k) for k in keys]
+    assert [packed.index._monomial(k) for k in sorted(keys, reverse=True)] == sorted(
         monomials, key=Monomial.order_key, reverse=True
     )
 

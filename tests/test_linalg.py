@@ -14,7 +14,7 @@ from arcperp.linalg import (
     nullspace,
     reduced_echelon,
 )
-from arcperp.ring import Monomial, Polynomial, parse, x
+from arcperp.ring import Monomial, Polynomial, differential_variables, parse, x
 
 from oracles import graded_monomials, naive_rank, naive_rref
 
@@ -26,58 +26,73 @@ def random_matrix(rng, rows, cols, scale=6):
             for _ in range(rows)]
 
 
+def _descending(monomials) -> list[Monomial]:
+    return sorted(monomials, key=Monomial.order_key, reverse=True)
+
+
 class TestMonomialIndex:
     def test_graded_count(self):
-        # degree-d monomials in v variables: binom(v + d - 1, d)
+        # degree-d monomials in v variables: binom(v + d - 1, d), with distinct keys
         for n, d, h in [(1, 2, 2), (2, 3, 1), (2, 2, 3)]:
             v = n * (h + 1)
-            assert len(MonomialIndex(graded_monomials(n, d, h))) == math.comb(v + d - 1, d)
+            idx = MonomialIndex(differential_variables(n, h), d + 1)
+            keys = {idx._key(m) for m in graded_monomials(n, d, h)}
+            assert None not in keys and len(keys) == math.comb(v + d - 1, d)
 
     def test_descending_order(self):
-        idx = MonomialIndex(graded_monomials(1, 2, 2))
-        assert [str(m) for m in idx] == [
+        idx = MonomialIndex(differential_variables(1, 2), 3)
+        assert [str(m) for m in sorted(graded_monomials(1, 2, 2), key=idx._key, reverse=True)] == [
             "x1_0^2", "x1_0*x1_1", "x1_0*x1_2", "x1_1^2", "x1_1*x1_2", "x1_2^2",
         ]
 
     def test_degree_zero(self):
-        idx = MonomialIndex(graded_monomials(2, 0, 3))
-        assert len(idx) == 1
-        assert idx.monomials == (Monomial.one(),)
+        idx = MonomialIndex.spanning(map(Polynomial.from_monomial, graded_monomials(2, 0, 3)))
+        assert idx.variables == [] and idx.base == 1
+        assert idx._key(Monomial.one()) == 0 and idx._monomial(0) == Monomial.one()
 
     def test_no_duplicates(self):
-        idx = MonomialIndex([Monomial.of(x(1, 0)), Monomial.of(x(1, 0))])
-        assert len(idx) == 1
+        idx = MonomialIndex([x(1, 0), x(1, 0)], 2)
+        assert idx.variables == [x(1, 0)]
 
 
 def _dense_span_rows(span: Span) -> list[list[Fraction]]:
-    return [[row.get(c, 0) for c in range(len(span.index))] for row in span.rows]
+    return [[row.get(c, 0) for c in range(len(span.columns))] for row in span.rows]
+
+
+def _dense_basis(span: Span, monomials) -> list[list[Fraction]]:
+    """The basis polynomials as dense rows over the given monomials."""
+    return [[p.coeff(m) for m in monomials] for p in span.basis_polynomials()]
 
 
 class TestCoeffMatrix:
     """The coefficient rows ``Span.from_polynomials`` reads against an index."""
 
     def test_single_row(self):
-        idx = MonomialIndex([Monomial.of(x(1, 0)), Monomial.of(x(1, 1))])
+        idx = MonomialIndex([x(1, 0), x(1, 1)], 2)
         span = Span.from_polynomials([P("x1_0 + 2*x1_1")], idx)
         assert _dense_span_rows(span) == [[Fraction(1), Fraction(2)]]
         assert span.pivots == [0]
 
     def test_empty_list(self):
-        idx = MonomialIndex(graded_monomials(1, 1, 1))
+        idx = MonomialIndex(differential_variables(1, 1), 2)
         span = Span.from_polynomials([], idx)
         assert span.index is idx
         assert span.rows == [] and span.dimension == 0
 
     def test_read_off_rows(self):
-        idx = MonomialIndex(graded_monomials(1, 2, 2))
+        idx = MonomialIndex(differential_variables(1, 2), 3)
+        monomials = _descending(graded_monomials(1, 2, 2))
         polys = [P("x1_0*x1_2 - x1_1^2"), P("x1_1^2")]
-        assert _dense_span_rows(Span.from_polynomials(polys[:1], idx)) == [[0, 0, 1, -1, 0, 0]]
-        assert _dense_span_rows(Span.from_polynomials(polys[1:], idx)) == [[0, 0, 0, 1, 0, 0]]
+        first, second = (Span.from_polynomials(group, idx) for group in (polys[:1], polys[1:]))
+        assert _dense_basis(first, monomials) == [[0, 0, 1, -1, 0, 0]]
+        assert _dense_basis(second, monomials) == [[0, 0, 0, 1, 0, 0]]
 
     def test_monomial_outside_index(self):
-        idx = MonomialIndex([Monomial.of(x(1, 0))])
+        idx = MonomialIndex([x(1, 0)], 2)
         with pytest.raises(ValueError, match="outside the ambient index"):
             Span.from_polynomials([P("x1_1")], idx)
+        with pytest.raises(ValueError, match="x1_0\\^2 outside the ambient index"):
+            Span.from_polynomials([P("x1_0 + x1_0^2")], idx)
 
 
 class TestRankKernelRref:
@@ -208,7 +223,7 @@ class TestRowOrderAndResultTypes:
 
     def test_span_rows_and_basis_are_int_where_integral(self):
         polys = [P("2*x1_0 + x1_2"), P("4*x1_0 + 6*x1_1 + 5*x1_2"), P("3*x1_1 + 3/2*x1_2")]
-        span = Span.from_polynomials(polys, MonomialIndex(graded_monomials(1, 1, 2)))
+        span = Span.from_polynomials(polys, MonomialIndex(differential_variables(1, 2), 2))
         entries = [e for row in span.rows for e in row.values()]
         coefficients = [c for p in span.basis_polynomials() for c in p.terms.values()]
         for values in (entries, coefficients):
@@ -315,10 +330,10 @@ class TestSpan:
             P("x1_0*x1_3 - x1_1*x1_2"),
             P("x1_0^2"),
         ]
-        index = MonomialIndex(graded_monomials(1, 2, 3))
-        blocked = Span.from_polynomials(polys, index)
-        plain = naive_rref(_dense_rows(polys, index.monomials), len(index))
-        assert _dense_span_rows(blocked) == plain
+        monomials = _descending(graded_monomials(1, 2, 3))
+        blocked = Span.from_polynomials(polys, MonomialIndex(differential_variables(1, 3), 3))
+        plain = naive_rref(_dense_rows(polys, monomials), len(monomials))
+        assert _dense_basis(blocked, monomials) == plain
 
     def test_mixed_degree_fallback(self):
         s = Span.from_polynomials([P("x1_0 + x1_0^2"), P("x1_0")])
@@ -333,13 +348,14 @@ class TestSpan:
 
     def test_span_equal_is_equivalence(self):
         rng = random.Random(23)
-        index = MonomialIndex(graded_monomials(1, 1, 3))
+        monomials = _descending(graded_monomials(1, 1, 3))
+        index = MonomialIndex(differential_variables(1, 3), 2)
         spans = []
         for _ in range(6):
             polys = []
             for _ in range(rng.randint(1, 3)):
                 terms = {
-                    m: Fraction(rng.randint(-2, 2)) for m in index.monomials
+                    m: Fraction(rng.randint(-2, 2)) for m in monomials
                 }
                 polys.append(Polynomial(terms))
             spans.append(Span.from_polynomials(polys, index))
@@ -355,16 +371,19 @@ class TestSpan:
                         assert a == c
 
 
-# Degree-2 monomials in x1 up to order 2, and monomials a span over them can
-# never hold: one of degree 2 that sorts among them, one of degree 1, and one
-# in a second family.
-SPAN_INDEX = MonomialIndex(graded_monomials(1, 2, 2))
+# Degree-2 monomials in x1 up to order 2, an index that holds them, and
+# monomials a span over them can never hold: one of degree 2 that sorts among
+# them, one of degree 1, one in a second family, and one with an exponent
+# above the index's base.
+SPAN_MONOMIALS = _descending(graded_monomials(1, 2, 2))
+SPAN_INDEX = MonomialIndex(differential_variables(1, 2), 3)
 OUTSIDE = [
     Monomial(((x(1, 0), 1), (x(1, 3), 1))),
     Monomial.of(x(1, 3)),
     Monomial.of(x(2, 0), 2),
+    Monomial.of(x(1, 0), 3),
 ]
-COLUMNS = list(SPAN_INDEX.monomials) + OUTSIDE
+COLUMNS = SPAN_MONOMIALS + OUTSIDE
 
 
 def _polynomials_over(monomials):
@@ -376,8 +395,8 @@ def spans_and_queries(draw):
     """Two lists of polynomials over SPAN_INDEX, zero ones included, and a
     query: a combination of the first list plus, often, a random polynomial
     that may leave both the span and the index."""
-    polys = draw(st.lists(_polynomials_over(SPAN_INDEX.monomials), max_size=5))
-    others = draw(st.lists(_polynomials_over(SPAN_INDEX.monomials), max_size=5))
+    polys = draw(st.lists(_polynomials_over(SPAN_MONOMIALS), max_size=5))
+    others = draw(st.lists(_polynomials_over(SPAN_MONOMIALS), max_size=5))
     query = Polynomial.zero()
     for p in polys:
         query = query + draw(small_rationals) * p
@@ -399,15 +418,18 @@ class TestSpanAgainstOracle:
         rows, other_rows = _dense_rows(polys, COLUMNS), _dense_rows(others, COLUMNS)
         rank = naive_rank(rows, cols)
 
-        assert _dense_span_rows(span) == naive_rref(_dense_rows(polys, SPAN_INDEX.monomials), len(SPAN_INDEX))
+        plain = naive_rref(_dense_rows(polys, SPAN_MONOMIALS), len(SPAN_MONOMIALS))
+        assert _dense_basis(span, SPAN_MONOMIALS) == plain
+        columns = [SPAN_INDEX._monomial(k) for k in span.columns]
+        assert _dense_span_rows(span) == naive_rref(_dense_rows(polys, columns), len(columns))
         first = span.basis_polynomials()
         assert span.basis_polynomials() == first
         assert span.basis_polynomials() is first
 
         assert span.contains(query) == (naive_rank(rows + _dense_rows([query], COLUMNS), cols) == rank)
         remainder = span.reduce(query)
-        for c in span.pivots:
-            assert remainder.coeff(SPAN_INDEX.monomials[c]) == 0
+        for lead in span.kept:
+            assert remainder.coeff(SPAN_INDEX._monomial(lead)) == 0
         assert span.contains(query - remainder)
 
         # the same polynomials give the same span over either index

@@ -17,7 +17,7 @@ from arcperp.perp import (
     restriction_span,
     scaled_of_triangular_map,
 )
-from arcperp.ring import Monomial, Polynomial, parse, x
+from arcperp.ring import Monomial, Polynomial, differential_variables, parse, x
 
 from oracles import (
     annihilates,
@@ -136,7 +136,7 @@ def _restricted_kernel(n, h, degree, max_order):
     """Span of the order->h restrictions of ``perp_graded_basis`` at order H."""
     basis = perp_graded_basis(n, degree, max_order).basis_polynomials()
     return Span.from_polynomials(
-        [p.restrict_above(h) for p in basis], MonomialIndex(graded_monomials(n, degree, h))
+        [p.restrict_above(h) for p in basis], MonomialIndex(differential_variables(n, h), degree + 1)
     )
 
 
@@ -237,6 +237,21 @@ class TestBoundedWeightMonomials:
                     assert all(m.degree == degree for _, m in got)
 
 
+class TestMonomialLimit:
+    """The kernel side counts its monomials as it enumerates them and refuses
+    the one past ``MONOMIAL_LIMIT``."""
+
+    def test_refused_past_the_limit(self, monkeypatch):
+        count = len(perp._monomials_up_to_weight(2, 3, 3, 9))
+        monkeypatch.setattr(perp, "MONOMIAL_LIMIT", count)
+        assert perp_graded_basis(2, 3, 3).dimension == math.comb(2 * 2, 3)
+        monkeypatch.setattr(perp, "MONOMIAL_LIMIT", count - 1)
+        with pytest.raises(ValueError, match=f"^over {count - 1} monomials of degree 3, orders <= 3 "):
+            perp_graded_basis(2, 3, 3)
+        with pytest.raises(ValueError, match="exceed the limit"):
+            restriction_span(2, 3, 3)  # weight <= 9 at orders <= 9: more monomials
+
+
 class TestSpanEquality:
     # The kernel is the span of the Wronskians of d distinct variables of
     # orders <= J-d+1, of dimension C(n(J-d+2), d); empty when d > J+1.
@@ -253,6 +268,21 @@ class TestSpanEquality:
         kernel = perp_graded_basis(n, d, J)
         assert kernel == hankel_minor_intersection_span(n, d, J)
         assert kernel.dimension == math.comb(max(n * (J - d + 2), 0), d)
+
+    def test_equal_and_contained_over_different_indexes(self):
+        # The kernel side keys its rows by its own support, the minor side by
+        # its packed matrix; a span over a wider index keys every monomial
+        # differently.  Equality and containment read polynomials alone.
+        kernel = perp_graded_basis(2, 2, 2)
+        minors = hankel_minor_intersection_span(2, 2, 2)
+        wide = Span.from_polynomials(
+            kernel.basis_polynomials(), MonomialIndex(differential_variables(3, 3), 4)
+        )
+        assert wide.index.top != minors.index.top
+        for a, b in [(kernel, minors), (minors, wide), (wide, kernel)]:
+            assert a == b and b == a
+            assert all(b.contains(p) for p in a.basis_polynomials())
+            assert all(a.contains(p) for p in b.basis_polynomials())
 
     def test_degree_one_is_all_linear_forms(self):
         side = hankel_minor_intersection_span(1, 1, 2)

@@ -303,7 +303,47 @@ class TestMonomialOrderOracle:
             assert [v for v, _ in m.pairs] == [v for v in ORDER_VARIABLES if dict(m.pairs).get(v, 0)]
         expected = sorted(set(monos), key=cmp_to_key(oracle_compare), reverse=True)
         assert Polynomial.from_terms((m, 1) for m in monos).monomials() == expected
-        assert list(MonomialIndex(monos)) == expected
+        key = MonomialIndex(ORDER_VARIABLES, 5)._key  # degree <= 4: every exponent fits
+        assert sorted(set(monos), key=key, reverse=True) == expected
+
+
+class TestMonomialKeys:
+    """``MonomialIndex`` keys against the order oracle and monomial products."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(mixed_monomials, min_size=1, max_size=8))
+    def test_key_order_is_the_oracle_order(self, monos):
+        key = MonomialIndex(ORDER_VARIABLES, 5)._key
+        for a, b in itertools.product(monos, repeat=2):
+            assert (key(a) < key(b)) == (oracle_compare(a, b) < 0)
+            assert (key(a) == key(b)) == (a == b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_monomials)
+    def test_decoding_inverts_the_key(self, m):
+        index = MonomialIndex(ORDER_VARIABLES, 5)
+        decoded = index._monomial(index._key(m))
+        assert decoded == m and decoded.degree == m.degree
+        assert index._monomial(index._key(m)) is decoded  # decoded once per index
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_monomials, st.sampled_from(ORDER_VARIABLES), st.integers(1, 4))
+    def test_no_key_for_a_foreign_variable_or_a_large_exponent(self, m, foreign, base):
+        exponents = dict(m.pairs)
+        others = [v for v in ORDER_VARIABLES if v != foreign]
+        assert (MonomialIndex(others, 5)._key(m) is None) == (foreign in exponents)
+        fits = all(e < base for e in exponents.values())
+        assert (MonomialIndex(ORDER_VARIABLES, base)._key(m) is None) == (not fits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_monomials, mixed_monomials, st.integers(2, 5))
+    def test_key_of_a_product_is_the_sum_of_keys(self, a, b, base):
+        key = MonomialIndex(ORDER_VARIABLES, base)._key
+        product = a.mul(b)
+        if all(e < base for _, e in product.pairs):
+            assert key(product) == key(a) + key(b)
+        else:
+            assert key(product) is None
 
 
 # Few variables and exponents up to 3, so that factors often share variables.

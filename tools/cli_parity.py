@@ -52,6 +52,8 @@ CALLS = [
     ["perp", "--json", "--n", "2", "--degree", "3", "--order", "3"],
     ["perp", "--json", "--n", "3", "--degree", "3", "--order", "3"],
     ["perp", "--n", "0", "--degree", "1", "--order", "1"],
+    ["perp", "--json", "--n", "1", "--degree", "4", "--order", "4"],
+    ["perp", "--json", "--n", "2", "--degree", "2", "--order", "5"],
     ["minors", "--family", "T", "--n", "1", "--h", "3", "--json"],
     ["minors", "--family", "T", "--n", "2", "--h", "2"],
     ["minors", "--family", "T", "--n", "2", "--h", "3"],
@@ -61,6 +63,8 @@ CALLS = [
     ["minors", "--family", "H", "--n", "2", "--h", "2", "--k", "1", "--json"],
     ["minors", "--family", "S", "--n", "2", "--h", "2", "--max-size", "1"],
     ["minors", "--family", "H", "--n", "1", "--h", "1"],
+    ["minors", "--json", "--family", "H", "--n", "2", "--h", "3", "--k", "2"],
+    ["minors", "--family", "S1", "--n", "1", "--h", "0"],
     ["minors", "--family", "T", "--n", "1", "--h", "1", "--k", "1"],
     ["minors", "--family", "T", "--n", "1", "--h", "1", "--max-size", "-1"],
     ["minors", "--family", "T", "--n", "0", "--h", "1"],
