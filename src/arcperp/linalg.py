@@ -14,10 +14,10 @@ pivot does not divide.
 
 A monomial becomes a row key in one format, that of ``MonomialIndex``: one
 integer whose order is the graded-lex monomial order and whose sum is the
-key of the product.  Every ``Span``, of kernel vectors and of packed minors
-alike, keeps its forward-echelon rows over those keys, so each lead is a
-lowest monomial, and builds its columns and reduced form only when a basis
-is read.
+key of the product.  Kernel vectors and packed minors alike arrive as rows
+over those keys, and every ``Span`` keeps their forward echelon, so each
+lead is a lowest monomial; it builds its columns and reduced form, and
+decodes its keys, only when a basis is read.
 """
 
 from __future__ import annotations
@@ -305,20 +305,23 @@ class Span:
         self._polynomials = None
 
     @classmethod
+    def from_rows(cls, index: MonomialIndex, rows: Iterable[Mapping]) -> "Span":
+        """The span of sparse rational rows ``{key: value}`` over ``index``."""
+        return cls(index, forward_echelon(_integral_rows(rows)))
+
+    @classmethod
     def from_polynomials(
         cls, polys: Iterable[Polynomial], index: MonomialIndex | None = None
     ) -> "Span":
-        polys = [p for p in polys if not p.is_zero]
+        polys = list(polys)
         if index is None:
             index = MonomialIndex.spanning(polys)
-        key, rows = index._key, []
-        for p in polys:
-            row = {key(m): c for m, c in p.terms.items()}
-            if None in row:
-                outside = next(m for m in p.terms if key(m) is None)
-                raise ValueError(f"monomial {outside} outside the ambient index")
-            rows.append(row)
-        return cls(index, forward_echelon(_integral_rows(rows)))
+        key = index._key
+        rows = [{key(m): c for m, c in p.terms.items()} for p in polys]
+        if any(None in row for row in rows):
+            outside = next(m for p in polys for m in p.terms if key(m) is None)
+            raise ValueError(f"monomial {outside} outside the ambient index")
+        return cls.from_rows(index, rows)
 
     @property
     def dimension(self) -> int:

@@ -7,9 +7,12 @@ space: a monomial multiple m*g acts as m acting after g, so the generator
 constraints propagate to the whole ideal.  Every generator is
 weight-homogeneous, so the kernel side enumerates the monomials of each
 (degree, weight) block itself, at most ``MONOMIAL_LIMIT`` of them, and solves
-the blocks one at a time.  A kernel span is keyed by the ``MonomialIndex``
-spanning its own vectors, a minor span by that of its packed matrix; spans
-compare by their basis polynomials, so the keys never need to agree.
+the blocks one at a time.  It keeps each monomial as its key in one
+``MonomialIndex``, from the enumeration through the constraint rows, whose
+quotients are key differences, to the kernel span, and decodes a key only
+when a basis is read or a restriction drops high orders.  A minor span is
+keyed by its packed matrix's index; spans compare by their basis
+polynomials, so the keys never need to agree.
 
 The other entry points build what ``reports.run_verification`` compares
 with it on concrete instances: the independently computed Hankel-minor
@@ -27,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .hankel import (
@@ -36,10 +40,9 @@ from .hankel import (
     scaled_augmented_matrix,
     scaled_matrix,
 )
-from .linalg import Span, nullspace, span_witness
+from .linalg import MonomialIndex, Span, nullspace, span_witness
 from .ring import (
-    Monomial, Polynomial, Variable, _sorted_monomial, differential_variables,
-    format_polynomial, x, y,
+    Monomial, Polynomial, Variable, differential_variables, format_polynomial, x, y,
 )
 
 
@@ -49,24 +52,24 @@ def perp_graded_basis(n: int, degree: int, max_order: int) -> Span:
     Solves, per weight class, the linear system "g applied to P vanishes"
     over every arc generator, applied from its structure by
     ``_generator_images``; generators with t-power above 2*max_order act as
-    zero on the ambient space and never occur there.
+    zero on the ambient space and never occur there.  The span is keyed by
+    the enumeration's ``MonomialIndex(differential_variables(n, H), d + 1)``.
     """
     if degree < 0 or max_order < 0 or n < 1:
         raise ValueError("perp_graded_basis needs n >= 1, degree >= 0, max_order >= 0")
-    return Span.from_polynomials(_kernel_up_to_weight(n, degree, max_order, degree * max_order))
+    return Span.from_rows(*_kernel_up_to_weight(n, degree, max_order, degree * max_order))
 
 
-def _kernel_up_to_weight(n: int, degree: int, max_order: int, max_weight: int) -> list[Polynomial]:
-    """Kernel vectors of every weight block of weight <= max_weight among the
-    degree-d monomials of orders <= max_order.
-
-    Weight classes never interact: a weight-l generator maps weight-w
-    candidates into weight-(w-l) monomials, so each block is solved alone.
-    """
-    by_weight: dict[int, list[Monomial]] = {}
-    for w, m in _monomials_up_to_weight(n, degree, max_order, max_weight):
-        by_weight.setdefault(w, []).append(m)
-    return [p for _, block in sorted(by_weight.items()) for p in _weight_block_kernel(block)]
+def _kernel_up_to_weight(n: int, degree: int, max_order: int, max_weight: int) -> tuple:
+    """The enumeration's index and the kernel vectors, over its keys, of each
+    weight block of weight <= max_weight among the degree-d monomials of orders
+    <= max_order.  Weight classes never interact: a weight-l generator maps
+    weight-w candidates into weight-(w-l) monomials, so each is solved alone."""
+    index, found = _monomials_up_to_weight(n, degree, max_order, max_weight)
+    by_weight: dict[int, list[tuple]] = {}
+    for w, pairs, key in found:
+        by_weight.setdefault(w, []).append((pairs, key))
+    return index, [v for _, b in sorted(by_weight.items()) for v in _weight_block_kernel(index, b)]
 
 
 # The most monomials one kernel enumeration admits.  It admits ``perp --n 4
@@ -76,80 +79,76 @@ def _kernel_up_to_weight(n: int, degree: int, max_order: int, max_weight: int) -
 MONOMIAL_LIMIT = 100_000
 
 
-def _monomials_up_to_weight(n: int, degree: int, max_order: int, max_weight: int) -> list:
-    """(weight, monomial) for each degree-d monomial of orders <= max_order and
-    weight <= max_weight, in ``combinations_with_replacement`` order over
-    ``differential_variables``: a walk over the variables, each exponent from
-    the largest the remaining degree and weight allow down to 0, that enters a
-    variable only if the remaining degree fits the weight at its lightest.
-    Raises ``ValueError`` on the monomial past ``MONOMIAL_LIMIT``."""
-    variables = differential_variables(n, max_order)
-    lightest = [min(v.j for v in variables[k:]) for k in range(len(variables))]
-    found = []
+def _monomials_up_to_weight(n: int, degree: int, max_order: int, max_weight: int) -> tuple:
+    """The index ``MonomialIndex(differential_variables(n, H), d + 1)`` and
+    (weight, pairs, key) for each degree-d monomial of orders <= H and weight
+    <= max_weight, in ``combinations_with_replacement`` order: a walk that
+    enters the variables in turn, each exponent from the largest the degree
+    and weight left allow down to 1, until the lightest variable left
+    outweighs them.  It recurses once per entered variable, at most d deep.
+    Raises ``ValueError`` on the monomial past ``MONOMIAL_LIMIT``, and before
+    listing any variable when d >= 1 and n*(min(H, max_weight)+1) exceeds
+    it: each x_i^(j)*(x_1^(0))^(d-1), j <= min(H, max_weight), is one."""
+    too_many = ValueError(
+        f"over {MONOMIAL_LIMIT:,} monomials of degree {degree}, orders <= {max_order} and"
+        f" weight <= {max_weight} exceed the limit of {MONOMIAL_LIMIT:,} monomials per enumeration"
+    )
+    if degree and n * (min(max_order, max_weight) + 1) > MONOMIAL_LIMIT:
+        raise too_many
+    index = MonomialIndex(differential_variables(n, max_order), degree + 1)
+    variables, place, found = index.variables, index._place, []
+    lightest = list(accumulate((v.j for v in reversed(variables)), min))[::-1]
 
-    def walk(k: int, left: int, budget: int, pairs: tuple) -> None:
+    def walk(start: int, left: int, budget: int, pairs: tuple, key: int) -> None:
         if not left:
             if len(found) == MONOMIAL_LIMIT:
-                raise ValueError(
-                    f"over {MONOMIAL_LIMIT:,} monomials of degree {degree}, orders <= {max_order}"
-                    f" and weight <= {max_weight} exceed the limit of {MONOMIAL_LIMIT:,}"
-                    " monomials per enumeration"
-                )
-            found.append((max_weight - budget, _sorted_monomial(pairs, degree)))
-        elif k < len(variables) and left * lightest[k] <= budget:
+                raise too_many
+            found.append((max_weight - budget, pairs, key))
+            return
+        for k in range(start, len(variables)):
+            if left * lightest[k] > budget:
+                break
             v = variables[k]
             for e in range(min(left, budget // v.j) if v.j else left, 0, -1):
-                walk(k + 1, left - e, budget - e * v.j, (*pairs, (v, e)))
-            walk(k + 1, left, budget, pairs)
+                walk(k + 1, left - e, budget - e * v.j, (*pairs, (v, e)), key + e * place[v])
 
-    walk(0, degree, max_weight, ())
-    return found
+    walk(0, degree, max_weight, (), degree * index.top)
+    return index, found
 
 
-def _weight_block_kernel(monomials: list[Monomial]) -> list[Polynomial]:
-    """Polynomials on one weight block annihilated by every arc generator.
-
-    Row ((i, j), l, q) of the constraint matrix holds, in column c, the
-    integer coefficient of the quotient monomial q in g_{ij,l} applied to
-    monomials[c]; the rows go to the sparse elimination core as they are.
-    """
+def _weight_block_kernel(index: MonomialIndex, block: list[tuple]) -> list[dict]:
+    """A basis, over the keys of one weight block of (pairs, key), of the
+    vectors annihilated by every arc generator.  Row ((i, j), l, q) holds, in
+    column c, the integer coefficient of the quotient key q in g_{ij,l}
+    applied to the c-th monomial; the rows go to ``nullspace`` as they are."""
     rows: dict[tuple, dict[int, int]] = {}
-    for c, m in enumerate(monomials):
-        for family, order, quotient, coeff in _generator_images(m):
+    for c, (pairs, key) in enumerate(block):
+        for family, order, quotient, coeff in _generator_images(index, pairs, key):
             rows.setdefault((family, order, quotient), {})[c] = coeff
-    return [
-        Polynomial({monomials[c]: e for c, e in vec.items()})
-        for vec in nullspace(rows.values(), len(monomials))
-    ]
+    return [{block[c][1]: e for c, e in v.items()} for v in nullspace(rows.values(), len(block))]
 
 
-def _generator_images(m: Monomial):
-    """The nonzero terms of every arc generator applied to the monomial m.
+def _generator_images(index: MonomialIndex, pairs: tuple, key: int):
+    """The nonzero terms of every arc generator applied to the monomial m of
+    these (variable, exponent) pairs and this key in ``index``.
 
     g_{ij,l} = sum_s x_i^(s) x_j^(l-s) acts as a sum of second partials, so
     only pairs of variables of m contribute.  Yields ((i, j), l, quotient
-    pairs, coefficient): for u = x_i^(s) and v = x_j^(t) with exponents a, b,
+    key, coefficient): for u = x_i^(s) and v = x_j^(t) with exponents a, b,
     the pair u != v gives a*b on m/(u*v), doubled when i = j because the sum
     then holds both x_i^(s) x_i^(t) and x_i^(t) x_i^(s); a square u = v gives
-    a(a-1) on m/u^2.  Each (generator, quotient) comes from one pair.
+    a(a-1) on m/u^2.  Keys add under products, so a quotient's key is m's
+    minus 2*top + place[u] + place[v].  Each (generator, quotient) comes from
+    one pair.
     """
-    pairs = m.pairs
+    top2, place = 2 * index.top, index._place
     for p, (u, a) in enumerate(pairs):
+        low = key - top2 - place[u]
         if a >= 2:
-            yield (u.i, u.i), 2 * u.j, _lowered(pairs, p, p), a * (a - 1)
-        for q in range(p + 1, len(pairs)):
-            v, b = pairs[q]
+            yield (u.i, u.i), 2 * u.j, low - place[u], a * (a - 1)
+        for v, b in pairs[p + 1:]:
             coeff = 2 * a * b if u.i == v.i else a * b
-            yield (u.i, v.i), u.j + v.j, _lowered(pairs, p, q), coeff
-
-
-def _lowered(pairs: tuple, p: int, q: int) -> tuple:
-    """The (variable, exponent) pairs with the exponents at p and at q lowered by one."""
-    out = list(pairs)
-    for k in (p, q):
-        v, e = out[k]
-        out[k] = (v, e - 1)
-    return tuple(t for t in out if t[1])
+            yield (u.i, v.i), u.j + v.j, low - place[v], coeff
 
 
 class ChainDims(NamedTuple):
@@ -215,13 +214,14 @@ def restriction_span(n: int, h: int, degree: int) -> Span:
     degree-d monomial with all orders <= h has weight <= d*h, so only the
     blocks of weight <= d*h restrict to nonzero polynomials.  Those are
     solved once, at order d*h, enumerating only the monomials of weight <= d*h,
-    and the span indexes the support of the restrictions.
+    and each kernel vector drops the keys whose monomial has an order above h.
     """
     if degree < 0 or h < 0 or n < 1:
         raise ValueError("restriction_span needs n >= 1, h >= 0, degree >= 0")
-    weight = degree * h
-    kernel = _kernel_up_to_weight(n, degree, weight, weight)
-    return Span.from_polynomials(p.restrict_above(h) for p in kernel)
+    index, kernel = _kernel_up_to_weight(n, degree, degree * h, degree * h)
+    decode = index._monomial
+    low = [{k: c for k, c in v.items() if not decode(k).has_order_above(h)} for v in kernel]
+    return Span.from_rows(index, low)
 
 
 # -- span equality of the kernel and minor descriptions -----------------------

@@ -386,12 +386,6 @@ class Polynomial:
             p = p.derive(_next_order)
         return p
 
-    def restrict_above(self, h: int) -> "Polynomial":
-        """Drop every term containing a differential variable of order > h."""
-        return Polynomial(
-            {m: c for m, c in self.terms.items() if not m.has_order_above(h)}
-        )
-
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:

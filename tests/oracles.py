@@ -81,6 +81,13 @@ def derivative_oracle(p: Polynomial) -> Polynomial:
     return result
 
 
+def restrict_above_oracle(p: Polynomial, h: int) -> Polynomial:
+    """Drop every term containing a differential variable of order > h."""
+    return Polynomial({
+        m: c for m, c in p.terms.items() if all(v.kind != "x" or v.j <= h for v, _ in m.pairs)
+    })
+
+
 def naive_determinant(rows: list[list]) -> Polynomial:
     """Full permutation expansion with explicit inversion-count signs."""
     size = len(rows)

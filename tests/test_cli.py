@@ -125,6 +125,29 @@ class TestPerp:
             f"weight <= 49 exceed the limit of {perp.MONOMIAL_LIMIT:,} monomials per enumeration\n"
         )
 
+    @pytest.mark.parametrize("n, order", [(1, 1000), (3, 400)])
+    def test_more_variables_than_the_recursion_limit(self, capsys, n, order):
+        # 1,001 and 1,203 variables: the walk recurses once per entered
+        # variable, at most degree deep, not once per variable.
+        code, out, err = run(capsys, "perp", "--n", str(n), "--degree", "1", "--order", str(order))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"dimension {n * (order + 1)}"
+
+    def test_too_many_variables_refused_up_front(self, capsys, monkeypatch):
+        # Each x1_j with j <= 200,000 is a monomial of the enumeration, so
+        # the count is refused before any variable is listed.
+        def unlisted(n, max_order):
+            raise AssertionError("variables listed")
+
+        monkeypatch.setattr(perp, "differential_variables", unlisted)
+        code, out, err = run(capsys, "perp", "--n", "1", "--degree", "1", "--order", "200000")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: over {perp.MONOMIAL_LIMIT:,} monomials of degree 1, orders <= 200000 and "
+            f"weight <= 200000 exceed the limit of {perp.MONOMIAL_LIMIT:,} monomials per"
+            " enumeration\n"
+        )
+
 
 class TestMinors:
     def test_triangular_json(self, capsys):

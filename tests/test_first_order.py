@@ -134,8 +134,10 @@ class TestCanonicalMonomials:
 
     @pytest.mark.parametrize("n, degree, order", [(1, 4, 4), (2, 3, 3), (3, 2, 2)])
     def test_bounded_weight_enumeration(self, n, degree, order):
-        found = perp._monomials_up_to_weight(n, degree, order, degree * order)
-        _assert_canonical(m for _, m in found)
+        index, found = perp._monomials_up_to_weight(n, degree, order, degree * order)
+        decoded = [index._monomial(key) for _, _, key in found]
+        _assert_canonical(decoded)
+        assert [pairs for _, pairs, _ in found] == [m.pairs for m in decoded]
 
 
 class TestDifferentialHomogeneity:

@@ -23,7 +23,9 @@ from oracles import (
     annihilates,
     graded_monomials,
     linear_in_exponential_shift,
+    naive_rref,
     pairing_oracle,
+    restrict_above_oracle,
     substitute_oracle,
     vanishes_on_exponential_sums_oracle,
     weight_bounded_scan,
@@ -46,10 +48,11 @@ class TestGeneratorImages:
         monomials = {m for d in range(4) for h in range(4) for m in graded_monomials(n, d, h)}
         keys = [(i, j, order) for order in range(8) for i in range(1, n + 1) for j in range(i, n + 1)]
         generators = dict(zip(keys, arc_generators_up_to(n, 7), strict=True))
+        index = MonomialIndex(differential_variables(n, 3), 4)
         for m in monomials:
             images: dict[tuple, Polynomial] = {}
-            for (i, j), order, quotient, coeff in _generator_images(m):
-                term = Polynomial.from_monomial(Monomial(quotient), coeff)
+            for (i, j), order, quotient, coeff in _generator_images(index, m.pairs, index._key(m)):
+                term = Polynomial.from_monomial(index._monomial(quotient), coeff)
                 images[(i, j, order)] = images.get((i, j, order), Polynomial.zero()) + term
             target = Polynomial.from_monomial(m)
             for key, g in generators.items():
@@ -117,6 +120,48 @@ class TestPerpGradedBasis:
             assert vanishes_on_exponential_sums_oracle(p, d - 1)
 
 
+class TestKernelCompleteness:
+    """``perp_graded_basis`` is the whole nullspace of a dense matrix built by
+    the textbook pairing, with one column per degree-d monomial of orders <= H
+    and one row per coefficient of ``pairing_oracle(g, m)``, over every
+    generator g up to t-power 2H.  Annihilation shows only that the kernel is
+    not too large; a constraint row split in two, or keyed to the wrong
+    quotient, can make it too small."""
+
+    CASES = [
+        (n, d, H)
+        for n in (1, 2, 3) for d in range(5) for H in range(5)
+        if math.comb(n * (H + 1) + d - 1, d) <= 300
+    ]
+
+    @staticmethod
+    def _oracle_matrix(n, d, H):
+        columns = graded_monomials(n, d, H)
+        rows: dict[tuple, dict[int, Fraction]] = {}
+        for g, generator in enumerate(arc_generators_up_to(n, 2 * H)):
+            for c, m in enumerate(columns):
+                image = pairing_oracle(generator, Polynomial.from_monomial(m))
+                for q, coeff in image.terms.items():
+                    rows.setdefault((g, q), {})[c] = coeff
+        # Repeated rows change no rank; dropping them keeps the oracle small.
+        dense = {tuple(row.get(c, 0) for c in range(len(columns))) for row in rows.values()}
+        return columns, [list(row) for row in dense]
+
+    @pytest.mark.parametrize("n,d,H", CASES)
+    def test_equals_the_oracle_nullspace(self, n, d, H):
+        columns, matrix = self._oracle_matrix(n, d, H)
+        kernel = perp_graded_basis(n, d, H)
+        reduced = naive_rref(matrix, len(columns))
+        assert kernel.dimension == len(columns) - len(reduced)  # naive_rank, computed once
+        pivots = [next(c for c, e in enumerate(row) if e) for row in reduced]
+        nullspace = []
+        for f in sorted(set(range(len(columns))) - set(pivots)):
+            terms = {columns[f]: Fraction(1)}
+            terms.update((columns[p], -row[f]) for row, p in zip(reduced, pivots) if row[f])
+            nullspace.append(Polynomial(terms))
+        assert kernel == Span.from_polynomials(nullspace)
+
+
 class TestTruncatedPerp:
     def test_n1_h1(self):
         gs = truncated_perp_basis(1, 1)
@@ -136,7 +181,8 @@ def _restricted_kernel(n, h, degree, max_order):
     """Span of the order->h restrictions of ``perp_graded_basis`` at order H."""
     basis = perp_graded_basis(n, degree, max_order).basis_polynomials()
     return Span.from_polynomials(
-        [p.restrict_above(h) for p in basis], MonomialIndex(differential_variables(n, h), degree + 1)
+        [restrict_above_oracle(p, h) for p in basis],
+        MonomialIndex(differential_variables(n, h), degree + 1),
     )
 
 
@@ -187,7 +233,12 @@ class TestWeightBlocks:
     @staticmethod
     def _recorded_blocks(monkeypatch):
         blocks = []
-        monkeypatch.setattr(perp, "_weight_block_kernel", lambda block: blocks.append(block) or [])
+
+        def record(index, block):
+            blocks.append([index._monomial(key) for _, key in block])
+            return []
+
+        monkeypatch.setattr(perp, "_weight_block_kernel", record)
         return blocks
 
     @staticmethod
@@ -232,9 +283,11 @@ class TestBoundedWeightMonomials:
         for degree in range(5):
             for order in range(6):
                 for max_weight in range(degree * order + 1):
-                    got = perp._monomials_up_to_weight(n, degree, order, max_weight)
+                    index, found = perp._monomials_up_to_weight(n, degree, order, max_weight)
+                    got = [(w, index._monomial(key)) for w, _, key in found]
                     assert got == weight_bounded_scan(n, degree, order, max_weight)
                     assert all(m.degree == degree for _, m in got)
+                    assert [pairs for _, pairs, _ in found] == [m.pairs for _, m in got]
 
 
 class TestMonomialLimit:
@@ -242,7 +295,7 @@ class TestMonomialLimit:
     the one past ``MONOMIAL_LIMIT``."""
 
     def test_refused_past_the_limit(self, monkeypatch):
-        count = len(perp._monomials_up_to_weight(2, 3, 3, 9))
+        count = len(perp._monomials_up_to_weight(2, 3, 3, 9)[1])
         monkeypatch.setattr(perp, "MONOMIAL_LIMIT", count)
         assert perp_graded_basis(2, 3, 3).dimension == math.comb(2 * 2, 3)
         monkeypatch.setattr(perp, "MONOMIAL_LIMIT", count - 1)
@@ -303,7 +356,7 @@ class TestSpanEquality:
 class TestElimination:
     def test_n1_h1_with_witness(self):
         assert restriction_mismatch(1, 1, truncated_perp_basis(1, 1)) is None
-        assert wronskian([P("x1_0"), P("x1_1")]).restrict_above(1) == P("-x1_1^2")
+        assert restrict_above_oracle(wronskian([P("x1_0"), P("x1_1")]), 1) == P("-x1_1^2")
 
     def test_n1_h0(self):
         assert restriction_mismatch(1, 0, truncated_perp_basis(1, 0)) is None

@@ -619,15 +619,13 @@ class TestUpstreamNegativeControls:
         real = perp._weight_block_kernel
         flipped = []
 
-        def perturbed(monomials):
-            vectors = real(monomials)
-            for k, p in enumerate(vectors):
-                if not flipped and len(p.terms) == 2:
-                    terms = dict(p.terms)
-                    first = next(iter(terms))
-                    terms[first] = -terms[first]
-                    vectors[k] = Polynomial(terms)
-                    flipped.append(vectors[k])
+        def perturbed(index, block):
+            vectors = real(index, block)
+            for vector in vectors:
+                if not flipped and len(vector) == 2:
+                    first = next(iter(vector))
+                    vector[first] = -vector[first]
+                    flipped.append(vector)
             return vectors
 
         monkeypatch.setattr(perp, "_weight_block_kernel", perturbed)
@@ -637,6 +635,30 @@ class TestUpstreamNegativeControls:
         assert failed == {
             "kernel_basis_pointwise_certificates": "x1_0*x1_2 + x1_1^2",
             "kernel_equals_hankel_minor_span": "degree 2: x1_0*x1_2 + x1_1^2",
+        }
+
+    def test_constraint_rows_of_one_generator_dropped(self, monkeypatch):
+        # Without the rows of g_{11,2} = 2*x1_0*x1_2 + x1_1^2 the weight-2
+        # block of degree 2 keeps x1_0*x1_2 in its kernel: every check that
+        # reads a kernel, the restriction included, fails on it.
+        real = perp._generator_images
+        dropped = []
+
+        def without_g11_2(index, pairs, key):
+            for image in real(index, pairs, key):
+                if image[:2] == ((1, 1), 2):
+                    dropped.append(image)
+                else:
+                    yield image
+
+        monkeypatch.setattr(perp, "_generator_images", without_g11_2)
+        report = run_verification(1, 2)
+        assert dropped
+        failed = {c.name: c.witness for c in _failed(report)}
+        assert failed == {
+            "kernel_basis_pointwise_certificates": "x1_0*x1_2",
+            "kernel_equals_hankel_minor_span": "degree 2: x1_0*x1_2",
+            "restriction_matches_truncated_minors": "degree 2: x1_0*x1_2",
         }
 
 

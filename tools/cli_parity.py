@@ -54,6 +54,8 @@ CALLS = [
     ["perp", "--n", "0", "--degree", "1", "--order", "1"],
     ["perp", "--json", "--n", "1", "--degree", "4", "--order", "4"],
     ["perp", "--json", "--n", "2", "--degree", "2", "--order", "5"],
+    ["perp", "--json", "--n", "3", "--degree", "2", "--order", "4"],
+    ["perp", "--json", "--n", "5", "--degree", "2", "--order", "2"],
     ["minors", "--family", "T", "--n", "1", "--h", "3", "--json"],
     ["minors", "--family", "T", "--n", "2", "--h", "2"],
     ["minors", "--family", "T", "--n", "2", "--h", "3"],
@@ -78,7 +80,7 @@ CALLS = [
         ["verify", "--json", "--no-timings", "--n", n, "--h", h]
         for n, h in [
             ("1", "0"), ("1", "1"), ("1", "2"), ("1", "3"), ("2", "2"), ("2", "3"), ("3", "2"),
-            ("3", "3"),
+            ("3", "3"), ("4", "2"),
         ]
     ),
     ["verify", "--json", "--no-timings", "--deep", "--n", "1", "--h", "2"],
