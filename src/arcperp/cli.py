@@ -138,7 +138,7 @@ def _cmd_perp(args) -> int:
 
 
 def _cmd_minors(args) -> int:
-    from .hankel import GradedSpan, build_matrix, iter_minors
+    from .hankel import build_matrix, iter_minors, minor_span
     from .ring import format_polynomial
 
     matrix = build_matrix(args.family, args.n, args.h, args.k)
@@ -147,7 +147,6 @@ def _cmd_minors(args) -> int:
         max_size = min(matrix.rows, matrix.cols)
     if max_size < 0:
         raise ValueError("minors needs --max-size >= 0")
-    minors = list(iter_minors(matrix, range(max_size + 1)))
     listing = [
         {
             "size": size,
@@ -155,9 +154,9 @@ def _cmd_minors(args) -> int:
             "cols": list(cols),
             "value": format_polynomial(value),
         }
-        for size, rows, cols, value in minors
+        for size, rows, cols, value in iter_minors(matrix, range(max_size + 1))
     ]
-    graded = GradedSpan.from_polynomials(value for _, _, _, value in minors)
+    graded = minor_span(matrix, range(max_size + 1))
     dims = {str(d): dim for d, dim in graded.graded_dimensions.items()}
     if args.json:
         text = json.dumps(

@@ -17,25 +17,23 @@ is packed once per enumeration, each monomial its key in a
 integer order is monomial order) and each row cleared of denominators, and
 expanded over ``int`` along the last chosen row with a memo on (row, column)
 subsets, so the exponentially many minors of one matrix share their
-subproblems.  Its users here are
-``wronskian`` (one full determinant, the tests' reference) and
-``iter_minors`` (every minor of the given sizes), which read values as
-``Polynomial``, and ``minor_span``, which expands only the minors on the top
-rows: in T, S and S1 each row is the block shift of the one above, so every
-other minor is a constant combination of those (the proof is in its
-docstring).  The subproblems of a top-row minor are the top-row minors one
-size down, and ``minor_span`` certifies each degree's dimension by a forward
-echelon of the packed values, led by their lowest monomials, with no
-``Polynomial`` per minor: each degree is a plain ``Span`` over the matrix's
-index, which decodes keys and builds the reduced row-echelon form only when
-a caller reads a basis rather than a dimension.  ``perp``
-reads the span of the maximal minors of one Hankel block from
-``minor_span``, and the sampled Wronskian law of ``reports`` packs all its
-pairs once, side by side in one two-row matrix, and reads each pair's
-Wronskian as a 2x2 minor.  ``truncated_perp_basis`` is the minor span of
-T(n, h), and ``dimension_series`` compares its total dimensions with
-(n+1)^(h+1), so the ``series`` command loads nothing beyond this module and
-its imports.
+subproblems.  Its users here are ``wronskian`` (one full determinant, the
+tests' reference) and ``iter_minors`` (every minor of the given sizes, the
+``minors`` command's listing), which read values as ``Polynomial``, and
+``minor_span``, the one minor enumeration that ``perp`` and ``reports``
+read.  It chooses its row sets from the matrix: in T, S and S1 each row is
+the block shift of the one above, so only the top-row minors, whose
+subproblems are the top-row minors one size down, are expanded (the proof
+is in its docstring); any other matrix below its row count has every row
+set expanded.  It certifies each degree's dimension by a forward echelon of
+the packed values, led by their lowest monomials, with no ``Polynomial``
+per minor: each degree is a plain ``Span`` over the matrix's index, which
+decodes keys and builds the reduced row-echelon form only when a basis is
+read.  The sampled Wronskian law of ``reports`` packs all its pairs once,
+side by side in one two-row matrix, and reads each pair's Wronskian as a
+2x2 minor.  ``truncated_perp_basis`` is the minor span of T(n, h), and
+``dimension_series`` compares its total dimensions with (n+1)^(h+1), so
+the ``series`` command loads nothing beyond this module and its imports.
 """
 
 from __future__ import annotations
@@ -265,19 +263,11 @@ def iter_minors(m: SymbolicMatrix, sizes):
 
 
 class GradedSpan:
-    """A degree-indexed family of spans with a total dimension."""
+    """A degree-indexed family of spans, and the count of nonzero minors spanned."""
 
-    def __init__(self, spans: dict[int, Span]):
+    def __init__(self, spans: dict[int, Span], nonzero_minors: int):
         self.spans = dict(sorted(spans.items()))
-
-    @classmethod
-    def from_polynomials(cls, polys) -> "GradedSpan":
-        """Reduced spans of the nonzero polynomials, grouped by total degree."""
-        by_degree: dict[int, list[Polynomial]] = {}
-        for p in polys:
-            if not p.is_zero:
-                by_degree.setdefault(p.total_degree(), []).append(p)
-        return cls({d: Span.from_polynomials(group) for d, group in by_degree.items()})
+        self.nonzero_minors = nonzero_minors
 
     def span(self, degree: int) -> Span:
         got = self.spans.get(degree)
@@ -294,27 +284,44 @@ class GradedSpan:
         return sum(s.dimension for s in self.spans.values())
 
 
+def _selected_rows(m: SymbolicMatrix, sizes) -> list[tuple[int, tuple[int, ...]]]:
+    """The (size, rows) whose minors ``minor_span`` expands, counted against
+    ``MINOR_LIMIT`` (which raises ``ValueError`` before any is expanded)."""
+    sizes = [s for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)]
+    e = m.entries
+    top = all(s == m.rows for s in sizes) or all(
+        e[r][c] == (e[r - 1][c - 1] if c % m.rows else ZERO)
+        for r in range(1, m.rows) for c in range(m.cols)
+    )
+    count = sum(math.comb(m.cols, s) * (1 if top else math.comb(m.rows, s)) for s in sizes)
+    _check_minor_count(m, count)
+    return [
+        (s, rows)
+        for s in sizes
+        for rows in ([tuple(range(s))] if top else itertools.combinations(range(m.rows), s))
+    ]
+
+
 def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     """Reduced span of the minors of the given sizes, grouped by degree.
 
-    For each size s only the minors on rows 0..s-1 are expanded, over every
-    column s-subset.  For s = rows those are all the minors; for a smaller s
-    that is exact because m must then be shift-structured: row r is vS^r,
-    v = row 0, for the constant shift S: e_c -> e_(c+1) inside each block of
-    ``rows`` columns, a block's last column going to 0.  The minors on
-    rows r_1 < ... < r_s are the Pluecker coordinates of vS^(r_1) ^ ... ^
-    vS^(r_s), which is 1/s! times the alternant a_(lambda+delta)(S_1, ...,
-    S_s), lambda+delta = (r_s, ..., r_1), applied to v (x) ... (x) v, with S_i
-    acting on the i-th factor.  As a_(lambda+delta) = s_lambda * a_delta
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.3), that is
-    s_lambda(S_1, ..., S_s), a constant matrix on the s-th exterior power,
-    applied to +-(v ^ vS ^ ... ^ vS^(s-1)): every size-s minor is a constant
-    combination of those on rows 0..s-1.  T, S and S1 are shift-structured
-    (block size h+1 = rows); for any other matrix a size below the row
-    count raises ``ValueError``, while a request for size ``rows`` alone, as
-    of the maximal Hankel minors, is not checked.  Size 0 gives the constant
-    1; zero minors are dropped before the reduction.  Past ``MINOR_LIMIT``
-    top-row minors it raises ``ValueError`` before any check or expansion.
+    The row sets are chosen from the matrix.  When every size is the row
+    count, or m is shift-structured, each size s is expanded on rows 0..s-1
+    alone, over every column s-subset; otherwise on every row s-subset.  m
+    is shift-structured when row r is vS^r, v = row 0, for the constant
+    shift S: e_c -> e_(c+1) inside each block of ``rows`` columns, a block's
+    last column going to 0.  The minors on rows r_1 < ... < r_s are then the
+    Pluecker coordinates of vS^(r_1) ^ ... ^ vS^(r_s), which is 1/s! times
+    the alternant a_(lambda+delta)(S_1, ..., S_s), lambda+delta = (r_s, ...,
+    r_1), applied to v (x) ... (x) v, with S_i acting on the i-th factor.
+    As a_(lambda+delta) = s_lambda * a_delta (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.3), that is s_lambda(S_1, ..., S_s), a constant
+    matrix on the s-th exterior power, applied to +-(v ^ vS ^ ... ^
+    vS^(s-1)): every size-s minor is a constant combination of those on rows
+    0..s-1.  T, S and S1 are shift-structured (block size h+1 = rows); a
+    Hankel block is not.  Size 0 gives the constant 1; zero minors are
+    dropped, and ``nonzero_minors`` counts the others.  Past ``MINOR_LIMIT``
+    selected minors it raises ``ValueError`` before any expansion.
 
     The spans are built from the packed values, with no ``Polynomial`` per
     minor: the minors are grouped by degree (that of their highest term, the
@@ -329,23 +336,16 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     reduced row-echelon form only when a basis is read.  A row is a minor
     times its rows' scales, which leaves that form as it is.
     """
-    sizes = [s for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)]
-    _check_minor_count(m, sum(math.comb(m.cols, s) for s in sizes))
-    e = m.entries
-    if any(s < m.rows for s in sizes):
-        for r in range(1, m.rows):
-            for c in range(m.cols):
-                if e[r][c] != (e[r - 1][c - 1] if c % m.rows else ZERO):
-                    raise ValueError(f"minor_span needs a shift-structured matrix: entry ({r}, {c})")
+    selected = _selected_rows(m, sizes)
     packed = PackedMatrix(m)
     by_degree: dict[int, list[dict[int, int]]] = {}
-    for s in sizes:
-        rows = tuple(range(s))
+    for s, rows in selected:
         for cols in itertools.combinations(range(m.cols), s):
             det = packed.det(rows, cols)
             if det:
                 by_degree.setdefault(max(det) // packed.index.top, []).append(det)
-    return GradedSpan({d: Span(packed.index, forward_echelon(dets)) for d, dets in by_degree.items()})
+    spans = {d: Span(packed.index, forward_echelon(dets)) for d, dets in by_degree.items()}
+    return GradedSpan(spans, sum(map(len, by_degree.values())))
 
 
 def truncated_perp_basis(n: int, h: int) -> GradedSpan:

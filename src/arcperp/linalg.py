@@ -23,6 +23,7 @@ decodes its keys, only when a basis is read.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -190,7 +191,8 @@ class MonomialIndex:
         self.base = base
         size = len(self.variables)
         self.top = base**size
-        self._place = {v: base ** (size - 1 - k) for k, v in enumerate(self.variables)}
+        self._powers = [base**p for p in range(size)]  # the place of variable size-1-p
+        self._place = {v: self._powers[size - 1 - k] for k, v in enumerate(self.variables)}
         self._decoded: dict[int, Monomial] = {}
 
     @classmethod
@@ -211,19 +213,17 @@ class MonomialIndex:
         return key
 
     def _monomial(self, key: int) -> Monomial:
-        """The monomial of a key, decoded once; the last variable is the
-        lowest digit."""
+        """The monomial of a key, decoded once; the last variable is the lowest
+        digit.  Each nonzero digit, highest first, is found by bisecting the
+        powers of the base: at most d divisions for a key of degree d."""
         got = self._decoded.get(key)
         if got is None:
             degree, rest = divmod(key, self.top)
-            pairs = []
-            for v in reversed(self.variables):
-                if not rest:
-                    break
-                rest, e = divmod(rest, self.base)
-                if e:
-                    pairs.append((v, e))
-            pairs.reverse()
+            powers, last, pairs = self._powers, len(self._powers) - 1, []
+            while rest:
+                p = bisect_right(powers, rest) - 1
+                e, rest = divmod(rest, powers[p])
+                pairs.append((self.variables[last - p], e))
             got = self._decoded[key] = _sorted_monomial(tuple(pairs), degree)
         return got
 

@@ -24,9 +24,10 @@ from .hankel import (  # SeriesRow: perfbench/tracer.py traces it here
     PackedMatrix,
     SeriesRow,
     SymbolicMatrix,
+    _selected_rows,
     dimension_series,
     hankel_matrix,
-    iter_minors,
+    minor_span,
     scaled_matrix,
     truncated_perp_basis,
 )
@@ -98,13 +99,13 @@ def _is_form(p: Polynomial, d: int) -> bool:
     return all(m.degree == d and (not m.pairs or m.pairs[-1][0].kind == "x") for m in p.terms)
 
 
-def _hankel_minor_values(n: int, h: int, k: int) -> list[Polynomial]:
-    matrix = hankel_matrix(n, h, k)
-    values = []
-    for _, _, _, value in iter_minors(matrix, range(min(h, matrix.cols) + 1)):
-        if not value.is_zero:
-            values.append(value)
-    return values
+def _minor_basis(graded: GradedSpan) -> list[Polynomial]:
+    """The basis polynomials of a minor span, degrees ascending.  The minor-side
+    checks (annihilation by the generators, the vanishing double derivative,
+    differential homogeneity) are linear in the polynomial, and span(kept
+    rows) = span(all minors), as ``minor_span`` certifies: so a linear test on
+    the basis tests every minor, and a basis polynomial witnesses a failure."""
+    return [p for span in graded.spans.values() for p in span.basis_polynomials()]
 
 
 # -- annihilation from second partials -----------------------------------------
@@ -189,17 +190,19 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     degree_cap = min(h + 1, 3) + (1 if deep else 0)
     order_bound = min(h + (2 if deep else 0), 5) if h else (2 if deep else 1)
 
-    # Counted before any check: by Vandermonde no span of the chain has more minors.
-    maximal_minors = iter_minors(scaled_matrix(n + 1, h), [h + 1])
-    minors = _hankel_minor_values(n, h_cap, k_cap)
+    # The homogeneity span is counted here, before any work, and built in its
+    # check: by Vandermonde no span of the chain has more minors.
+    scaled = scaled_matrix(n + 1, h)
+    _selected_rows(scaled, [h + 1])
+    minors = minor_span(hankel_matrix(n, h_cap, k_cap), range(h_cap + 1))
     generators = arc_generators_up_to(n, 2 * (h_cap + k_cap))
 
     def check_minor_annihilation():
         quadratic = [_quadratic_terms(g) for g in generators]
-        for w in minors:
+        for w in _minor_basis(minors):
             if not _annihilated_by_all(quadratic, w):
-                return False, {"minors": len(minors)}, format_polynomial(w)
-        return True, {"minors": len(minors), "generators": len(generators)}, None
+                return False, {"minors": minors.nonzero_minors}, format_polynomial(w)
+        return True, {"minors": minors.nonzero_minors, "generators": len(generators)}, None
 
     checks.append(
         _timed(
@@ -210,10 +213,10 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     )
 
     def check_minor_double_derivative():
-        for w in minors:
+        for w in _minor_basis(minors):
             if not double_derivative_vanishes(w):
                 return False, {}, format_polynomial(w)
-        return True, {"minors": len(minors)}, None
+        return True, {"minors": minors.nonzero_minors}, None
 
     checks.append(
         _timed(
@@ -313,14 +316,12 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     checks.append(_timed("triangular_scaled_dimension_chain", {"n": n, "h": h}, check_chain))
 
     def check_diff_homogeneous():
-        count = 0
-        for _, _, _, value in maximal_minors:
-            if value.is_zero:
-                continue
-            count += 1
-            if not is_differentially_homogeneous(value, h + 1):
-                return False, {"maximal_minors": count}, format_polynomial(value)
-        return True, {"maximal_minors": count}, None
+        maximal = minor_span(scaled, [h + 1])
+        dims = {"maximal_minors": maximal.nonzero_minors}
+        for p in _minor_basis(maximal):
+            if not is_differentially_homogeneous(p, h + 1):
+                return False, dims, format_polynomial(p)
+        return True, dims, None
 
     checks.append(
         _timed(

@@ -19,6 +19,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+from arcperp.linalg import Span
 from arcperp.pairing import apply_pairing, directional_derivative
 from arcperp.ring import E, Monomial, Polynomial, al, differential_variables, x, xi, y
 
@@ -101,6 +102,16 @@ def naive_determinant(rows: list[list]) -> Polynomial:
             term = term * rows[r][perm[r]]
         acc = acc + term if inversions % 2 == 0 else acc - term
     return acc
+
+
+def spans_by_degree(polys) -> dict[int, Span]:
+    """The span of the nonzero polynomials of each total degree, each built by
+    ``Span.from_polynomials`` from decoded polynomials, with no packed minor."""
+    by_degree: dict[int, list[Polynomial]] = {}
+    for p in polys:
+        if not p.is_zero:
+            by_degree.setdefault(p.total_degree(), []).append(p)
+    return {d: Span.from_polynomials(group) for d, group in sorted(by_degree.items())}
 
 
 def naive_rref(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:

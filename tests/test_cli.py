@@ -133,6 +133,19 @@ class TestPerp:
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == f"dimension {n * (order + 1)}"
 
+    def test_decoding_is_not_quadratic_in_the_variables(self):
+        # 10,001 variables: decoding a key costs a bisection per nonzero
+        # digit, not a division per variable, so the basis prints in seconds.
+        env = dict(os.environ, PYTHONPATH=str(Path(arcperp.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "arcperp.cli", "perp", "--n", "1", "--degree", "1",
+             "--order", "10000"],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert lines == ["dimension 10001"] + [f"x1_{j}" for j in range(10001)]
+
     def test_too_many_variables_refused_up_front(self, capsys, monkeypatch):
         # Each x1_j with j <= 200,000 is a monomial of the enumeration, so
         # the count is refused before any variable is listed.
@@ -432,11 +445,16 @@ class TestGlobalFlags:
 # Public functions and methods that no subcommand calls, with the reason each
 # stays: the dense matrix class is named by the benchmark's tracer, the
 # Polynomial readers and builder are how tests build inputs and read results,
-# ``wronskian`` is the tests' reference Wronskian, one packing per call, and
-# the pivots of a span's reduced rows are how tests compare two RREFs (the
-# commands read the rows through the basis polynomials).
+# ``wronskian`` is the tests' reference Wronskian, one packing per call, the
+# pivots of a span's reduced rows are how tests compare two RREFs (the
+# commands read the rows through the basis polynomials), and
+# ``Span.from_polynomials``, with the index ``MonomialIndex.spanning`` gives
+# it, is how tests build the span of given polynomials (the commands build
+# spans from packed minors and kernel vectors).
 NEVER_CALLED_BY_A_COMMAND = {
     "hankel.wronskian",
+    "linalg.MonomialIndex.spanning",
+    "linalg.Span.from_polynomials",
     "linalg.Span.pivots",
     "linalg.RationalMatrix.identity",
     "linalg.RationalMatrix.kernel_basis",
@@ -448,6 +466,7 @@ NEVER_CALLED_BY_A_COMMAND = {
     "ring.Polynomial.from_terms",
     "ring.Polynomial.max_order",
     "ring.Polynomial.monomials",
+    "ring.Polynomial.total_degree",
 }
 
 

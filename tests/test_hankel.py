@@ -25,7 +25,7 @@ from arcperp.pairing import double_derivative_vanishes
 from arcperp.perp import scaled_of_triangular_map
 from arcperp.ring import E, Monomial, Polynomial, al, parse, x, xi, y
 
-from oracles import annihilates, naive_determinant
+from oracles import annihilates, naive_determinant, spans_by_degree
 
 P = parse
 
@@ -46,6 +46,13 @@ def graded_basis(gs: GradedSpan) -> list[str]:
 
 def all_integral_are_int(coefficients) -> bool:
     return all(type(c) is int for c in coefficients if c.denominator == 1)
+
+
+def with_entry(m: SymbolicMatrix, r: int, c: int, entry: Polynomial) -> SymbolicMatrix:
+    """m with entry (r, c) replaced."""
+    rows = [list(row) for row in m.entries]
+    rows[r][c] = entry
+    return SymbolicMatrix.from_rows(rows)
 
 
 def shift_structured(first_row: list[Polynomial], rows: int) -> SymbolicMatrix:
@@ -304,41 +311,54 @@ class TestMinorSpan:
         assert span.dimension == 3
         assert all({m.degree for m in p.terms} == {2} for p in span.basis_polynomials())
 
-    # The top-row span against the span of every minor, degree by degree.
-    # The maximal minors of a Hankel block are all on its top rows, so it
-    # needs no shift structure; h = 0 gives the constant 1, k+1 < h nothing.
+    # The span minor_span expands against the span of every minor, degree by
+    # degree.  T, S and S1 are shift-structured: only their top-row minors
+    # are expanded.  The maximal minors of a Hankel block are all on its top
+    # rows (h = 0 gives the constant 1, k+1 < h nothing).  A Hankel block
+    # read below its row count, or with more rows than columns, and matrices
+    # one entry off the shift structure have every row set expanded.
     @pytest.mark.parametrize(
-        "family,n,h,k",
+        "m,sizes,top_rows",
         [
-            pytest.param(family, n, h, None, id=f"{family}-{n}-{h}")
+            pytest.param(build_matrix(family, n, h), range(h + 2), True, id=f"{family}-{n}-{h}")
             for family, n, h in
             [("T", n, h) for n, h in [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]]
             + [("S", n, h) for n, h in [(1, 4), (1, 5), (2, 3), (2, 4), (3, 3)]]
-            + [("S1", 1, 3), ("S1", 2, 2)]
         ]
-        + [("H", n, h, k) for n, h, k in [(1, 2, 3), (1, 3, 1), (2, 2, 2), (2, 3, 1), (3, 3, 1), (2, 0, 2), (1, 3, 0)]],
+        + [
+            pytest.param(scaled_augmented_matrix(n, h), [h + 1], True, id=f"S1-{n}-{h}")
+            for n, h in [(1, 3), (2, 2)]
+        ]
+        + [
+            pytest.param(hankel_matrix(n, h, k), [h], True, id=f"H-{n}-{h}-{k}")
+            for n, h, k in [(1, 2, 3), (1, 3, 1), (2, 2, 2), (2, 3, 1), (3, 3, 1), (2, 0, 2), (1, 3, 0)]
+        ]
+        + [
+            pytest.param(hankel_matrix(n, h, k), range(h + 1), False, id=f"H-{n}-{h}-{k}-all")
+            for n, h, k in [(2, 2, 1), (1, 3, 3), (2, 3, 1), (2, 3, 0), (1, 4, 0)]
+        ]
+        + [
+            pytest.param(
+                with_entry(triangular_matrix(1, 2), 1, 2, P("x1_1 + x1_0")), range(4), False,
+                id="T-1-2-one-entry-added",
+            ),
+            # the first column of the second block
+            pytest.param(
+                with_entry(triangular_matrix(2, 1), 1, 2, P("x2_1")), range(3), False,
+                id="T-2-1-block-start-filled",
+            ),
+        ],
     )
-    def test_top_rows_span_every_minor(self, family, n, h, k):
-        m = build_matrix(family, n, h, k)
-        sizes = [h + 1] if family == "S1" else [h] if family == "H" else range(h + 2)
-        full = GradedSpan.from_polynomials(value for _, _, _, value in iter_minors(m, sizes))
-        top = minor_span(m, sizes)
-        assert top.graded_dimensions == full.graded_dimensions
-        for d in full.spans:
+    def test_top_rows_span_every_minor(self, m, sizes, top_rows):
+        listing = list(iter_minors(m, sizes))
+        full = spans_by_degree(value for _, _, _, value in listing)
+        got = minor_span(m, sizes)
+        assert got.graded_dimensions == {d: span.dimension for d, span in full.items()}
+        for d, span in full.items():
             # Equal spans with the same support reduce to the same basis.
-            assert top.span(d).basis_polynomials() == full.span(d).basis_polynomials(), d
-
-    def test_rejects_a_matrix_without_the_shift_structure(self):
-        with pytest.raises(ValueError, match="shift-structured"):
-            minor_span(hankel_matrix(2, 2, 1), range(3))
-        rows = [list(row) for row in triangular_matrix(1, 2).entries]
-        rows[1][2] = rows[1][2] + P("x1_0")
-        with pytest.raises(ValueError, match="shift-structured"):
-            minor_span(SymbolicMatrix.from_rows(rows), range(4))
-        rows = [list(row) for row in triangular_matrix(2, 1).entries]
-        rows[1][2] = P("x2_1")  # the first column of the second block
-        with pytest.raises(ValueError, match="shift-structured"):
-            minor_span(SymbolicMatrix.from_rows(rows), range(3))
+            assert got.span(d).basis_polynomials() == span.basis_polynomials(), d
+        expanded = [v for size, rows, _, v in listing if not top_rows or rows == tuple(range(size))]
+        assert got.nonzero_minors == sum(not v.is_zero for v in expanded)
 
     @pytest.mark.parametrize(
         "m,sizes",
@@ -371,14 +391,14 @@ class TestMinorSpan:
         # minors: the same index, reduced rows (with their types) and pivots.
         sizes = range(m.rows + 1) if sizes == "all" else [m.rows]
         packed = PackedMatrix(m)
-        expected = GradedSpan.from_polynomials(
+        expected = spans_by_degree(
             packed.value(tuple(range(s)), cols)
             for s in sizes
             for cols in itertools.combinations(range(m.cols), s)
         )
         got = minor_span(m, sizes)
-        assert list(got.spans) == list(expected.spans)
-        for d, want in expected.spans.items():
+        assert list(got.spans) == list(expected)
+        for d, want in expected.items():
             span = got.spans[d]
             assert [span.index._monomial(k) for k in span.columns] == [
                 want.index._monomial(k) for k in want.columns
@@ -508,14 +528,16 @@ class TestMinorLimit:
         with pytest.raises(ValueError, match="^6 minors of a 2x2 matrix exceed the limit of 5 "):
             iter_minors(m, range(3))
 
-    def test_minor_span_counts_top_row_minors_before_the_shape_check(self, monkeypatch):
+    def test_minor_span_counts_the_minors_it_selects(self, monkeypatch):
         m = triangular_matrix(1, 3)  # sum_s C(4, s) = 16 top-row minors
         monkeypatch.setattr(hankel, "MINOR_LIMIT", 16)
         assert minor_span(m, range(5)).total_dimension == 16
         monkeypatch.setattr(hankel, "MINOR_LIMIT", 15)
         with pytest.raises(ValueError, match="^16 minors of a 4x4 matrix exceed the limit of 15 "):
             minor_span(m, range(5))
-        with pytest.raises(ValueError, match="exceed the limit"):  # not shift-structured
+        monkeypatch.setattr(hankel, "PackedMatrix", None)  # nothing may be packed
+        # not shift-structured: sum_s C(4, s)^2 minors on every row set
+        with pytest.raises(ValueError, match="^70 minors of a 4x4 matrix exceed the limit of 15 "):
             minor_span(hankel_matrix(1, 4, 3), range(5))
 
     def test_the_maximal_minors_of_s_10_9_are_refused(self):

@@ -7,7 +7,8 @@ import pytest
 from arcperp import hankel, pairing, perp, reports
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import (
-    GradedSpan, hankel_matrix, scaled_matrix, triangular_matrix, truncated_perp_basis,
+    GradedSpan, hankel_matrix, iter_minors, scaled_matrix, triangular_matrix,
+    truncated_perp_basis,
 )
 from arcperp.linalg import Span
 from arcperp.pairing import apply_pairing, double_derivative_vanishes
@@ -21,7 +22,7 @@ from arcperp.reports import (
 )
 from arcperp.ring import Monomial, Polynomial, al, format_polynomial, parse, x, xi, y
 
-from oracles import vanishes_on_exponential_sums_oracle
+from oracles import spans_by_degree, vanishes_on_exponential_sums_oracle
 
 
 def _series(n, h_max):
@@ -153,7 +154,7 @@ def _drop_from_truncated(monkeypatch, order):
         basis = spans[top].basis_polynomials()
         dropped.append(basis[0])
         spans[top] = Span.from_polynomials(basis[1:], spans[top].index)
-        return GradedSpan(spans)
+        return GradedSpan(spans, graded.nonzero_minors)
 
     monkeypatch.setattr(reports, "truncated_perp_basis", lossy)
     return dropped
@@ -175,7 +176,7 @@ def _drop_top_element(monkeypatch, matrix):
         basis = spans[top].basis_polynomials()
         dropped.append(basis[0])
         spans[top] = Span.from_polynomials(basis[1:], spans[top].index)
-        return GradedSpan(spans)
+        return GradedSpan(spans, graded.nonzero_minors)
 
     monkeypatch.setattr(perp, "minor_span", lossy)
     return dropped
@@ -280,19 +281,21 @@ class TestNegativeControls:
 
 
 def _corrupt_one_minor(monkeypatch, matrix, stray):
-    """Make ``reports.iter_minors`` add ``stray`` to the first nonzero minor of
-    ``matrix`` it yields; returns the list that receives the corrupted value."""
-    real = reports.iter_minors
+    """Make ``reports.minor_span``, the one minor enumeration the battery
+    reads, return for ``matrix`` the span of its minors with ``stray`` added
+    to the first nonzero one; returns the list that receives that minor."""
+    real = reports.minor_span
     corrupted = []
 
     def lossy(m, sizes):
-        for size, rows, cols, value in real(m, sizes):
-            if m == matrix and not corrupted and not value.is_zero:
-                value = value + parse(stray)
-                corrupted.append(value)
-            yield size, rows, cols, value
+        if m != matrix:
+            return real(m, sizes)
+        values = [value for _, _, _, value in iter_minors(m, sizes) if not value.is_zero]
+        values[0] += parse(stray)
+        corrupted.append(values[0])
+        return GradedSpan(spans_by_degree(values), len(values))
 
-    monkeypatch.setattr(reports, "iter_minors", lossy)
+    monkeypatch.setattr(reports, "minor_span", lossy)
     return corrupted
 
 
@@ -316,16 +319,16 @@ class TestMinorFedNegativeControls:
         report = run_verification(1, 1)
         (check,) = _failed(report)
         assert check.name == "scaled_maximal_minors_differentially_homogeneous"
-        assert check.witness == format_polynomial(corrupted[0])
-        assert check.dimensions == {"maximal_minors": 1}
+        assert check.witness == format_polynomial(corrupted[0]) == "x1_0^2 + x1_1^2"
+        assert check.dimensions == {"maximal_minors": 5}
 
     def test_scaled_maximal_minor_failing_the_degree_alone(self, monkeypatch):
         corrupted = _corrupt_one_minor(monkeypatch, scaled_matrix(2, 1), "x1_0")
         report = run_verification(1, 1)
         (check,) = _failed(report)
         assert check.name == "scaled_maximal_minors_differentially_homogeneous"
-        assert check.witness == format_polynomial(corrupted[0])
-        assert check.dimensions == {"maximal_minors": 1}
+        assert check.witness == format_polynomial(corrupted[0]) == "x1_0^2 + x1_0"
+        assert check.dimensions == {"maximal_minors": 5}
         # Each degree part passes on its own: every D_k kills both, and only
         # the degree condition sees their sum.
         stray = parse("x1_0")
@@ -409,6 +412,24 @@ class TestMinorFedNegativeControls:
 
 
 class TestBuildCounts:
+    def test_homogeneity_tests_one_polynomial_per_dimension(self, monkeypatch):
+        # S(2, 3) has 42 nonzero maximal minors, which span (n+1)^(h+1) = 16
+        # dimensions; the check tests the 16 basis polynomials.
+        tested = []
+        real = reports.is_differentially_homogeneous
+
+        def counting(p, d):
+            tested.append(p)
+            return real(p, d)
+
+        monkeypatch.setattr(reports, "is_differentially_homogeneous", counting)
+        check = next(
+            c for c in run_verification(1, 3).checks
+            if c.name == "scaled_maximal_minors_differentially_homogeneous"
+        )
+        assert (check.passed, check.dimensions) == (True, {"maximal_minors": 42})
+        assert len(tested) == len(set(tested)) == 16
+
     @pytest.mark.parametrize("n,h,deep", [(1, 3, False), (2, 2, False), (1, 2, True)])
     def test_each_triangular_matrix_packed_once(self, monkeypatch, n, h, deep):
         # Every minor enumeration packs its matrix once, so this counts the
@@ -692,10 +713,11 @@ class TestDerivationRuleNegativeControls:
         report = run_verification(1, 2)
         (check,) = _failed(report)
         assert check.name == "scaled_maximal_minors_differentially_homogeneous"
+        # A basis polynomial of the maximal minors' span, twice a minor.
         assert check.witness == (
-            "1/2*x1_0^2*x2_2 - x1_0*x1_1*x2_1 - 1/2*x1_0*x1_2*x2_0 + x1_1^2*x2_0"
+            "x1_0^2*x2_2 - 2*x1_0*x1_1*x2_1 - x1_0*x1_2*x2_0 + 2*x1_1^2*x2_0"
         )
-        assert check.dimensions == {"maximal_minors": 8}
+        assert check.dimensions == {"maximal_minors": 14}
         witness = parse(check.witness)
         assert not is_differentially_homogeneous(witness, 3)
         monkeypatch.undo()

@@ -56,6 +56,7 @@ CALLS = [
     ["perp", "--json", "--n", "2", "--degree", "2", "--order", "5"],
     ["perp", "--json", "--n", "3", "--degree", "2", "--order", "4"],
     ["perp", "--json", "--n", "5", "--degree", "2", "--order", "2"],
+    ["perp", "--n", "1", "--degree", "1", "--order", "1500"],
     ["minors", "--family", "T", "--n", "1", "--h", "3", "--json"],
     ["minors", "--family", "T", "--n", "2", "--h", "2"],
     ["minors", "--family", "T", "--n", "2", "--h", "3"],
@@ -66,6 +67,7 @@ CALLS = [
     ["minors", "--family", "S", "--n", "2", "--h", "2", "--max-size", "1"],
     ["minors", "--family", "H", "--n", "1", "--h", "1"],
     ["minors", "--json", "--family", "H", "--n", "2", "--h", "3", "--k", "2"],
+    ["minors", "--family", "H", "--n", "2", "--h", "3", "--k", "0"],  # more rows than columns
     ["minors", "--family", "S1", "--n", "1", "--h", "0"],
     ["minors", "--family", "T", "--n", "1", "--h", "1", "--k", "1"],
     ["minors", "--family", "T", "--n", "1", "--h", "1", "--max-size", "-1"],
@@ -80,7 +82,7 @@ CALLS = [
         ["verify", "--json", "--no-timings", "--n", n, "--h", h]
         for n, h in [
             ("1", "0"), ("1", "1"), ("1", "2"), ("1", "3"), ("2", "2"), ("2", "3"), ("3", "2"),
-            ("3", "3"), ("4", "2"),
+            ("3", "3"), ("4", "2"), ("1", "6"), ("2", "4"), ("4", "3"),
         ]
     ),
     ["verify", "--json", "--no-timings", "--deep", "--n", "1", "--h", "2"],
@@ -88,6 +90,7 @@ CALLS = [
     ["verify", "--no-timings", "--seed", "7", "--n", "2", "--h", "2"],
     ["verify", "--n", "0", "--h", "1"],
     ["verify", "--n", "1", "--h", "-1"],
+    ["verify", "--n", "9", "--h", "9"],  # refused before any work
     ["dims-chain", "--n", "2", "--h", "3"],
     ["dims-chain", "--json", "--n", "3", "--h", "3"],
     ["dims-chain", "--n", "1", "--h", "-1"],
