@@ -8,7 +8,8 @@ code 2.
 
 Each command imports what it calls when it runs, so a run loads only the
 modules of its own command: ``series`` and ``dims-chain`` never load the
-pairing, the arc generators or the verification driver.
+kernel side (``perp``), the pairing, the arc generators or the verification
+driver.
 """
 
 from __future__ import annotations
@@ -224,8 +225,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dims_chain(args) -> int:
-    from .hankel import truncated_perp_basis
-    from .perp import dimension_chain
+    from .hankel import dimension_chain, truncated_perp_basis
 
     chain = dimension_chain(args.n, args.h, truncated_perp_basis(args.n, args.h))
     if args.json:

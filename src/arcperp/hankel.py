@@ -1,4 +1,4 @@
-"""Structured symbolic matrices, Wronskians, minor spans, and the dimension series.
+"""Structured symbolic matrices, Wronskians, minor spans: the minor side.
 
 Four matrix families are built here:
 
@@ -20,7 +20,7 @@ subsets, so the exponentially many minors of one matrix share their
 subproblems.  Its users here are ``wronskian`` (one full determinant, the
 tests' reference) and ``iter_minors`` (every minor of the given sizes, the
 ``minors`` command's listing), which read values as ``Polynomial``, and
-``minor_span``, the one minor enumeration that ``perp`` and ``reports``
+``minor_span``, the one minor enumeration that this module and ``reports``
 read.  It chooses its row sets from the matrix: in T, S and S1 each row is
 the block shift of the one above, so only the top-row minors, whose
 subproblems are the top-row minors one size down, are expanded (the proof
@@ -31,9 +31,12 @@ per minor: each degree is a plain ``Span`` over the matrix's index, which
 decodes keys and builds the reduced row-echelon form only when a basis is
 read.  The sampled Wronskian law of ``reports`` packs all its pairs once,
 side by side in one two-row matrix, and reads each pair's Wronskian as a
-2x2 minor.  ``truncated_perp_basis`` is the minor span of T(n, h), and
-``dimension_series`` compares its total dimensions with (n+1)^(h+1), so
-the ``series`` command loads nothing beyond this module and its imports.
+2x2 minor.  ``truncated_perp_basis`` is the minor span of T(n, h);
+``dimension_series`` compares its total dimensions with (n+1)^(h+1),
+``dimension_chain`` with those of S and S1, and
+``hankel_minor_intersection_span`` is the Wronskian span that the kernel is
+compared with.  Like the kernel side, ``perp``, this module imports only
+``linalg`` and ``ring``, so ``series`` and ``dims-chain`` load nothing else.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .linalg import MonomialIndex, Span, forward_echelon
-from .ring import ONE, ZERO, Monomial, Polynomial, x
+from .ring import ONE, ZERO, Monomial, Polynomial, format_polynomial, x
 
 
 class SymbolicMatrix(NamedTuple):
@@ -368,3 +371,99 @@ def dimension_series(n: int, truncated) -> list[SeriesRow]:
         closed = (n + 1) ** (h + 1)
         rows.append(SeriesRow(h, dim, closed, dim == closed))
     return rows
+
+
+class ChainDims(NamedTuple):
+    """Dimensions of the three independently enumerated minor spaces."""
+
+    triangular: int
+    scaled: int
+    scaled_augmented: int
+    equal: bool
+    bijection_lands_in_scaled: bool
+    witness: str | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "triangular": self.triangular,
+            "scaled": self.scaled,
+            "scaled_augmented": self.scaled_augmented,
+            "equal": self.equal,
+            "bijection_lands_in_scaled": self.bijection_lands_in_scaled,
+        }
+
+
+def dimension_chain(n: int, h: int, tri: GradedSpan) -> ChainDims:
+    """Compare the triangular, scaled, and augmented-maximal minor dimensions.
+
+    ``tri`` is the triangular minor span ``truncated_perp_basis(n, h)``.
+    ``equal`` records whether all three match (n+1)^(h+1).  The explicit
+    substitution x^(i) -> x^(h-i)/(h-i)! is also applied to every triangular
+    basis element and checked to land in the scaled span of its degree: the
+    map keeps degree and the degree pieces share no monomials, so that is
+    landing in the whole scaled span.  On failure the witness is the first
+    triangular basis element whose image lands outside, or else the first
+    family whose dimension is off.
+    """
+    closed = (n + 1) ** (h + 1)
+    sca = minor_span(scaled_matrix(n, h), range(h + 2))
+    aug = minor_span(scaled_augmented_matrix(n, h), [h + 1])
+    dims = (tri.total_dimension, sca.total_dimension, aug.total_dimension)
+    outside = next(
+        (p for d, span in tri.spans.items() for p in span.basis_polynomials()
+         if not sca.span(d).contains(scaled_of_triangular_map(p, h))),
+        None,
+    )
+    off = [
+        f"{family}: {d} != {closed}"
+        for family, d in zip(("triangular", "scaled", "scaled_augmented"), dims)
+        if d != closed
+    ]
+    witness = off[0] if off else None
+    if outside is not None:
+        witness = f"image outside the scaled span: {format_polynomial(outside)}"
+    return ChainDims(*dims, equal=not off, bijection_lands_in_scaled=outside is None,
+                     witness=witness)
+
+
+def scaled_of_triangular_map(p: Polynomial, h: int) -> Polynomial:
+    """The substitution x^(i) -> x^(h-i)/(h-i)! that carries the triangular
+    minor space onto the scaled one.
+
+    It is a renaming: each x_i^(j) becomes x_i^(h-j), and a term's coefficient
+    is divided by the product of ((h-j)!)^e over its x-factors.  The renaming
+    is a bijection on variables, so no two terms merge.
+    """
+    out = {}
+    for m, c in p.terms.items():
+        pairs = []
+        scale = 1
+        for v, e in m.pairs:
+            if v.kind == "x":
+                if v.j > h:
+                    raise ValueError(f"variable {v.token()} has order above h={h}")
+                scale *= math.factorial(h - v.j) ** e
+                v = x(v.i, h - v.j)
+            pairs.append((v, e))
+        out[Monomial(pairs)] = c if scale == 1 else Fraction(c, scale)
+    return Polynomial(out)
+
+
+def hankel_minor_intersection_span(n: int, degree: int, max_order: int) -> Span:
+    """Span of the Wronskians of d distinct derivative variables of orders
+    <= H-d+1, the degree-d part of the inverse system cut to orders <= H.
+
+    The Wronskian of d distinct variables is the maximal minor of the d-row
+    Hankel block picking those columns, so the span is that of the maximal
+    minors of ``hankel_matrix(n, d, H-d+1)``, every entry of which has order
+    <= H; it has dimension C(n(H-d+2), d) and is empty when d > H+1.  At
+    degree 0 the block has no rows and its one minor, of size 0, is 1.
+
+    Compared with the kernel, this certifies on each instance that the
+    kernel cut to orders <= H is the span of these low Wronskians.  That it
+    is also the span of all Wronskians cut to orders <= H was measured
+    (n <= 3, d <= 5, d*H <= 20), not proven.
+    """
+    if degree > max_order + 1:
+        return Span.from_polynomials(())
+    return minor_span(hankel_matrix(n, degree, max_order - degree + 1), [degree]).span(degree)

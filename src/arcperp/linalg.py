@@ -171,6 +171,14 @@ def _dense(row: Mapping[int, int | Fraction], cols: int) -> list[Fraction]:
     return out
 
 
+# The widest key one index admits, in bits: a key of L variables in base b is
+# about L*log2(b) bits, and the index holds the L powers of b, about L^2/2 bits
+# when b is 2.  It admits ``perp --n 1 --degree 1 --order 16382`` (16,384-bit
+# keys), which took 5.6 s of CPU and 89 MiB of peak RSS in one run on Python
+# 3.11, and ``minors --family H --n 1 --h 1 --k 16382``, 5.1 s and 133 MiB.
+KEY_BIT_LIMIT = 16_384
+
+
 class MonomialIndex:
     """The one monomial key format: a monomial as one integer, and back.
 
@@ -183,7 +191,9 @@ class MonomialIndex:
     graded-lex order of ``Monomial.order_key``.  No digit carries while every
     exponent stays below the base, so the key of a product is the sum of the
     keys.  A monomial with a variable outside the index, or an exponent of
-    ``base`` or more, has no key.  Each key is decoded once per index.
+    ``base`` or more, has no key.  Each key is decoded once per index.  An
+    index whose ``top`` is wider than ``KEY_BIT_LIMIT`` bits raises
+    ``ValueError`` before it lists any power of the base.
     """
 
     def __init__(self, variables: Iterable[Variable], base: int):
@@ -191,6 +201,12 @@ class MonomialIndex:
         self.base = base
         size = len(self.variables)
         self.top = base**size
+        bits = self.top.bit_length()
+        if bits > KEY_BIT_LIMIT:
+            raise ValueError(
+                f"monomial keys of {bits:,} bits over {size:,} variables"
+                f" exceed the limit of {KEY_BIT_LIMIT:,} bits per key"
+            )
         self._powers = [base**p for p in range(size)]  # the place of variable size-1-p
         self._place = {v: self._powers[size - 1 - k] for k, v in enumerate(self.variables)}
         self._decoded: dict[int, Monomial] = {}

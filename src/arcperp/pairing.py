@@ -1,4 +1,4 @@
-"""The apolarity pairing and the exponential-direction derivative.
+"""The apolarity pairing and the pointwise derivations.
 
 ``apply_pairing(f, P)`` applies f as a constant-coefficient differential
 operator to P: on monomials, x^b acts on x^a as a!/(a-b)! * x^(a-b) when
@@ -8,13 +8,18 @@ differentiated.
 
 ``directional_derivative(P)`` applies the operator sum_j sum_i al_{1,j} *
 xi_1^i * d/dx_j^(i), the derivation x_j^(i) -> al_{1,j} * xi_1^i.
+``is_differentially_homogeneous(P, d)`` tests the Leibniz scaling x -> y*x
+by the derivation of ``_scaling_rule``: with the double derivative, it is
+one of the battery's pointwise tests of single polynomials.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
-from .ring import Monomial, Polynomial, Variable, al, xi
+from .ring import Monomial, Polynomial, Variable, al, x, xi, y
 
 
 def _monomial_pairing(beta: Monomial, alpha: Monomial) -> tuple[int, Monomial] | None:
@@ -82,3 +87,56 @@ def double_derivative_vanishes(p: Polynomial) -> bool:
     with D_v the derivative above, which is linear in E iff D_v^2 p = 0.
     """
     return directional_derivative(directional_derivative(p)).is_zero
+
+
+def is_differentially_homogeneous(p: Polynomial, d: int) -> bool:
+    """Does replacing x by y*x under Leibniz multiply p by y^d?
+
+    The substitution is x_i^(j) -> sum_k C(j, k) y^(k) x_i^(j-k), the other
+    variables staying fixed, and it is tested in its infinitesimal form:
+    every term of p has x-degree d, and D_k p = 0 for 1 <= k <= N, N the
+    largest order in p, where
+
+        D_k = sum_{i, j >= k} C(j, k) x_i^(j-k) d/dx_i^(j).
+
+    Proof of the equivalence.  Put x_i(t) = sum_j x_i^(j) t^j/j! and y(t)
+    likewise in A = C[t]/t^(N+1); by Leibniz the substitution is x_i(t) ->
+    y(t) x_i(t), so p(y x) = y_0^d p(x) says that p is a semi-invariant of
+    weight y -> y_0^d under the group of units of A (the units, y_0 != 0,
+    are dense, so the identity on them is the identity of polynomials in
+    y_0, ..., y_N; orders above N do not occur).  (=>) Apply d/dy_k at
+    y = 1, i.e. y_0 = 1 and y_k = 0 for k >= 1: the left side gives
+    sum C(j, k) x_i^(j-k) dp/dx_i^(j) = D_k p and the right side gives
+    d*p for k = 0 (the Euler operator D_0 = sum x d/dx, so each term has
+    x-degree d) and 0 for k >= 1.  (<=) The units are C* x (1 + tA), y =
+    y_0 * (y/y_0).  C* acts by x -> c*x, which multiplies each term by c to
+    its x-degree, here c^d.  The factor 1 + tA is commutative and
+    unipotent, the exponential of its Lie algebra tA, which is spanned by
+    t^k/k!, 1 <= k <= N; the element t^k/k! acts on p as D_k, since
+    t^k/k! * x_i(t) has x_i^(j-k) C(j, k) at t^j/j!.  Along the
+    one-parameter group exp(s t^k/k!) the derivative of p(exp(s t^k/k!) x)
+    is (D_k p)(exp(s t^k/k!) x) = 0, so p is invariant under each of them
+    and hence under their product, which is all of 1 + tA.
+
+    The y^(k) must be new to p: a p that involves y already raises
+    ``ValueError``, since substituting the y it holds conflates its
+    coefficients with the scaling.  So sum_k y^(k) D_k p, one derivation of
+    p, is zero exactly when every D_k p is.
+    """
+    if any(m.pairs and m.pairs[-1][0].kind == "y" for m in p.terms):
+        raise ValueError("is_differentially_homogeneous needs p free of y")
+    if any(sum(e for v, e in m.pairs if v.kind == "x") != d for m in p.terms):
+        return False
+    # The test is linear in p, so it runs on the integral multiple scale*p.
+    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    integral = Polynomial({m: c.numerator * (scale // c.denominator) for m, c in p.terms.items()})
+    return integral.derive(_scaling_rule).is_zero
+
+
+@functools.cache
+def _scaling_rule(v: Variable) -> list:
+    """x_i^(j) -> sum_{1 <= k <= j} C(j, k) y_k x_i^(j-k); every other variable
+    is a constant.  Cached: building the j image terms costs more than one use."""
+    if v.kind != "x":
+        return []
+    return [(math.comb(v.j, k), ((x(v.i, v.j - k), 1), (y(k), 1))) for k in range(1, v.j + 1)]

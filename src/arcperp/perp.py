@@ -1,4 +1,4 @@
-"""Graded inverse systems of the arc ideal, truncations, and cross-checks.
+"""Graded inverse systems of the arc ideal and their truncations: the kernel side.
 
 ``perp_graded_basis`` computes, by exact kernel extraction, the space of
 degree-d polynomials in derivative orders <= H annihilated by every arc
@@ -14,36 +14,21 @@ when a basis is read or a restriction drops high orders.  A minor span is
 keyed by its packed matrix's index; spans compare by their basis
 polynomials, so the keys never need to agree.
 
-The other entry points build what ``reports.run_verification`` compares
-with it on concrete instances: the independently computed Hankel-minor
-spans, the restrictions of high orders to zero that realize the truncated
-inverse systems, and the differential homogeneity of single polynomials.
-The triangular/scaled dimension chain, which the ``dims-chain`` command
-prints, reads only the minor side: nothing here reaches the pairing.  The
-truncated dimension series lives in ``hankel``, so the ``series`` command
-compiles none of this module.  Every check on the kernel basis elements
-themselves is in ``reports``, built on the pairing's double derivative.
+``restriction_span`` restricts high orders to zero, realizing the truncated
+inverse systems, and ``restriction_mismatch`` compares it with a
+``hankel.GradedSpan``, the triangular minor span.  The kernel side imports
+only ``linalg`` and ``ring``: the Wronskian span, the dimension chain and
+the series live in ``hankel``, the homogeneity test in ``pairing``, so the
+two descriptions that ``reports`` compares share only the linear-algebra
+core, and ``series`` and ``dims-chain`` compile none of this module.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple
 
-from .hankel import (
-    GradedSpan,
-    hankel_matrix,
-    minor_span,
-    scaled_augmented_matrix,
-    scaled_matrix,
-)
 from .linalg import MonomialIndex, Span, nullspace, span_witness
-from .ring import (
-    Monomial, Polynomial, Variable, differential_variables, format_polynomial, x, y,
-)
+from .ring import Polynomial, differential_variables
 
 
 def perp_graded_basis(n: int, degree: int, max_order: int) -> Span:
@@ -151,59 +136,6 @@ def _generator_images(index: MonomialIndex, pairs: tuple, key: int):
             yield (u.i, v.i), u.j + v.j, low - place[v], coeff
 
 
-class ChainDims(NamedTuple):
-    """Dimensions of the three independently enumerated minor spaces."""
-
-    triangular: int
-    scaled: int
-    scaled_augmented: int
-    equal: bool
-    bijection_lands_in_scaled: bool
-    witness: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "triangular": self.triangular,
-            "scaled": self.scaled,
-            "scaled_augmented": self.scaled_augmented,
-            "equal": self.equal,
-            "bijection_lands_in_scaled": self.bijection_lands_in_scaled,
-        }
-
-
-def dimension_chain(n: int, h: int, tri: GradedSpan) -> ChainDims:
-    """Compare the triangular, scaled, and augmented-maximal minor dimensions.
-
-    ``tri`` is the triangular minor span ``hankel.truncated_perp_basis(n, h)``.
-    ``equal`` records whether all three match (n+1)^(h+1).  The explicit
-    substitution x^(i) -> x^(h-i)/(h-i)! is also applied to every triangular
-    basis element and checked to land in the scaled span of its degree: the
-    map keeps degree and the degree pieces share no monomials, so that is
-    landing in the whole scaled span.  On failure the witness is the first
-    triangular basis element whose image lands outside, or else the first
-    family whose dimension is off.
-    """
-    closed = (n + 1) ** (h + 1)
-    sca = minor_span(scaled_matrix(n, h), range(h + 2))
-    aug = minor_span(scaled_augmented_matrix(n, h), [h + 1])
-    dims = (tri.total_dimension, sca.total_dimension, aug.total_dimension)
-    outside = next(
-        (p for d, span in tri.spans.items() for p in span.basis_polynomials()
-         if not sca.span(d).contains(scaled_of_triangular_map(p, h))),
-        None,
-    )
-    off = [
-        f"{family}: {d} != {closed}"
-        for family, d in zip(("triangular", "scaled", "scaled_augmented"), dims)
-        if d != closed
-    ]
-    witness = off[0] if off else None
-    if outside is not None:
-        witness = f"image outside the scaled span: {format_polynomial(outside)}"
-    return ChainDims(*dims, equal=not off, bijection_lands_in_scaled=outside is None,
-                     witness=witness)
-
-
 def restriction_span(n: int, h: int, degree: int) -> Span:
     """Span of the order->h restrictions of the degree-d inverse system.
 
@@ -224,36 +156,13 @@ def restriction_span(n: int, h: int, degree: int) -> Span:
     return Span.from_rows(index, low)
 
 
-# -- span equality of the kernel and minor descriptions -----------------------
-
-
-def hankel_minor_intersection_span(n: int, degree: int, max_order: int) -> Span:
-    """Span of the Wronskians of d distinct derivative variables of orders
-    <= H-d+1, the degree-d part of the inverse system cut to orders <= H.
-
-    The Wronskian of d distinct variables is the maximal minor of the d-row
-    Hankel block picking those columns, so the span is that of the maximal
-    minors of ``hankel_matrix(n, d, H-d+1)``, every entry of which has order
-    <= H; it has dimension C(n(H-d+2), d) and is empty when d > H+1.  At
-    degree 0 the block has no rows and its one minor, of size 0, is 1.
-
-    Compared with the kernel, this certifies on each instance that the
-    kernel cut to orders <= H is the span of these low Wronskians.  That it
-    is also the span of all Wronskians cut to orders <= H was measured
-    (n <= 3, d <= 5, d*H <= 20), not proven.
-    """
-    if degree > max_order + 1:
-        return Span.from_polynomials(())
-    return minor_span(hankel_matrix(n, degree, max_order - degree + 1), [degree]).span(degree)
-
-
 # -- elimination / truncation certificate -------------------------------------
 
 
-def restriction_mismatch(n: int, h: int, truncated: GradedSpan) -> tuple[int, Polynomial] | None:
+def restriction_mismatch(n: int, h: int, truncated) -> tuple[int, Polynomial] | None:
     """The first degree d <= h+1 at which the exact restriction span
-    (``restriction_span``) and ``truncated``, the triangular minor span
-    ``hankel.truncated_perp_basis(n, h)``, differ, with a basis polynomial of one
+    (``restriction_span``) and ``truncated``, the ``hankel.GradedSpan`` of the
+    triangular minors ``hankel.truncated_perp_basis(n, h)``, differ, with a basis polynomial of one
     side missing from the other; None when all agree.  Degrees above h+1
     cannot occur: the triangular family has h+1 rows, which bounds minor
     size."""
@@ -262,82 +171,3 @@ def restriction_mismatch(n: int, h: int, truncated: GradedSpan) -> tuple[int, Po
         if witness is not None:
             return degree, witness
     return None
-
-
-# -- pointwise certificates on single polynomials ------------------------------
-
-
-def is_differentially_homogeneous(p: Polynomial, d: int) -> bool:
-    """Does replacing x by y*x under Leibniz multiply p by y^d?
-
-    The substitution is x_i^(j) -> sum_k C(j, k) y^(k) x_i^(j-k), the other
-    variables staying fixed, and it is tested in its infinitesimal form:
-    every term of p has x-degree d, and D_k p = 0 for 1 <= k <= N, N the
-    largest order in p, where
-
-        D_k = sum_{i, j >= k} C(j, k) x_i^(j-k) d/dx_i^(j).
-
-    Proof of the equivalence.  Put x_i(t) = sum_j x_i^(j) t^j/j! and y(t)
-    likewise in A = C[t]/t^(N+1); by Leibniz the substitution is x_i(t) ->
-    y(t) x_i(t), so p(y x) = y_0^d p(x) says that p is a semi-invariant of
-    weight y -> y_0^d under the group of units of A (the units, y_0 != 0,
-    are dense, so the identity on them is the identity of polynomials in
-    y_0, ..., y_N; orders above N do not occur).  (=>) Apply d/dy_k at
-    y = 1, i.e. y_0 = 1 and y_k = 0 for k >= 1: the left side gives
-    sum C(j, k) x_i^(j-k) dp/dx_i^(j) = D_k p and the right side gives
-    d*p for k = 0 (the Euler operator D_0 = sum x d/dx, so each term has
-    x-degree d) and 0 for k >= 1.  (<=) The units are C* x (1 + tA), y =
-    y_0 * (y/y_0).  C* acts by x -> c*x, which multiplies each term by c to
-    its x-degree, here c^d.  The factor 1 + tA is commutative and
-    unipotent, the exponential of its Lie algebra tA, which is spanned by
-    t^k/k!, 1 <= k <= N; the element t^k/k! acts on p as D_k, since
-    t^k/k! * x_i(t) has x_i^(j-k) C(j, k) at t^j/j!.  Along the
-    one-parameter group exp(s t^k/k!) the derivative of p(exp(s t^k/k!) x)
-    is (D_k p)(exp(s t^k/k!) x) = 0, so p is invariant under each of them
-    and hence under their product, which is all of 1 + tA.
-
-    The y^(k) must be new to p: a p that involves y already raises
-    ``ValueError``, since substituting the y it holds conflates its
-    coefficients with the scaling.  So sum_k y^(k) D_k p, one derivation of
-    p, is zero exactly when every D_k p is.
-    """
-    if any(m.pairs and m.pairs[-1][0].kind == "y" for m in p.terms):
-        raise ValueError("is_differentially_homogeneous needs p free of y")
-    if any(sum(e for v, e in m.pairs if v.kind == "x") != d for m in p.terms):
-        return False
-    # The test is linear in p, so it runs on the integral multiple scale*p.
-    scale = math.lcm(*(c.denominator for c in p.terms.values()))
-    integral = Polynomial({m: c.numerator * (scale // c.denominator) for m, c in p.terms.items()})
-    return integral.derive(_scaling_rule).is_zero
-
-
-@functools.cache
-def _scaling_rule(v: Variable) -> list:
-    """x_i^(j) -> sum_{1 <= k <= j} C(j, k) y_k x_i^(j-k); every other variable
-    is a constant.  Cached: building the j image terms costs more than one use."""
-    if v.kind != "x":
-        return []
-    return [(math.comb(v.j, k), ((x(v.i, v.j - k), 1), (y(k), 1))) for k in range(1, v.j + 1)]
-
-
-def scaled_of_triangular_map(p: Polynomial, h: int) -> Polynomial:
-    """The substitution x^(i) -> x^(h-i)/(h-i)! that carries the triangular
-    minor space onto the scaled one.
-
-    It is a renaming: each x_i^(j) becomes x_i^(h-j), and a term's coefficient
-    is divided by the product of ((h-j)!)^e over its x-factors.  The renaming
-    is a bijection on variables, so no two terms merge.
-    """
-    out = {}
-    for m, c in p.terms.items():
-        pairs = []
-        scale = 1
-        for v, e in m.pairs:
-            if v.kind == "x":
-                if v.j > h:
-                    raise ValueError(f"variable {v.token()} has order above h={h}")
-                scale *= math.factorial(h - v.j) ** e
-                v = x(v.i, h - v.j)
-            pairs.append((v, e))
-        out[Monomial(pairs)] = c if scale == 1 else Fraction(c, scale)
-    return Polynomial(out)

@@ -3,9 +3,9 @@
 A report is a plain dict rendered to JSON; everything in it except the
 wall-clock ``elapsed_ms`` entries is deterministic for fixed inputs, and
 those can be omitted entirely (``to_dict(include_timings=False)``, CLI
-``--no-timings``) for byte-identical CI diffs.  The dimension series the
-battery checks lives in ``hankel``, next to the triangular span, and the
-dimension chain in ``perp``.
+``--no-timings``) for byte-identical CI diffs.  This is the one module that
+sees both sides: the kernel side in ``perp`` and the minor side in
+``hankel``, which holds the dimension series and chain.
 """
 
 from __future__ import annotations
@@ -19,28 +19,24 @@ from typing import NamedTuple
 
 from . import __version__
 from .arcgen import arc_generators_up_to
-from .hankel import (  # SeriesRow: perfbench/tracer.py traces it here
+from .hankel import (  # ChainDims, SeriesRow: perfbench/tracer.py traces them here
+    ChainDims,
     GradedSpan,
     PackedMatrix,
     SeriesRow,
     SymbolicMatrix,
     _selected_rows,
+    dimension_chain,
     dimension_series,
     hankel_matrix,
+    hankel_minor_intersection_span,
     minor_span,
     scaled_matrix,
     truncated_perp_basis,
 )
 from .linalg import span_witness
-from .pairing import apply_pairing, double_derivative_vanishes
-from .perp import (  # ChainDims: perfbench/tracer.py traces it here
-    ChainDims,
-    dimension_chain,
-    hankel_minor_intersection_span,
-    is_differentially_homogeneous,
-    perp_graded_basis,
-    restriction_mismatch,
-)
+from .pairing import apply_pairing, double_derivative_vanishes, is_differentially_homogeneous
+from .perp import perp_graded_basis, restriction_mismatch
 from .ring import Monomial, Polynomial, differential_variables, format_polynomial
 
 

@@ -14,17 +14,20 @@ from fractions import Fraction
 
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import (
-    hankel_matrix, iter_minors, scaled_matrix, truncated_perp_basis, wronskian,
+    dimension_chain,
+    dimension_series,
+    hankel_matrix,
+    hankel_minor_intersection_span,
+    iter_minors,
+    scaled_matrix,
+    truncated_perp_basis,
+    wronskian,
 )
 from arcperp.linalg import RationalMatrix
-from arcperp.pairing import apply_pairing, double_derivative_vanishes
-from arcperp.perp import (
-    hankel_minor_intersection_span,
-    is_differentially_homogeneous,
-    perp_graded_basis,
-    restriction_mismatch,
+from arcperp.pairing import (
+    apply_pairing, double_derivative_vanishes, is_differentially_homogeneous,
 )
-from arcperp.reports import dimension_chain, dimension_series
+from arcperp.perp import perp_graded_basis, restriction_mismatch
 from arcperp.ring import Monomial, Polynomial, parse, x
 
 from oracles import annihilates, restrict_above_oracle, vanishes_on_exponential_sums_oracle

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import decimal
 import importlib
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import arcperp
-from arcperp import hankel, perp, reports
+from arcperp import hankel, linalg, perp, reports
 from arcperp.cli import main
 
 
@@ -161,6 +162,19 @@ class TestPerp:
             " enumeration\n"
         )
 
+    def test_too_wide_keys_refused_before_the_kernel(self, capsys, monkeypatch):
+        # 40,001 variables in base 2: every key would be 40,002 bits wide.
+        def unsolved(index, block):
+            raise AssertionError("kernel reached")
+
+        monkeypatch.setattr(perp, "_weight_block_kernel", unsolved)
+        code, out, err = run(capsys, "perp", "--n", "1", "--degree", "1", "--order", "40000")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: monomial keys of 40,002 bits over 40,001 variables exceed the limit of"
+            f" {linalg.KEY_BIT_LIMIT:,} bits per key\n"
+        )
+
 
 class TestMinors:
     def test_triangular_json(self, capsys):
@@ -187,6 +201,21 @@ class TestMinors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_too_wide_keys_refused_before_any_determinant(self, capsys, monkeypatch):
+        # One row of 40,001 variables: 40,002 minors, each key 40,002 bits wide.
+        def unexpanded(self, rows, cols):
+            raise AssertionError("determinant expanded")
+
+        monkeypatch.setattr(hankel.PackedMatrix, "det", unexpanded)
+        code, out, err = run(
+            capsys, "minors", "--family", "H", "--n", "1", "--h", "1", "--k", "40000"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: monomial keys of 40,002 bits over 40,001 variables exceed the limit of"
+            f" {linalg.KEY_BIT_LIMIT:,} bits per key\n"
+        )
 
     def test_negative_max_size_rejected(self, capsys):
         code, out, err = run(
@@ -531,7 +560,9 @@ class TestReachability:
 
 
 # Modules that only the kernel side and the verification driver need.
-NOT_ON_THE_MINOR_SIDE = {"arcperp.reports", "arcperp.pairing", "arcperp.arcgen", "random"}
+NOT_ON_THE_MINOR_SIDE = {
+    "arcperp.reports", "arcperp.perp", "arcperp.pairing", "arcperp.arcgen", "random",
+}
 
 
 def _fresh_run(*args):
@@ -562,11 +593,9 @@ class TestEntryPointImports:
         code, out, loaded = _fresh_run("-m", "arcperp.cli", *argv, "--json")
         assert code == 0
         assert json.loads(out)
-        # The series needs the minor spans alone; the chain also maps the
-        # triangular basis into the scaled spans, through ``perp``.
+        # The series and the chain, with its map of the triangular basis into
+        # the scaled spans, read the minor side alone.
         modules = {"arcperp", "arcperp.hankel", "arcperp.linalg", "arcperp.ring"}
-        if argv[0] == "dims-chain":
-            modules.add("arcperp.perp")
         assert {m for m in loaded if m.startswith("arcperp")} == modules
         assert loaded & NOT_ON_THE_MINOR_SIDE == set()
 
@@ -577,3 +606,42 @@ class TestEntryPointImports:
         assert code == 0
         assert json.loads(out)["passed"] is True
         assert NOT_ON_THE_MINOR_SIDE <= loaded
+
+
+# The package modules each module may import.  The kernel side (``perp``) and
+# the minor side (``hankel``) share the linear-algebra core only, so that one
+# bug cannot hide on both; ``reports`` and ``cli`` may import any module.
+IMPORT_GRAPH = {
+    "__init__": set(),
+    "ring": set(),
+    "linalg": {"ring"},
+    "pairing": {"ring"},
+    "arcgen": {"ring"},
+    "hankel": {"linalg", "ring"},
+    "perp": {"linalg", "ring"},
+}
+
+
+def _package_imports(path, modules):
+    """The package modules that the source at ``path`` imports, at any depth:
+    ``from .m import f`` and ``from . import m`` name m, and ``from . import
+    f`` of a name that is not a module names ``__init__``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(a.name if a.name in modules else "__init__" for a in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            assert not any(name.split(".")[0] == "arcperp" for name in names), path
+    return found
+
+
+class TestImportGraph:
+    def test_each_side_imports_only_the_core(self):
+        package = Path(arcperp.__file__).parent
+        modules = {path.stem for path in package.glob("*.py")}
+        graph = {m: _package_imports(package / f"{m}.py", modules) for m in modules}
+        assert graph == {**IMPORT_GRAPH, "reports": graph["reports"], "cli": graph["cli"]}

@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from arcperp import perp
+from arcperp import pairing, perp
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import (
     hankel_matrix, iter_minors, minor_span, scaled_matrix, triangular_matrix, wronskian,
 )
-from arcperp.pairing import apply_pairing, directional_derivative
-from arcperp.perp import is_differentially_homogeneous
+from arcperp.pairing import (
+    apply_pairing, directional_derivative, is_differentially_homogeneous,
+)
 from arcperp.reports import (
     _annihilated_by_all,
     _generator_image,
@@ -121,7 +122,7 @@ class TestCanonicalMonomials:
     @given(y_free)
     @example(parse("x1_0*x1_3^2*x2_2 + xi1*al2_1*x1_1*x2_0"))
     def test_scaling_derivation(self, p):
-        _assert_canonical(p.derive(perp._scaling_rule).terms)
+        _assert_canonical(p.derive(pairing._scaling_rule).terms)
 
     @pytest.mark.parametrize("n, h", [(1, 3), (2, 2), (3, 1)])
     def test_decoded_minors(self, n, h):

@@ -17,12 +17,12 @@ from arcperp.hankel import (
     minor_span,
     scaled_augmented_matrix,
     scaled_matrix,
+    scaled_of_triangular_map,
     triangular_matrix,
     wronskian,
 )
 from arcperp.linalg import Span
 from arcperp.pairing import double_derivative_vanishes
-from arcperp.perp import scaled_of_triangular_map
 from arcperp.ring import E, Monomial, Polynomial, al, parse, x, xi, y
 
 from oracles import annihilates, naive_determinant, spans_by_degree

@@ -5,17 +5,21 @@ import pytest
 
 from arcperp import perp
 from arcperp.arcgen import arc_generators_up_to
-from arcperp.hankel import iter_minors, scaled_matrix, truncated_perp_basis, wronskian
+from arcperp.hankel import (
+    hankel_minor_intersection_span,
+    iter_minors,
+    scaled_matrix,
+    scaled_of_triangular_map,
+    truncated_perp_basis,
+    wronskian,
+)
 from arcperp.linalg import MonomialIndex, Span
-from arcperp.pairing import apply_pairing
+from arcperp.pairing import apply_pairing, is_differentially_homogeneous
 from arcperp.perp import (
     _generator_images,
-    hankel_minor_intersection_span,
-    is_differentially_homogeneous,
     perp_graded_basis,
     restriction_mismatch,
     restriction_span,
-    scaled_of_triangular_map,
 )
 from arcperp.ring import Monomial, Polynomial, differential_variables, parse, x
 

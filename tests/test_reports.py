@@ -7,19 +7,15 @@ import pytest
 from arcperp import hankel, pairing, perp, reports
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import (
-    GradedSpan, hankel_matrix, iter_minors, scaled_matrix, triangular_matrix,
-    truncated_perp_basis,
+    GradedSpan, dimension_chain, dimension_series, hankel_matrix, iter_minors,
+    scaled_matrix, scaled_of_triangular_map, triangular_matrix, truncated_perp_basis,
 )
 from arcperp.linalg import Span
-from arcperp.pairing import apply_pairing, double_derivative_vanishes
-from arcperp.perp import (
-    is_differentially_homogeneous, perp_graded_basis, scaled_of_triangular_map,
+from arcperp.pairing import (
+    apply_pairing, double_derivative_vanishes, is_differentially_homogeneous,
 )
-from arcperp.reports import (
-    dimension_chain,
-    dimension_series,
-    run_verification,
-)
+from arcperp.perp import perp_graded_basis
+from arcperp.reports import run_verification
 from arcperp.ring import Monomial, Polynomial, al, format_polynomial, parse, x, xi, y
 
 from oracles import spans_by_degree, vanishes_on_exponential_sums_oracle
@@ -161,10 +157,10 @@ def _drop_from_truncated(monkeypatch, order):
 
 
 def _drop_top_element(monkeypatch, matrix):
-    """Make ``perp.minor_span``, which the dimension chain calls, lose the
+    """Make ``hankel.minor_span``, which the dimension chain calls, lose the
     first basis element of the top degree when it spans the minors of
     ``matrix``; returns the dropped list."""
-    real = perp.minor_span
+    real = hankel.minor_span
     dropped = []
 
     def lossy(m, sizes):
@@ -178,7 +174,7 @@ def _drop_top_element(monkeypatch, matrix):
         spans[top] = Span.from_polynomials(basis[1:], spans[top].index)
         return GradedSpan(spans, graded.nonzero_minors)
 
-    monkeypatch.setattr(perp, "minor_span", lossy)
+    monkeypatch.setattr(hankel, "minor_span", lossy)
     return dropped
 
 
@@ -212,8 +208,8 @@ class TestNegativeControls:
         # One Hankel offset too many brings in a Wronskian of order H+1, one
         # too few loses those reaching order H; at degree 1 the Wronskians
         # are the variables themselves.
-        real = perp.hankel_matrix
-        monkeypatch.setattr(perp, "hankel_matrix", lambda n, rows, k: real(n, rows, k + shift))
+        real = hankel.hankel_matrix
+        monkeypatch.setattr(hankel, "hankel_matrix", lambda n, rows, k: real(n, rows, k + shift))
         report = run_verification(n, h)
         (check,) = _failed(report)
         assert check.name == "kernel_equals_hankel_minor_span"
@@ -709,7 +705,7 @@ class TestDerivationRuleNegativeControls:
                 return []
             return [(1, ((x(v.i, v.j - k), 1), (y(k), 1))) for k in range(1, v.j + 1)]
 
-        monkeypatch.setattr(perp, "_scaling_rule", unit_binomials)
+        monkeypatch.setattr(pairing, "_scaling_rule", unit_binomials)
         report = run_verification(1, 2)
         (check,) = _failed(report)
         assert check.name == "scaled_maximal_minors_differentially_homogeneous"

@@ -66,6 +66,7 @@ CALLS = [
     ["minors", "--family", "H", "--n", "2", "--h", "2", "--k", "1", "--json"],
     ["minors", "--family", "S", "--n", "2", "--h", "2", "--max-size", "1"],
     ["minors", "--family", "H", "--n", "1", "--h", "1"],
+    ["minors", "--family", "H", "--n", "1", "--h", "1", "--k", "3000"],
     ["minors", "--json", "--family", "H", "--n", "2", "--h", "3", "--k", "2"],
     ["minors", "--family", "H", "--n", "2", "--h", "3", "--k", "0"],  # more rows than columns
     ["minors", "--family", "S1", "--n", "1", "--h", "0"],
@@ -87,12 +88,15 @@ CALLS = [
     ),
     ["verify", "--json", "--no-timings", "--deep", "--n", "1", "--h", "2"],
     ["verify", "--json", "--no-timings", "--deep", "--n", "2", "--h", "3"],
+    ["verify", "--json", "--no-timings", "--deep", "--n", "3", "--h", "2"],
     ["verify", "--no-timings", "--seed", "7", "--n", "2", "--h", "2"],
     ["verify", "--n", "0", "--h", "1"],
     ["verify", "--n", "1", "--h", "-1"],
     ["verify", "--n", "9", "--h", "9"],  # refused before any work
     ["dims-chain", "--n", "2", "--h", "3"],
     ["dims-chain", "--json", "--n", "3", "--h", "3"],
+    ["dims-chain", "--json", "--n", "1", "--h", "5"],
+    ["dims-chain", "--json", "--n", "4", "--h", "2"],
     ["dims-chain", "--n", "1", "--h", "-1"],
     ["series", "--n", "1", "--h-max", "3", "--out", OUT],
     ["pair", "x1_0 +", "x1_0", "--out", OUT],
