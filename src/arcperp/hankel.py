@@ -335,9 +335,9 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     reduced to zero in a few steps (cf. Sturmfels-Zelevinsky, Maximal minors
     and their leading terms, 1993).  The kept rows, one per dimension,
     certify the dimension whether or not that holds; each degree's are a
-    ``Span`` over the packed matrix's index, which builds its columns and
-    reduced row-echelon form only when a basis is read.  A row is a minor
-    times its rows' scales, which leaves that form as it is.
+    ``Span`` over the packed matrix's index, which builds its reduced
+    row-echelon form only when a basis is read.  A row is a minor times its
+    rows' scales, which leaves that form as it is.
     """
     selected = _selected_rows(m, sizes)
     packed = PackedMatrix(m)
@@ -465,5 +465,5 @@ def hankel_minor_intersection_span(n: int, degree: int, max_order: int) -> Span:
     (n <= 3, d <= 5, d*H <= 20), not proven.
     """
     if degree > max_order + 1:
-        return Span.from_polynomials(())
+        return Span(MonomialIndex((), 1), {})
     return minor_span(hankel_matrix(n, degree, max_order - degree + 1), [degree]).span(degree)

@@ -16,13 +16,12 @@ A monomial becomes a row key in one format, that of ``MonomialIndex``: one
 integer whose order is the graded-lex monomial order and whose sum is the
 key of the product.  Kernel vectors and packed minors alike arrive as rows
 over those keys, and every ``Span`` keeps their forward echelon, so each
-lead is a lowest monomial; it builds its columns and reduced form, and
-decodes its keys, only when a basis is read.
+lead is a lowest monomial; it builds its reduced form, on the negated keys,
+and decodes them only when a basis is read.
 """
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
@@ -211,13 +210,6 @@ class MonomialIndex:
         self._place = {v: self._powers[size - 1 - k] for k, v in enumerate(self.variables)}
         self._decoded: dict[int, Monomial] = {}
 
-    @classmethod
-    def spanning(cls, polys: Iterable[Polynomial]) -> "MonomialIndex":
-        """The index of the variables in the given polynomials, with base one
-        above their largest exponent."""
-        pairs = [pair for m in {m for p in polys for m in p.terms} for pair in m.pairs]
-        return cls((v for v, _ in pairs), max((e for _, e in pairs), default=0) + 1)
-
     def _key(self, m: Monomial) -> int | None:
         """The key of m, None for a monomial the index cannot hold."""
         key = m.degree * self.top
@@ -305,14 +297,13 @@ class Span:
     ``kept`` is what ``forward_echelon`` returns: integer rows ``{key:
     value}`` over the keys of ``index``, one per dimension, with distinct
     least keys, their leads; the least key is the lowest monomial.
-    ``dimension``, ``contains`` and ``reduce`` read the kept rows alone.  On
-    the first read of ``columns``, ``rows``, ``pivots`` or the basis
-    polynomials, the kept rows' distinct keys, sorted descending, number the
-    columns in descending monomial order, and the unique reduced row-echelon
-    form is built against them, so a row's pivot is its highest monomial.
-    Those are built once and shared by every later reader, so they must not
-    be mutated.  Two spans, over any indexes, are equal exactly when their
-    basis polynomials coincide.
+    ``dimension``, ``contains`` and ``reduce`` read the kept rows alone.  The
+    first read of the basis polynomials runs ``reduced_echelon`` once on the
+    kept rows with every key negated, so a reduced row's pivot, its least
+    negated key, is its highest monomial; the unique reduced row-echelon
+    form, decoded, is the basis, built once and shared by every later
+    reader.  Two spans, over any indexes, are equal exactly when their basis
+    polynomials coincide.
     """
 
     def __init__(self, index: MonomialIndex, kept: dict[int, dict[int, int]]):
@@ -325,49 +316,18 @@ class Span:
         """The span of sparse rational rows ``{key: value}`` over ``index``."""
         return cls(index, forward_echelon(_integral_rows(rows)))
 
-    @classmethod
-    def from_polynomials(
-        cls, polys: Iterable[Polynomial], index: MonomialIndex | None = None
-    ) -> "Span":
-        polys = list(polys)
-        if index is None:
-            index = MonomialIndex.spanning(polys)
-        key = index._key
-        rows = [{key(m): c for m, c in p.terms.items()} for p in polys]
-        if any(None in row for row in rows):
-            outside = next(m for p in polys for m in p.terms if key(m) is None)
-            raise ValueError(f"monomial {outside} outside the ambient index")
-        return cls.from_rows(index, rows)
-
     @property
     def dimension(self) -> int:
         return len(self.kept)
 
-    @functools.cached_property
-    def columns(self) -> list[int]:
-        """The keys of the kept rows, descending: column c of ``rows``."""
-        return sorted(set().union(*self.kept.values()), reverse=True)
-
-    @functools.cached_property
-    def _reduced(self) -> tuple[list[dict[int, int | Fraction]], list[int]]:
-        column = {k: c for c, k in enumerate(self.columns)}
-        return reduced_echelon(
-            {column[k]: v for k, v in row.items()} for row in self.kept.values()
-        )
-
-    @property
-    def rows(self) -> list[dict[int, int | Fraction]]:
-        return self._reduced[0]
-
-    @property
-    def pivots(self) -> list[int]:
-        return self._reduced[1]
-
     def basis_polynomials(self) -> tuple[Polynomial, ...]:
         if self._polynomials is None:
-            monomials = [self.index._monomial(k) for k in self.columns]
+            reduced, _ = reduced_echelon(
+                {-k: v for k, v in row.items()} for row in self.kept.values()
+            )
+            monomial = self.index._monomial
             self._polynomials = tuple(
-                Polynomial({monomials[c]: e for c, e in row.items()}) for row in self.rows
+                Polynomial({monomial(-c): e for c, e in row.items()}) for row in reduced
             )
         return self._polynomials
 

@@ -34,7 +34,7 @@ from .hankel import (  # ChainDims, SeriesRow: perfbench/tracer.py traces them h
     scaled_matrix,
     truncated_perp_basis,
 )
-from .linalg import span_witness
+from .linalg import Span, span_witness
 from .pairing import apply_pairing, double_derivative_vanishes, is_differentially_homogeneous
 from .perp import perp_graded_basis, restriction_mismatch
 from .ring import Monomial, Polynomial, differential_variables, format_polynomial
@@ -190,15 +190,20 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     # check: by Vandermonde no span of the chain has more minors.
     scaled = scaled_matrix(n + 1, h)
     _selected_rows(scaled, [h + 1])
-    minors = minor_span(hankel_matrix(n, h_cap, k_cap), range(h_cap + 1))
-    generators = arc_generators_up_to(n, 2 * (h_cap + k_cap))
+
+    # Each object is built in the first check that reads it, so that check's
+    # time includes it, and shared by the later ones.
+    @functools.cache
+    def minors() -> GradedSpan:
+        return minor_span(hankel_matrix(n, h_cap, k_cap), range(h_cap + 1))
 
     def check_minor_annihilation():
+        generators = arc_generators_up_to(n, 2 * (h_cap + k_cap))
         quadratic = [_quadratic_terms(g) for g in generators]
-        for w in _minor_basis(minors):
+        for w in _minor_basis(minors()):
             if not _annihilated_by_all(quadratic, w):
-                return False, {"minors": minors.nonzero_minors}, format_polynomial(w)
-        return True, {"minors": minors.nonzero_minors, "generators": len(generators)}, None
+                return False, {"minors": minors().nonzero_minors}, format_polynomial(w)
+        return True, {"minors": minors().nonzero_minors, "generators": len(generators)}, None
 
     checks.append(
         _timed(
@@ -209,10 +214,10 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     )
 
     def check_minor_double_derivative():
-        for w in _minor_basis(minors):
+        for w in _minor_basis(minors()):
             if not double_derivative_vanishes(w):
                 return False, {}, format_polynomial(w)
-        return True, {"minors": minors.nonzero_minors}, None
+        return True, {"minors": minors().nonzero_minors}, None
 
     checks.append(
         _timed(
@@ -222,9 +227,9 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
         )
     )
 
-    kernel_bases = {
-        d: perp_graded_basis(n, d, order_bound) for d in range(degree_cap + 1)
-    }
+    @functools.cache
+    def kernel_basis(d: int) -> Span:
+        return perp_graded_basis(n, d, order_bound)
 
     def check_kernel_pointwise():
         """Each degree-d basis element p has a vanishing double derivative
@@ -246,7 +251,8 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
         not vanish on two exponentials.
         """
         dims = {}
-        for d, span in kernel_bases.items():
+        for d in range(degree_cap + 1):
+            span = kernel_basis(d)
             dims[str(d)] = span.dimension
             for p in span.basis_polynomials():
                 if not double_derivative_vanishes(p) or not _is_form(p, d):
@@ -265,10 +271,10 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
         dims = {}
         for d in range(1, degree_cap + 1):
             minor_side = hankel_minor_intersection_span(n, d, order_bound)
-            witness = span_witness(kernel_bases[d], minor_side)
+            witness = span_witness(kernel_basis(d), minor_side)
             if witness is not None:
                 return False, dims, f"degree {d}: {format_polynomial(witness)}"
-            dims[str(d)] = kernel_bases[d].dimension
+            dims[str(d)] = kernel_basis(d).dimension
         return True, dims, None
 
     checks.append(

@@ -232,36 +232,14 @@ class Polynomial:
     def from_monomial(cls, m: Monomial, c: int | Fraction = 1) -> "Polynomial":
         return cls({m: c})
 
-    @classmethod
-    def from_terms(cls, items: Iterable[tuple[Monomial, int | Fraction]]) -> "Polynomial":
-        acc: dict[Monomial, int | Fraction] = {}
-        for m, c in items:
-            old = acc.get(m)
-            acc[m] = c if old is None else old + c
-        return cls(acc)
-
     # -- basic queries ------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, m: Monomial) -> int | Fraction:
-        return self.terms.get(m, 0)
-
     def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0].order_key(), reverse=True)
-
-    def monomials(self) -> list[Monomial]:
-        return [m for m, _ in self.sorted_terms()]
-
-    def total_degree(self) -> int:
-        """Maximal term degree; -1 for the zero polynomial."""
-        return max((m.degree for m in self.terms), default=-1)
-
-    def max_order(self) -> int:
-        """Largest derivative order of any differential variable; -1 if none."""
-        return max((v.j for m in self.terms for v, _ in m.pairs if v.kind == "x"), default=-1)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -378,13 +356,9 @@ class Polynomial:
             {_sorted_monomial(k, sum(e for _, e in k)): t for k, t in acc.items() if t}
         )
 
-    def derivative(self, times: int = 1) -> "Polynomial":
-        """The formal derivative, applied ``times`` times: :meth:`derive`
-        with the rule :func:`_next_order`."""
-        p = self
-        for _ in range(times):
-            p = p.derive(_next_order)
-        return p
+    def derivative(self) -> "Polynomial":
+        """The formal derivative: :meth:`derive` with the rule :func:`_next_order`."""
+        return self.derive(_next_order)
 
     # -- rendering ----------------------------------------------------------
 

@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from arcperp.linalg import Span
+from arcperp.linalg import MonomialIndex, Span
 from arcperp.pairing import apply_pairing, directional_derivative
 from arcperp.ring import E, Monomial, Polynomial, al, differential_variables, x, xi, y
 
@@ -104,14 +104,45 @@ def naive_determinant(rows: list[list]) -> Polynomial:
     return acc
 
 
+def polynomial_from_terms(items) -> Polynomial:
+    """The sum of the (monomial, coefficient) terms, repeats added up."""
+    acc: dict[Monomial, Fraction] = {}
+    for m, c in items:
+        acc[m] = acc.get(m, 0) + c
+    return Polynomial(acc)
+
+
+def highest_order(p: Polynomial) -> int:
+    """The largest derivative order of a differential variable of p; -1 if none."""
+    return max((v.j for m in p.terms for v, _ in m.pairs if v.kind == "x"), default=-1)
+
+
+def top_degree(p: Polynomial) -> int:
+    """The largest degree of a term of a nonzero polynomial."""
+    return max(m.degree for m in p.terms)
+
+
+def span_of(polys, index: MonomialIndex | None = None) -> Span:
+    """The span of polynomials, through ``Span.from_rows``: each polynomial is
+    one row over the keys of ``index``, by default the index of their
+    variables whose base is one above their largest exponent."""
+    polys = list(polys)
+    if index is None:
+        pairs = [pair for p in polys for m in p.terms for pair in m.pairs]
+        index = MonomialIndex((v for v, _ in pairs), max((e for _, e in pairs), default=0) + 1)
+    rows = [{index._key(m): c for m, c in p.terms.items()} for p in polys]
+    assert all(None not in row for row in rows), "a monomial outside the index"
+    return Span.from_rows(index, rows)
+
+
 def spans_by_degree(polys) -> dict[int, Span]:
     """The span of the nonzero polynomials of each total degree, each built by
-    ``Span.from_polynomials`` from decoded polynomials, with no packed minor."""
+    ``span_of`` from decoded polynomials, with no packed minor."""
     by_degree: dict[int, list[Polynomial]] = {}
     for p in polys:
         if not p.is_zero:
-            by_degree.setdefault(p.total_degree(), []).append(p)
-    return {d: Span.from_polynomials(group) for d, group in sorted(by_degree.items())}
+            by_degree.setdefault(top_degree(p), []).append(p)
+    return {d: span_of(group) for d, group in sorted(by_degree.items())}
 
 
 def naive_rref(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
@@ -141,6 +172,24 @@ def naive_rref(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
 
 def naive_rank(rows: list[list[Fraction]], cols: int) -> int:
     return len(naive_rref(rows, cols))
+
+
+def naive_basis(polys) -> list[Polynomial]:
+    """The reduced row-echelon basis of the span of polys: ``naive_rref`` of
+    their coefficient rows over their monomials, highest first, with each
+    integral entry an ``int``."""
+    monomials = sorted({m for p in polys for m in p.terms}, key=Monomial.order_key, reverse=True)
+    rows = naive_rref([[p.terms.get(m, 0) for m in monomials] for p in polys], len(monomials))
+    return [
+        Polynomial({m: e.numerator if e.denominator == 1 else e for m, e in zip(monomials, row)})
+        for row in rows
+    ]
+
+
+def coefficient_types(polys) -> list[dict]:
+    """Each polynomial's monomials mapped to the types of their coefficients,
+    which polynomial equality does not compare."""
+    return [{m: type(c) for m, c in p.terms.items()} for p in polys]
 
 
 def graded_monomials(n: int, degree: int, max_order: int) -> list[Monomial]:
@@ -234,7 +283,7 @@ def differentially_homogeneous_oracle(p: Polynomial, d: int) -> bool:
     for m in p.terms:
         for v, _ in m.pairs:
             if v.kind == "x":
-                mapping[v] = Polynomial.from_terms(
+                mapping[v] = polynomial_from_terms(
                     (Monomial(((y(k), 1), (x(v.i, v.j - k), 1))), math.comb(v.j, k))
                     for k in range(v.j + 1)
                 )
@@ -281,7 +330,7 @@ def vanishes_on_exponential_sums_oracle(p: Polynomial, d: int) -> bool:
     """
     mapping = {}
     for v in {v for m in p.terms for v, _ in m.pairs if v.kind == "x"}:
-        mapping[v] = Polynomial.from_terms(
+        mapping[v] = polynomial_from_terms(
             (Monomial(((al(m, v.i), 1), (xi(m), v.j), (E(m), 1))), 1) for m in range(1, d + 1)
         )
     return substitute_oracle(p, mapping).is_zero

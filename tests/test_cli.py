@@ -472,30 +472,16 @@ class TestGlobalFlags:
 
 
 # Public functions and methods that no subcommand calls, with the reason each
-# stays: the dense matrix class is named by the benchmark's tracer, the
-# Polynomial readers and builder are how tests build inputs and read results,
-# ``wronskian`` is the tests' reference Wronskian, one packing per call, the
-# pivots of a span's reduced rows are how tests compare two RREFs (the
-# commands read the rows through the basis polynomials), and
-# ``Span.from_polynomials``, with the index ``MonomialIndex.spanning`` gives
-# it, is how tests build the span of given polynomials (the commands build
-# spans from packed minors and kernel vectors).
+# stays: the dense matrix class is named by the benchmark's tracer, and
+# ``wronskian`` is the tests' reference Wronskian, one packing per call.
 NEVER_CALLED_BY_A_COMMAND = {
     "hankel.wronskian",
-    "linalg.MonomialIndex.spanning",
-    "linalg.Span.from_polynomials",
-    "linalg.Span.pivots",
     "linalg.RationalMatrix.identity",
     "linalg.RationalMatrix.kernel_basis",
     "linalg.RationalMatrix.multiply_vector",
     "linalg.RationalMatrix.rank",
     "linalg.RationalMatrix.row_reduce",
     "linalg.RationalMatrix.zero",
-    "ring.Polynomial.coeff",
-    "ring.Polynomial.from_terms",
-    "ring.Polynomial.max_order",
-    "ring.Polynomial.monomials",
-    "ring.Polynomial.total_degree",
 }
 
 

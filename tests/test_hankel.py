@@ -21,11 +21,19 @@ from arcperp.hankel import (
     triangular_matrix,
     wronskian,
 )
-from arcperp.linalg import Span
 from arcperp.pairing import double_derivative_vanishes
 from arcperp.ring import E, Monomial, Polynomial, al, parse, x, xi, y
 
-from oracles import annihilates, naive_determinant, spans_by_degree
+from oracles import (
+    annihilates,
+    coefficient_types,
+    naive_basis,
+    naive_determinant,
+    polynomial_from_terms,
+    span_of,
+    spans_by_degree,
+    top_degree,
+)
 
 P = parse
 
@@ -204,7 +212,7 @@ _monomials = st.dictionaries(
 _entries = st.one_of(
     st.just(Polynomial.zero()),
     _coefficients.map(Polynomial.constant),
-    st.lists(st.tuples(_monomials, _coefficients), max_size=3).map(Polynomial.from_terms),
+    st.lists(st.tuples(_monomials, _coefficients), max_size=3).map(polynomial_from_terms),
 )
 
 
@@ -388,26 +396,25 @@ class TestMinorSpan:
     )
     def test_packed_rows_match_the_polynomial_construction(self, m, sizes):
         # The spans built from packed values against those of the decoded
-        # minors: the same index, reduced rows (with their types) and pivots.
+        # minors, and both against the textbook RREF of the decoded minors of
+        # each degree: the same basis, coefficient types included (S(2, 2)
+        # has 1/2 in its degree-2 basis).
         sizes = range(m.rows + 1) if sizes == "all" else [m.rows]
         packed = PackedMatrix(m)
-        expected = spans_by_degree(
+        values = [
             packed.value(tuple(range(s)), cols)
             for s in sizes
             for cols in itertools.combinations(range(m.cols), s)
-        )
+        ]
+        expected = spans_by_degree(values)
         got = minor_span(m, sizes)
         assert list(got.spans) == list(expected)
         for d, want in expected.items():
-            span = got.spans[d]
-            assert [span.index._monomial(k) for k in span.columns] == [
-                want.index._monomial(k) for k in want.columns
-            ], d
-            assert span.pivots == want.pivots, d
-            assert span.rows == want.rows, d
-            assert [list(map(type, r.values())) for r in span.rows] == [
-                list(map(type, r.values())) for r in want.rows
-            ], d
+            oracle = naive_basis([v for v in values if v.terms and top_degree(v) == d])
+            basis = got.spans[d].basis_polynomials()
+            assert basis == want.basis_polynomials() == tuple(oracle), d
+            assert coefficient_types(basis) == coefficient_types(oracle), d
+            assert coefficient_types(want.basis_polynomials()) == coefficient_types(oracle), d
 
     @pytest.mark.parametrize("n,h,entries", [(1, 7, 256), (2, 3, 163)])
     def test_only_top_row_minors_are_expanded(self, monkeypatch, n, h, entries):
@@ -441,7 +448,7 @@ class TestMinorSpan:
     @pytest.mark.parametrize("n,h", [(1, 7), (2, 2)])
     def test_dimensions_decode_no_key(self, monkeypatch, n, h):
         # Reading dimensions decodes nothing; reading the bases decodes each
-        # distinct key once, and decoding the columns again decodes no more.
+        # distinct key of the kept rows once, however many entries hold it.
         decoded = []
         real = linalg._sorted_monomial
 
@@ -453,13 +460,13 @@ class TestMinorSpan:
         graded = minor_span(triangular_matrix(n, h), range(h + 2))
         assert graded.total_dimension == (n + 1) ** (h + 1)
         assert decoded == []
-        keys = [k for span in graded.spans.values() for k in span.columns]
-        for span in graded.spans.values():
-            span.basis_polynomials()
-        monomials = [span.index._monomial(k) for span in graded.spans.values() for k in span.columns]
+        keys = [k for span in graded.spans.values() for k in set().union(*span.kept.values())]
+        monomials = {
+            m for span in graded.spans.values() for p in span.basis_polynomials() for m in p.terms
+        }
         assert len(set(keys)) == len(keys)
         assert sorted(decoded, key=Monomial.order_key) == sorted(monomials, key=Monomial.order_key)
-        assert len(set(monomials)) == len(keys)
+        assert len(monomials) == len(keys)
 
 
 class TestKeptMinors:
@@ -485,7 +492,7 @@ class TestKeptMinors:
             ]
             assert lowest == [span.index._monomial(lead) for lead in span.kept], d
             assert len(set(lowest)) == len(lowest) == span.dimension, d
-            assert len(span.pivots) == span.dimension, d  # the RREF, built now
+            assert len(span.basis_polynomials()) == span.dimension, d  # the RREF, built now
         assert graded.total_dimension == (n + 1) ** (h + 1)
 
     def test_dimensions_and_containment_build_no_rref(self, monkeypatch):
@@ -497,8 +504,8 @@ class TestKeptMinors:
         stray = [Polynomial.from_variable(x(3, 0)), P("x1_0^9"), P("x1_2^2 + x2_0*x2_1")]
         for d, basis in bases.items():
             span = sca.span(d)
-            # the same span, keyed by the columns of its own support
-            by_columns = Span.from_polynomials(
+            # the same span, keyed by an index of its own variables
+            by_columns = span_of(
                 Polynomial({span.index._monomial(k): c for k, c in row.items()})
                 for row in span.kept.values()
             )
@@ -508,11 +515,10 @@ class TestKeptMinors:
                 for q in stray:
                     assert span.contains(image + q) == by_columns.contains(image + q)
                     remainder = span.reduce(image + q)
-                    assert all(
-                        remainder.coeff(span.index._monomial(lead)) == 0 for lead in span.kept
-                    )
+                    leads = [span.index._monomial(lead) for lead in span.kept]
+                    assert all(m not in remainder.terms for m in leads)
                     assert span.contains(image + q - remainder)
-        assert "_reduced" not in vars(sca.span(2))
+        assert sca.span(2)._polynomials is None
 
 
 class TestMinorLimit:
@@ -598,7 +604,7 @@ class TestStructuralInvariants:
             for _, _, _, value in iter_minors(hankel_matrix(n, h, k + 1), [h])
             if not value.is_zero
         ]
-        wide_span = Span.from_polynomials(wider)
+        wide_span = span_of(wider)
         for _, _, _, value in iter_minors(hankel_matrix(n, h, k), [h]):
             if value.is_zero:
                 continue
@@ -623,4 +629,4 @@ class TestStructuralInvariants:
             for _, _, _, value in iter_minors(hankel_matrix(n, d, J), [d])
             if not value.is_zero
         ]
-        assert Span.from_polynomials(wronskians) == Span.from_polynomials(minors)
+        assert span_of(wronskians) == span_of(minors)

@@ -17,8 +17,10 @@ from oracles import (
     coefficient_of_power,
     diff_wrt,
     graded_monomials,
+    highest_order,
     linear_in_exponential_shift,
     pairing_oracle,
+    polynomial_from_terms,
 )
 
 P = parse
@@ -30,9 +32,9 @@ WRONSKIAN_2 = "x1_0*x1_2 - x1_1^2"
 _variables = st.builds(x, st.integers(1, 2), st.integers(0, 3))
 _sums = st.lists(
     st.tuples(st.lists(_variables, max_size=3), st.integers(-3, 3)), max_size=4
-).map(lambda terms: Polynomial.from_terms((Monomial(Counter(vs).items()), c) for vs, c in terms))
+).map(lambda terms: polynomial_from_terms((Monomial(Counter(vs).items()), c) for vs, c in terms))
 _linear_forms = st.lists(st.tuples(_variables, st.integers(-3, 3)), min_size=1, max_size=3).map(
-    lambda terms: Polynomial.from_terms((Monomial.of(v), c) for v, c in terms)
+    lambda terms: polynomial_from_terms((Monomial.of(v), c) for v, c in terms)
 )
 x_only_polynomials = st.one_of(_sums, st.lists(_linear_forms, min_size=2, max_size=3).map(wronskian))
 
@@ -188,7 +190,7 @@ class TestCoefficientExtraction:
         # C * sum_s d^2 p / dx_i^(s) dx_j^(l-s), with C = 1 if i = j else 2
         p = P(p_text)
         dd = directional_derivative(directional_derivative(p))
-        h = p.max_order()
+        h = highest_order(p)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 for ell in range(2 * h + 1):

@@ -13,7 +13,7 @@ from arcperp.hankel import (
     truncated_perp_basis,
     wronskian,
 )
-from arcperp.linalg import MonomialIndex, Span
+from arcperp.linalg import MonomialIndex
 from arcperp.pairing import apply_pairing, is_differentially_homogeneous
 from arcperp.perp import (
     _generator_images,
@@ -30,6 +30,7 @@ from oracles import (
     naive_rref,
     pairing_oracle,
     restrict_above_oracle,
+    span_of,
     substitute_oracle,
     vanishes_on_exponential_sums_oracle,
     weight_bounded_scan,
@@ -100,7 +101,7 @@ class TestPerpGradedBasis:
 
     def test_nested_in_higher_order(self):
         low = perp_graded_basis(1, 2, 2)
-        high = Span.from_polynomials(
+        high = span_of(
             list(perp_graded_basis(1, 2, 3).basis_polynomials())
         )
         for p in low.basis_polynomials():
@@ -163,7 +164,7 @@ class TestKernelCompleteness:
             terms = {columns[f]: Fraction(1)}
             terms.update((columns[p], -row[f]) for row, p in zip(reduced, pivots) if row[f])
             nullspace.append(Polynomial(terms))
-        assert kernel == Span.from_polynomials(nullspace)
+        assert kernel == span_of(nullspace)
 
 
 class TestTruncatedPerp:
@@ -184,7 +185,7 @@ class TestTruncatedPerp:
 def _restricted_kernel(n, h, degree, max_order):
     """Span of the order->h restrictions of ``perp_graded_basis`` at order H."""
     basis = perp_graded_basis(n, degree, max_order).basis_polynomials()
-    return Span.from_polynomials(
+    return span_of(
         [restrict_above_oracle(p, h) for p in basis],
         MonomialIndex(differential_variables(n, h), degree + 1),
     )
@@ -332,7 +333,7 @@ class TestSpanEquality:
         # differently.  Equality and containment read polynomials alone.
         kernel = perp_graded_basis(2, 2, 2)
         minors = hankel_minor_intersection_span(2, 2, 2)
-        wide = Span.from_polynomials(
+        wide = span_of(
             kernel.basis_polynomials(), MonomialIndex(differential_variables(3, 3), 4)
         )
         assert wide.index.top != minors.index.top

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 from arcperp.hankel import wronskian
 from arcperp.linalg import RationalMatrix
 from arcperp.pairing import apply_pairing
-from arcperp.ring import Monomial, Polynomial, format_polynomial, parse, x
+from arcperp.ring import Monomial, format_polynomial, parse, x
 
-from oracles import restrict_above_oracle
+from oracles import polynomial_from_terms, restrict_above_oracle
 
 variables = st.builds(
     x, st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=2)
@@ -26,7 +26,7 @@ coefficients = st.builds(
 )
 
 polynomials = st.lists(st.tuples(monomials, coefficients), max_size=4).map(
-    Polynomial.from_terms
+    polynomial_from_terms
 )
 
 

@@ -10,7 +10,6 @@ from arcperp.hankel import (
     GradedSpan, dimension_chain, dimension_series, hankel_matrix, iter_minors,
     scaled_matrix, scaled_of_triangular_map, triangular_matrix, truncated_perp_basis,
 )
-from arcperp.linalg import Span
 from arcperp.pairing import (
     apply_pairing, double_derivative_vanishes, is_differentially_homogeneous,
 )
@@ -18,7 +17,7 @@ from arcperp.perp import perp_graded_basis
 from arcperp.reports import run_verification
 from arcperp.ring import Monomial, Polynomial, al, format_polynomial, parse, x, xi, y
 
-from oracles import spans_by_degree, vanishes_on_exponential_sums_oracle
+from oracles import span_of, spans_by_degree, vanishes_on_exponential_sums_oracle
 
 
 def _series(n, h_max):
@@ -149,7 +148,7 @@ def _drop_from_truncated(monkeypatch, order):
         top = max(spans)
         basis = spans[top].basis_polynomials()
         dropped.append(basis[0])
-        spans[top] = Span.from_polynomials(basis[1:], spans[top].index)
+        spans[top] = span_of(basis[1:], spans[top].index)
         return GradedSpan(spans, graded.nonzero_minors)
 
     monkeypatch.setattr(reports, "truncated_perp_basis", lossy)
@@ -171,7 +170,7 @@ def _drop_top_element(monkeypatch, matrix):
         top = max(spans)
         basis = spans[top].basis_polynomials()
         dropped.append(basis[0])
-        spans[top] = Span.from_polynomials(basis[1:], spans[top].index)
+        spans[top] = span_of(basis[1:], spans[top].index)
         return GradedSpan(spans, graded.nonzero_minors)
 
     monkeypatch.setattr(hankel, "minor_span", lossy)
@@ -192,7 +191,7 @@ class TestNegativeControls:
                 return span
             basis = span.basis_polynomials()
             dropped.append(basis[0])
-            return Span.from_polynomials(basis[1:], span.index)
+            return span_of(basis[1:], span.index)
 
         monkeypatch.setattr(reports, "hankel_minor_intersection_span", lossy)
         report = run_verification(1, 1)
@@ -251,11 +250,11 @@ class TestNegativeControls:
         # The scaled span is in reduced echelon form, so without its element
         # pivoting at m it is the part of the full span that vanishes at m:
         # the first triangular element whose image has a term at m is outside.
-        pivot = dropped[0].monomials()[0]
+        pivot = dropped[0].sorted_terms()[0][0]
         expected = next(
             p for span in hankel.truncated_perp_basis(1, 1).spans.values()
             for p in span.basis_polynomials()
-            if scaled_of_triangular_map(p, 1).coeff(pivot) != 0
+            if pivot in scaled_of_triangular_map(p, 1).terms
         )
         assert check.witness == (
             f"image outside the scaled span: {format_polynomial(expected)}"
@@ -444,6 +443,43 @@ class TestBuildCounts:
         built = {orders[m]: count for m, count in packed.items() if m in orders}
         assert built == dict.fromkeys(range(top + 1), 1)
 
+    @pytest.mark.parametrize("n,h,degrees", [(1, 1, 3), (2, 2, 4), (4, 3, 4)])
+    def test_every_span_is_built_inside_the_check_that_reads_it_first(
+        self, monkeypatch, n, h, degrees
+    ):
+        # A check's elapsed_ms includes what it builds: each kernel basis and
+        # each minor span the battery reads is built once, while a check runs.
+        running, built = [], {"perp_graded_basis": [], "minor_span": []}
+        real_timed = reports._timed
+
+        def timed(name, instance, fn):
+            running.append(name)
+            try:
+                return real_timed(name, instance, fn)
+            finally:
+                running.pop()
+
+        def recording(name):
+            real = getattr(reports, name)
+
+            def wrapper(*args):
+                built[name].append(running[-1] if running else None)
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(reports, "_timed", timed)
+        for name in built:
+            monkeypatch.setattr(reports, name, recording(name))
+        assert run_verification(n, h).passed
+        assert built == {
+            "perp_graded_basis": ["kernel_basis_pointwise_certificates"] * degrees,
+            "minor_span": [
+                "hankel_minors_annihilated_by_generators",
+                "scaled_maximal_minors_differentially_homogeneous",
+            ],
+        }
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sampled_wronskians_share_one_packing(self, monkeypatch, seed):
         # Every pair's Wronskian is a minor of one packed matrix, and each
@@ -522,7 +558,7 @@ class TestPointwiseNegativeControls:
             if degree != 2:
                 return span
             stray = [*span.basis_polynomials(), parse("x1_0^2")]
-            return Span.from_polynomials(stray)
+            return span_of(stray)
 
         monkeypatch.setattr(reports, "perp_graded_basis", padded)
         report = run_verification(1, 1)
@@ -543,7 +579,7 @@ class TestPointwiseNegativeControls:
             if degree != 3:
                 return span
             (p,) = span.basis_polynomials()
-            return Span.from_polynomials([p + parse("x1_0*x2_1 - x1_1*x2_0")])
+            return span_of([p + parse("x1_0*x2_1 - x1_1*x2_0")])
 
         monkeypatch.setattr(reports, "perp_graded_basis", shifted)
         report = run_verification(3, 2)
@@ -590,7 +626,7 @@ class TestSampledLawNegativeControls:
     def test_derivative_dropping_a_term(self, monkeypatch):
         real = Polynomial.derivative
         monkeypatch.setattr(
-            Polynomial, "derivative", lambda self, times=1: _dropping_first_term(real(self, times))
+            Polynomial, "derivative", lambda self: _dropping_first_term(real(self))
         )
         assert reports._property_samples(2, 2, 0, 60) == (False, {"sample": 0}, "leibniz")
 
@@ -599,7 +635,7 @@ class TestSampledLawNegativeControls:
 
         def doubled(f, p):
             image = real(f, p)
-            return image * 2 if f.total_degree() >= 2 else image
+            return image * 2 if any(m.degree >= 2 for m in f.terms) else image
 
         monkeypatch.setattr(reports, "apply_pairing", doubled)
         assert reports._property_samples(2, 2, 0, 60) == (

@@ -56,6 +56,8 @@ CALLS = [
     ["perp", "--json", "--n", "2", "--degree", "2", "--order", "5"],
     ["perp", "--json", "--n", "3", "--degree", "2", "--order", "4"],
     ["perp", "--json", "--n", "5", "--degree", "2", "--order", "2"],
+    ["perp", "--json", "--n", "2", "--degree", "4", "--order", "4"],
+    ["perp", "--json", "--n", "4", "--degree", "2", "--order", "3"],
     ["perp", "--n", "1", "--degree", "1", "--order", "1500"],
     ["minors", "--family", "T", "--n", "1", "--h", "3", "--json"],
     ["minors", "--family", "T", "--n", "2", "--h", "2"],
@@ -87,6 +89,7 @@ CALLS = [
         ]
     ),
     ["verify", "--json", "--no-timings", "--deep", "--n", "1", "--h", "2"],
+    ["verify", "--json", "--no-timings", "--deep", "--n", "2", "--h", "2"],
     ["verify", "--json", "--no-timings", "--deep", "--n", "2", "--h", "3"],
     ["verify", "--json", "--no-timings", "--deep", "--n", "3", "--h", "2"],
     ["verify", "--no-timings", "--seed", "7", "--n", "2", "--h", "2"],
@@ -95,6 +98,7 @@ CALLS = [
     ["verify", "--n", "9", "--h", "9"],  # refused before any work
     ["dims-chain", "--n", "2", "--h", "3"],
     ["dims-chain", "--json", "--n", "3", "--h", "3"],
+    ["dims-chain", "--json", "--n", "3", "--h", "4"],
     ["dims-chain", "--json", "--n", "1", "--h", "5"],
     ["dims-chain", "--json", "--n", "4", "--h", "2"],
     ["dims-chain", "--n", "1", "--h", "-1"],
