@@ -139,15 +139,16 @@ def _cmd_perp(args) -> int:
 
 
 def _cmd_minors(args) -> int:
-    from .hankel import build_matrix, iter_minors, minor_span
+    from .hankel import build_matrix, check_minor_count, iter_minors, matrix_shape, minor_span
     from .ring import format_polynomial
 
-    matrix = build_matrix(args.family, args.n, args.h, args.k)
-    max_size = args.max_size
-    if max_size is None:
-        max_size = min(matrix.rows, matrix.cols)
+    rows, cols = matrix_shape(args.family, args.n, args.h, args.k)
+    max_size = min(rows, cols) if args.max_size is None else args.max_size
     if max_size < 0:
         raise ValueError("minors needs --max-size >= 0")
+    sizes = range(min(max_size, rows, cols) + 1)  # no minor is larger
+    check_minor_count(rows, cols, sizes, top=False)
+    matrix = build_matrix(args.family, args.n, args.h, args.k)
     listing = [
         {
             "size": size,
@@ -155,9 +156,9 @@ def _cmd_minors(args) -> int:
             "cols": list(cols),
             "value": format_polynomial(value),
         }
-        for size, rows, cols, value in iter_minors(matrix, range(max_size + 1))
+        for size, rows, cols, value in iter_minors(matrix, sizes)
     ]
-    graded = minor_span(matrix, range(max_size + 1))
+    graded = minor_span(matrix, sizes)
     dims = {str(d): dim for d, dim in graded.graded_dimensions.items()}
     if args.json:
         text = json.dumps(
@@ -185,10 +186,11 @@ def _cmd_minors(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    from .hankel import dimension_series, truncated_perp_basis
+    from .hankel import check_triangular_counts, dimension_series, truncated_perp_basis
 
     if args.h_max < 0:
         raise ValueError("the series needs h_max >= 0")
+    check_triangular_counts(args.n, range(args.h_max + 1))
     truncated = (truncated_perp_basis(args.n, h) for h in range(args.h_max + 1))
     rows = dimension_series(args.n, truncated)
     if args.json:
@@ -225,8 +227,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dims_chain(args) -> int:
-    from .hankel import dimension_chain, truncated_perp_basis
+    from .hankel import (
+        check_minor_count, check_triangular_counts, dimension_chain, matrix_shape,
+        truncated_perp_basis,
+    )
 
+    # The chain's spans are counted in the order they are built: T(n, h), then
+    # S(n, h), whose count is T's, then the maximal minors of S1(n, h).
+    check_triangular_counts(args.n, [args.h])
+    check_minor_count(*matrix_shape("S1", args.n, args.h), [args.h + 1], top=True)
     chain = dimension_chain(args.n, args.h, truncated_perp_basis(args.n, args.h))
     if args.json:
         text = json.dumps(chain.to_dict(), indent=2)

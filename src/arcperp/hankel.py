@@ -11,6 +11,10 @@ Four matrix families are built here:
 * ``scaled_augmented_matrix(n, h)`` -- scaled_matrix(n, h) with an identity
   block appended, realizing the substitution of 1 for an extra family.
 
+``matrix_shape`` reads a family's shape without building it, and
+``check_minor_count`` counts the minors of a shape, so each command refuses
+more than ``MINOR_LIMIT`` minors before it builds a matrix.
+
 Every determinant and minor runs on one kernel, ``PackedMatrix``: the matrix
 is packed once per enumeration, each monomial its key in a
 ``linalg.MonomialIndex`` (so that a monomial product is one addition, and
@@ -71,8 +75,7 @@ class SymbolicMatrix(NamedTuple):
 
 def hankel_matrix(n: int, h: int, k: int) -> SymbolicMatrix:
     """The h x n(k+1) block of shifted derivatives: entry (r, c*n+j-1) = x_j^(r+c)."""
-    if n < 1 or h < 0 or k < 0:
-        raise ValueError("hankel_matrix needs n >= 1, h >= 0, k >= 0")
+    matrix_shape("H", n, h, k)
     rows = []
     for r in range(h):
         row = []
@@ -96,15 +99,13 @@ def _triangles(n: int, h: int, entry) -> SymbolicMatrix:
 
 def triangular_matrix(n: int, h: int) -> SymbolicMatrix:
     """Concatenated upper triangles with x_j^(h-i) on the i-th superdiagonal."""
-    if n < 1 or h < 0:
-        raise ValueError("triangular_matrix needs n >= 1, h >= 0")
+    matrix_shape("T", n, h)
     return _triangles(n, h, lambda j, i: Polynomial.from_variable(x(j, h - i)))
 
 
 def scaled_matrix(n: int, h: int) -> SymbolicMatrix:
     """Concatenated upper triangles with x_j^(i)/i! on the i-th superdiagonal."""
-    if n < 1 or h < 0:
-        raise ValueError("scaled_matrix needs n >= 1, h >= 0")
+    matrix_shape("S", n, h)
     return _triangles(
         n, h, lambda j, i: Polynomial({Monomial.of(x(j, i)): Fraction(1, math.factorial(i))})
     )
@@ -125,19 +126,30 @@ MATRIX_FAMILIES = {
 }
 
 
-def build_matrix(family: str, n: int, h: int, k: int | None = None) -> SymbolicMatrix:
-    """Build a structured matrix by family tag: H, T, S, or S1."""
+def matrix_shape(family: str, n: int, h: int, k: int | None = None) -> tuple[int, int]:
+    """The (rows, cols) of ``build_matrix(family, n, h, k)``, read without
+    building it, and the ``ValueError`` of every bad argument: H is
+    h x n(k+1), T and S are (h+1) x n(h+1), S1 is (h+1) x (n+1)(h+1)."""
     if family == "H":
         if k is None:
             raise ValueError("the H family needs the offset bound k")
-        return hankel_matrix(n, h, k)
-    try:
-        builder = MATRIX_FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown matrix family {family!r}") from None
+        if n < 1 or h < 0 or k < 0:
+            raise ValueError("hankel_matrix needs n >= 1, h >= 0, k >= 0")
+        return h, n * (k + 1)
+    if family not in MATRIX_FAMILIES:
+        raise ValueError(f"unknown matrix family {family!r}")
     if k is not None:
         raise ValueError(f"the {family} family takes no offset bound k")
-    return builder(n, h)
+    if n < 1 or h < 0:
+        builder = "triangular_matrix" if family == "T" else "scaled_matrix"
+        raise ValueError(f"{builder} needs n >= 1, h >= 0")
+    return h + 1, (n + 1 if family == "S1" else n) * (h + 1)
+
+
+def build_matrix(family: str, n: int, h: int, k: int | None = None) -> SymbolicMatrix:
+    """Build a structured matrix by family tag: H, T, S, or S1."""
+    matrix_shape(family, n, h, k)
+    return hankel_matrix(n, h, k) if family == "H" else MATRIX_FAMILIES[family](n, h)
 
 
 # -- determinants and minors --------------------------------------------------
@@ -244,18 +256,55 @@ def wronskian(fs: list[Polynomial]) -> Polynomial:
 # packed terms, every top-row minor); a larger request would exhaust memory.
 MINOR_LIMIT = 200_000
 
+# A refusal writes its count out below this bound, and names a larger count by
+# the bound: Python converts an int of at most 4,300 digits to text by default.
+# Counting stops at the bound, so a count of any shape takes milliseconds.
+COUNT_BOUND = 10**4300
 
-def _check_minor_count(m: SymbolicMatrix, count: int) -> None:
+
+def _binomial(c: int, s: int, walk: list[int]) -> int:
+    """C(c, s) for 0 <= s <= c, or ``COUNT_BOUND`` where it is at least that.
+    ``walk`` holds C(c, 0), C(c, 1), ... as far as asked, starting from [1]:
+    C(c, s) = C(c, min(s, c-s)), and C(c, i) grows with i up to c/2, so the
+    walk stops at the first past the bound."""
+    i = min(s, c - s)
+    while len(walk) <= i and walk[-1] < COUNT_BOUND:
+        j = len(walk) - 1
+        walk.append(walk[j] * (c - j) // (j + 1))
+    return min(walk[min(i, len(walk) - 1)], COUNT_BOUND)
+
+
+def check_minor_count(rows: int, cols: int, sizes, top: bool) -> None:
+    """Refuse with ``ValueError`` more than ``MINOR_LIMIT`` minors of the given
+    sizes of a rows x cols matrix: those on the top rows alone when ``top``,
+    on every row set otherwise.  It reads the shape alone, so each command
+    counts before it builds a matrix."""
+    most, col_walk, row_walk, count = min(rows, cols), [1], [1], 0
+    for s in sizes:
+        if 0 <= s <= most:
+            count += _binomial(cols, s, col_walk) * (1 if top else _binomial(rows, s, row_walk))
+            if count >= COUNT_BOUND:
+                break
     if count > MINOR_LIMIT:
+        named = f"{count:,}" if count < COUNT_BOUND else "at least 10^4300"
         limit = f"exceed the limit of {MINOR_LIMIT:,} minors per enumeration"
-        raise ValueError(f"{count:,} minors of a {m.rows}x{m.cols} matrix {limit}")
+        raise ValueError(f"{named} minors of a {rows}x{cols} matrix {limit}")
+
+
+def check_triangular_counts(n: int, hs) -> None:
+    """Refuse the first T(n, h), h in ``hs``, whose minors ``truncated_perp_basis``
+    would refuse, before any is built, with the error of T's bad arguments.
+    The count grows with h and is at least 2^(h+1), so under the default
+    limit an increasing ``hs`` stops by h = 17."""
+    for h in hs:
+        check_minor_count(*matrix_shape("T", n, h), range(h + 2), top=True)
 
 
 def iter_minors(m: SymbolicMatrix, sizes):
     """An iterator of (size, rows, cols, value) by size, then lexicographic (rows,
     cols); raises ``ValueError`` on the call past ``MINOR_LIMIT`` minors."""
     sizes = [s for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)]
-    _check_minor_count(m, sum(math.comb(m.rows, s) * math.comb(m.cols, s) for s in sizes))
+    check_minor_count(m.rows, m.cols, sizes, top=False)
     packed = PackedMatrix(m)
     return (
         (size, rows, cols, packed.value(rows, cols))
@@ -263,6 +312,10 @@ def iter_minors(m: SymbolicMatrix, sizes):
         for rows in itertools.combinations(range(m.rows), size)
         for cols in itertools.combinations(range(m.cols), size)
     )
+
+
+# The zero span, for a degree with no minor.
+EMPTY_SPAN = Span(MonomialIndex((), 1), {})
 
 
 class GradedSpan:
@@ -273,10 +326,7 @@ class GradedSpan:
         self.nonzero_minors = nonzero_minors
 
     def span(self, degree: int) -> Span:
-        got = self.spans.get(degree)
-        if got is None:
-            return Span(MonomialIndex((), 1), {})
-        return got
+        return self.spans.get(degree, EMPTY_SPAN)
 
     @property
     def graded_dimensions(self) -> dict[int, int]:
@@ -296,8 +346,7 @@ def _selected_rows(m: SymbolicMatrix, sizes) -> list[tuple[int, tuple[int, ...]]
         e[r][c] == (e[r - 1][c - 1] if c % m.rows else ZERO)
         for r in range(1, m.rows) for c in range(m.cols)
     )
-    count = sum(math.comb(m.cols, s) * (1 if top else math.comb(m.rows, s)) for s in sizes)
-    _check_minor_count(m, count)
+    check_minor_count(m.rows, m.cols, sizes, top)
     return [
         (s, rows)
         for s in sizes
@@ -352,7 +401,9 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
 
 
 def truncated_perp_basis(n: int, h: int) -> GradedSpan:
-    """Graded span of all minors of the triangular family, sizes 0..h+1."""
+    """Graded span of all minors of the triangular family, sizes 0..h+1,
+    counted before T(n, h) is built."""
+    check_triangular_counts(n, [h])
     return minor_span(triangular_matrix(n, h), range(h + 2))
 
 
@@ -465,5 +516,5 @@ def hankel_minor_intersection_span(n: int, degree: int, max_order: int) -> Span:
     (n <= 3, d <= 5, d*H <= 20), not proven.
     """
     if degree > max_order + 1:
-        return Span(MonomialIndex((), 1), {})
+        return EMPTY_SPAN
     return minor_span(hankel_matrix(n, degree, max_order - degree + 1), [degree]).span(degree)

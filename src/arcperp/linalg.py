@@ -16,8 +16,10 @@ A monomial becomes a row key in one format, that of ``MonomialIndex``: one
 integer whose order is the graded-lex monomial order and whose sum is the
 key of the product.  Kernel vectors and packed minors alike arrive as rows
 over those keys, and every ``Span`` keeps their forward echelon, so each
-lead is a lowest monomial; it builds its reduced form, on the negated keys,
-and decodes them only when a basis is read.
+lead is a lowest monomial.  A span answers ``contains`` by the forward
+echelon's own step, and two spans are equal when one contains the basis of
+the other and their dimensions agree; a span builds its reduced form, on the
+negated keys, and decodes them only when a basis is read.
 """
 
 from __future__ import annotations
@@ -115,9 +117,9 @@ def reduced_echelon(
     return back_substitute(forward_echelon(_integral_rows(rows)))
 
 
-def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> int:
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> None:
     """Clear ``col`` from ``row`` in place by an integer combination with
-    ``pivot_row``; returns the factor ``row`` was multiplied by."""
+    ``pivot_row``."""
     v = row.pop(col)
     p = pivot_row[col]
     g = gcd(p, v)
@@ -132,7 +134,6 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> int:
                 row[k] = t
             else:
                 del row[k]
-    return a
 
 
 def _divide_content(row: dict[int, int], lead: int) -> None:
@@ -297,13 +298,13 @@ class Span:
     ``kept`` is what ``forward_echelon`` returns: integer rows ``{key:
     value}`` over the keys of ``index``, one per dimension, with distinct
     least keys, their leads; the least key is the lowest monomial.
-    ``dimension``, ``contains`` and ``reduce`` read the kept rows alone.  The
-    first read of the basis polynomials runs ``reduced_echelon`` once on the
-    kept rows with every key negated, so a reduced row's pivot, its least
-    negated key, is its highest monomial; the unique reduced row-echelon
-    form, decoded, is the basis, built once and shared by every later
-    reader.  Two spans, over any indexes, are equal exactly when their basis
-    polynomials coincide.
+    ``dimension`` and ``contains`` read the kept rows alone.  The first read
+    of the basis polynomials runs ``reduced_echelon`` once on the kept rows
+    with every key negated, so a reduced row's pivot, its least negated key,
+    is its highest monomial; the unique reduced row-echelon form, decoded,
+    is the basis, built once and shared by every later reader.  Two spans,
+    over any indexes, are equal exactly when ``span_witness`` finds no
+    basis polynomial of one outside the other.
     """
 
     def __init__(self, index: MonomialIndex, kept: dict[int, dict[int, int]]):
@@ -331,43 +332,37 @@ class Span:
             )
         return self._polynomials
 
-    def reduce(self, p: Polynomial) -> Polynomial:
-        """The remainder of p against the kept rows: p minus the element of
-        the span that agrees with p at every lead.  It depends only on the
-        span and its leads.  The terms with a key form one integer row over
-        their common denominator.  Its leads are eliminated least first, and
-        each elimination brings in only keys above its lead, so each is
-        eliminated once."""
-        index, kept = self.index, self.kept
-        remainder, work = {}, {}
-        for m, c in p.terms.items():
-            k = index._key(m)
-            if k is None:
-                remainder[m] = c
-            else:
-                work[k] = c
-        scale = lcm(*(c.denominator for c in work.values()))
-        work = {k: c.numerator * (scale // c.denominator) for k, c in work.items()}
-        while (lead := min((k for k in work if k in kept), default=None)) is not None:
-            scale *= _eliminate(work, kept[lead], lead)
-        for k, v in work.items():
-            remainder[index._monomial(k)] = Fraction(v, scale) if v % scale else v // scale
-        return Polynomial(remainder)
-
     def contains(self, p: Polynomial) -> bool:
-        return self.reduce(p).is_zero
+        """Is p in the span?  The forward echelon's own step: p's terms form
+        one integer row over the index's keys, and it is eliminated by its
+        least key while that key is a lead.  A nonzero combination of kept
+        rows has a lead as its least key, so p is in the span exactly when
+        the row vanishes.  A term with no key (a variable outside the index,
+        or an exponent of its base or more) is in no span over the index."""
+        row = {self.index._key(m): c for m, c in p.terms.items()}
+        if None in row:
+            return False
+        (work,) = _integral_rows([row])
+        kept = self.kept
+        while work:
+            lead = min(work)
+            if lead not in kept:
+                return False
+            _eliminate(work, kept[lead], lead)
+        return True
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Span) and self.basis_polynomials() == other.basis_polynomials()
+        return isinstance(other, Span) and span_witness(self, other) is None
 
 
 def span_witness(a: Span, b: Span) -> Polynomial | None:
-    """None when the spans are equal; otherwise the first basis polynomial of
-    ``a`` that ``b`` does not contain, or failing that, of ``b`` not in ``a``."""
-    if a == b:
+    """The first basis polynomial of ``a`` that ``b`` does not contain;
+    failing that, None when the dimensions agree, and otherwise the first
+    basis polynomial of ``b`` that ``a`` does not contain.  None exactly when
+    the spans are equal: a subspace of the same dimension is the whole."""
+    for p in a.basis_polynomials():
+        if not b.contains(p):
+            return p
+    if a.dimension == b.dimension:
         return None
-    for this, other in ((a, b), (b, a)):
-        for p in this.basis_polynomials():
-            if not other.contains(p):
-                return p
-    return None
+    return next(p for p in b.basis_polynomials() if not a.contains(p))

@@ -11,8 +11,9 @@ the blocks one at a time.  It keeps each monomial as its key in one
 ``MonomialIndex``, from the enumeration through the constraint rows, whose
 quotients are key differences, to the kernel span, and decodes a key only
 when a basis is read or a restriction drops high orders.  A minor span is
-keyed by its packed matrix's index; spans compare by their basis
-polynomials, so the keys never need to agree.
+keyed by its packed matrix's index; spans compare by containment of basis
+polynomials, each keyed in the other's index, so the keys never need to
+agree.
 
 ``restriction_span`` restricts high orders to zero, realizing the truncated
 inverse systems, and ``restriction_mismatch`` compares it with a
@@ -70,7 +71,10 @@ def _monomials_up_to_weight(n: int, degree: int, max_order: int, max_weight: int
     <= max_weight, in ``combinations_with_replacement`` order: a walk that
     enters the variables in turn, each exponent from the largest the degree
     and weight left allow down to 1, until the lightest variable left
-    outweighs them.  It recurses once per entered variable, at most d deep.
+    outweighs them.  The last variable takes exactly the degree left, as no
+    variable follows to take the rest, so no call ends with degree left over
+    and nowhere to put it.  It recurses once per entered variable, at most d
+    deep.
     Raises ``ValueError`` on the monomial past ``MONOMIAL_LIMIT``, and before
     listing any variable when d >= 1 and n*(min(H, max_weight)+1) exceeds
     it: each x_i^(j)*(x_1^(0))^(d-1), j <= min(H, max_weight), is one."""
@@ -83,6 +87,7 @@ def _monomials_up_to_weight(n: int, degree: int, max_order: int, max_weight: int
     index = MonomialIndex(differential_variables(n, max_order), degree + 1)
     variables, place, found = index.variables, index._place, []
     lightest = list(accumulate((v.j for v in reversed(variables)), min))[::-1]
+    last = len(variables) - 1
 
     def walk(start: int, left: int, budget: int, pairs: tuple, key: int) -> None:
         if not left:
@@ -94,7 +99,8 @@ def _monomials_up_to_weight(n: int, degree: int, max_order: int, max_weight: int
             if left * lightest[k] > budget:
                 break
             v = variables[k]
-            for e in range(min(left, budget // v.j) if v.j else left, 0, -1):
+            top = min(left, budget // v.j) if v.j else left
+            for e in range(top, 0 if k < last else left - 1, -1):
                 walk(k + 1, left - e, budget - e * v.j, (*pairs, (v, e)), key + e * place[v])
 
     walk(0, degree, max_weight, (), degree * index.top)

@@ -25,11 +25,13 @@ from .hankel import (  # ChainDims, SeriesRow: perfbench/tracer.py traces them h
     PackedMatrix,
     SeriesRow,
     SymbolicMatrix,
-    _selected_rows,
+    check_minor_count,
+    check_triangular_counts,
     dimension_chain,
     dimension_series,
     hankel_matrix,
     hankel_minor_intersection_span,
+    matrix_shape,
     minor_span,
     scaled_matrix,
     truncated_perp_basis,
@@ -185,11 +187,12 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     k_cap = h_cap if not deep else min(2 * h_cap, 4) if h_cap else 1
     degree_cap = min(h + 1, 3) + (1 if deep else 0)
     order_bound = min(h + (2 if deep else 0), 5) if h else (2 if deep else 1)
+    series_h = min(2 * h, 6) if deep else h
 
-    # The homogeneity span is counted here, before any work, and built in its
-    # check: by Vandermonde no span of the chain has more minors.
-    scaled = scaled_matrix(n + 1, h)
-    _selected_rows(scaled, [h + 1])
+    # The homogeneity span, the maximal minors of S(n+1, h), is counted here,
+    # before any work, and built in its check: by Vandermonde no span of the
+    # chain has more minors.
+    check_minor_count(*matrix_shape("S", n + 1, h), [h + 1], top=True)
 
     # Each object is built in the first check that reads it, so that check's
     # time includes it, and shared by the later ones.
@@ -296,6 +299,8 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     h_elim = min(h, 2)
 
     def check_elimination():
+        # Every triangular span of the series is counted before the first is built.
+        check_triangular_counts(n, range(series_h + 1))
         mismatch = restriction_mismatch(n, h_elim, triangular(h_elim))
         dims = {"h": h_elim, "total": triangular(h).total_dimension}
         if mismatch is None:
@@ -318,7 +323,7 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     checks.append(_timed("triangular_scaled_dimension_chain", {"n": n, "h": h}, check_chain))
 
     def check_diff_homogeneous():
-        maximal = minor_span(scaled, [h + 1])
+        maximal = minor_span(scaled_matrix(n + 1, h), [h + 1])
         dims = {"maximal_minors": maximal.nonzero_minors}
         for p in _minor_basis(maximal):
             if not is_differentially_homogeneous(p, h + 1):
@@ -332,8 +337,6 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
             check_diff_homogeneous,
         )
     )
-
-    series_h = min(2 * h, 6) if deep else h
 
     def check_series():
         rows = dimension_series(n, (triangular(k) for k in range(series_h + 1)))

@@ -242,6 +242,20 @@ class TestMinors:
         assert code == 0
         assert out == (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
 
+    def test_max_size_past_the_shape_lists_every_minor(self, capsys, monkeypatch):
+        # No minor is larger than the shape allows, so a huge --max-size is
+        # the default, and no size past the shape is ever listed.
+        listing = hankel.iter_minors
+
+        def bounded(m, sizes):
+            if len(sizes) > min(m.rows, m.cols) + 1:
+                raise AssertionError("sizes past the shape")
+            return listing(m, sizes)
+
+        monkeypatch.setattr(hankel, "iter_minors", bounded)
+        argv = ["minors", "--family", "T", "--n", "1", "--h", "1", "--json"]
+        assert run(capsys, *argv, "--max-size", "1000000000") == run(capsys, *argv)
+
     def test_max_size(self, capsys):
         code, out, _ = run(
             capsys,
@@ -251,6 +265,52 @@ class TestMinors:
         assert code == 0
         data = json.loads(out)
         assert all(m["size"] <= 1 for m in data["minors"])
+
+
+def _limit(count: str, shape: str) -> str:
+    return (f"error: {count} minors of a {shape} matrix exceed the limit of"
+            f" {hankel.MINOR_LIMIT:,} minors per enumeration\n")
+
+
+class TestRefusedBeforeAnyMatrix:
+    """Each command counts its minors from the shape, and refuses an
+    over-limit enumeration before it builds a matrix; a count of 10^4300 or
+    more, too long to write out, is named by that bound."""
+
+    @pytest.mark.parametrize(
+        "argv,count,shape",
+        [
+            (["minors", "--family", "T", "--n", "1", "--h", "1000"],
+             f"{math.comb(2002, 1001):,}", "1001x1001"),
+            (["minors", "--family", "T", "--n", "1", "--h", "100000"],
+             "at least 10^4300", "100001x100001"),
+            (["verify", "--n", "1", "--h", "100000"], "at least 10^4300", "100001x200002"),
+            (["dims-chain", "--n", "1", "--h", "100000"], "at least 10^4300", "100001x100001"),
+            # T(1, 16) has 2^17 top-row minors, admitted; S1(1, 16) C(34, 17)
+            (["dims-chain", "--n", "1", "--h", "16"], f"{math.comb(34, 17):,}", "17x34"),
+            # T(1, 0..16) are admitted; T(1, 17) has 2^18 top-row minors
+            (["series", "--n", "1", "--h-max", "100"], "262,144", "18x18"),
+        ],
+        ids=["minors-h1000", "minors-h100000", "verify-h100000", "dims-chain-h100000",
+             "dims-chain-h16", "series-h100"],
+    )
+    def test_refused_with_no_matrix_built(self, capsys, monkeypatch, argv, count, shape):
+        def unbuilt(rows):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(hankel.SymbolicMatrix, "from_rows", unbuilt)
+        assert run(capsys, *argv) == (2, "", _limit(count, shape))
+
+    def test_deep_series_counted_before_the_first_triangle(self, capsys, monkeypatch):
+        # At (1, 2) the deep series reaches T(1, 4), 2^5 top-row minors; no
+        # earlier span of the battery has more than 21.
+        def unbuilt(n, h):
+            raise AssertionError("a triangular matrix was built")
+
+        monkeypatch.setattr(hankel, "MINOR_LIMIT", 31)
+        monkeypatch.setattr(hankel, "triangular_matrix", unbuilt)
+        argv = ["verify", "--deep", "--no-timings", "--n", "1", "--h", "2"]
+        assert run(capsys, *argv) == (2, "", _limit("32", "5x5"))
 
 
 class TestReportGoldens:

@@ -12,6 +12,7 @@ from arcperp.hankel import (
     PackedMatrix,
     SymbolicMatrix,
     build_matrix,
+    check_minor_count,
     hankel_matrix,
     iter_minors,
     minor_span,
@@ -514,10 +515,7 @@ class TestKeptMinors:
                 assert span.contains(image)
                 for q in stray:
                     assert span.contains(image + q) == by_columns.contains(image + q)
-                    remainder = span.reduce(image + q)
-                    leads = [span.index._monomial(lead) for lead in span.kept]
-                    assert all(m not in remainder.terms for m in leads)
-                    assert span.contains(image + q - remainder)
+                    assert span.contains(image + q) == span.contains(q)
         assert sca.span(2)._polynomials is None
 
 
@@ -545,6 +543,21 @@ class TestMinorLimit:
         # not shift-structured: sum_s C(4, s)^2 minors on every row set
         with pytest.raises(ValueError, match="^70 minors of a 4x4 matrix exceed the limit of 15 "):
             minor_span(hankel_matrix(1, 4, 3), range(5))
+
+    @pytest.mark.parametrize("c", [0, 1, 7, 40, 14_280, 14_300, 20_000])
+    def test_binomials_against_math_comb(self, c):
+        sizes = sorted({s for s in (0, 1, 2, c // 3, c // 2, c - 1, c) if 0 <= s <= c})
+        walk = [1]
+        for s in sizes:
+            assert hankel._binomial(c, s, walk) == min(math.comb(c, s), hankel.COUNT_BOUND)
+
+    def test_a_count_is_written_out_below_the_bound(self):
+        cols = hankel.COUNT_BOUND - 2  # 1 + cols minors of sizes 0 and 1
+        with pytest.raises(ValueError) as below:
+            check_minor_count(1, cols, [0, 1], top=True)
+        assert str(below.value).startswith(f"{cols + 1:,} minors of a 1x")
+        with pytest.raises(ValueError, match="^at least 10\\^4300 minors of a 1x"):
+            check_minor_count(1, cols + 1, [0, 1], top=True)
 
     def test_the_maximal_minors_of_s_10_9_are_refused(self):
         with pytest.raises(ValueError, match="^17,310,309,456,440 minors of a 10x100 matrix"):

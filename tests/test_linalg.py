@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcperp import linalg
 from arcperp.linalg import (
     MonomialIndex,
     RationalMatrix,
@@ -13,6 +14,7 @@ from arcperp.linalg import (
     forward_echelon,
     nullspace,
     reduced_echelon,
+    span_witness,
 )
 from arcperp.ring import Monomial, Polynomial, differential_variables, parse, x
 
@@ -87,11 +89,18 @@ class TestCoeffMatrix:
 
     def test_monomial_outside_index(self):
         # A variable outside the index, or an exponent of its base, has no
-        # key, and a span over the index leaves such a term in a remainder.
+        # key, and no span over the index contains a polynomial with such a term.
         idx = MonomialIndex([x(1, 0)], 2)
         assert idx._key(Monomial.of(x(1, 1))) is None
         assert idx._key(Monomial.of(x(1, 0), 2)) is None
-        assert span_of([P("x1_0")], idx).reduce(P("x1_0 + x1_0^2 + x1_1")) == P("x1_0^2 + x1_1")
+        span = span_of([P("x1_0")], idx)
+        assert not span.contains(P("x1_0 + x1_0^2 + x1_1"))
+        assert span.contains(P("x1_0 + x1_0^2 + x1_1") - P("x1_0^2 + x1_1"))
+        assert not span.contains(P("x1_1"))  # a variable outside the index
+        assert not span.contains(P("x1_0^2"))  # an exponent equal to the base
+        assert not span.contains(P("x1_0 + x1_0^2"))
+        assert span.contains(Polynomial.zero())
+        assert span_of([], idx).contains(Polynomial.zero())
 
 
 class TestRankKernelRref:
@@ -314,11 +323,35 @@ class TestSpan:
         assert a == b
         assert a.dimension == 0
 
-    def test_contains_and_reduce(self):
+    def test_contains(self):
         s = span_of([P("x1_0 + x1_1"), P("x1_1 - x1_2")])
         assert s.contains(P("x1_0 + 2*x1_1 - x1_2"))
         assert not s.contains(P("x1_0"))
-        assert s.reduce(P("x1_0 + x1_1")).is_zero
+        assert s.contains(P("x1_0 + x1_1"))
+        assert s.contains(P("1/2*x1_0 + 5/6*x1_1 - 1/3*x1_2"))
+        assert not s.contains(P("x1_0 + x1_1 + 1"))  # the constant has a key, not a lead
+
+    def test_witness_is_a_basis_polynomial_outside_the_other(self):
+        line, plane = span_of([P("x1_0 + x1_1")]), span_of([P("x1_1"), P("x1_0")])
+        assert plane.basis_polynomials() == (P("x1_0"), P("x1_1"))
+        assert span_witness(plane, span_of([P("x1_0 + x1_1"), P("x1_0 - x1_1")])) is None
+        assert span_witness(plane, line) == P("x1_0")  # the first of plane's basis outside
+        # line lies inside plane, of lower dimension: the witness comes from plane
+        assert span_witness(line, plane) == P("x1_0")
+        assert line != plane and plane != line
+        other = span_of([P("x1_0 - x1_1")])
+        assert span_witness(line, other) == P("x1_0 + x1_1")
+        assert span_witness(other, line) == P("x1_0 - x1_1")
+
+    def test_witness_of_equal_spans_reduces_no_second_basis(self, monkeypatch):
+        polys = [P("x1_0*x1_2 - x1_1^2"), P("x1_1^2 + x1_0^2"), P("x1_0*x1_1")]
+        first = span_of(polys)
+        first.basis_polynomials()
+        monkeypatch.setattr(linalg, "reduced_echelon", None)  # a call would raise
+        second = span_of(reversed(polys), MonomialIndex(differential_variables(2, 3), 3))
+        assert second.index is not first.index
+        assert span_witness(first, second) is None and first == second
+        assert second._polynomials is None
 
     def test_blockwise_equals_plain_rref(self):
         # bihomogeneous inputs take the weight-block path; the result must be
@@ -427,10 +460,9 @@ class TestSpanAgainstOracle:
         assert span.basis_polynomials() is first
 
         assert span.contains(query) == (naive_rank(rows + _dense_rows([query], COLUMNS), cols) == rank)
-        remainder = span.reduce(query)
-        for lead in span.kept:
-            assert SPAN_INDEX._monomial(lead) not in remainder.terms
-        assert span.contains(query - remainder)
+        # adding an element of the span changes no answer
+        shift = sum(polys, Polynomial.zero())
+        assert span.contains(query + shift) == span.contains(query)
 
         # the same polynomials give the same span over either index
         assert span == span_of(polys)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -293,6 +294,28 @@ class TestBoundedWeightMonomials:
                     assert got == weight_bounded_scan(n, degree, order, max_weight)
                     assert all(m.degree == degree for _, m in got)
                     assert [pairs for _, pairs, _ in found] == [m.pairs for _, m in got]
+
+
+    @pytest.mark.parametrize("degree", [50, 200])
+    def test_walk_makes_one_call_per_prefix(self, degree):
+        # Two variables of order 0: the monomials x1_0^e * x2_0^(degree-e)
+        # have the prefixes (), each x1_0^e, and each full monomial, so the
+        # walk makes 1 + degree + degree calls, not one per exponent tried.
+        walk = next(c for c in perp._monomials_up_to_weight.__code__.co_consts
+                    if getattr(c, "co_name", None) == "walk")
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code is walk
+
+        sys.setprofile(profile)
+        try:
+            _, found = perp._monomials_up_to_weight(2, degree, 0, 0)
+        finally:
+            sys.setprofile(None)
+        assert len(found) == degree + 1
+        assert calls == 2 * degree + 1
 
 
 class TestMonomialLimit:

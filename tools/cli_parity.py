@@ -76,6 +76,9 @@ CALLS = [
     ["minors", "--family", "T", "--n", "1", "--h", "1", "--max-size", "-1"],
     ["minors", "--family", "T", "--n", "0", "--h", "1"],
     ["minors", "--family", "Q", "--n", "1", "--h", "1"],
+    ["minors", "--family", "T", "--n", "1", "--h", "100"],  # refused: too many minors
+    ["dims-chain", "--n", "1", "--h", "100"],  # refused: too many minors
+    ["verify", "--n", "1", "--h", "100"],  # refused: too many minors
     ["series", "--n", "1", "--h-max", "7"],
     ["series", "--json", "--n", "2", "--h-max", "3"],
     ["series", "--n", "2", "--h-max", "4", "--json"],
