@@ -4,7 +4,13 @@ Subcommands: gens, pair, perp, minors, series, verify, dims-chain.
 Global flags: --json (machine-readable output), --out PATH (write the output
 to a file).  ``verify`` alone takes --seed N (randomized property sampling).
 The exit code is 0 iff all requested checks pass; invalid input exits with
-code 2.
+code 2, an oversized request too (``gens`` past ``arcgen.PRODUCT_LIMIT``
+products, for one).
+
+Each ``_cmd_*`` returns ``(payload, lines, passed)``: the JSON-ready result,
+its text lines and the verdict.  ``main`` alone renders it (``--json`` or
+text), writes it (stdout or ``--out``) and sets the exit code; a reader that
+closed stdout gets no traceback, and the run exits 1.
 
 Each command imports what it calls when it runs, so a run loads only the
 modules of its own command: ``series`` and ``dims-chain`` never load the
@@ -88,57 +94,42 @@ def _emit(text: str, out: str | None) -> None:
     if not out:
         print(text)
         return
-    _write(out, "w", text if text.endswith("\n") else text + "\n")
+    _write(out, "w", text + "\n")
 
 
-def _cmd_gens(args) -> int:
+def _cmd_gens(args) -> tuple:
     from .arcgen import arc_generators_up_to
     from .ring import format_polynomial
 
-    gens = arc_generators_up_to(args.n, args.max_order)
-    if args.json:
-        text = json.dumps([format_polynomial(g) for g in gens], indent=2)
-    else:
-        text = "\n".join(format_polynomial(g) for g in gens)
-    _emit(text, args.out)
-    return 0
+    gens = [format_polynomial(g) for g in arc_generators_up_to(args.n, args.max_order)]
+    return gens, gens, True
 
 
-def _cmd_pair(args) -> int:
+def _cmd_pair(args) -> tuple:
     from .pairing import apply_pairing
     from .ring import format_polynomial, parse
 
-    result = apply_pairing(parse(args.f), parse(args.P))
-    text = json.dumps(format_polynomial(result)) if args.json else format_polynomial(result)
-    _emit(text, args.out)
-    return 0
+    result = format_polynomial(apply_pairing(parse(args.f), parse(args.P)))
+    return result, [result], True
 
 
-def _cmd_perp(args) -> int:
+def _cmd_perp(args) -> tuple:
     from .perp import perp_graded_basis
     from .ring import format_polynomial
 
     span = perp_graded_basis(args.n, args.degree, args.order)
     basis = [format_polynomial(p) for p in span.basis_polynomials()]
-    if args.json:
-        text = json.dumps(
-            {
-                "n": args.n,
-                "degree": args.degree,
-                "order": args.order,
-                "dimension": span.dimension,
-                "basis": basis,
-            },
-            indent=2,
-        )
-    else:
-        lines = [f"dimension {span.dimension}"] + basis
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0
+    payload = {
+        "n": args.n,
+        "degree": args.degree,
+        "order": args.order,
+        "dimension": span.dimension,
+        "basis": basis,
+    }
+    return payload, [f"dimension {span.dimension}", *basis], True
 
 
-def _cmd_minors(args) -> int:
+def _cmd_minors(args) -> tuple:
     from .hankel import build_matrix, check_minor_count, iter_minors, matrix_shape, minor_span
     from .ring import format_polynomial
 
@@ -160,32 +151,25 @@ def _cmd_minors(args) -> int:
     ]
     graded = minor_span(matrix, sizes)
     dims = {str(d): dim for d, dim in graded.graded_dimensions.items()}
-    if args.json:
-        text = json.dumps(
-            {
-                "family": args.family,
-                "n": args.n,
-                "h": args.h,
-                "k": args.k,
-                "minors": listing,
-                "span_dimensions_by_degree": dims,
-                "total_dimension": graded.total_dimension,
-            },
-            indent=2,
-        )
-    else:
-        lines = [
-            f"minor size={m['size']} rows={m['rows']} cols={m['cols']}: {m['value']}"
-            for m in listing
-        ]
-        lines.append(f"span dimensions by degree: {dims}")
-        lines.append(f"total dimension: {graded.total_dimension}")
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0
+    payload = {
+        "family": args.family,
+        "n": args.n,
+        "h": args.h,
+        "k": args.k,
+        "minors": listing,
+        "span_dimensions_by_degree": dims,
+        "total_dimension": graded.total_dimension,
+    }
+    lines = [
+        f"minor size={m['size']} rows={m['rows']} cols={m['cols']}: {m['value']}"
+        for m in listing
+    ]
+    lines.append(f"span dimensions by degree: {dims}")
+    lines.append(f"total dimension: {graded.total_dimension}")
+    return payload, lines, True
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> tuple:
     from .hankel import check_triangular_counts, dimension_series, truncated_perp_basis
 
     if args.h_max < 0:
@@ -193,40 +177,29 @@ def _cmd_series(args) -> int:
     check_triangular_counts(args.n, range(args.h_max + 1))
     truncated = (truncated_perp_basis(args.n, h) for h in range(args.h_max + 1))
     rows = dimension_series(args.n, truncated)
-    if args.json:
-        text = json.dumps([r._asdict() for r in rows], indent=2)
-    else:
-        lines = [
-            f"h={r.h}: dimension={r.dimension} closed_form={r.closed_form} "
-            f"{'match' if r.match else 'MISMATCH'}"
-            for r in rows
-        ]
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0 if all(r.match for r in rows) else 1
+    lines = [
+        f"h={r.h}: dimension={r.dimension} closed_form={r.closed_form} "
+        f"{'match' if r.match else 'MISMATCH'}"
+        for r in rows
+    ]
+    return [r._asdict() for r in rows], lines, all(r.match for r in rows)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     from .reports import run_verification
 
     report = run_verification(args.n, args.h, deep=args.deep, seed=args.seed)
-    include_timings = not args.no_timings
-    if args.json:
-        text = report.to_json(include_timings)
-    else:
-        lines = [f"arcperp {report.version} verify n={args.n} h={args.h} deep={args.deep}"]
-        for c in report.checks:
-            status = "pass" if c.passed else "FAIL"
-            extra = f" witness: {c.witness}" if c.witness else ""
-            timing = f" ({c.elapsed_ms:.1f} ms)" if include_timings else ""
-            lines.append(f"  [{status}] {c.name}{timing}{extra}")
-        lines.append("all checks passed" if report.passed else "SOME CHECKS FAILED")
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0 if report.passed else 1
+    lines = [f"arcperp {report.version} verify n={args.n} h={args.h} deep={args.deep}"]
+    for c in report.checks:
+        status = "pass" if c.passed else "FAIL"
+        extra = f" witness: {c.witness}" if c.witness else ""
+        timing = "" if args.no_timings else f" ({c.elapsed_ms:.1f} ms)"
+        lines.append(f"  [{status}] {c.name}{timing}{extra}")
+    lines.append("all checks passed" if report.passed else "SOME CHECKS FAILED")
+    return report.to_dict(not args.no_timings), lines, report.passed
 
 
-def _cmd_dims_chain(args) -> int:
+def _cmd_dims_chain(args) -> tuple:
     from .hankel import (
         check_minor_count, check_triangular_counts, dimension_chain, matrix_shape,
         truncated_perp_basis,
@@ -237,16 +210,12 @@ def _cmd_dims_chain(args) -> int:
     check_triangular_counts(args.n, [args.h])
     check_minor_count(*matrix_shape("S1", args.n, args.h), [args.h + 1], top=True)
     chain = dimension_chain(args.n, args.h, truncated_perp_basis(args.n, args.h))
-    if args.json:
-        text = json.dumps(chain.to_dict(), indent=2)
-    else:
-        text = (
-            f"triangular={chain.triangular} scaled={chain.scaled} "
-            f"scaled_augmented={chain.scaled_augmented} "
-            f"equal={chain.equal} bijection={chain.bijection_lands_in_scaled}"
-        )
-    _emit(text, args.out)
-    return 0 if (chain.equal and chain.bijection_lands_in_scaled) else 1
+    line = (
+        f"triangular={chain.triangular} scaled={chain.scaled} "
+        f"scaled_augmented={chain.scaled_augmented} "
+        f"equal={chain.equal} bijection={chain.bijection_lands_in_scaled}"
+    )
+    return chain.to_dict(), [line], chain.equal and chain.bijection_lands_in_scaled
 
 
 _COMMANDS = {
@@ -269,12 +238,20 @@ def main(argv: list[str] | None = None) -> int:
             existed = os.path.exists(args.out)
             _write(args.out, "a")
             created = not existed
-        return _COMMANDS[args.command](args)
+        payload, lines, passed = _COMMANDS[args.command](args)
+        _emit(json.dumps(payload, indent=2) if args.json else "\n".join(lines), args.out)
+        sys.stdout.flush()
     except ValueError as exc:  # PolynomialSyntaxError is a ValueError
         if created:
             os.remove(args.out)  # leave no empty file from the check behind
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  Point fd 1 at the null device, so that the
+        # flush at exit has nowhere to fail, and exit as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

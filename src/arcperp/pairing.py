@@ -37,8 +37,7 @@ def _monomial_pairing(beta: Monomial, alpha: Monomial) -> tuple[int, Monomial] |
         a = remaining.get(v, 0)
         if b > a:
             return None
-        for k in range(a, a - b, -1):  # falling factorial a!/(a-b)!
-            scale *= k
+        scale *= math.perm(a, b)  # the falling factorial a!/(a-b)!
         if a == b:
             del remaining[v]
         else:

@@ -11,7 +11,6 @@ sees both sides: the kernel side in ``perp`` and the minor side in
 from __future__ import annotations
 
 import functools
-import json
 import random
 import time
 from fractions import Fraction
@@ -80,9 +79,6 @@ class VerificationReport(NamedTuple):
             "passed": self.passed,
             "checks": [c.to_dict(include_timings) for c in self.checks],
         }
-
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timings), indent=2)
 
 
 def _timed(name: str, instance: dict, fn) -> CheckResult:

@@ -1,5 +1,6 @@
 import pytest
 
+from arcperp import arcgen
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.ring import parse
 
@@ -70,3 +71,15 @@ class TestStructure:
                 Monomial.of(x(i, s)).mul(Monomial.of(x(j, order - s + 1)))
             )
         assert g.derivative() == expected
+
+
+class TestProductLimit:
+    def test_refused_past_the_closed_form_count(self, monkeypatch):
+        # n(n+1)/2 * (m+1)(m+2)/2 products: 6 at (1, 2) and (3, 0), 10 at
+        # (1, 3) and 9 at (2, 1).
+        monkeypatch.setattr(arcgen, "PRODUCT_LIMIT", 6)
+        assert len(arc_generators_up_to(1, 2)) == 3
+        assert len(arc_generators_up_to(3, 0)) == 6
+        for n, order in [(1, 3), (2, 1)]:
+            with pytest.raises(ValueError, match="exceed the limit of 6 products per listing"):
+                arc_generators_up_to(n, order)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import arcperp
-from arcperp import hankel, linalg, perp, reports
+from arcperp import arcgen, hankel, linalg, perp, reports, ring
 from arcperp.cli import main
 
 
@@ -47,6 +47,16 @@ class TestGens:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("n,order", [(1, 446), (1, 6000), (40, 100), (447, 0)])
+    def test_too_many_products_refused_before_any(self, capsys, monkeypatch, n, order):
+        monkeypatch.setattr(ring.Monomial, "of", lambda *a: pytest.fail("a product was built"))
+        code, out, err = run(capsys, "gens", "--n", str(n), "--max-order", str(order))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: arc generators of n={n} up to t^{order} exceed the limit of "
+            f"{arcgen.PRODUCT_LIMIT:,} products per listing\n"
+        )
 
 
 class TestPair:
@@ -435,6 +445,21 @@ class TestVerify:
             f"{hankel.MINOR_LIMIT:,} minors per enumeration\n"
         )
 
+    @pytest.mark.parametrize("n,h,deep,order", [(447, 0, False, 0), (115, 1, False, 4),
+                                                 (183, 0, True, 2), (85, 1, True, 6)])
+    def test_too_many_generator_products_refused_at_annihilation(
+        self, capsys, monkeypatch, n, h, deep, order
+    ):
+        # The annihilation check lists the generators first, before any minor.
+        monkeypatch.setattr(ring.Monomial, "of", lambda *a: pytest.fail("a product was built"))
+        argv = ["verify", "--n", str(n), "--h", str(h)] + (["--deep"] if deep else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: arc generators of n={n} up to t^{order} exceed the limit of "
+            f"{arcgen.PRODUCT_LIMIT:,} products per listing\n"
+        )
+
     @pytest.mark.parametrize("n,h", [(1, -1), (0, 1)])
     def test_invalid_instance_rejected(self, capsys, n, h):
         code, out, err = run(capsys, "verify", "--n", str(n), "--h", str(h))
@@ -480,6 +505,28 @@ class TestGlobalFlags:
             main([*argv, "--seed", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "--n", "1", "--h-max", "3"],
+            ["verify", "--json", "--no-timings", "--n", "1", "--h", "1"],
+        ],
+    )
+    def test_closed_stdout_exits_1_in_silence(self, argv):
+        # The read end is closed before the child starts, so its first write
+        # to stdout fails with EPIPE.
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=str(Path(arcperp.__file__).resolve().parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "arcperp.cli", *argv],
+                env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
     @pytest.mark.parametrize("target", ["missing/gens.txt", "."])
     def test_unwritable_out_is_invalid_input(self, capsys, tmp_path, target):

@@ -115,7 +115,7 @@ class TestRunVerification:
 
     def test_json_round_trip(self):
         report = run_verification(1, 1)
-        parsed = json.loads(report.to_json())
+        parsed = json.loads(json.dumps(report.to_dict()))
         assert parsed["passed"] is True
         assert parsed["version"] == report.version
         assert all("elapsed_ms" in c for c in parsed["checks"])

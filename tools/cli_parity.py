@@ -106,6 +106,12 @@ CALLS = [
     ["dims-chain", "--json", "--n", "4", "--h", "2"],
     ["dims-chain", "--n", "1", "--h", "-1"],
     ["series", "--n", "1", "--h-max", "3", "--out", OUT],
+    ["gens", "--n", "2", "--max-order", "2", "--out", OUT],
+    ["pair", "--json", PAIR_F, PAIR_P, "--out", OUT],
+    ["perp", "--n", "2", "--degree", "2", "--order", "2", "--out", OUT],
+    ["minors", "--family", "T", "--n", "1", "--h", "2", "--json", "--out", OUT],
+    ["verify", "--json", "--no-timings", "--n", "1", "--h", "2", "--out", OUT],
+    ["dims-chain", "--json", "--n", "2", "--h", "2", "--out", OUT],
     ["pair", "x1_0 +", "x1_0", "--out", OUT],
     ["gens", "--n", "1", "--max-order", "1", "--out", UNWRITABLE],
     ["verify", "--no-timings", "--n", "1", "--h", "1", "--out", UNWRITABLE],
