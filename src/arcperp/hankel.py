@@ -21,15 +21,14 @@ is packed once per enumeration, each monomial its key in a
 integer order is monomial order) and each row cleared of denominators, and
 expanded over ``int`` along the last chosen row with a memo on (row, column)
 subsets, so the exponentially many minors of one matrix share their
-subproblems.  Its users here are ``wronskian`` (one full determinant, the
-tests' reference) and ``iter_minors`` (every minor of the given sizes, the
-``minors`` command's listing), which read values as ``Polynomial``, and
-``minor_span``, the one minor enumeration that this module and ``reports``
-read.  It chooses its row sets from the matrix: in T, S and S1 each row is
-the block shift of the one above, so only the top-row minors, whose
-subproblems are the top-row minors one size down, are expanded (the proof
-is in its docstring); any other matrix below its row count has every row
-set expanded.  It certifies each degree's dimension by a forward echelon of
+subproblems.  Its users here are ``iter_minors`` (every minor of the given
+sizes, the ``minors`` command's listing), which reads values as
+``Polynomial``, and ``minor_span``, the one minor enumeration that this
+module and ``reports`` read.  It chooses its row sets from the matrix: in
+T, S and S1 each row is the block shift of the one above, so only the
+top-row minors, whose subproblems are the top-row minors one size down, are
+expanded (the proof is in its docstring); any other matrix below its row
+count has every row set expanded.  It certifies each degree's dimension by a forward echelon of
 the packed values, led by their lowest monomials, with no ``Polynomial``
 per minor: each degree is a plain ``Span`` over the matrix's index, which
 decodes keys and builds the reduced row-echelon form only when a basis is
@@ -237,17 +236,6 @@ class PackedMatrix:
                 for k, c in det.items()
             }
         )
-
-
-def wronskian(fs: list[Polynomial]) -> Polynomial:
-    """Determinant of the matrix whose i-th row is the i-th derivative of fs."""
-    if not fs:
-        return ONE
-    rows = [list(fs)]
-    for _ in range(len(fs) - 1):
-        rows.append([f.derivative() for f in rows[-1]])
-    full = tuple(range(len(fs)))
-    return PackedMatrix(SymbolicMatrix.from_rows(rows)).value(full, full)
 
 
 # The most minors one enumeration expands.  It bounds the count, not memory: it

@@ -17,9 +17,9 @@ integer whose order is the graded-lex monomial order and whose sum is the
 key of the product.  Kernel vectors and packed minors alike arrive as rows
 over those keys, and every ``Span`` keeps their forward echelon, so each
 lead is a lowest monomial.  A span answers ``contains`` by the forward
-echelon's own step, and two spans are equal when one contains the basis of
-the other and their dimensions agree; a span builds its reduced form, on the
-negated keys, and decodes them only when a basis is read.
+echelon's own step, ``_reduce``, and two spans are equal when one contains
+the basis of the other and their dimensions agree; a span builds its reduced
+form, on the negated keys, and decodes them only when a basis is read.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ def forward_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]
     """Integer rows in echelon form by least key, as ``{lead: row}``.
 
     Each row in turn is eliminated by its least key against the row kept
-    with that lead, until it is zero or its least key is a new lead; then it
-    is kept as it stands.  Kept rows are never reduced against each other,
-    so this is the rank, with no back-substitution.  A row kept without any
+    with that lead (``_reduce``), until it is zero or its least key is a new
+    lead; then it is kept as it stands.  Kept rows are never reduced against
+    each other, so this is the rank, with no back-substitution.  A row kept without any
     elimination is the caller's own dict, so the caller must not mutate it;
     a row that was eliminated is a copy, divided by its content.
     """
@@ -51,15 +51,23 @@ def forward_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]
             kept[lead] = row
             continue
         work = dict(row)
-        while lead in kept:
-            _eliminate(work, kept[lead], lead)
-            if not work:
-                break
-            lead = min(work)
-        else:
+        lead = _reduce(work, kept)
+        if lead is not None:
             _divide_content(work, lead)
             kept[lead] = work
     return kept
+
+
+def _reduce(work: dict[int, int], kept: Mapping[int, dict[int, int]]) -> int | None:
+    """Eliminate ``work`` in place by its least key while that key leads a
+    kept row; return the least key it stops at, a new lead, or None when
+    it vanishes."""
+    while work:
+        lead = min(work)
+        if lead not in kept:
+            return lead
+        _eliminate(work, kept[lead], lead)
+    return None
 
 
 def back_substitute(
@@ -162,13 +170,6 @@ def nullspace(
             if c != p:
                 basis[c][p] = -e
     return list(basis.values())
-
-
-def _dense(row: Mapping[int, int | Fraction], cols: int) -> list[Fraction]:
-    out = [Fraction(0)] * cols
-    for c, e in row.items():
-        out[c] = e
-    return out
 
 
 # The widest key one index admits, in bits: a key of L variables in base b is
@@ -276,6 +277,13 @@ class RationalMatrix:
             raise ValueError("dimension mismatch")
         return [sum((row[j] * v[j] for j in range(self.cols)), Fraction(0)) for row in self.entries]
 
+    @staticmethod
+    def _dense(row: Mapping[int, int | Fraction], cols: int) -> list[Fraction]:
+        out = [Fraction(0)] * cols
+        for c, e in row.items():
+            out[c] = e
+        return out
+
     def _sparse_rows(self) -> list[dict[int, Fraction]]:
         return [{j: e for j, e in enumerate(row) if e} for row in self.entries]
 
@@ -285,11 +293,11 @@ class RationalMatrix:
     def row_reduce(self) -> "RationalMatrix":
         """The unique reduced row-echelon form, zero rows dropped."""
         reduced, _ = reduced_echelon(self._sparse_rows())
-        return RationalMatrix([_dense(row, self.cols) for row in reduced], cols=self.cols)
+        return RationalMatrix([self._dense(row, self.cols) for row in reduced], cols=self.cols)
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """A basis of the right nullspace, one vector per free column."""
-        return [tuple(_dense(v, self.cols)) for v in nullspace(self._sparse_rows(), self.cols)]
+        return [tuple(self._dense(v, self.cols)) for v in nullspace(self._sparse_rows(), self.cols)]
 
 
 class Span:
@@ -343,16 +351,7 @@ class Span:
         if None in row:
             return False
         (work,) = _integral_rows([row])
-        kept = self.kept
-        while work:
-            lead = min(work)
-            if lead not in kept:
-                return False
-            _eliminate(work, kept[lead], lead)
-        return True
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Span) and span_witness(self, other) is None
+        return _reduce(work, self.kept) is None
 
 
 def span_witness(a: Span, b: Span) -> Polynomial | None:

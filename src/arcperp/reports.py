@@ -185,10 +185,13 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     order_bound = min(h + (2 if deep else 0), 5) if h else (2 if deep else 1)
     series_h = min(2 * h, 6) if deep else h
 
-    # The homogeneity span, the maximal minors of S(n+1, h), is counted here,
-    # before any work, and built in its check: by Vandermonde no span of the
-    # chain has more minors.
+    # The homogeneity span, the maximal minors of S(n+1, h), and every
+    # triangular span of the series are counted here, before any work, and
+    # built in the checks that read them.  By Vandermonde no span of the chain
+    # has more minors than S(n+1, h), T(n, h) included, so the series count
+    # refuses first only under ``deep``, whose horizon passes h.
     check_minor_count(*matrix_shape("S", n + 1, h), [h + 1], top=True)
+    check_triangular_counts(n, range(series_h + 1))
 
     # Each object is built in the first check that reads it, so that check's
     # time includes it, and shared by the later ones.
@@ -295,8 +298,6 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     h_elim = min(h, 2)
 
     def check_elimination():
-        # Every triangular span of the series is counted before the first is built.
-        check_triangular_counts(n, range(series_h + 1))
         mismatch = restriction_mismatch(n, h_elim, triangular(h_elim))
         dims = {"h": h_elim, "total": triangular(h).total_dimension}
         if mismatch is None:

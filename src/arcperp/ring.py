@@ -202,17 +202,18 @@ class Polynomial:
 
     The term map never stores zero coefficients; the zero polynomial has an
     empty map.  Coefficients are kept as given, ``int`` or ``Fraction``; the
-    two compare and hash alike, so ``3`` and ``Fraction(3)`` make equal
-    polynomials.  Instances are immutable by convention and hashable.
+    two compare alike, so ``3`` and ``Fraction(3)`` make equal polynomials.
+    Instances are immutable by convention.  The operators are ``+``, ``*``
+    and ``==``, each also with an ``int`` or ``Fraction``; a polynomial is
+    not hashable.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
         self.terms: dict[Monomial, int | Fraction] = (
             {m: c for m, c in terms.items() if c} if terms else {}
         )
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -263,18 +264,6 @@ class Polynomial:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
-        return -(self - other)
-
     def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -293,25 +282,10 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(1)
-        for _ in range(e):
-            result = result * self
-        return result
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _Scalar):
             other = Polynomial.constant(other)
         return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            terms = self.terms  # zero and the constants hash as the scalar they equal
-            scalar = terms.keys() <= {_ONE}
-            self._hash = hash(terms.get(_ONE, 0) if scalar else frozenset(terms.items()))
-        return self._hash
 
     # -- derivation ---------------------------------------------------------
 
@@ -496,12 +470,42 @@ def parse(text: str) -> Polynomial:
     return result
 
 
+# Up to this many bits ``Decimal(n)`` converts n directly.
+_SPLIT_BITS = 4096
+
+
+def _decimal(n: int) -> decimal.Decimal:
+    """n as an exact ``Decimal``.  ``Decimal(n)`` takes time quadratic in the
+    digits, so past ``_SPLIT_BITS`` bits n is converted by binary splitting:
+    its high and low halves, converted in turn, are joined as hi * 2^half +
+    lo under a context of unbounded precision that traps any rounding.  That
+    takes the time of the decimal products, which is subquadratic."""
+    bits = abs(n).bit_length()
+    if bits <= _SPLIT_BITS:
+        return decimal.Decimal(n)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def split(m: int, bits: int) -> decimal.Decimal:  # 0 <= m < 2**bits
+        if bits <= _SPLIT_BITS:
+            return decimal.Decimal(m)
+        half = bits // 2
+        if half not in powers:
+            powers[half] = decimal.Decimal(2) ** half
+        return split(m >> half, bits - half) * powers[half] + split(m & ((1 << half) - 1), half)
+
+    with decimal.localcontext() as context:
+        context.prec, context.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        magnitude = split(abs(n), bits)
+        return magnitude if n > 0 else -magnitude
+
+
 def _format_coeff(c: int | Fraction) -> str:
     """c as ``p`` or ``p/q``.  An exact product can pass Python's limit on
-    integer-to-string conversion (1700! has 4,756 digits); ``Decimal`` holds
+    integer-to-string conversion (1700! has 4,756 digits); ``_decimal`` holds
     an ``int`` exactly and prints every digit, with no process-wide setting."""
-    numerator = str(decimal.Decimal(c.numerator))
-    return numerator if c.denominator == 1 else f"{numerator}/{decimal.Decimal(c.denominator)}"
+    numerator = str(_decimal(c.numerator))
+    return numerator if c.denominator == 1 else f"{numerator}/{_decimal(c.denominator)}"
 
 
 def format_polynomial(p: Polynomial) -> str:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they are checking: differentiation is
 done one variable at a time from the textbook definition, determinants by
-full permutation expansion, and row reduction by plain rational
+full permutation expansion (the Wronskian too, on rows of those
+derivatives), and row reduction by plain rational
 Gauss-Jordan without any fraction-free shortcuts.  The monomial order is
 read off dense exponent vectors over a variable list written out by hand.
 Substitution multiplies out one term at a time, differential homogeneity is
@@ -100,8 +101,17 @@ def naive_determinant(rows: list[list]) -> Polynomial:
         term = Polynomial.constant(1)
         for r in range(size):
             term = term * rows[r][perm[r]]
-        acc = acc + term if inversions % 2 == 0 else acc - term
+        acc = acc + (-1) ** inversions * term
     return acc
+
+
+def wronskian(fs: list[Polynomial]) -> Polynomial:
+    """Determinant of the matrix whose i-th row is the i-th derivative of fs:
+    rows by ``derivative_oracle``, the determinant by ``naive_determinant``."""
+    rows = [list(fs)]
+    while len(rows) < len(fs):
+        rows.append([derivative_oracle(f) for f in rows[-1]])
+    return naive_determinant(rows[: len(fs)])
 
 
 def polynomial_from_terms(items) -> Polynomial:
@@ -272,7 +282,8 @@ def substitute_oracle(p: Polynomial, mapping) -> Polynomial:
             if repl is None:
                 term = term * Polynomial.from_monomial(Monomial.of(v, e))
             else:
-                term = term * repl**e
+                for _ in range(e):
+                    term = term * repl
         result = result + term
     return result
 

@@ -12,6 +12,7 @@ import re
 import resource
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -445,8 +446,9 @@ class TestVerify:
             f"{hankel.MINOR_LIMIT:,} minors per enumeration\n"
         )
 
-    @pytest.mark.parametrize("n,h,deep,order", [(447, 0, False, 0), (115, 1, False, 4),
-                                                 (183, 0, True, 2), (85, 1, True, 6)])
+    @pytest.mark.parametrize(
+        "n,h,deep,order", [(447, 0, False, 0), (115, 1, False, 4), (183, 0, True, 2)]
+    )
     def test_too_many_generator_products_refused_at_annihilation(
         self, capsys, monkeypatch, n, h, deep, order
     ):
@@ -458,6 +460,23 @@ class TestVerify:
         assert err == (
             f"error: arc generators of n={n} up to t^{order} exceed the limit of "
             f"{arcgen.PRODUCT_LIMIT:,} products per listing\n"
+        )
+
+    @pytest.mark.parametrize(
+        "n,h,count,shape",
+        [(36, 1, "210,043", "3x108"), (85, 1, "2,763,776", "3x255"), (8, 2, "760,099", "5x40"),
+         (17, 2, "866,848", "4x68"), (7, 3, "384,168", "5x35")],
+    )
+    def test_deep_series_refused_before_any_check(self, capsys, monkeypatch, n, h, count, shape):
+        # The deep series passes h, so a triangular span can be over the limit
+        # where S(n+1, h) is not; it is counted before the generators (n = 85)
+        # or the kernel side (the others) refuse.
+        monkeypatch.setattr(ring.Monomial, "of", lambda *a: pytest.fail("a product was built"))
+        code, out, err = run(capsys, "verify", "--deep", "--n", str(n), "--h", str(h))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {count} minors of a {shape} matrix exceed the limit of "
+            f"{hankel.MINOR_LIMIT:,} minors per enumeration\n"
         )
 
     @pytest.mark.parametrize("n,h", [(1, -1), (0, 1)])
@@ -578,11 +597,14 @@ class TestGlobalFlags:
         assert exc.value.code == 0
 
 
-# Public functions and methods that no subcommand calls, with the reason each
-# stays: the dense matrix class is named by the benchmark's tracer, and
-# ``wronskian`` is the tests' reference Wronskian, one packing per call.
+# Functions and methods that no subcommand calls: the dense matrix class,
+# whose members the benchmark's tracer names.  The text forms ``__repr__`` and
+# ``__str__`` are for a reader of values, not a command, and are not counted.
 NEVER_CALLED_BY_A_COMMAND = {
-    "hankel.wronskian",
+    "linalg.RationalMatrix.__eq__",
+    "linalg.RationalMatrix.__init__",
+    "linalg.RationalMatrix._dense",
+    "linalg.RationalMatrix._sparse_rows",
     "linalg.RationalMatrix.identity",
     "linalg.RationalMatrix.kernel_basis",
     "linalg.RationalMatrix.multiply_vector",
@@ -590,34 +612,50 @@ NEVER_CALLED_BY_A_COMMAND = {
     "linalg.RationalMatrix.row_reduce",
     "linalg.RationalMatrix.zero",
 }
+TEXT_FORMS = {"__repr__", "__str__"}
 
 
-def _public_code() -> dict:
-    """Code object -> name of every public function of the package, and of
-    every public method, classmethod and property of the classes it defines."""
+def _package_code() -> dict:
+    """Code object -> name of every function and method whose code lives in
+    the package: the module functions, private and cached ones included;
+    every method, classmethod, staticmethod, property and operator of the
+    classes a module defines; and the functions defined inside any of them.
+    Lambdas and comprehensions are not counted."""
     found = {}
+
+    def add(fn, name, path):
+        code = getattr(inspect.unwrap(fn), "__code__", None)
+        if code is None or code.co_filename != path or code in found:
+            return
+        found[code] = name
+        nested = [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        while nested:
+            inner = nested.pop()
+            if not inner.co_name.startswith("<") and inner.co_flags & inspect.CO_NEWLOCALS:
+                found[inner] = f"{name}.{inner.co_name}"
+            nested += [c for c in inner.co_consts if isinstance(c, types.CodeType)]
+
     for info in pkgutil.iter_modules(arcperp.__path__):
         module = importlib.import_module(f"arcperp.{info.name}")
         for attr, value in vars(module).items():
-            if attr.startswith("_") or getattr(value, "__module__", None) != module.__name__:
-                continue
-            if inspect.isfunction(value):
-                found[value.__code__] = f"{info.name}.{attr}"
-            elif inspect.isclass(value):
+            if inspect.isclass(value) and value.__module__ == module.__name__:
                 for name, raw in vars(value).items():
-                    fn = raw.fget if isinstance(raw, property) else getattr(raw, "__func__", raw)
-                    if not name.startswith("_") and inspect.isfunction(fn):
-                        found[fn.__code__] = f"{info.name}.{attr}.{name}"
+                    raw = raw.fget if isinstance(raw, property) else getattr(raw, "__func__", raw)
+                    if name not in TEXT_FORMS and callable(raw):
+                        add(raw, f"{info.name}.{attr}.{name}", module.__file__)
+            elif callable(value):
+                add(value, f"{info.name}.{attr}", module.__file__)
     return found
 
 
 class TestReachability:
-    def test_every_public_function_is_reached_by_a_command(self, tmp_path):
+    def test_every_function_and_operator_is_reached_by_a_command(self, tmp_path):
         runs = [
             ["gens", "--n", "2", "--max-order", "2"],
             ["gens", "--json", "--n", "1", "--max-order", "1", "--out", str(tmp_path / "g")],
             ["pair", "x1_0^2 + y_0*E1", "x1_0^3*y_1 + xi1*al1_1"],
             ["pair", "--json", "x1_0", "1/2*x1_0"],
+            ["pair", "x1_0^1000", "x1_0^1000"],  # 1000! is printed by binary splitting
             ["perp", "--n", "2", "--degree", "2", "--order", "1"],
             ["perp", "--json", "--n", "1", "--degree", "2", "--order", "2"],
             ["minors", "--family", "H", "--n", "1", "--h", "2", "--k", "1"],
@@ -636,6 +674,10 @@ class TestReachability:
             ["gens", "--n", "1", "--max-order", "0", "--out", str(tmp_path)],
         ]
         called = set()
+        for info in pkgutil.iter_modules(arcperp.__path__):
+            # a cached function runs only on a miss, so each starts empty
+            for value in vars(importlib.import_module(f"arcperp.{info.name}")).values():
+                getattr(value, "cache_clear", lambda: None)()
 
         def profile(frame, event, arg):
             if event == "call":
@@ -648,7 +690,13 @@ class TestReachability:
                     main(argv)
                 finally:
                     sys.setprofile(None)
-        never = {name for code, name in _public_code().items() if code not in called}
+        names = _package_code()
+        # operators, private and cached functions, and nested ones are counted
+        assert {
+            "ring.Polynomial.__add__", "ring.Monomial.__hash__", "ring._decimal.split",
+            "pairing._scaling_rule", "reports.run_verification.check_chain",
+        } <= set(names.values())
+        never = {name for code, name in names.items() if code not in called}
         assert never == NEVER_CALLED_BY_A_COMMAND
 
 

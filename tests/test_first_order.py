@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from arcperp import pairing, perp
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import (
-    hankel_matrix, iter_minors, minor_span, scaled_matrix, triangular_matrix, wronskian,
+    hankel_matrix, iter_minors, minor_span, scaled_matrix, triangular_matrix,
 )
 from arcperp.pairing import (
     apply_pairing, directional_derivative, is_differentially_homogeneous,
@@ -30,6 +30,7 @@ from oracles import (
     differentially_homogeneous_oracle,
     highest_order,
     polynomial_from_terms,
+    wronskian,
 )
 
 differential = st.builds(x, st.integers(1, 2), st.integers(0, 3))

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from arcperp.arcgen import arc_generators_up_to
-from arcperp.hankel import wronskian
 from arcperp.pairing import (
     apply_pairing,
     directional_derivative,
@@ -21,6 +20,7 @@ from oracles import (
     linear_in_exponential_shift,
     pairing_oracle,
     polynomial_from_terms,
+    wronskian,
 )
 
 P = parse

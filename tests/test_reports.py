@@ -17,7 +17,7 @@ from arcperp.perp import perp_graded_basis
 from arcperp.reports import run_verification
 from arcperp.ring import Monomial, Polynomial, al, format_polynomial, parse, x, xi, y
 
-from oracles import span_of, spans_by_degree, vanishes_on_exponential_sums_oracle
+from oracles import span_of, spans_by_degree, vanishes_on_exponential_sums_oracle, wronskian
 
 
 def _series(n, h_max):
@@ -127,6 +127,17 @@ class TestRunVerification:
         b_names = [c["name"] for c in b["checks"]]
         assert a_names == b_names
         assert a["passed"] and b["passed"]
+
+    def test_deep_series_counted_before_any_check(self, monkeypatch):
+        # The deep series reaches T(4, 6), over the minor limit, while
+        # S(5, 3) is under it; both are counted before the first check.
+        def build(*args):
+            pytest.fail("the battery built something before counting the series")
+
+        monkeypatch.setattr(reports, "perp_graded_basis", build)
+        monkeypatch.setattr(reports, "arc_generators_up_to", build)
+        with pytest.raises(ValueError, match="^1,683,218 minors of a 7x28 matrix exceed "):
+            run_verification(4, 3, deep=True)
 
 
 def _failed(report):
@@ -327,7 +338,7 @@ class TestMinorFedNegativeControls:
         # Each degree part passes on its own: every D_k kills both, and only
         # the degree condition sees their sum.
         stray = parse("x1_0")
-        assert is_differentially_homogeneous(corrupted[0] - stray, 2)
+        assert is_differentially_homogeneous(corrupted[0] + (-1) * stray, 2)
         assert is_differentially_homogeneous(stray, 1)
 
     def test_hankel_minor_seen_only_by_a_cross_family_generator(self, monkeypatch):
@@ -423,7 +434,7 @@ class TestBuildCounts:
             if c.name == "scaled_maximal_minors_differentially_homogeneous"
         )
         assert (check.passed, check.dimensions) == (True, {"maximal_minors": 42})
-        assert len(tested) == len(set(tested)) == 16
+        assert len(tested) == len({str(p) for p in tested}) == 16
 
     @pytest.mark.parametrize("n,h,deep", [(1, 3, False), (2, 2, False), (1, 2, True)])
     def test_each_triangular_matrix_packed_once(self, monkeypatch, n, h, deep):
@@ -431,15 +442,18 @@ class TestBuildCounts:
         # triangular spans the battery builds.
         packed = Counter()
 
+        def text(m):  # a matrix of polynomials, keyed by the text of its entries
+            return tuple(tuple(map(str, row)) for row in m.entries)
+
         class Counting(hankel.PackedMatrix):
             def __init__(self, m):
-                packed[m] += 1
+                packed[text(m)] += 1
                 super().__init__(m)
 
         monkeypatch.setattr(hankel, "PackedMatrix", Counting)
         assert run_verification(n, h, deep=deep).passed
         top = min(2 * h, 6) if deep else h
-        orders = {triangular_matrix(n, k): k for k in range(top + 3)}
+        orders = {text(triangular_matrix(n, k)): k for k in range(top + 3)}
         built = {orders[m]: count for m, count in packed.items() if m in orders}
         assert built == dict.fromkeys(range(top + 1), 1)
 
@@ -483,7 +497,7 @@ class TestBuildCounts:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sampled_wronskians_share_one_packing(self, monkeypatch, seed):
         # Every pair's Wronskian is a minor of one packed matrix, and each
-        # equals the Wronskian of that sample's pair packed on its own.
+        # equals the oracle's Wronskian of that sample's pair.
         packings, draws = [], []
         real_init, real_draw = hankel.PackedMatrix.__init__, reports._random_polynomial
 
@@ -503,7 +517,7 @@ class TestBuildCounts:
         monkeypatch.undo()
         for i in range(60):
             f, g = draws[5 * i + 3 : 5 * i + 5]  # p, q, r, then the pair
-            assert packed.value((0, 1), (2 * i, 2 * i + 1)) == hankel.wronskian([f, g])
+            assert packed.value((0, 1), (2 * i, 2 * i + 1)) == wronskian([f, g])
 
 
 class TestExponentialSumCertificate:

@@ -1,4 +1,7 @@
+import decimal
 import itertools
+import math
+import random
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from arcperp.hankel import PackedMatrix, SymbolicMatrix
 from arcperp.linalg import MonomialIndex
+from arcperp import ring
 from arcperp.pairing import apply_pairing, directional_derivative
 from arcperp.ring import (
     E,
@@ -58,7 +62,7 @@ class TestParse:
         assert dict(m.pairs) == {xi(2): 1, al(1, 3): 1, E(2): 1, y(4): 1}
 
     def test_leading_minus_and_whitespace(self):
-        assert P(" - x1_0 +  2 ") == 2 - Polynomial.from_variable(x(1, 0))
+        assert P(" - x1_0 +  2 ") == 2 + (-1) * Polynomial.from_variable(x(1, 0))
 
     def test_repeated_variable_merges(self):
         assert P("x1_0*x1_0") == P("x1_0^2")
@@ -173,6 +177,30 @@ class TestFormat:
         assert parse(format_polynomial(p)) == p
 
 
+class TestFormatCoefficients:
+    """``_format_coeff`` converts by binary splitting past ``_SPLIT_BITS`` bits;
+    its text is that of the direct ``Decimal`` conversion."""
+
+    def test_binary_splitting_matches_direct_conversion(self):
+        rng = random.Random(31)
+        edge = [2**ring._SPLIT_BITS - 1, 2**ring._SPLIT_BITS, 2 ** (ring._SPLIT_BITS + 1) + 1]
+        values = edge + [10**5000, 10**19_999, math.factorial(3000)]
+        for digits in [1, 20_000] + [rng.randint(1, 20_000) for _ in range(30)]:
+            values.append(rng.randrange(10 ** (digits - 1), 10**digits))
+        for v in values:
+            for c in (v, -v):
+                assert ring._format_coeff(c) == str(decimal.Decimal(c))
+
+    def test_fraction_of_large_integers(self):
+        rng = random.Random(32)
+        for sign in (1, -1):
+            numerator = sign * rng.randrange(10**14_999, 10**15_000)
+            c = Fraction(numerator, rng.randrange(10**9_999, 10**10_000))
+            assert c.denominator > 10**9_000
+            direct = f"{decimal.Decimal(c.numerator)}/{decimal.Decimal(c.denominator)}"
+            assert ring._format_coeff(c) == direct
+
+
 class TestArithmetic:
     def test_add_cancellation(self):
         assert P("x1_0 + x1_1") + P("-x1_0") == P("x1_1")
@@ -198,11 +226,8 @@ class TestArithmetic:
 
     def test_scalar_coercion(self):
         p = P("x1_0")
-        assert 2 * p - p == p
+        assert 2 * p + (-1) * p == p
         assert p + Fraction(1, 2) == P("x1_0 + 1/2")
-
-    def test_pow(self):
-        assert P("x1_0 + x1_1") ** 2 == P("x1_0^2 + 2*x1_0*x1_1 + x1_1^2")
 
     def test_operations_do_not_mutate(self):
         p = P("x1_0")
@@ -210,7 +235,6 @@ class TestArithmetic:
         before = dict(p.terms)
         _ = p + q
         _ = p * q
-        _ = -p
         assert p.terms == before
 
 
@@ -399,7 +423,7 @@ class TestExactCoefficients:
         f, p = parse(f_text), parse(p_text)
         matrix = SymbolicMatrix.from_rows([[f, p], [p * p, f + 1]])
         results = [
-            f, p, f + p, f - p, f - f, p - Fraction(1, 2), f * p, 3 * p, p**3,
+            f, p, f + p, f + (-1) * p, f + (-1) * f, p + Fraction(-1, 2), f * p, 3 * p, p * p * p,
             p.derivative(), p.derivative().derivative().derivative(),
             apply_pairing(f, p), apply_pairing(p, p * f),
             directional_derivative(p), directional_derivative(directional_derivative(f * p)),
@@ -414,15 +438,11 @@ class TestExactCoefficients:
         as_fraction = Polynomial.from_monomial(m, Fraction(3))
         as_int = Polynomial.from_monomial(m, 3)
         assert as_fraction == as_int
-        assert hash(as_fraction) == hash(as_int)
         assert Polynomial.constant(Fraction(3)) == 3
-        # a polynomial equal to a scalar hashes as that scalar
         for scalar in (0, 3, Fraction(-1, 2)):
-            p = Polynomial.constant(scalar)
-            assert p == scalar and hash(p) == hash(scalar)
-            assert len({p, scalar}) == 1
-        assert hash(Polynomial.zero()) == hash(0)
-        assert len({Polynomial.constant(Fraction(3)), 3, Fraction(3)}) == 1
+            assert Polynomial.constant(scalar) == scalar
+        with pytest.raises(TypeError):  # a polynomial is not hashable
+            hash(as_int)
 
 
 class TestQueries:

@@ -48,6 +48,7 @@ CALLS = [
     ["pair", "xi1*x1_0 - al1_2*x1_1", PAIR_P],
     *(["pair", text, "x1_0"] for text in MALFORMED),
     ["pair", "x1_0", "1/x1_0"],
+    ["pair", "x1_0^5000", "x1_0^5000"],  # a coefficient of 16,326 digits
     ["perp", "--n", "1", "--degree", "2", "--order", "2"],
     ["perp", "--json", "--n", "2", "--degree", "3", "--order", "3"],
     ["perp", "--json", "--n", "3", "--degree", "3", "--order", "3"],
@@ -99,6 +100,7 @@ CALLS = [
     ["verify", "--n", "0", "--h", "1"],
     ["verify", "--n", "1", "--h", "-1"],
     ["verify", "--n", "9", "--h", "9"],  # refused before any work
+    ["verify", "--deep", "--n", "4", "--h", "3"],  # refused: T(4, 6) has too many minors
     ["dims-chain", "--n", "2", "--h", "3"],
     ["dims-chain", "--json", "--n", "3", "--h", "3"],
     ["dims-chain", "--json", "--n", "3", "--h", "4"],
