@@ -25,18 +25,24 @@ from .ring import Monomial, Polynomial, x
 PRODUCT_LIMIT = 100_000
 
 
-def arc_generators_up_to(n: int, max_order: int) -> list[Polynomial]:
-    """The coefficients of t^order in x_i(t) * x_j(t) for 1 <= i <= j <= n
-    and order <= max_order, ordered by (order, i, j).
-    Raises ``ValueError`` before building any when their n(n+1)/2 *
-    (max_order+1)(max_order+2)/2 products exceed ``PRODUCT_LIMIT``."""
-    if n < 1 or max_order < 0:
-        raise ValueError("arc generators need n >= 1 and max_order >= 0")
+def check_product_count(n: int, max_order: int) -> None:
+    """Refuse with ``ValueError`` a listing ``arc_generators_up_to(n,
+    max_order)`` whose n(n+1)/2 * (max_order+1)(max_order+2)/2 products
+    exceed ``PRODUCT_LIMIT``."""
     if n * (n + 1) // 2 * ((max_order + 1) * (max_order + 2) // 2) > PRODUCT_LIMIT:
         raise ValueError(
             f"arc generators of n={n} up to t^{max_order} exceed the limit of"
             f" {PRODUCT_LIMIT:,} products per listing"
         )
+
+
+def arc_generators_up_to(n: int, max_order: int) -> list[Polynomial]:
+    """The coefficients of t^order in x_i(t) * x_j(t) for 1 <= i <= j <= n
+    and order <= max_order, ordered by (order, i, j).
+    Raises ``ValueError`` before building any past ``check_product_count``."""
+    if n < 1 or max_order < 0:
+        raise ValueError("arc generators need n >= 1 and max_order >= 0")
+    check_product_count(n, max_order)
     return [
         Polynomial(Counter(
             Monomial.of(x(i, s)).mul(Monomial.of(x(j, order - s))) for s in range(order + 1)

@@ -9,8 +9,10 @@ products, for one).
 
 Each ``_cmd_*`` returns ``(payload, lines, passed)``: the JSON-ready result,
 its text lines and the verdict.  ``main`` alone renders it (``--json`` or
-text), writes it (stdout or ``--out``) and sets the exit code; a reader that
-closed stdout gets no traceback, and the run exits 1.
+text), writes it (stdout or ``--out``) and returns the exit code; a reader
+that closed stdout gets no traceback, and the run exits 1.  ``run`` is the
+process entry of ``arcperp`` and ``python -m arcperp.cli``: once the output is
+flushed, it ends the process with no interpreter teardown.
 
 Each command imports what it calls when it runs, so a run loads only the
 modules of its own command: ``series`` and ``dims-chain`` never load the
@@ -230,6 +232,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  Every file it opens is
+    closed before it returns, and an ``--out`` file that this run created is
+    removed again if the command fails or is interrupted."""
     args = _build_parser().parse_args(argv)
     created = False
     try:
@@ -241,18 +246,33 @@ def main(argv: list[str] | None = None) -> int:
         payload, lines, passed = _COMMANDS[args.command](args)
         _emit(json.dumps(payload, indent=2) if args.json else "\n".join(lines), args.out)
         sys.stdout.flush()
-    except ValueError as exc:  # PolynomialSyntaxError is a ValueError
-        if created:
-            os.remove(args.out)  # leave no empty file from the check behind
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # The reader closed stdout.  Point fd 1 at the null device, so that the
-        # flush at exit has nowhere to fail, and exit as Python does on EPIPE.
+        # last flush has nowhere to fail, and exit as Python does on EPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except BaseException as exc:
+        if created:
+            os.remove(args.out)  # leave no file from an unfinished run behind
+        if not isinstance(exc, ValueError):  # PolynomialSyntaxError is a ValueError
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if passed else 1
 
 
+def run() -> None:
+    """The process entry, which does not return: run ``main`` on ``sys.argv``,
+    flush the standard streams and end the process with ``os._exit``.  arcperp
+    registers no exit hook and closes its files itself, so the interpreter's
+    teardown would only free memory.  An ``argparse`` exit and an uncaught
+    exception leave through Python's normal exit, traceback included."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -26,6 +26,7 @@ core, and ``series`` and ``dims-chain`` compile none of this module.
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 
 from .linalg import MonomialIndex, Span, nullspace, span_witness
@@ -65,6 +66,22 @@ def _kernel_up_to_weight(n: int, degree: int, max_order: int, max_weight: int) -
 MONOMIAL_LIMIT = 100_000
 
 
+def _too_many_monomials(degree: int, max_order: int, max_weight: int) -> ValueError:
+    return ValueError(
+        f"over {MONOMIAL_LIMIT:,} monomials of degree {degree}, orders <= {max_order} and"
+        f" weight <= {max_weight} exceed the limit of {MONOMIAL_LIMIT:,} monomials per enumeration"
+    )
+
+
+def check_monomial_count(n: int, degree: int, max_order: int) -> None:
+    """Refuse with the ``ValueError`` of ``perp_graded_basis(n, degree,
+    max_order)`` its enumeration past ``MONOMIAL_LIMIT``, without enumerating:
+    its weight bound d*H never binds, so it lists all C(n(H+1)+d-1, d)
+    degree-d monomials in the n(H+1) variables."""
+    if math.comb(n * (max_order + 1) + degree - 1, degree) > MONOMIAL_LIMIT:
+        raise _too_many_monomials(degree, max_order, degree * max_order)
+
+
 def _monomials_up_to_weight(n: int, degree: int, max_order: int, max_weight: int) -> tuple:
     """The index ``MonomialIndex(differential_variables(n, H), d + 1)`` and
     (weight, pairs, key) for each degree-d monomial of orders <= H and weight
@@ -78,10 +95,7 @@ def _monomials_up_to_weight(n: int, degree: int, max_order: int, max_weight: int
     Raises ``ValueError`` on the monomial past ``MONOMIAL_LIMIT``, and before
     listing any variable when d >= 1 and n*(min(H, max_weight)+1) exceeds
     it: each x_i^(j)*(x_1^(0))^(d-1), j <= min(H, max_weight), is one."""
-    too_many = ValueError(
-        f"over {MONOMIAL_LIMIT:,} monomials of degree {degree}, orders <= {max_order} and"
-        f" weight <= {max_weight} exceed the limit of {MONOMIAL_LIMIT:,} monomials per enumeration"
-    )
+    too_many = _too_many_monomials(degree, max_order, max_weight)
     if degree and n * (min(max_order, max_weight) + 1) > MONOMIAL_LIMIT:
         raise too_many
     index = MonomialIndex(differential_variables(n, max_order), degree + 1)

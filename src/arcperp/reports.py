@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import __version__
-from .arcgen import arc_generators_up_to
+from .arcgen import arc_generators_up_to, check_product_count
 from .hankel import (  # ChainDims, SeriesRow: perfbench/tracer.py traces them here
     ChainDims,
     GradedSpan,
@@ -37,7 +37,7 @@ from .hankel import (  # ChainDims, SeriesRow: perfbench/tracer.py traces them h
 )
 from .linalg import Span, span_witness
 from .pairing import apply_pairing, double_derivative_vanishes, is_differentially_homogeneous
-from .perp import perp_graded_basis, restriction_mismatch
+from .perp import check_monomial_count, perp_graded_basis, restriction_mismatch
 from .ring import Monomial, Polynomial, differential_variables, format_polynomial
 
 
@@ -192,6 +192,15 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     # refuses first only under ``deep``, whose horizon passes h.
     check_minor_count(*matrix_shape("S", n + 1, h), [h + 1], top=True)
     check_triangular_counts(n, range(series_h + 1))
+    # Then the enumerations of the first three checks, in check order, each
+    # refused with the error of the code that enumerates: the generator
+    # products, the minors of the Hankel block (no block of two or more rows
+    # is shift-structured, so every row set counts) and the kernel side's
+    # monomials of each degree.
+    check_product_count(n, 2 * (h_cap + k_cap))
+    check_minor_count(*matrix_shape("H", n, h_cap, k_cap), range(h_cap + 1), top=False)
+    for d in range(degree_cap + 1):
+        check_monomial_count(n, d, order_bound)
 
     # Each object is built in the first check that reads it, so that check's
     # time includes it, and shared by the later ones.

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import arcperp
-from arcperp import arcgen, hankel, linalg, perp, reports, ring
+from arcperp import arcgen, cli, hankel, linalg, perp, reports, ring
 from arcperp.cli import main
 
 
@@ -597,6 +597,64 @@ class TestGlobalFlags:
         assert exc.value.code == 0
 
 
+class TestProcessEntry:
+    """``python -m arcperp.cli`` and the ``arcperp`` script end in ``cli.run``."""
+
+    # An exit hook that writes a marker: the interpreter's teardown runs it,
+    # os._exit does not.
+    PRELUDE = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write('TEARDOWN\\n'))\n"
+    )
+
+    def _run_as_main(self, setup, *argv):
+        code = (
+            self.PRELUDE + setup
+            + f"sys.argv = ['arcperp', *{list(argv)!r}]\n"
+            + "runpy.run_module('arcperp.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(arcperp.__file__).resolve().parents[1]))
+        return subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    def test_exits_once_the_output_is_flushed(self):
+        proc = self._run_as_main("", "series", "--n", "1", "--h-max", "3", "--json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert [row["dimension"] for row in json.loads(proc.stdout)] == [2, 4, 8, 16]
+
+    def test_uncaught_error_removes_the_new_out_file(self, tmp_path):
+        # The series command reads hankel.dimension_series when it runs.
+        target = tmp_path / "series.json"
+        setup = (
+            "import arcperp.hankel\n"
+            "def fail(*args): raise RuntimeError('the command failed')\n"
+            "arcperp.hankel.dimension_series = fail\n"
+        )
+        proc = self._run_as_main(setup, "series", "--n", "1", "--h-max", "3", "--out", str(target))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("Traceback (most recent call last):\n")
+        # The traceback is printed, then the teardown runs: no fast exit.
+        assert proc.stderr.endswith("RuntimeError: the command failed\nTEARDOWN\n")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_interrupted_run_removes_only_a_file_it_created(self, monkeypatch, tmp_path, existed):
+        target = tmp_path / "verify.json"
+        if existed:
+            target.write_text("before\n")
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(reports, "run_verification", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--n", "1", "--h", "1", "--out", str(target)])
+        assert target.exists() == existed
+        if existed:
+            assert target.read_text() == "before\n"
+
+
 # Functions and methods that no subcommand calls: the dense matrix class,
 # whose members the benchmark's tracer names.  The text forms ``__repr__`` and
 # ``__str__`` are for a reader of values, not a command, and are not counted.
@@ -649,7 +707,7 @@ def _package_code() -> dict:
 
 
 class TestReachability:
-    def test_every_function_and_operator_is_reached_by_a_command(self, tmp_path):
+    def test_every_function_and_operator_is_reached_by_a_command(self, monkeypatch, tmp_path):
         runs = [
             ["gens", "--n", "2", "--max-order", "2"],
             ["gens", "--json", "--n", "1", "--max-order", "1", "--out", str(tmp_path / "g")],
@@ -690,6 +748,17 @@ class TestReachability:
                     main(argv)
                 finally:
                     sys.setprofile(None)
+        # The process entry, with the process exit recorded instead of taken.
+        exits = []
+        monkeypatch.setattr(sys, "argv", ["arcperp", "series", "--n", "1", "--h-max", "1"])
+        monkeypatch.setattr(os, "_exit", exits.append)
+        with contextlib.redirect_stdout(io.StringIO()):
+            sys.setprofile(profile)
+            try:
+                cli.run()
+            finally:
+                sys.setprofile(None)
+        assert exits == [0]
         names = _package_code()
         # operators, private and cached functions, and nested ones are counted
         assert {

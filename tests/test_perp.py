@@ -332,6 +332,20 @@ class TestMonomialLimit:
         with pytest.raises(ValueError, match="exceed the limit"):
             restriction_span(2, 3, 3)  # weight <= 9 at orders <= 9: more monomials
 
+    @pytest.mark.parametrize("n,degree,order", [(2, 3, 3), (1, 4, 2), (3, 2, 1), (2, 0, 3)])
+    def test_count_refuses_as_the_enumeration(self, monkeypatch, n, degree, order):
+        # The weight bound d*H never binds: every degree-d monomial is listed.
+        count = len(perp._monomials_up_to_weight(n, degree, order, degree * order)[1])
+        assert count == math.comb(n * (order + 1) + degree - 1, degree)
+        monkeypatch.setattr(perp, "MONOMIAL_LIMIT", count)
+        perp.check_monomial_count(n, degree, order)
+        monkeypatch.setattr(perp, "MONOMIAL_LIMIT", count - 1)
+        with pytest.raises(ValueError) as counted:
+            perp.check_monomial_count(n, degree, order)
+        with pytest.raises(ValueError) as enumerated:
+            perp_graded_basis(n, degree, order)
+        assert str(counted.value) == str(enumerated.value)
+
 
 class TestSpanEquality:
     # The kernel is the span of the Wronskians of d distinct variables of

@@ -139,6 +139,23 @@ class TestRunVerification:
         with pytest.raises(ValueError, match="^1,683,218 minors of a 7x28 matrix exceed "):
             run_verification(4, 3, deep=True)
 
+    def test_kernel_enumeration_counted_before_any_check(self, monkeypatch):
+        # At (28, 2) the generators and the Hankel minors are under their
+        # limits, and the degree-3 kernel monomials of the third check,
+        # C(86, 3) = 102,340 of them, are over.
+        def build(*args):
+            pytest.fail("the battery built something before counting its enumerations")
+
+        monkeypatch.setattr(reports, "arc_generators_up_to", build)
+        monkeypatch.setattr(reports, "minor_span", build)
+        monkeypatch.setattr(reports, "perp_graded_basis", build)
+        with pytest.raises(ValueError) as refused:
+            run_verification(28, 2)
+        assert str(refused.value) == (
+            f"over {perp.MONOMIAL_LIMIT:,} monomials of degree 3, orders <= 2 and weight <= 6"
+            f" exceed the limit of {perp.MONOMIAL_LIMIT:,} monomials per enumeration"
+        )
+
 
 def _failed(report):
     return [c for c in report.checks if not c.passed]

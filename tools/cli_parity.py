@@ -36,6 +36,8 @@ PAIR_P = "xi2*x1_0^2 + al1_1*x1_0^2 - 2/3*E1*y_1*x1_0*x1_1 + xi1^2*al2_1*E2*x1_1
 
 CALLS = [
     ["--version"],
+    ["--help"],
+    ["verify", "--help"],
     [],
     ["gens", "--n", "2", "--max-order", "3"],
     ["gens", "--json", "--n", "2", "--max-order", "3"],
@@ -101,6 +103,7 @@ CALLS = [
     ["verify", "--n", "1", "--h", "-1"],
     ["verify", "--n", "9", "--h", "9"],  # refused before any work
     ["verify", "--deep", "--n", "4", "--h", "3"],  # refused: T(4, 6) has too many minors
+    ["verify", "--n", "28", "--h", "2"],  # refused: too many degree-3 kernel monomials
     ["dims-chain", "--n", "2", "--h", "3"],
     ["dims-chain", "--json", "--n", "3", "--h", "3"],
     ["dims-chain", "--json", "--n", "3", "--h", "4"],
