@@ -5,9 +5,9 @@ degree-d polynomials in derivative orders <= H annihilated by every arc
 generator.  Annihilation by the degree-2 generators alone characterizes the
 space: a monomial multiple m*g acts as m acting after g, so the generator
 constraints propagate to the whole ideal.  Every generator is
-weight-homogeneous, so the kernel side enumerates the monomials of each
-(degree, weight) block itself, at most ``MONOMIAL_LIMIT`` of them, and solves
-the blocks one at a time.  It keeps each monomial as its key in one
+weight-homogeneous, so the kernel side lists the monomials of each (degree,
+weight) block itself, once ``check_monomial_count`` has counted them exactly
+to at most ``MONOMIAL_LIMIT``, and solves the blocks one at a time.  It keeps each monomial as its key in one
 ``MonomialIndex``, from the enumeration through the constraint rows, whose
 quotients are key differences, to the kernel span, and decodes a key only
 when a basis is read or a restriction drops high orders.  A minor span is
@@ -26,7 +26,6 @@ core, and ``series`` and ``dims-chain`` compile none of this module.
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate
 
 from .linalg import MonomialIndex, Span, nullspace, span_witness
@@ -66,20 +65,35 @@ def _kernel_up_to_weight(n: int, degree: int, max_order: int, max_weight: int) -
 MONOMIAL_LIMIT = 100_000
 
 
-def _too_many_monomials(degree: int, max_order: int, max_weight: int) -> ValueError:
-    return ValueError(
-        f"over {MONOMIAL_LIMIT:,} monomials of degree {degree}, orders <= {max_order} and"
-        f" weight <= {max_weight} exceed the limit of {MONOMIAL_LIMIT:,} monomials per enumeration"
-    )
-
-
-def check_monomial_count(n: int, degree: int, max_order: int) -> None:
-    """Refuse with the ``ValueError`` of ``perp_graded_basis(n, degree,
-    max_order)`` its enumeration past ``MONOMIAL_LIMIT``, without enumerating:
-    its weight bound d*H never binds, so it lists all C(n(H+1)+d-1, d)
-    degree-d monomials in the n(H+1) variables."""
-    if math.comb(n * (max_order + 1) + degree - 1, degree) > MONOMIAL_LIMIT:
-        raise _too_many_monomials(degree, max_order, degree * max_order)
+def check_monomial_count(n: int, degree: int, max_order: int, max_weight: int) -> None:
+    """Refuse an enumeration of ``_monomials_up_to_weight`` past
+    ``MONOMIAL_LIMIT`` with a ``ValueError``, counted exactly without listing
+    a variable.  A monomial of degree >= 1 has orders <= H' = min(H, W).  If
+    d*H' <= W the weight cannot bind and the count is C(n(H'+1)+d-1, d);
+    otherwise each x_i^(j) in turn adds to the counts by (degree, weight)
+    those of one degree less, shifted by j.  Both stop once past the limit."""
+    top = min(max_order, max_weight)
+    size, count = n * (top + 1), 1
+    if degree * top <= max_weight:
+        for k in range(min(degree, size - 1)):  # C(size+d-1, k) rises with k
+            count = count * (size + degree - 1 - k) // (k + 1)
+            if count > MONOMIAL_LIMIT:
+                break
+    else:
+        # counts[e][w]: the monomials of degree e and weight w in the variables so far.
+        counts = [[1] + [0] * max_weight] + [[0] * (max_weight + 1) for _ in range(degree)]
+        for j in (j for j in range(top + 1) for _ in range(n)):
+            for e in range(1, degree + 1):  # ascending, so x_i^(j) may repeat
+                shifted = [0] * j + counts[e - 1][: max_weight + 1 - j]
+                counts[e] = [a + b for a, b in zip(counts[e], shifted)]
+            count = sum(counts[degree])
+            if count > MONOMIAL_LIMIT:
+                break
+    if count > MONOMIAL_LIMIT:
+        raise ValueError(
+            f"over {MONOMIAL_LIMIT:,} monomials of degree {degree}, orders <= {max_order} and"
+            f" weight <= {max_weight} exceed the limit of {MONOMIAL_LIMIT:,} monomials per enumeration"
+        )
 
 
 def _monomials_up_to_weight(n: int, degree: int, max_order: int, max_weight: int) -> tuple:
@@ -91,13 +105,9 @@ def _monomials_up_to_weight(n: int, degree: int, max_order: int, max_weight: int
     outweighs them.  The last variable takes exactly the degree left, as no
     variable follows to take the rest, so no call ends with degree left over
     and nowhere to put it.  It recurses once per entered variable, at most d
-    deep.
-    Raises ``ValueError`` on the monomial past ``MONOMIAL_LIMIT``, and before
-    listing any variable when d >= 1 and n*(min(H, max_weight)+1) exceeds
-    it: each x_i^(j)*(x_1^(0))^(d-1), j <= min(H, max_weight), is one."""
-    too_many = _too_many_monomials(degree, max_order, max_weight)
-    if degree and n * (min(max_order, max_weight) + 1) > MONOMIAL_LIMIT:
-        raise too_many
+    deep.  ``check_monomial_count`` refuses an enumeration past
+    ``MONOMIAL_LIMIT`` first, before any variable is listed."""
+    check_monomial_count(n, degree, max_order, max_weight)
     index = MonomialIndex(differential_variables(n, max_order), degree + 1)
     variables, place, found = index.variables, index._place, []
     lightest = list(accumulate((v.j for v in reversed(variables)), min))[::-1]
@@ -105,8 +115,6 @@ def _monomials_up_to_weight(n: int, degree: int, max_order: int, max_weight: int
 
     def walk(start: int, left: int, budget: int, pairs: tuple, key: int) -> None:
         if not left:
-            if len(found) == MONOMIAL_LIMIT:
-                raise too_many
             found.append((max_weight - budget, pairs, key))
             return
         for k in range(start, len(variables)):

@@ -184,6 +184,10 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     degree_cap = min(h + 1, 3) + (1 if deep else 0)
     order_bound = min(h + (2 if deep else 0), 5) if h else (2 if deep else 1)
     series_h = min(2 * h, 6) if deep else h
+    # The restriction solves every weight block up to d*h for d <= h+1; at
+    # h = 3 the degree-4 blocks (weight up to 12) take seconds, so the
+    # battery trims this sweep while the standalone API stays unbounded.
+    h_elim = min(h, 2)
 
     # The homogeneity span, the maximal minors of S(n+1, h), and every
     # triangular span of the series are counted here, before any work, and
@@ -192,15 +196,18 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     # refuses first only under ``deep``, whose horizon passes h.
     check_minor_count(*matrix_shape("S", n + 1, h), [h + 1], top=True)
     check_triangular_counts(n, range(series_h + 1))
-    # Then the enumerations of the first three checks, in check order, each
-    # refused with the error of the code that enumerates: the generator
-    # products, the minors of the Hankel block (no block of two or more rows
-    # is shift-structured, so every row set counts) and the kernel side's
-    # monomials of each degree.
+    # Then the enumerations of the checks, in check order, each refused with
+    # the error of the code that enumerates: the generator products, the
+    # Hankel block's minors (no block of two or more rows is shift-structured,
+    # so every row set counts), the kernel monomials of each degree and the
+    # restriction's, at orders and weight <= d*h_elim.  The span equality's
+    # Wronskians never outnumber the kernel's; later checks read spans above.
     check_product_count(n, 2 * (h_cap + k_cap))
     check_minor_count(*matrix_shape("H", n, h_cap, k_cap), range(h_cap + 1), top=False)
     for d in range(degree_cap + 1):
-        check_monomial_count(n, d, order_bound)
+        check_monomial_count(n, d, order_bound, d * order_bound)
+    for d in range(h_elim + 2):
+        check_monomial_count(n, d, d * h_elim, d * h_elim)
 
     # Each object is built in the first check that reads it, so that check's
     # time includes it, and shared by the later ones.
@@ -300,11 +307,6 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     @functools.cache
     def triangular(k: int) -> GradedSpan:
         return truncated_perp_basis(n, k)
-
-    # The restriction solves every weight block up to d*h for d <= h+1; at
-    # h = 3 the degree-4 blocks (weight up to 12) take seconds, so the
-    # battery trims this sweep while the standalone API stays unbounded.
-    h_elim = min(h, 2)
 
     def check_elimination():
         mismatch = restriction_mismatch(n, h_elim, triangular(h_elim))

@@ -116,11 +116,6 @@ class Monomial:
         self._hash = hash(self.pairs)
 
     @classmethod
-    def one(cls) -> "Monomial":
-        """The monomial 1: one shared instance, as monomials are immutable."""
-        return _ONE
-
-    @classmethod
     def of(cls, v: Variable, e: int = 1) -> "Monomial":
         return cls(((v, e),))
 
@@ -222,16 +217,8 @@ class Polynomial:
         return cls()
 
     @classmethod
-    def constant(cls, c: int | Fraction) -> "Polynomial":
-        return cls({Monomial.one(): c})
-
-    @classmethod
     def from_variable(cls, v: Variable) -> "Polynomial":
         return cls({Monomial.of(v): 1})
-
-    @classmethod
-    def from_monomial(cls, m: Monomial, c: int | Fraction = 1) -> "Polynomial":
-        return cls({m: c})
 
     # -- basic queries ------------------------------------------------------
 
@@ -249,7 +236,7 @@ class Polynomial:
         if isinstance(value, Polynomial):
             return value
         if isinstance(value, _Scalar):
-            return Polynomial.constant(value)
+            return Polynomial({_ONE: value})
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
@@ -284,7 +271,7 @@ class Polynomial:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _Scalar):
-            other = Polynomial.constant(other)
+            other = Polynomial({_ONE: other})
         return isinstance(other, Polynomial) and self.terms == other.terms
 
     # -- derivation ---------------------------------------------------------
@@ -358,7 +345,7 @@ def _next_order(v: Variable) -> list:
 # -- parsing and formatting ---------------------------------------------------
 
 ZERO = Polynomial.zero()
-ONE = Polynomial.constant(1)
+ONE = Polynomial({_ONE: 1})
 
 
 class PolynomialSyntaxError(ValueError):
@@ -415,8 +402,8 @@ def parse(text: str) -> Polynomial:
     position) tokens of kind ``num``, ``ident`` or ``op``, so a stray
     character is reported before any other error.  An ``end`` sentinel at
     ``len(text)`` closes the list, so every lookahead is one index read.
-    One loop then reads each term: an optional sign and the ``*``-joined
-    factors that follow it.
+    One loop then reads each term, an optional sign and the ``*``-joined
+    factors that follow it, into one term map, so parsing is linear.
     """
     tokens = []
     for m in re.finditer(_TOKEN, text):
@@ -427,7 +414,7 @@ def parse(text: str) -> Polynomial:
     if not tokens:
         raise PolynomialSyntaxError("empty input", 0)
     tokens.append(("end", "", len(text)))
-    result = Polynomial.zero()
+    terms: dict[Monomial, int | Fraction] = {}
     i = 0
     while tokens[i][0] != "end":
         _, tok, pos = tokens[i]
@@ -466,8 +453,9 @@ def parse(text: str) -> Polynomial:
             if tokens[i][1] != "*":
                 break
             i += 1
-        result = result + sign * Polynomial.from_monomial(Monomial(pairs.items()), coeff)
-    return result
+        m = Monomial(pairs.items())
+        terms[m] = terms.get(m, 0) + sign * coeff
+    return Polynomial(terms)
 
 
 # Up to this many bits ``Decimal(n)`` converts n directly.

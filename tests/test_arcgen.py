@@ -64,11 +64,11 @@ class TestStructure:
         g = arc_generator(n, i, j, order)
         expected = Polynomial.zero()
         for s in range(order + 1):
-            expected = expected + Polynomial.from_monomial(
-                Monomial.of(x(i, s + 1)).mul(Monomial.of(x(j, order - s)))
+            expected = expected + Polynomial(
+                {Monomial.of(x(i, s + 1)).mul(Monomial.of(x(j, order - s))): 1}
             )
-            expected = expected + Polynomial.from_monomial(
-                Monomial.of(x(i, s)).mul(Monomial.of(x(j, order - s + 1)))
+            expected = expected + Polynomial(
+                {Monomial.of(x(i, s)).mul(Monomial.of(x(j, order - s + 1))): 1}
             )
         assert g.derivative() == expected
 

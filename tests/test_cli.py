@@ -128,8 +128,12 @@ class TestPerp:
         assert code == 0
         assert out.splitlines()[0] == "dimension 3"
 
-    def test_oversized_kernel_refused(self, capsys):
-        # 2,035,800 monomials; the walk stops at the first past the limit.
+    def test_oversized_kernel_refused(self, capsys, monkeypatch):
+        # 2,035,800 monomials, counted before the enumeration's index is built.
+        def indexed(*args):
+            raise AssertionError("index built")
+
+        monkeypatch.setattr(perp, "MonomialIndex", indexed)
         code, out, err = run(capsys, "perp", "--n", "3", "--degree", "7", "--order", "7")
         assert (code, out) == (2, "")
         assert err == (

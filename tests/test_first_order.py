@@ -69,7 +69,7 @@ def homogeneous_candidates(draw):
     d = draw(st.integers(0, 4))
     p = Polynomial.zero()
     for _ in range(draw(st.integers(0, 3))):
-        term = Polynomial.constant(draw(coefficients))
+        term = Polynomial({Monomial(()): draw(coefficients)})
         degree = 0
         while degree < d:
             size, w = draw(st.sampled_from([t for t in _WRONSKIANS if t[0] <= d - degree]))

@@ -127,7 +127,7 @@ class TestBuilders:
                     assert t.entries[r][col] == Polynomial.from_variable(x(j, h - i))
                     scaled = Fraction(1, math.factorial(i)) * Polynomial.from_variable(x(j, i))
                     assert s.entries[r][col] == scaled
-            identity = tuple(Polynomial.constant(int(c == r)) for c in range(h + 1))
+            identity = tuple(Polynomial({Monomial(()): int(c == r)}) for c in range(h + 1))
             assert s1.entries[r] == s.entries[r] + identity
 
     def test_build_matrix_dispatch(self):
@@ -152,7 +152,7 @@ class TestWronskian:
         assert wronskian([P("x1_0"), P("x1_0")]).is_zero
 
     def test_empty_list(self):
-        assert wronskian([]) == Polynomial.constant(1)
+        assert wronskian([]) == Polynomial({Monomial(()): 1})
 
     def test_transposition_flips_sign(self):
         fs = [P("x1_0"), P("x1_1"), P("x2_0")]
@@ -180,13 +180,13 @@ class TestMinorsAndDeterminant:
         )
 
     def test_size_zero(self):
-        assert one_minor(hankel_matrix(1, 2, 2), (), ()) == Polynomial.constant(1)
+        assert one_minor(hankel_matrix(1, 2, 2), (), ()) == Polynomial({Monomial(()): 1})
 
     def test_determinant_identity(self):
         ident = SymbolicMatrix.from_rows(
-            [[Polynomial.constant(1 if i == j else 0) for j in range(3)] for i in range(3)]
+            [[Polynomial({Monomial(()): 1 if i == j else 0}) for j in range(3)] for i in range(3)]
         )
-        assert full_determinant(ident) == Polynomial.constant(1)
+        assert full_determinant(ident) == Polynomial({Monomial(()): 1})
 
     def test_determinant_single_entry(self):
         m = SymbolicMatrix.from_rows([[P("x1_0 + 2")]])
@@ -213,7 +213,7 @@ _monomials = st.dictionaries(
 ).map(lambda exps: Monomial(exps.items()))
 _entries = st.one_of(
     st.just(Polynomial.zero()),
-    _coefficients.map(Polynomial.constant),
+    _coefficients.map(lambda c: Polynomial({Monomial(()): c})),
     st.lists(st.tuples(_monomials, _coefficients), max_size=3).map(polynomial_from_terms),
 )
 

@@ -52,7 +52,7 @@ class TestMonomialIndex:
     def test_degree_zero(self):
         idx = MonomialIndex((), 1)
         assert idx.variables == [] and idx.top == 1
-        assert idx._key(Monomial.one()) == 0 and idx._monomial(0) == Monomial.one()
+        assert idx._key(Monomial(())) == 0 and idx._monomial(0) == Monomial(())
 
     def test_no_duplicates(self):
         idx = MonomialIndex([x(1, 0), x(1, 0)], 2)

@@ -83,7 +83,7 @@ class TestAnnihilates:
     def test_nonzero_constant(self):
         f, p = P("2*x1_0*x1_2 + x1_1^2"), P("x1_1^2")
         value = pairing_oracle(f, p)
-        assert value == Polynomial.constant(2)
+        assert value == Polynomial({Monomial(()): 2})
         assert apply_pairing(f, p) == value
         assert not apply_pairing(f, p).is_zero
 
@@ -109,7 +109,7 @@ class TestDirectionalDerivative:
 # derivative leaves them (xi1, al1_i) and beside them (xi2, al2_1, E1, y_0).
 _auxiliary = st.lists(st.sampled_from([xi(1), xi(2), al(1, 1), al(1, 2), al(2, 1), E(1), y(0)]), max_size=3)
 with_auxiliaries = st.tuples(x_only_polynomials, _auxiliary).map(
-    lambda pa: pa[0] * Polynomial.from_monomial(Monomial(Counter(pa[1]).items()))
+    lambda pa: pa[0] * Polynomial({Monomial(Counter(pa[1]).items()): 1})
 )
 
 
@@ -121,7 +121,7 @@ class TestDirectionalDerivativeAgainstOracle:
         # D p = sum_{i,j} al_{1,i} * xi_1^j * dp/dx_i^(j), one partial at a time.
         expected = Polynomial.zero()
         for v in {v for m in p.terms for v, _ in m.pairs if v.kind == "x"}:
-            marker = Polynomial.from_monomial(Monomial(((al(1, v.i), 1), (xi(1), v.j))))
+            marker = Polynomial({Monomial(((al(1, v.i), 1), (xi(1), v.j))): 1})
             expected = expected + marker * diff_wrt(p, v)
         assert directional_derivative(p) == expected
 
@@ -147,15 +147,15 @@ class TestDoubleDerivative:
         rng = random.Random(7)
         gens = arc_generators_up_to(n, 2 * order)
         monomials = sorted(graded_monomials(n, degree, order), key=Monomial.order_key, reverse=True)
-        samples = [Polynomial.from_monomial(m) for m in monomials]
+        samples = [Polynomial({m: 1}) for m in monomials]
         samples.append(
             P(WRONSKIAN_2) if n == 1 else P("x1_0*x2_1 - x1_1*x2_0")
         )
         for _ in range(25):
             a, b = rng.choice(monomials), rng.choice(monomials)
             samples.append(
-                Polynomial.from_monomial(a, rng.randint(-3, 3))
-                + Polynomial.from_monomial(b, rng.randint(-3, 3))
+                Polynomial({a: rng.randint(-3, 3)})
+                + Polynomial({b: rng.randint(-3, 3)})
             )
         hits = 0
         for p in samples:

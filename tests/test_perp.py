@@ -58,9 +58,9 @@ class TestGeneratorImages:
         for m in monomials:
             images: dict[tuple, Polynomial] = {}
             for (i, j), order, quotient, coeff in _generator_images(index, m.pairs, index._key(m)):
-                term = Polynomial.from_monomial(index._monomial(quotient), coeff)
+                term = Polynomial({index._monomial(quotient): coeff})
                 images[(i, j, order)] = images.get((i, j, order), Polynomial.zero()) + term
-            target = Polynomial.from_monomial(m)
+            target = Polynomial({m: 1})
             for key, g in generators.items():
                 image = images.get(key, Polynomial.zero())
                 assert image == apply_pairing(g, target), (m, key)
@@ -146,7 +146,7 @@ class TestKernelCompleteness:
         rows: dict[tuple, dict[int, Fraction]] = {}
         for g, generator in enumerate(arc_generators_up_to(n, 2 * H)):
             for c, m in enumerate(columns):
-                image = pairing_oracle(generator, Polynomial.from_monomial(m))
+                image = pairing_oracle(generator, Polynomial({m: 1}))
                 for q, coeff in image.terms.items():
                     rows.setdefault((g, q), {})[c] = coeff
         # Repeated rows change no rank; dropping them keeps the oracle small.
@@ -319,8 +319,9 @@ class TestBoundedWeightMonomials:
 
 
 class TestMonomialLimit:
-    """The kernel side counts its monomials as it enumerates them and refuses
-    the one past ``MONOMIAL_LIMIT``."""
+    """The kernel side counts its monomials exactly, with
+    ``check_monomial_count``, before it lists a variable, and refuses an
+    enumeration past ``MONOMIAL_LIMIT``."""
 
     def test_refused_past_the_limit(self, monkeypatch):
         count = len(perp._monomials_up_to_weight(2, 3, 3, 9)[1])
@@ -338,13 +339,41 @@ class TestMonomialLimit:
         count = len(perp._monomials_up_to_weight(n, degree, order, degree * order)[1])
         assert count == math.comb(n * (order + 1) + degree - 1, degree)
         monkeypatch.setattr(perp, "MONOMIAL_LIMIT", count)
-        perp.check_monomial_count(n, degree, order)
+        perp.check_monomial_count(n, degree, order, degree * order)
         monkeypatch.setattr(perp, "MONOMIAL_LIMIT", count - 1)
         with pytest.raises(ValueError) as counted:
-            perp.check_monomial_count(n, degree, order)
+            perp.check_monomial_count(n, degree, order, degree * order)
         with pytest.raises(ValueError) as enumerated:
             perp_graded_basis(n, degree, order)
         assert str(counted.value) == str(enumerated.value)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("degree", range(5))
+    def test_count_is_exact(self, monkeypatch, n, degree):
+        # Every weight bound from 0 to d*H+1: the binomial where the bound
+        # cannot bind, the count by (degree, weight) where it can.
+        for order in range(5):
+            for weight in range(degree * order + 2):
+                count = len(perp._monomials_up_to_weight(n, degree, order, weight)[1])
+                monkeypatch.setattr(perp, "MONOMIAL_LIMIT", count)
+                perp.check_monomial_count(n, degree, order, weight)
+                monkeypatch.setattr(perp, "MONOMIAL_LIMIT", count - 1)
+                with pytest.raises(ValueError, match="exceed the limit"):
+                    perp.check_monomial_count(n, degree, order, weight)
+                monkeypatch.undo()  # list the next one under the real limit
+
+    def test_refused_before_any_index(self, monkeypatch):
+        def counted(*args):
+            raise ValueError("counted")
+
+        def indexed(*args):
+            raise AssertionError("index built")
+
+        monkeypatch.setattr(perp, "check_monomial_count", counted)
+        monkeypatch.setattr(perp, "MonomialIndex", indexed)
+        for build in (perp_graded_basis, restriction_span):
+            with pytest.raises(ValueError, match="^counted$"):
+                build(2, 2, 2)
 
 
 class TestSpanEquality:
@@ -480,7 +509,7 @@ class TestTriangularToScaledMap:
     def _substitution(p, h):
         """x_i^(j) -> x_i^(h-j)/(h-j)! for every differential variable of p."""
         return {
-            v: Polynomial.from_monomial(Monomial.of(x(v.i, h - v.j)), Fraction(1, math.factorial(h - v.j)))
+            v: Polynomial({Monomial.of(x(v.i, h - v.j)): Fraction(1, math.factorial(h - v.j))})
             for m in p.terms for v, _ in m.pairs if v.kind == "x"
         }
 

@@ -157,6 +157,24 @@ class TestRunVerification:
         )
 
 
+    def test_restriction_enumeration_counted_before_any_check(self, monkeypatch):
+        # At (2, 2) the kernel check lists 1, 6, 21 and 56 monomials and the
+        # restriction 1, 6, 33 and 146: only the restriction's degree 3,
+        # at orders and weight <= 6, passes a limit of 100.
+        def build(*args):
+            pytest.fail("the battery built something before counting its enumerations")
+
+        monkeypatch.setattr(perp, "MONOMIAL_LIMIT", 100)
+        for name in ("arc_generators_up_to", "minor_span", "perp_graded_basis", "restriction_mismatch"):
+            monkeypatch.setattr(reports, name, build)
+        with pytest.raises(ValueError) as refused:
+            run_verification(2, 2)
+        assert str(refused.value) == (
+            "over 100 monomials of degree 3, orders <= 6 and weight <= 6"
+            " exceed the limit of 100 monomials per enumeration"
+        )
+
+
 def _failed(report):
     return [c for c in report.checks if not c.passed]
 

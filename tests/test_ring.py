@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -127,6 +128,20 @@ class TestParse:
         assert exc.value.position == position
         assert str(exc.value).endswith(f"(at position {position})")
 
+    def test_time_linear_in_the_terms(self):
+        # Summing term by term into a new polynomial copies every term so far,
+        # 16x the time for 4x the terms; one sum of the terms takes about 4x.
+        def seconds(terms):
+            text = " + ".join(f"{k}*x1_{k}" for k in range(1, terms + 1))
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                assert len(parse(text).terms) == terms
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert seconds(16_000) < 8 * seconds(4_000)
+
 
 # Monomials of degree <= 8 over all five variable kinds, indices up to 12.
 any_monomials = st.dictionaries(
@@ -171,7 +186,7 @@ class TestFormat:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(any_monomials, coefficients), max_size=6))
     @example([])
-    @example([(Monomial.one(), Fraction(-7, 3))])
+    @example([(Monomial(()), Fraction(-7, 3))])
     def test_roundtrip_property(self, terms):
         p = polynomial_from_terms(terms)
         assert parse(format_polynomial(p)) == p
@@ -222,7 +237,7 @@ class TestArithmetic:
 
     def test_mul_identity(self):
         p = P("2*x1_0*x1_2 + x1_1^2")
-        assert Polynomial.constant(1) * p == p
+        assert Polynomial({Monomial(()): 1}) * p == p
 
     def test_scalar_coercion(self):
         p = P("x1_0")
@@ -397,8 +412,8 @@ class TestMonomialProduct:
         assert b.mul(a) == product
 
     def test_one_is_shared_and_neutral(self):
-        one = Monomial.one()
-        assert one is Monomial.one() and one == Monomial(())
+        one = next(iter(ring.ONE.terms))  # the monomial 1 that every scalar shares
+        assert one is next(iter((ring.ONE * 3).terms)) and one == Monomial(())
         assert one.pairs == () and one.degree == 0
         m = Monomial.of(x(1, 2), 2)
         assert one.mul(m) is m and m.mul(one) is m
@@ -435,12 +450,12 @@ class TestExactCoefficients:
 
     def test_integral_fraction_equals_int(self):
         m = Monomial.of(x(1, 0))
-        as_fraction = Polynomial.from_monomial(m, Fraction(3))
-        as_int = Polynomial.from_monomial(m, 3)
+        as_fraction = Polynomial({m: Fraction(3)})
+        as_int = Polynomial({m: 3})
         assert as_fraction == as_int
-        assert Polynomial.constant(Fraction(3)) == 3
+        assert Polynomial({Monomial(()): Fraction(3)}) == 3
         for scalar in (0, 3, Fraction(-1, 2)):
-            assert Polynomial.constant(scalar) == scalar
+            assert Polynomial({Monomial(()): scalar}) == scalar
         with pytest.raises(TypeError):  # a polynomial is not hashable
             hash(as_int)
 

@@ -33,6 +33,8 @@ MALFORMED = [
 
 PAIR_F = "x1_0 + 1/2*x1_1"
 PAIR_P = "xi2*x1_0^2 + al1_1*x1_0^2 - 2/3*E1*y_1*x1_0*x1_1 + xi1^2*al2_1*E2*x1_1"
+# 4,000 signed terms, some with coefficient 0, summing onto 1,000 monomials.
+PAIR_LONG = "".join(f" {'+-'[k % 2]} {k % 7}/{k % 5 + 1}*x1_0*x1_{k % 1000}" for k in range(4000))
 
 CALLS = [
     ["--version"],
@@ -51,6 +53,8 @@ CALLS = [
     *(["pair", text, "x1_0"] for text in MALFORMED),
     ["pair", "x1_0", "1/x1_0"],
     ["pair", "x1_0^5000", "x1_0^5000"],  # a coefficient of 16,326 digits
+    ["pair", "x1_0", PAIR_LONG],
+    ["pair", "x1_0", "1/2*x1_0 - 1/2*x1_0 + x1_0"],  # the first two terms cancel
     ["perp", "--n", "1", "--degree", "2", "--order", "2"],
     ["perp", "--json", "--n", "2", "--degree", "3", "--order", "3"],
     ["perp", "--json", "--n", "3", "--degree", "3", "--order", "3"],
@@ -62,6 +66,9 @@ CALLS = [
     ["perp", "--json", "--n", "2", "--degree", "4", "--order", "4"],
     ["perp", "--json", "--n", "4", "--degree", "2", "--order", "3"],
     ["perp", "--n", "1", "--degree", "1", "--order", "1500"],
+    ["perp", "--n", "3", "--degree", "7", "--order", "7"],  # refused: too many monomials
+    ["perp", "--n", "2", "--degree", "100000", "--order", "0"],  # refused: too many monomials
+    ["perp", "--n", "1", "--degree", "1", "--order", "200000"],  # refused: too many variables
     ["minors", "--family", "T", "--n", "1", "--h", "3", "--json"],
     ["minors", "--family", "T", "--n", "2", "--h", "2"],
     ["minors", "--family", "T", "--n", "2", "--h", "3"],
@@ -104,6 +111,8 @@ CALLS = [
     ["verify", "--n", "9", "--h", "9"],  # refused before any work
     ["verify", "--deep", "--n", "4", "--h", "3"],  # refused: T(4, 6) has too many minors
     ["verify", "--n", "28", "--h", "2"],  # refused: too many degree-3 kernel monomials
+    ["verify", "--n", "20", "--h", "2"],  # refused: too many degree-3 restriction monomials
+    ["verify", "--n", "27", "--h", "2"],  # refused: too many degree-3 restriction monomials
     ["dims-chain", "--n", "2", "--h", "3"],
     ["dims-chain", "--json", "--n", "3", "--h", "3"],
     ["dims-chain", "--json", "--n", "3", "--h", "4"],
@@ -154,7 +163,8 @@ def main(argv: list[str]) -> int:
             names = ("exit", "stdout", "stderr", "out")
             fields = [name for name, a, b in zip(names, mine, theirs) if a != b]
             differ += bool(fields)
-            print(f"{'DIFF ' + ','.join(fields) if fields else 'same'}\texit {mine[0]}\t{call}")
+            shown = [a if len(a) <= 80 else a[:77] + "..." for a in call]
+            print(f"{'DIFF ' + ','.join(fields) if fields else 'same'}\texit {mine[0]}\t{shown}")
     print(f"{len(CALLS)} calls on Python {sys.version.split()[0]}, {differ} differ")
     return 1 if differ else 0
 
