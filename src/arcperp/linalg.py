@@ -5,12 +5,13 @@ value}`` maps of their nonzero entries over ``int``, eliminated by integer
 combinations; keys a row never mentions are never touched.
 ``forward_echelon`` gives each row a lead, its least key, and reduces each
 new row by its lead until it is zero or its lead is new, which certifies the
-rank.  ``reduced_echelon`` clears rational rows of denominators, runs the
-forward echelon on them, sparsest first, and then ``back_substitute``: the
-unique reduced row-echelon form over the rationals, whose pivot of a row is
-its first nonzero column, so every result is deterministic.  Results keep
-integral values as ``int``: a ``Fraction`` is built only for an entry its
-pivot does not divide.
+rank.  ``back_substitute`` reduces those rows against each other, still over
+``int``: a row divided by its pivot entry, its first nonzero column, is a
+row of the unique reduced row-echelon form over the rationals, and
+``nullspace`` reads one integer vector per free column off them.  A
+``Fraction`` is built only where a reduced form is read, for an entry its
+pivot does not divide, and a rational row is cleared of denominators where
+it enters.
 
 A monomial becomes a row key in one format, that of ``MonomialIndex``: one
 integer whose order is the graded-lex monomial order and whose sum is the
@@ -72,14 +73,14 @@ def _reduce(work: dict[int, int], kept: Mapping[int, dict[int, int]]) -> int | N
 
 def back_substitute(
     kept: Mapping[int, dict[int, int]],
-) -> tuple[list[dict[int, int | Fraction]], list[int]]:
-    """The unique reduced row-echelon form of ``forward_echelon``'s rows.
+) -> tuple[list[dict[int, int]], list[int]]:
+    """The reduced row-echelon form of ``forward_echelon``'s rows, over ``int``.
 
-    Returns the reduced rows, sorted by pivot (their leads), each in column
-    order, and the pivots.  The rows are reduced from the highest lead down,
-    each against the rows below it, which are already reduced; ``kept`` is
-    left unchanged.  An entry is a ``Fraction`` only where its pivot entry
-    does not divide it.
+    Returns the reduced rows, sorted by pivot (their leads), and the pivots;
+    a row divided by its pivot entry is a row of the unique reduced form
+    over the rationals.  Rows are reduced from the highest lead down, each
+    against the reduced rows below it, and divided by their content if
+    changed; ``kept`` is left unchanged.
     """
     pivots = sorted(kept)
     done: dict[int, dict[int, int]] = {}
@@ -92,37 +93,20 @@ def back_substitute(
                 _eliminate(row, done[c], c)
             _divide_content(row, p)
         done[p] = row
-    reduced = []
-    for p in pivots:
-        row = done[p]
-        d = row[p]
-        entries = [(c, row[c]) for c in sorted(row)]
-        if d == 1:
-            reduced.append(dict(entries))
-        else:
-            reduced.append({c: Fraction(e, d) if e % d else e // d for c, e in entries})
-    return reduced, pivots
+    return [done[p] for p in pivots], pivots
 
 
-def _integral_rows(rows: Iterable[Mapping[int, int | Fraction]]):
-    """Sparse rational rows cleared of denominators, sparsest first, which
-    keeps fill-in low."""
-    for row in sorted(rows, key=len):
-        scale = lcm(*(v.denominator for v in row.values()))
-        yield {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
+def _over_pivot(row: Mapping[int, int], pivot: int) -> dict[int, int | Fraction]:
+    """A row divided by its entry at ``pivot``: an ``int`` where that entry
+    divides, a ``Fraction`` elsewhere."""
+    d = row[pivot]
+    return {c: Fraction(e, d) if e % d else e // d for c, e in row.items()}
 
 
-def reduced_echelon(
-    rows: Iterable[Mapping[int, int | Fraction]],
-) -> tuple[list[dict[int, int | Fraction]], list[int]]:
-    """The unique reduced row-echelon form of sparse rational rows.
-
-    Returns the nonzero reduced rows, sorted by pivot column, and their pivot
-    columns; rank is the number of rows.  It is ``forward_echelon`` on the
-    rows cleared of denominators, sparsest first, then one
-    ``back_substitute``; the result does not depend on the row order.
-    """
-    return back_substitute(forward_echelon(_integral_rows(rows)))
+def _cleared(row: Mapping[int, int | Fraction]) -> dict[int, int]:
+    """A rational row's nonzero entries times the lcm of its denominators."""
+    scale = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
 
 
 def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> None:
@@ -154,22 +138,27 @@ def _divide_content(row: dict[int, int], lead: int) -> None:
             row[k] //= g
 
 
-def nullspace(
-    rows: Iterable[Mapping[int, int | Fraction]], cols: int
-) -> list[dict[int, int | Fraction]]:
-    """A basis of the right nullspace of sparse rows with ``cols`` columns.
+def nullspace(rows: Iterable[dict[int, int]], cols: int) -> list[dict[int, int]]:
+    """A basis of the right nullspace of integer rows with ``cols`` columns.
 
-    One vector per free column f, in column order: 1 at f, and minus the
-    reduced rows' entries in column f at their pivots.
+    One integer vector per free column f, in column order.  Over the reduced
+    rows with an entry e at f, with L the lcm of their pivot entries d, it is
+    L at f and -e*L/d at each such row's pivot: L times the rational vector
+    with 1 at f.  Rows are eliminated sparsest first, which keeps fill-in low.
     """
-    reduced, pivots = reduced_echelon(rows)
+    reduced, pivots = back_substitute(forward_echelon(sorted(rows, key=len)))
     pivot_set = set(pivots)
-    basis = {f: {f: 1} for f in range(cols) if f not in pivot_set}
+    met: dict[int, list] = {f: [] for f in range(cols) if f not in pivot_set}
     for row, p in zip(reduced, pivots):
+        d = row[p]
         for c, e in row.items():
             if c != p:
-                basis[c][p] = -e
-    return list(basis.values())
+                met[c].append((p, e, d))
+    basis = []
+    for f, entries in met.items():
+        scale = lcm(*(d for _, _, d in entries))
+        basis.append({f: scale} | {p: -e * (scale // d) for p, e, d in entries})
+    return basis
 
 
 # The widest key one index admits, in bits: a key of L variables in base b is
@@ -284,20 +273,23 @@ class RationalMatrix:
             out[c] = e
         return out
 
-    def _sparse_rows(self) -> list[dict[int, Fraction]]:
-        return [{j: e for j, e in enumerate(row) if e} for row in self.entries]
+    def _sparse_rows(self) -> list[dict[int, int]]:
+        return [_cleared(dict(enumerate(row))) for row in self.entries]
 
     def rank(self) -> int:
-        return len(reduced_echelon(self._sparse_rows())[1])
+        return len(forward_echelon(self._sparse_rows()))
 
     def row_reduce(self) -> "RationalMatrix":
         """The unique reduced row-echelon form, zero rows dropped."""
-        reduced, _ = reduced_echelon(self._sparse_rows())
-        return RationalMatrix([self._dense(row, self.cols) for row in reduced], cols=self.cols)
+        reduced, pivots = back_substitute(forward_echelon(self._sparse_rows()))
+        rows = [self._dense(_over_pivot(row, p), self.cols) for row, p in zip(reduced, pivots)]
+        return RationalMatrix(rows, cols=self.cols)
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """A basis of the right nullspace, one vector per free column."""
-        return [tuple(self._dense(v, self.cols)) for v in nullspace(self._sparse_rows(), self.cols)]
+        """A basis of the right nullspace, one vector per free column, which
+        holds its last nonzero entry, 1."""
+        kernel = nullspace(self._sparse_rows(), self.cols)
+        return [tuple(self._dense(_over_pivot(v, max(v)), self.cols)) for v in kernel]
 
 
 class Span:
@@ -307,12 +299,12 @@ class Span:
     value}`` over the keys of ``index``, one per dimension, with distinct
     least keys, their leads; the least key is the lowest monomial.
     ``dimension`` and ``contains`` read the kept rows alone.  The first read
-    of the basis polynomials runs ``reduced_echelon`` once on the kept rows
-    with every key negated, so a reduced row's pivot, its least negated key,
-    is its highest monomial; the unique reduced row-echelon form, decoded,
-    is the basis, built once and shared by every later reader.  Two spans,
-    over any indexes, are equal exactly when ``span_witness`` finds no
-    basis polynomial of one outside the other.
+    of the basis polynomials reduces the kept rows with every key negated,
+    so a reduced row's pivot, its least negated key, is its highest monomial;
+    the rows divided by their pivot entries, decoded, are the basis, the
+    unique reduced row-echelon form, built once and shared by every later
+    reader.  Two spans, over any indexes, are equal exactly when
+    ``span_witness`` finds no basis polynomial of one outside the other.
     """
 
     def __init__(self, index: MonomialIndex, kept: dict[int, dict[int, int]]):
@@ -320,23 +312,19 @@ class Span:
         self.kept = kept
         self._polynomials = None
 
-    @classmethod
-    def from_rows(cls, index: MonomialIndex, rows: Iterable[Mapping]) -> "Span":
-        """The span of sparse rational rows ``{key: value}`` over ``index``."""
-        return cls(index, forward_echelon(_integral_rows(rows)))
-
     @property
     def dimension(self) -> int:
         return len(self.kept)
 
     def basis_polynomials(self) -> tuple[Polynomial, ...]:
         if self._polynomials is None:
-            reduced, _ = reduced_echelon(
-                {-k: v for k, v in row.items()} for row in self.kept.values()
+            reduced, pivots = back_substitute(
+                forward_echelon({-k: v for k, v in row.items()} for row in self.kept.values())
             )
             monomial = self.index._monomial
             self._polynomials = tuple(
-                Polynomial({monomial(-c): e for c, e in row.items()}) for row in reduced
+                Polynomial({monomial(-c): e for c, e in _over_pivot(row, p).items()})
+                for row, p in zip(reduced, pivots)
             )
         return self._polynomials
 
@@ -350,8 +338,7 @@ class Span:
         row = {self.index._key(m): c for m, c in p.terms.items()}
         if None in row:
             return False
-        (work,) = _integral_rows([row])
-        return _reduce(work, self.kept) is None
+        return _reduce(_cleared(row), self.kept) is None
 
 
 def span_witness(a: Span, b: Span) -> Polynomial | None:

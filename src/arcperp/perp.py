@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .linalg import MonomialIndex, Span, nullspace, span_witness
+from .linalg import MonomialIndex, Span, forward_echelon, nullspace, span_witness
 from .ring import Polynomial, differential_variables
 
 
@@ -43,7 +43,8 @@ def perp_graded_basis(n: int, degree: int, max_order: int) -> Span:
     """
     if degree < 0 or max_order < 0 or n < 1:
         raise ValueError("perp_graded_basis needs n >= 1, degree >= 0, max_order >= 0")
-    return Span.from_rows(*_kernel_up_to_weight(n, degree, max_order, degree * max_order))
+    index, kernel = _kernel_up_to_weight(n, degree, max_order, degree * max_order)
+    return Span(index, forward_echelon(kernel))
 
 
 def _kernel_up_to_weight(n: int, degree: int, max_order: int, max_weight: int) -> tuple:
@@ -131,9 +132,13 @@ def _monomials_up_to_weight(n: int, degree: int, max_order: int, max_weight: int
 
 def _weight_block_kernel(index: MonomialIndex, block: list[tuple]) -> list[dict]:
     """A basis, over the keys of one weight block of (pairs, key), of the
-    vectors annihilated by every arc generator.  Row ((i, j), l, q) holds, in
-    column c, the integer coefficient of the quotient key q in g_{ij,l}
-    applied to the c-th monomial; the rows go to ``nullspace`` as they are."""
+    integer vectors annihilated by every arc generator.  Row ((i, j), l, q)
+    holds, in column c, the integer coefficient of the quotient key q in
+    g_{ij,l} applied to the c-th monomial; the rows go to ``nullspace`` as
+    they are.  The block's columns run in descending key order, and a
+    vector's other entries sit at pivots left of its free column, so its
+    least key is its free column's: the vectors have distinct leads, and
+    ``forward_echelon`` keeps them as they stand."""
     rows: dict[tuple, dict[int, int]] = {}
     for c, (pairs, key) in enumerate(block):
         for family, order, quotient, coeff in _generator_images(index, pairs, key):
@@ -181,7 +186,7 @@ def restriction_span(n: int, h: int, degree: int) -> Span:
     index, kernel = _kernel_up_to_weight(n, degree, degree * h, degree * h)
     decode = index._monomial
     low = [{k: c for k, c in v.items() if not decode(k).has_order_above(h)} for v in kernel]
-    return Span.from_rows(index, low)
+    return Span(index, forward_echelon(low))
 
 
 # -- elimination / truncation certificate -------------------------------------

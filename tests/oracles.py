@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from arcperp.linalg import MonomialIndex, Span
+from arcperp.linalg import MonomialIndex, Span, forward_echelon
 from arcperp.pairing import apply_pairing, directional_derivative
 from arcperp.ring import E, Monomial, Polynomial, al, differential_variables, x, xi, y
 
@@ -133,16 +133,20 @@ def top_degree(p: Polynomial) -> int:
 
 
 def span_of(polys, index: MonomialIndex | None = None) -> Span:
-    """The span of polynomials, through ``Span.from_rows``: each polynomial is
-    one row over the keys of ``index``, by default the index of their
+    """The span of polynomials, through ``forward_echelon``: each polynomial
+    is one integer row over the keys of ``index``, its coefficients times the
+    lcm of their denominators; ``index`` is by default the index of their
     variables whose base is one above their largest exponent."""
     polys = list(polys)
     if index is None:
         pairs = [pair for p in polys for m in p.terms for pair in m.pairs]
         index = MonomialIndex((v for v, _ in pairs), max((e for _, e in pairs), default=0) + 1)
-    rows = [{index._key(m): c for m, c in p.terms.items()} for p in polys]
+    rows = []
+    for p in polys:
+        scale = math.lcm(*(Fraction(c).denominator for c in p.terms.values()))
+        rows.append({index._key(m): int(c * scale) for m, c in p.terms.items()})
     assert all(None not in row for row in rows), "a monomial outside the index"
-    return Span.from_rows(index, rows)
+    return Span(index, forward_echelon(rows))
 
 
 def spans_by_degree(polys) -> dict[int, Span]:

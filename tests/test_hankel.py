@@ -500,7 +500,7 @@ class TestKeptMinors:
     def test_dimensions_and_containment_build_no_rref(self, monkeypatch):
         tri = minor_span(triangular_matrix(2, 2), range(4))
         bases = {d: span.basis_polynomials() for d, span in tri.spans.items()}
-        monkeypatch.setattr(linalg, "reduced_echelon", None)  # a call would raise
+        monkeypatch.setattr(linalg, "back_substitute", None)  # a call would raise
         sca = minor_span(scaled_matrix(2, 2), range(4))
         assert sca.total_dimension == 27
         stray = [Polynomial.from_variable(x(3, 0)), P("x1_0^9"), P("x1_2^2 + x2_0*x2_1")]

@@ -13,7 +13,6 @@ from arcperp.linalg import (
     back_substitute,
     forward_echelon,
     nullspace,
-    reduced_echelon,
     span_witness,
 )
 from arcperp.ring import Monomial, Polynomial, differential_variables, parse, x
@@ -179,6 +178,52 @@ def _all_integral_are_int(values) -> bool:
     return all(type(e) is int for e in values if e.denominator == 1)
 
 
+def _integral(row: list) -> dict[int, int]:
+    """A row's nonzero entries times the lcm of its denominators: the same
+    line, so the same rank and reduced row-echelon form."""
+    scale = math.lcm(*(Fraction(e).denominator for e in row))
+    return {j: int(e * scale) for j, e in enumerate(row) if e != 0}
+
+
+def _over_pivots(reduced, pivots) -> list[dict[int, Fraction]]:
+    """Each integer row divided by its entry at its pivot."""
+    return [{c: Fraction(e, row[p]) for c, e in row.items()} for row, p in zip(reduced, pivots)]
+
+
+def _rref(rows) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """The integer core's reduced rows of integer rows, which hold only
+    ``int``, each divided by its pivot entry; and the pivots."""
+    reduced, pivots = back_substitute(forward_echelon(rows))
+    assert all(type(e) is int for row in reduced for e in row.values())
+    return _over_pivots(reduced, pivots), pivots
+
+
+def _over_free_entries(kernel, cols: int, pivots) -> list[list[Fraction]]:
+    """Integer kernel vectors, one per free column in column order, each
+    divided by its entry at its free column: the normalised vectors, dense."""
+    free = [f for f in range(cols) if f not in pivots]
+    assert len(kernel) == len(free)
+    assert all(type(e) is int for v in kernel for e in v.values())
+    return [[Fraction(v.get(j, 0), v[f]) for j in range(cols)] for v, f in zip(kernel, free)]
+
+
+class TestIntegerCore:
+    """Rows enter and leave the elimination core over ``int``."""
+
+    def test_rows_and_kernel_vectors_stay_integral(self):
+        reduced, pivots = back_substitute(forward_echelon([{0: 2, 1: 1, 2: 1}, {1: 2, 2: 1}]))
+        assert (reduced, pivots) == ([{0: 4, 2: 1}, {1: 2, 2: 1}], [0, 1])
+        over_pivot = _over_pivots(reduced, pivots)
+        assert [[row.get(j, 0) for j in range(3)] for row in over_pivot] == naive_rref(
+            [[2, 1, 1], [0, 2, 1]], 3
+        )
+        (vector,) = nullspace([{0: 2, 1: 1}], 2)
+        assert vector == {1: 2, 0: -1}
+        assert all(type(e) is int for e in vector.values())
+        # scaled by the lcm of the pivot entries the free column meets
+        assert nullspace([{0: 2, 2: 1}, {1: 3, 2: 1}], 3) == [{2: 6, 0: -3, 1: -2}]
+
+
 class TestSparseCoreAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(matrices_with_zero_lines())
@@ -186,13 +231,12 @@ class TestSparseCoreAgainstOracle:
         rows, cols = case
         oracle = naive_rref(rows, cols)
         oracle_pivots = [next(j for j, e in enumerate(row) if e != 0) for row in oracle]
-        sparse = [{j: e for j, e in enumerate(row) if e != 0} for row in rows]
+        sparse = [_integral(row) for row in rows]
 
-        reduced, pivots = reduced_echelon(sparse)
+        reduced, pivots = _rref(sparse)
         assert [[row.get(j, 0) for j in range(cols)] for row in reduced] == oracle
         assert pivots == oracle_pivots
         assert len(pivots) == naive_rank(rows, cols)
-        assert all(_all_integral_are_int(row.values()) for row in reduced)
 
         # the kernel read off the oracle's RREF, one vector per free column
         expected = []
@@ -205,8 +249,7 @@ class TestSparseCoreAgainstOracle:
                 vec[p] = -row[free]
             expected.append(vec)
         kernel = nullspace(sparse, cols)
-        assert [[v.get(j, 0) for j in range(cols)] for v in kernel] == expected
-        assert all(_all_integral_are_int(v.values()) for v in kernel)
+        assert _over_free_entries(kernel, cols, pivots) == expected
         for vec in expected:
             assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
         assert naive_rank(expected, cols) == len(expected) == cols - len(pivots)
@@ -221,12 +264,12 @@ class TestRowOrderAndResultTypes:
     @settings(max_examples=200, deadline=None)
     @given(matrices_with_zero_lines(), st.data())
     def test_rref_independent_of_row_order(self, case, data):
-        # Rows are eliminated sparsest first; the RREF is unique all the same.
+        # Rows are eliminated in the order given; the RREF is unique all the same.
         rows, cols = case
         order = data.draw(st.permutations(range(len(rows))))
-        sparse = [{j: e for j, e in enumerate(row) if e != 0} for row in rows]
-        permuted = reduced_echelon(sparse[k] for k in order)
-        assert permuted == reduced_echelon(sparse)
+        sparse = [_integral(row) for row in rows]
+        permuted = _rref(sparse[k] for k in order)
+        assert permuted == _rref(sparse)
         assert [[row.get(j, 0) for j in range(cols)] for row in permuted[0]] == naive_rref(rows, cols)
 
     def test_span_rows_and_basis_are_int_where_integral(self):
@@ -241,13 +284,6 @@ class TestRowOrderAndResultTypes:
         assert sorted(map(str, span.basis_polynomials())) == [
             "x1_0 + 1/2*x1_2", "x1_1 + 1/2*x1_2"
         ]
-
-
-def _integral(row: list) -> dict[int, int]:
-    """A row's nonzero entries times the lcm of its denominators: the same
-    line, so the same rank and reduced row-echelon form."""
-    scale = math.lcm(*(Fraction(e).denominator for e in row))
-    return {j: int(e * scale) for j, e in enumerate(row) if e != 0}
 
 
 class TestForwardEchelon:
@@ -268,10 +304,11 @@ class TestForwardEchelon:
         kept_before = {lead: dict(row) for lead, row in kept.items()}
 
         reduced, pivots = back_substitute(kept)
-        assert [[row.get(j, 0) for j in range(cols)] for row in reduced] == naive_rref(rows, cols)
+        over_pivot = _over_pivots(reduced, pivots)
+        assert [[row.get(j, 0) for j in range(cols)] for row in over_pivot] == naive_rref(rows, cols)
         assert pivots == sorted(kept)
         assert kept == kept_before  # nor are the kept rows
-        assert (reduced, pivots) == reduced_echelon({j: e for j, e in enumerate(row) if e} for row in rows)
+        assert (over_pivot, pivots) == _rref(_integral(row) for row in rows)
 
     def test_a_row_with_a_new_lead_is_kept_as_it_stands(self):
         first, second, third = {0: 2, 1: 4}, {1: 3, 2: 1}, {0: 1, 1: 2, 2: 5}
@@ -292,18 +329,18 @@ class TestSparseCoreAgainstSympy:
     @given(case=matrices_with_zero_lines())
     def test_rank_rref_and_kernel(self, sympy, case):
         rows, cols = case
-        sparse = [{j: e for j, e in enumerate(row) if e != 0} for row in rows]
+        sparse = [_integral(row) for row in rows]
         exact = [[sympy.Rational(e.numerator, e.denominator) for e in row] for row in rows]
         matrix = sympy.Matrix(len(rows), cols, [e for row in exact for e in row])
 
-        reduced, pivots = reduced_echelon(sparse)
+        reduced, pivots = _rref(sparse)
         expected, expected_pivots = matrix.rref()
         assert len(pivots) == matrix.rank()
         assert tuple(pivots) == expected_pivots
         assert [[row.get(j, 0) for j in range(cols)] for row in reduced] == [
             list(expected.row(i)) for i in range(len(pivots))
         ]
-        assert [[v.get(j, 0) for j in range(cols)] for v in nullspace(sparse, cols)] == [
+        assert _over_free_entries(nullspace(sparse, cols), cols, pivots) == [
             list(v) for v in matrix.nullspace()
         ]
 
@@ -346,7 +383,7 @@ class TestSpan:
         polys = [P("x1_0*x1_2 - x1_1^2"), P("x1_1^2 + x1_0^2"), P("x1_0*x1_1")]
         first = span_of(polys)
         first.basis_polynomials()
-        monkeypatch.setattr(linalg, "reduced_echelon", None)  # a call would raise
+        monkeypatch.setattr(linalg, "back_substitute", None)  # a call would raise
         second = span_of(reversed(polys), MonomialIndex(differential_variables(2, 3), 3))
         assert second.index is not first.index
         assert span_witness(first, second) is None

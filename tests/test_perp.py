@@ -13,7 +13,7 @@ from arcperp.hankel import (
     scaled_of_triangular_map,
     truncated_perp_basis,
 )
-from arcperp.linalg import MonomialIndex, span_witness
+from arcperp.linalg import MonomialIndex, forward_echelon, span_witness
 from arcperp.pairing import apply_pairing, is_differentially_homogeneous
 from arcperp.perp import (
     _generator_images,
@@ -265,6 +265,17 @@ class TestWeightBlocks:
                 perp_graded_basis(n, degree, order)
                 got = [sorted(b, key=Monomial.order_key) for b in blocks]
                 assert got == self._oracle_blocks(n, degree, order, degree * order)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kernel_vectors_lead_at_their_free_columns(self, n):
+        # A block's columns descend by key, so each integer kernel vector's
+        # least key is its free column's, and the forward echelon keeps them all.
+        for degree in range(5):
+            for order in range(5):
+                _, vectors = perp._kernel_up_to_weight(n, degree, order, degree * order)
+                assert all(type(e) is int for v in vectors for e in v.values())
+                kept = forward_echelon(vectors)
+                assert len(kept) == len(vectors) and all(kept[min(v)] is v for v in vectors)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_restriction_span_blocks(self, monkeypatch, n):

@@ -65,6 +65,9 @@ CALLS = [
     ["perp", "--json", "--n", "5", "--degree", "2", "--order", "2"],
     ["perp", "--json", "--n", "2", "--degree", "4", "--order", "4"],
     ["perp", "--json", "--n", "4", "--degree", "2", "--order", "3"],
+    ["perp", "--json", "--n", "3", "--degree", "4", "--order", "4"],
+    ["perp", "--json", "--n", "4", "--degree", "3", "--order", "4"],
+    ["perp", "--json", "--n", "4", "--degree", "5", "--order", "5"],  # the largest admitted kernel
     ["perp", "--n", "1", "--degree", "1", "--order", "1500"],
     ["perp", "--n", "3", "--degree", "7", "--order", "7"],  # refused: too many monomials
     ["perp", "--n", "2", "--degree", "100000", "--order", "0"],  # refused: too many monomials
