@@ -217,7 +217,11 @@ def _cmd_dims_chain(args) -> tuple:
         f"scaled_augmented={chain.scaled_augmented} "
         f"equal={chain.equal} bijection={chain.bijection_lands_in_scaled}"
     )
-    return chain.to_dict(), [line], chain.equal and chain.bijection_lands_in_scaled
+    payload, passed = chain.to_dict(), chain.equal and chain.bijection_lands_in_scaled
+    if not passed:
+        line += f" witness: {chain.witness}"
+        payload["witness"] = chain.witness
+    return payload, [line], passed
 
 
 _COMMANDS = {

@@ -21,20 +21,22 @@ is packed once per enumeration, each monomial its key in a
 integer order is monomial order) and each row cleared of denominators, and
 expanded over ``int`` along the last chosen row with a memo on (row, column)
 subsets, so the exponentially many minors of one matrix share their
-subproblems.  Its users here are ``iter_minors`` (every minor of the given
-sizes, the ``minors`` command's listing), which reads values as
-``Polynomial``, and ``minor_span``, the one minor enumeration that this
-module and ``reports`` read.  It chooses its row sets from the matrix: in
-T, S and S1 each row is the block shift of the one above, so only the
-top-row minors, whose subproblems are the top-row minors one size down, are
-expanded (the proof is in its docstring); any other matrix below its row
-count has every row set expanded.  It certifies each degree's dimension by a forward echelon of
-the packed values, led by their lowest monomials, with no ``Polynomial``
-per minor: each degree is a plain ``Span`` over the matrix's index, which
-decodes keys and builds the reduced row-echelon form only when a basis is
-read.  The sampled Wronskian law of ``reports`` packs all its pairs once,
-side by side in one two-row matrix, and reads each pair's Wronskian as a
-2x2 minor.  ``truncated_perp_basis`` is the minor span of T(n, h);
+subproblems.  Every enumeration of minors is one walk, ``_walk``: it clips
+the sizes, chooses the row sets, counts them against ``MINOR_LIMIT`` and
+packs the matrix, once.  Its two readers are ``iter_minors`` (every row set,
+the ``minors`` command's listing), which reads values as ``Polynomial``, and
+``minor_span``, the one minor span that this module and ``reports`` read.
+The span's row sets are chosen from the matrix: in T, S and S1 each row is
+the block shift of the one above, so only the top-row minors, whose
+subproblems are the top-row minors one size down, are expanded (the proof
+is in its docstring); any other matrix below its row count has every row
+set expanded.  The span certifies each degree's dimension by a forward
+echelon of the packed values, led by their lowest monomials, with no
+``Polynomial`` per minor: each degree is a plain ``Span`` over the matrix's
+index, which decodes keys and builds the reduced row-echelon form only when
+a basis is read.  The sampled Wronskian law of ``reports`` packs all its
+pairs once, side by side in one two-row matrix, and reads each pair's
+Wronskian as a 2x2 minor.  ``truncated_perp_basis`` is the minor span of T(n, h);
 ``dimension_series`` compares its total dimensions with (n+1)^(h+1),
 ``dimension_chain`` with those of S and S1, and
 ``hankel_minor_intersection_span`` is the Wronskian span that the kernel is
@@ -288,18 +290,33 @@ def check_triangular_counts(n: int, hs) -> None:
         check_minor_count(*matrix_shape("T", n, h), range(h + 2), top=True)
 
 
+def _walk(m: SymbolicMatrix, sizes, every_row: bool):
+    """The packed matrix, and the (size, rows, cols) of the minors of the given
+    sizes by size, then lexicographic (rows, cols), counted against
+    ``MINOR_LIMIT`` on the call.  Each size s takes every row s-subset, or,
+    unless ``every_row``, rows 0..s-1 alone where ``minor_span`` shows that
+    this suffices."""
+    sizes = [s for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)]
+    e = m.entries
+    top = not every_row and (all(s == m.rows for s in sizes) or all(
+        e[r][c] == (e[r - 1][c - 1] if c % m.rows else ZERO)
+        for r in range(1, m.rows) for c in range(m.cols)
+    ))
+    check_minor_count(m.rows, m.cols, sizes, top)
+    walk = (
+        (s, rows, cols)
+        for s in sizes
+        for rows in ([tuple(range(s))] if top else itertools.combinations(range(m.rows), s))
+        for cols in itertools.combinations(range(m.cols), s)
+    )
+    return PackedMatrix(m), walk
+
+
 def iter_minors(m: SymbolicMatrix, sizes):
     """An iterator of (size, rows, cols, value) by size, then lexicographic (rows,
     cols); raises ``ValueError`` on the call past ``MINOR_LIMIT`` minors."""
-    sizes = [s for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)]
-    check_minor_count(m.rows, m.cols, sizes, top=False)
-    packed = PackedMatrix(m)
-    return (
-        (size, rows, cols, packed.value(rows, cols))
-        for size in sizes
-        for rows in itertools.combinations(range(m.rows), size)
-        for cols in itertools.combinations(range(m.cols), size)
-    )
+    packed, walk = _walk(m, sizes, every_row=True)
+    return ((size, rows, cols, packed.value(rows, cols)) for size, rows, cols in walk)
 
 
 # The zero span, for a degree with no minor.
@@ -323,23 +340,6 @@ class GradedSpan:
     @property
     def total_dimension(self) -> int:
         return sum(s.dimension for s in self.spans.values())
-
-
-def _selected_rows(m: SymbolicMatrix, sizes) -> list[tuple[int, tuple[int, ...]]]:
-    """The (size, rows) whose minors ``minor_span`` expands, counted against
-    ``MINOR_LIMIT`` (which raises ``ValueError`` before any is expanded)."""
-    sizes = [s for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)]
-    e = m.entries
-    top = all(s == m.rows for s in sizes) or all(
-        e[r][c] == (e[r - 1][c - 1] if c % m.rows else ZERO)
-        for r in range(1, m.rows) for c in range(m.cols)
-    )
-    check_minor_count(m.rows, m.cols, sizes, top)
-    return [
-        (s, rows)
-        for s in sizes
-        for rows in ([tuple(range(s))] if top else itertools.combinations(range(m.rows), s))
-    ]
 
 
 def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
@@ -376,14 +376,12 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     row-echelon form only when a basis is read.  A row is a minor times its
     rows' scales, which leaves that form as it is.
     """
-    selected = _selected_rows(m, sizes)
-    packed = PackedMatrix(m)
+    packed, walk = _walk(m, sizes, every_row=False)
     by_degree: dict[int, list[dict[int, int]]] = {}
-    for s, rows in selected:
-        for cols in itertools.combinations(range(m.cols), s):
-            det = packed.det(rows, cols)
-            if det:
-                by_degree.setdefault(max(det) // packed.index.top, []).append(det)
+    for _, rows, cols in walk:
+        det = packed.det(rows, cols)
+        if det:
+            by_degree.setdefault(max(det) // packed.index.top, []).append(det)
     spans = {d: Span(packed.index, forward_echelon(dets)) for d, dets in by_degree.items()}
     return GradedSpan(spans, sum(map(len, by_degree.values())))
 

@@ -2,7 +2,9 @@
 
 All elimination runs on one sparse, fraction-free core.  Rows are ``{key:
 value}`` maps of their nonzero entries over ``int``, eliminated by integer
-combinations; keys a row never mentions are never touched.
+combinations; keys a row never mentions are never touched.  There is no
+dense matrix: the kernel side hands ``nullspace`` its pairing rows, and the
+minor side hands ``forward_echelon`` its packed minors, as sparse rows.
 ``forward_echelon`` gives each row a lead, its least key, and reduces each
 new row by its lead until it is zero or its lead is new, which certifies the
 rank.  ``back_substitute`` reduces those rows against each other, still over
@@ -28,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .ring import Monomial, Polynomial, Variable, _sorted_monomial
 
@@ -227,69 +229,10 @@ class MonomialIndex:
         return got
 
 
+# Empty: ``perfbench/tracer.py`` looks this class up by name (``getattr`` over
+# ``TRACED_CLASSES``), so it stays until the next change to the benchmark.
 class RationalMatrix:
-    """A dense matrix of exact rationals; it reduces on the sparse core."""
-
-    def __init__(self, entries: Sequence[Sequence[Fraction]], cols: int | None = None):
-        self.entries: list[list[Fraction]] = [
-            [Fraction(e) for e in row] for row in entries
-        ]
-        self.rows = len(self.entries)
-        if self.rows:
-            self.cols = len(self.entries[0])
-            if any(len(row) != self.cols for row in self.entries):
-                raise ValueError("ragged matrix")
-            if cols is not None and cols != self.cols:
-                raise ValueError("explicit column count disagrees with rows")
-        else:
-            self.cols = cols or 0
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def multiply_vector(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum((row[j] * v[j] for j in range(self.cols)), Fraction(0)) for row in self.entries]
-
-    @staticmethod
-    def _dense(row: Mapping[int, int | Fraction], cols: int) -> list[Fraction]:
-        out = [Fraction(0)] * cols
-        for c, e in row.items():
-            out[c] = e
-        return out
-
-    def _sparse_rows(self) -> list[dict[int, int]]:
-        return [_cleared(dict(enumerate(row))) for row in self.entries]
-
-    def rank(self) -> int:
-        return len(forward_echelon(self._sparse_rows()))
-
-    def row_reduce(self) -> "RationalMatrix":
-        """The unique reduced row-echelon form, zero rows dropped."""
-        reduced, pivots = back_substitute(forward_echelon(self._sparse_rows()))
-        rows = [self._dense(_over_pivot(row, p), self.cols) for row, p in zip(reduced, pivots)]
-        return RationalMatrix(rows, cols=self.cols)
-
-    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """A basis of the right nullspace, one vector per free column, which
-        holds its last nonzero entry, 1."""
-        kernel = nullspace(self._sparse_rows(), self.cols)
-        return [tuple(self._dense(_over_pivot(v, max(v)), self.cols)) for v in kernel]
+    pass
 
 
 class Span:

@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from arcperp.linalg import MonomialIndex, Span, forward_echelon
+from arcperp.linalg import MonomialIndex, Span, back_substitute, forward_echelon
 from arcperp.pairing import apply_pairing, directional_derivative
 from arcperp.ring import E, Monomial, Polynomial, al, differential_variables, x, xi, y
 
@@ -147,6 +147,24 @@ def span_of(polys, index: MonomialIndex | None = None) -> Span:
         rows.append({index._key(m): int(c * scale) for m, c in p.terms.items()})
     assert all(None not in row for row in rows), "a monomial outside the index"
     return Span(index, forward_echelon(rows))
+
+
+def integral_row(row: list) -> dict[int, int]:
+    """A dense rational row as the elimination core takes it: its nonzero
+    entries times the lcm of its denominators, the same line, so the same
+    rank and reduced row-echelon form."""
+    scale = math.lcm(*(Fraction(e).denominator for e in row))
+    return {j: int(e * scale) for j, e in enumerate(row) if e != 0}
+
+
+def core_rref(rows: list[list], cols: int) -> list[list[Fraction]]:
+    """The reduced row-echelon form of dense rational rows through the
+    elimination core, ``back_substitute(forward_echelon(...))``, dense: each
+    reduced row divided by its pivot entry, zero rows dropped."""
+    reduced, pivots = back_substitute(forward_echelon(integral_row(row) for row in rows))
+    return [
+        [Fraction(row.get(j, 0), row[p]) for j in range(cols)] for row, p in zip(reduced, pivots)
+    ]
 
 
 def spans_by_degree(polys) -> dict[int, Span]:

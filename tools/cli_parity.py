@@ -89,6 +89,12 @@ CALLS = [
     ["minors", "--family", "T", "--n", "1", "--h", "1", "--max-size", "-1"],
     ["minors", "--family", "T", "--n", "0", "--h", "1"],
     ["minors", "--family", "Q", "--n", "1", "--h", "1"],
+    # Partial sizes of shift-structured and Hankel matrices: the listing walks
+    # every row set where the span walks the top rows alone.
+    ["minors", "--family", "T", "--n", "2", "--h", "3", "--max-size", "2", "--json"],
+    ["minors", "--family", "S", "--n", "1", "--h", "3"],
+    ["minors", "--family", "S1", "--n", "2", "--h", "1", "--max-size", "2"],
+    ["minors", "--family", "H", "--n", "3", "--h", "2", "--k", "1", "--json"],
     ["minors", "--family", "T", "--n", "1", "--h", "100"],  # refused: too many minors
     ["dims-chain", "--n", "1", "--h", "100"],  # refused: too many minors
     ["verify", "--n", "1", "--h", "100"],  # refused: too many minors
