@@ -38,7 +38,8 @@ a basis is read.  The sampled Wronskian law of ``reports`` packs all its
 pairs once, side by side in one two-row matrix, and reads each pair's
 Wronskian as a 2x2 minor.  ``truncated_perp_basis`` is the minor span of T(n, h);
 ``dimension_series`` compares its total dimensions with (n+1)^(h+1),
-``dimension_chain`` with those of S and S1, and
+``dimension_chain`` with those of S and S1 (and checks that one substitution
+carries T to S entry by entry, hence each minor of T to S's), and
 ``hankel_minor_intersection_span`` is the Wronskian span that the kernel is
 compared with.  Like the kernel side, ``perp``, this module imports only
 ``linalg`` and ``ring``, so ``series`` and ``dims-chain`` load nothing else.
@@ -53,7 +54,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .linalg import MonomialIndex, Span, forward_echelon
-from .ring import ONE, ZERO, Monomial, Polynomial, format_polynomial, x
+from .ring import ONE, ZERO, Monomial, Polynomial, x
 
 
 class SymbolicMatrix(NamedTuple):
@@ -411,7 +412,8 @@ def dimension_series(n: int, truncated) -> list[SeriesRow]:
 
 
 class ChainDims(NamedTuple):
-    """Dimensions of the three independently enumerated minor spaces."""
+    """Dimensions of the three independently enumerated minor spaces, and
+    whether x^(i) -> x^(h-i)/(h-i)! carries T to S entry by entry."""
 
     triangular: int
     scaled: int
@@ -434,56 +436,41 @@ def dimension_chain(n: int, h: int, tri: GradedSpan) -> ChainDims:
     """Compare the triangular, scaled, and augmented-maximal minor dimensions.
 
     ``tri`` is the triangular minor span ``truncated_perp_basis(n, h)``.
-    ``equal`` records whether all three match (n+1)^(h+1).  The explicit
-    substitution x^(i) -> x^(h-i)/(h-i)! is also applied to every triangular
-    basis element and checked to land in the scaled span of its degree: the
-    map keeps degree and the degree pieces share no monomials, so that is
-    landing in the whole scaled span.  On failure the witness is the first
-    triangular basis element whose image lands outside, or else the first
-    family whose dimension is off.
+    ``equal`` records whether all three match (n+1)^(h+1).  The substitution
+    phi: x_j^(k) -> x_j^(h-k)/(h-k)! is a ring homomorphism that sends
+    x_j^(h-i), on the i-th superdiagonal of T(n, h), to x_j^(i)/i!, there in
+    S(n, h), and zero to zero.  So phi(T) = S entrywise, phi sends each minor
+    of T to the minor of S on the same rows and columns, and span(T) onto
+    span(S), degree by degree.  ``bijection_lands_in_scaled`` checks phi(T) =
+    S entry by entry.  On failure the witness is the first (row, column)
+    where they differ, or else the first family whose dimension is off.
     """
     closed = (n + 1) ** (h + 1)
-    sca = minor_span(scaled_matrix(n, h), range(h + 2))
+    t, s = triangular_matrix(n, h), scaled_matrix(n, h)
+    sca = minor_span(s, range(h + 2))
     aug = minor_span(scaled_augmented_matrix(n, h), [h + 1])
     dims = (tri.total_dimension, sca.total_dimension, aug.total_dimension)
-    outside = next(
-        (p for d, span in tri.spans.items() for p in span.basis_polynomials()
-         if not sca.span(d).contains(scaled_of_triangular_map(p, h))),
-        None,
-    )
+
+    def phi(p: Polynomial) -> Polynomial:  # a renaming: no two terms merge
+        return Polynomial({
+            Monomial((x(v.i, h - v.j), e) for v, e in m.pairs):
+                Fraction(c, math.prod(math.factorial(h - v.j) ** e for v, e in m.pairs))
+            for m, c in p.terms.items()
+        })
+
+    differ = next(((r, c) for r in range(t.rows) for c in range(t.cols)
+                   if phi(t.entries[r][c]) != s.entries[r][c]), None)
     off = [
         f"{family}: {d} != {closed}"
         for family, d in zip(("triangular", "scaled", "scaled_augmented"), dims)
         if d != closed
     ]
     witness = off[0] if off else None
-    if outside is not None:
-        witness = f"image outside the scaled span: {format_polynomial(outside)}"
-    return ChainDims(*dims, equal=not off, bijection_lands_in_scaled=outside is None,
+    if differ is not None:
+        r, c = differ
+        witness = f"entry ({r}, {c}): phi(T) = {phi(t.entries[r][c])} != S = {s.entries[r][c]}"
+    return ChainDims(*dims, equal=not off, bijection_lands_in_scaled=differ is None,
                      witness=witness)
-
-
-def scaled_of_triangular_map(p: Polynomial, h: int) -> Polynomial:
-    """The substitution x^(i) -> x^(h-i)/(h-i)! that carries the triangular
-    minor space onto the scaled one.
-
-    It is a renaming: each x_i^(j) becomes x_i^(h-j), and a term's coefficient
-    is divided by the product of ((h-j)!)^e over its x-factors.  The renaming
-    is a bijection on variables, so no two terms merge.
-    """
-    out = {}
-    for m, c in p.terms.items():
-        pairs = []
-        scale = 1
-        for v, e in m.pairs:
-            if v.kind == "x":
-                if v.j > h:
-                    raise ValueError(f"variable {v.token()} has order above h={h}")
-                scale *= math.factorial(h - v.j) ** e
-                v = x(v.i, h - v.j)
-            pairs.append((v, e))
-        out[Monomial(pairs)] = c if scale == 1 else Fraction(c, scale)
-    return Polynomial(out)
 
 
 def hankel_minor_intersection_span(n: int, degree: int, max_order: int) -> Span:

@@ -505,16 +505,15 @@ class TestDimsChain:
         }
 
     def test_failure_prints_its_witness(self, capsys, monkeypatch):
-        # Negative control: an image with an extra x1_5 term leaves the
-        # scaled span, from the constant minor 1 on.
-        mapped = hankel.scaled_of_triangular_map
-        stray = ring.Polynomial.from_variable(ring.x(1, 5))
-        monkeypatch.setattr(hankel, "scaled_of_triangular_map", lambda p, h: mapped(p, h) + stray)
+        # Negative control for the entrywise identity alone: S with entry
+        # (0, 1) doubled keeps every dimension, but phi(T) is no longer S.
+        monkeypatch.setattr(hankel, "scaled_matrix", doubled_entry(hankel.scaled_matrix))
+        witness = "entry (0, 1): phi(T) = x1_1 != S = 2*x1_1"
         code, out, _ = run(capsys, "dims-chain", "--n", "1", "--h", "1")
         assert code == 1
         assert out == (
             "triangular=4 scaled=4 scaled_augmented=4 equal=True bijection=False"
-            " witness: image outside the scaled span: 1\n"
+            f" witness: {witness}\n"
         )
         code, out, _ = run(capsys, "dims-chain", "--n", "1", "--h", "1", "--json")
         assert code == 1
@@ -524,8 +523,47 @@ class TestDimsChain:
             "scaled_augmented": 4,
             "equal": True,
             "bijection_lands_in_scaled": False,
-            "witness": "image outside the scaled span: 1",
+            "witness": witness,
         }
+
+    def test_the_battery_fails_the_chain_alone(self, monkeypatch):
+        monkeypatch.setattr(hankel, "scaled_matrix", doubled_entry(hankel.scaled_matrix))
+        report = reports.run_verification(1, 1)
+        failed = [c for c in report.checks if not c.passed]
+        assert [(c.name, c.witness) for c in failed] == [
+            ("triangular_scaled_dimension_chain", "entry (0, 1): phi(T) = x1_1 != S = 2*x1_1")
+        ]
+        assert failed[0].dimensions == {
+            "triangular": 4,
+            "scaled": 4,
+            "scaled_augmented": 4,
+            "equal": True,
+            "bijection_lands_in_scaled": False,
+        }
+
+    def test_chain_reads_no_basis_and_makes_no_containment_query(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the chain read a basis or queried a span")
+
+        monkeypatch.setattr(linalg, "back_substitute", refuse)
+        monkeypatch.setattr(linalg.Span, "contains", refuse)
+        chain = hankel.dimension_chain(2, 3, hankel.truncated_perp_basis(2, 3))
+        assert chain.equal and chain.bijection_lands_in_scaled
+        code, out, _ = run(capsys, "dims-chain", "--n", "2", "--h", "3")
+        assert (code, out) == (
+            0, "triangular=81 scaled=81 scaled_augmented=81 equal=True bijection=True\n"
+        )
+
+
+def doubled_entry(scaled_matrix):
+    """``scaled_matrix`` with entry (0, 1) of its result doubled."""
+
+    def doubled(n, h):
+        rows = [list(row) for row in scaled_matrix(n, h).entries]
+        rows[0][1] = rows[0][1] * 2
+        return hankel.SymbolicMatrix.from_rows(rows)
+
+    return doubled
 
 
 class TestGlobalFlags:

@@ -18,7 +18,6 @@ from arcperp.hankel import (
     minor_span,
     scaled_augmented_matrix,
     scaled_matrix,
-    scaled_of_triangular_map,
     triangular_matrix,
 )
 from arcperp.linalg import span_witness
@@ -33,6 +32,7 @@ from oracles import (
     polynomial_from_terms,
     span_of,
     spans_by_degree,
+    substitute_oracle,
     top_degree,
     wronskian,
 )
@@ -504,6 +504,10 @@ class TestKeptMinors:
         sca = minor_span(scaled_matrix(2, 2), range(4))
         assert sca.total_dimension == 27
         stray = [Polynomial.from_variable(x(3, 0)), P("x1_0^9"), P("x1_2^2 + x2_0*x2_1")]
+        phi = {  # x_i^(j) -> x_i^(2-j)/(2-j)!, which carries T(2, 2) to S(2, 2)
+            x(i, j): Polynomial({Monomial.of(x(i, 2 - j)): Fraction(1, math.factorial(2 - j))})
+            for i in (1, 2) for j in range(3)
+        }
         for d, basis in bases.items():
             span = sca.span(d)
             # the same span, keyed by an index of its own variables
@@ -512,7 +516,7 @@ class TestKeptMinors:
                 for row in span.kept.values()
             )
             for p in basis:
-                image = scaled_of_triangular_map(p, 2)
+                image = substitute_oracle(p, phi)
                 assert span.contains(image)
                 for q in stray:
                     assert span.contains(image + q) == by_columns.contains(image + q)

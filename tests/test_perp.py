@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -9,8 +10,9 @@ from arcperp.arcgen import arc_generators_up_to
 from arcperp.hankel import (
     hankel_minor_intersection_span,
     iter_minors,
+    minor_span,
     scaled_matrix,
-    scaled_of_triangular_map,
+    triangular_matrix,
     truncated_perp_basis,
 )
 from arcperp.linalg import MonomialIndex, forward_echelon, span_witness
@@ -27,6 +29,7 @@ from oracles import (
     annihilates,
     graded_monomials,
     linear_in_exponential_shift,
+    naive_determinant,
     naive_rref,
     pairing_oracle,
     restrict_above_oracle,
@@ -501,20 +504,8 @@ class TestDifferentialHomogeneity:
 
 
 class TestTriangularToScaledMap:
-    def test_map_on_basis(self):
-        # x^(i) -> x^(h-i)/(h-i)! with h=1 swaps x and x'
-        assert scaled_of_triangular_map(P("x1_1"), 1) == P("x1_0")
-        assert scaled_of_triangular_map(P("x1_0"), 1) == P("x1_1")
-        assert scaled_of_triangular_map(P("x1_1^2"), 1) == P("x1_0^2")
-
-    def test_factorials_enter(self):
-        assert scaled_of_triangular_map(P("x1_0"), 2) == P("1/2*x1_2")
-
-    def test_order_above_h_rejected(self):
-        with pytest.raises(ValueError):
-            scaled_of_triangular_map(P("x1_3"), 2)
-        with pytest.raises(ValueError, match="x2_3"):
-            scaled_of_triangular_map(P("x1_0 + x1_1*x2_3"), 2)
+    """phi: x_i^(j) -> x_i^(h-j)/(h-j)!, the substitution that carries T(n, h)
+    to S(n, h) entry by entry, applied by ``substitute_oracle``."""
 
     @staticmethod
     def _substitution(p, h):
@@ -526,16 +517,28 @@ class TestTriangularToScaledMap:
 
     @pytest.mark.parametrize("n,h", [(2, 3), (3, 3), (1, 6)])
     def test_rename_matches_substitution_on_the_triangular_basis(self, n, h):
-        basis = [p for span in truncated_perp_basis(n, h).spans.values() for p in span.basis_polynomials()]
-        assert len(basis) == (n + 1) ** (h + 1)
-        for p in basis:
-            mapping = self._substitution(p, h)
-            image = scaled_of_triangular_map(p, h)
-            assert image == substitute_oracle(p, mapping), str(p)
-            assert len(image.terms) == len(p.terms)
+        basis = {d: span.basis_polynomials() for d, span in truncated_perp_basis(n, h).spans.items()}
+        assert sum(map(len, basis.values())) == (n + 1) ** (h + 1)
+        scaled = minor_span(scaled_matrix(n, h), range(h + 2))
+        for d, ps in basis.items():
+            for p in ps:
+                image = substitute_oracle(p, self._substitution(p, h))
+                assert len(image.terms) == len(p.terms)
+                assert scaled.span(d).contains(image), str(p)
 
-    def test_auxiliaries_ride_along(self):
-        p = P("2/3*x1_0*x1_2*xi1 - x1_1^2*E1*y_0 + al1_1")
-        image = scaled_of_triangular_map(p, 2)
-        assert image == P("1/3*x1_2*x1_0*xi1 - x1_1^2*E1*y_0 + al1_1")
-        assert image == substitute_oracle(p, self._substitution(p, 2))
+    @pytest.mark.parametrize("n,h", [(1, 2), (2, 2)])
+    def test_substitution_carries_each_triangular_minor_to_the_scaled_one(self, n, h):
+        # The proof behind the chain: phi is a ring homomorphism with
+        # phi(T) = S entrywise, so it carries each minor to its counterpart.
+        t, s = triangular_matrix(n, h).entries, scaled_matrix(n, h).entries
+        minors = 0
+        for size in range(h + 2):
+            for rows in itertools.combinations(range(h + 1), size):
+                for cols in itertools.combinations(range(n * (h + 1)), size):
+                    tri = naive_determinant([[t[r][c] for c in cols] for r in rows])
+                    sca = naive_determinant([[s[r][c] for c in cols] for r in rows])
+                    assert substitute_oracle(tri, self._substitution(tri, h)) == sca, (rows, cols)
+                    minors += 1
+        assert minors == sum(
+            math.comb(h + 1, k) * math.comb(n * (h + 1), k) for k in range(h + 2)
+        )

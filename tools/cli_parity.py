@@ -127,6 +127,9 @@ CALLS = [
     ["dims-chain", "--json", "--n", "3", "--h", "4"],
     ["dims-chain", "--json", "--n", "1", "--h", "5"],
     ["dims-chain", "--json", "--n", "4", "--h", "2"],
+    ["dims-chain", "--n", "1", "--h", "0"],
+    ["dims-chain", "--n", "2", "--h", "5"],
+    ["dims-chain", "--json", "--n", "5", "--h", "1"],
     ["dims-chain", "--n", "1", "--h", "-1"],
     ["series", "--n", "1", "--h-max", "3", "--out", OUT],
     ["gens", "--n", "2", "--max-order", "2", "--out", OUT],
