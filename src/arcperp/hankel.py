@@ -34,9 +34,7 @@ set expanded.  The span certifies each degree's dimension by a forward
 echelon of the packed values, led by their lowest monomials, with no
 ``Polynomial`` per minor: each degree is a plain ``Span`` over the matrix's
 index, which decodes keys and builds the reduced row-echelon form only when
-a basis is read.  The sampled Wronskian law of ``reports`` packs all its
-pairs once, side by side in one two-row matrix, and reads each pair's
-Wronskian as a 2x2 minor.  ``truncated_perp_basis`` is the minor span of T(n, h);
+a basis is read.  ``truncated_perp_basis`` is the minor span of T(n, h);
 ``dimension_series`` compares its total dimensions with (n+1)^(h+1),
 ``dimension_chain`` with those of S and S1 (and checks that one substitution
 carries T to S entry by entry, hence each minor of T to S's), and
@@ -299,10 +297,10 @@ def _walk(m: SymbolicMatrix, sizes, every_row: bool):
     this suffices."""
     sizes = [s for s in sorted(sizes) if 0 <= s <= min(m.rows, m.cols)]
     e = m.entries
-    top = not every_row and (all(s == m.rows for s in sizes) or all(
+    top = not every_row and all(
         e[r][c] == (e[r - 1][c - 1] if c % m.rows else ZERO)
         for r in range(1, m.rows) for c in range(m.cols)
-    ))
+    )
     check_minor_count(m.rows, m.cols, sizes, top)
     walk = (
         (s, rows, cols)
@@ -346,18 +344,18 @@ class GradedSpan:
 def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
     """Reduced span of the minors of the given sizes, grouped by degree.
 
-    The row sets are chosen from the matrix.  When every size is the row
-    count, or m is shift-structured, each size s is expanded on rows 0..s-1
-    alone, over every column s-subset; otherwise on every row s-subset.  m
-    is shift-structured when row r is vS^r, v = row 0, for the constant
-    shift S: e_c -> e_(c+1) inside each block of ``rows`` columns, a block's
-    last column going to 0.  The minors on rows r_1 < ... < r_s are then the
-    Pluecker coordinates of vS^(r_1) ^ ... ^ vS^(r_s), which is 1/s! times
-    the alternant a_(lambda+delta)(S_1, ..., S_s), lambda+delta = (r_s, ...,
-    r_1), applied to v (x) ... (x) v, with S_i acting on the i-th factor.
-    As a_(lambda+delta) = s_lambda * a_delta (Macdonald, Symmetric Functions
-    and Hall Polynomials, I.3), that is s_lambda(S_1, ..., S_s), a constant
-    matrix on the s-th exterior power, applied to +-(v ^ vS ^ ... ^
+    The row sets are chosen from the matrix.  When m is shift-structured,
+    each size s is expanded on rows 0..s-1 alone, over every column
+    s-subset; otherwise on every row s-subset, at the row count just rows
+    0..s-1.  m is shift-structured when row r is vS^r, v = row 0, for the
+    constant shift S: e_c -> e_(c+1) inside each block of ``rows`` columns,
+    a block's last column going to 0.  The minors on rows r_1 < ... < r_s are
+    then the Pluecker coordinates of vS^(r_1) ^ ... ^ vS^(r_s), which is
+    1/s! times the alternant a_(lambda+delta)(S_1, ..., S_s), lambda+delta =
+    (r_s, ..., r_1), applied to v (x) ... (x) v, with S_i acting on the i-th
+    factor.  As a_(lambda+delta) = s_lambda * a_delta (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.3), that is s_lambda(S_1, ..., S_s), a
+    constant matrix on the s-th exterior power, applied to +-(v ^ vS ^ ... ^
     vS^(s-1)): every size-s minor is a constant combination of those on rows
     0..s-1.  T, S and S1 are shift-structured (block size h+1 = rows); a
     Hankel block is not.  Size 0 gives the constant 1; zero minors are

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -21,9 +22,7 @@ from .arcgen import arc_generators_up_to, check_product_count
 from .hankel import (  # ChainDims, SeriesRow: perfbench/tracer.py traces them here
     ChainDims,
     GradedSpan,
-    PackedMatrix,
     SeriesRow,
-    SymbolicMatrix,
     check_minor_count,
     check_triangular_counts,
     dimension_chain,
@@ -35,9 +34,9 @@ from .hankel import (  # ChainDims, SeriesRow: perfbench/tracer.py traces them h
     scaled_matrix,
     truncated_perp_basis,
 )
-from .linalg import Span, span_witness
+from .linalg import MonomialIndex, Span, span_witness
 from .pairing import apply_pairing, double_derivative_vanishes, is_differentially_homogeneous
-from .perp import check_monomial_count, perp_graded_basis, restriction_mismatch
+from .perp import _generator_images, check_monomial_count, perp_graded_basis, restriction_mismatch
 from .ring import Monomial, Polynomial, differential_variables, format_polynomial
 
 
@@ -215,13 +214,16 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     def minors() -> GradedSpan:
         return minor_span(hankel_matrix(n, h_cap, k_cap), range(h_cap + 1))
 
+    @functools.cache
+    def generators() -> list[Polynomial]:
+        return arc_generators_up_to(n, 2 * (h_cap + k_cap))
+
     def check_minor_annihilation():
-        generators = arc_generators_up_to(n, 2 * (h_cap + k_cap))
-        quadratic = [_quadratic_terms(g) for g in generators]
+        quadratic = [_quadratic_terms(g) for g in generators()]
         for w in _minor_basis(minors()):
             if not _annihilated_by_all(quadratic, w):
                 return False, {"minors": minors().nonzero_minors}, format_polynomial(w)
-        return True, {"minors": minors().nonzero_minors, "generators": len(generators)}, None
+        return True, {"minors": minors().nonzero_minors, "generators": len(quadratic)}, None
 
     checks.append(
         _timed(
@@ -356,7 +358,7 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     checks.append(_timed("dimension_series_matches_closed_form", {"n": n, "h_max": series_h}, check_series))
 
     def check_samples():
-        return _property_samples(n, order_bound, seed, count=200 if deep else 60)
+        return _property_samples(n, order_bound, seed, 200 if deep else 60, generators())
 
     checks.append(
         _timed(
@@ -376,48 +378,51 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
 def _random_polynomial(rng: random.Random, variables: list) -> Polynomial:
     terms = {}
     for _ in range(rng.randint(0, 4)):
-        pairs: dict = {}
-        for _ in range(rng.randint(0, 3)):
-            v = rng.choice(variables)
-            pairs[v] = pairs.get(v, 0) + 1
-        numerator, denominator = rng.randint(-4, 4), rng.randint(1, 3)
-        if numerator % denominator:
-            coeff = Fraction(numerator, denominator)
-        else:
-            coeff = numerator // denominator
+        pairs = Counter(rng.choice(variables) for _ in range(rng.randint(0, 3)))
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         m = Monomial(pairs.items())
-        old = terms.get(m)
-        terms[m] = coeff if old is None else old + coeff
+        terms[m] = terms.get(m, 0) + (c if c.denominator > 1 else c.numerator)
     return Polynomial(terms)
 
 
-def _property_samples(n: int, max_order: int, seed: int, count: int):
-    """Seeded spot checks of the algebra laws used everywhere else.
+def _generator_actions(index: MonomialIndex, g: Polynomial, w: Polynomial) -> dict:
+    """The arc generator g applied to w by three paths that share no code:
+    ``apply_pairing``, the minor side's second partials, and the kernel
+    side's ``_generator_images`` of each term c*m of w, keyed in ``index``,
+    summed as sum c*image(m).  The kernel side reads only g's name g_{ij,l},
+    off one term x_i^(s) x_j^(l-s)."""
+    (u, _), *rest = next(iter(g.terms)).pairs
+    v = rest[0][0] if rest else u
+    kernel = Polynomial.zero()
+    for m, c in w.terms.items():
+        images = _generator_images(index, m.pairs, index._key(m))
+        kernel = kernel + c * Polynomial(
+            {index._monomial(q): e for ij, l, q, e in images if (ij, l) == ((u.i, v.i), u.j + v.j)}
+        )
+    return {
+        "pairing": apply_pairing(g, w),
+        "minor side": Polynomial(_generator_image(_quadratic_terms(g), _second_partials(w))),
+        "kernel side": kernel,
+    }
 
-    Every sample is drawn first, in the order of a sample-by-sample loop (p,
-    q, r, then the pair f, g).  W(f, g) = -W(g, f) is read off one
-    ``PackedMatrix`` whose rows are every f_i, g_i side by side and their
-    derivatives: the minors on columns (2i, 2i+1) and (2i+1, 2i), under one
-    row scale.  The laws run sample by sample in the order below, and the
-    first failure is returned.
-    """
+
+def _property_samples(n: int, max_order: int, seed: int, count: int, generators: list):
+    """Seeded samples of the action both sides rest on: each draws g from
+    ``generators``, then w with at most 3 factors a term in the variables of
+    orders <= max_order, keyed in one index of base 4.  The paths of
+    :func:`_generator_actions` must agree on g applied to w; the first sample
+    where one differs from the other two fails, naming it, g and w."""
     rng = random.Random(seed)
     variables = differential_variables(n, max_order)
-    first_order = differential_variables(n, 1)
-    samples, pairs = [], []
-    for _ in range(count):
-        samples.append([_random_polynomial(rng, variables) for _ in range(3)])
-        pairs += (_random_polynomial(rng, first_order) for _ in range(2))
-    packed = PackedMatrix(SymbolicMatrix.from_rows([pairs, [f.derivative() for f in pairs]]))
-    for i, (p, q, r) in enumerate(samples):
-        if (p + q) * r != p * r + q * r:
-            return False, {"sample": i}, "distributivity"
-        pq = p * q
-        if pq.derivative() != p.derivative() * q + p * q.derivative():
-            return False, {"sample": i}, "leibniz"
-        if apply_pairing(pq, r) != apply_pairing(p, apply_pairing(q, r)):
-            return False, {"sample": i}, "pairing composition"
-        swapped = packed.det((0, 1), (2 * i + 1, 2 * i))
-        if packed.det((0, 1), (2 * i, 2 * i + 1)) != {k: -c for k, c in swapped.items()}:
-            return False, {"sample": i}, "wronskian alternation"
+    index = MonomialIndex(variables, 4)
+    acting = [g for g in generators  # t-power <= 2*max_order: the rest act as zero
+              if sum(v.j * e for v, e in next(iter(g.terms)).pairs) <= 2 * max_order]
+    for i in range(count):
+        g = rng.choice(acting)
+        w = _random_polynomial(rng, variables)
+        (a, p), (b, q), (c, r) = _generator_actions(index, g, w).items()
+        if not p == q == r:
+            path = c if p == q else b if p == r else a if q == r else "every path"
+            witness = f"{path} disagrees: g = {format_polynomial(g)}, w = {format_polynomial(w)}"
+            return False, {"sample": i}, witness
     return True, {"samples": count}, None

@@ -5,11 +5,11 @@ each an ``int`` or a ``Fraction`` as the arithmetic produced it, so integer
 arithmetic stays in ``int``.  Variables come in two flavours:
 
 * differential variables ``x<i>_<j>`` standing for the j-th formal derivative
-  of the i-th coordinate (the derivation sends ``x<i>_<j>`` to ``x<i>_<j+1>``);
-* auxiliary symbols with their own derivation rules: the constants ``xi<m>``
-  and ``al<m>_<i>`` (derivative zero), the exponential markers ``E<m>``
-  (derivative ``xi<m>*E<m>``), and the differential indeterminate ``y_<k>``
-  (derivative ``y_<k+1>``).
+  of the i-th coordinate;
+* auxiliary symbols: the constants ``xi<m>`` and ``al<m>_<i>``, the
+  exponential markers ``E<m>``, and the k-th derivative ``y_<k>`` of a
+  differential indeterminate y.  ``Polynomial.derive`` applies a derivation
+  given by its images of the variables, so each caller states its own rule.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use is safe.  There is no floating-point mode.
@@ -67,17 +67,17 @@ def x(i: int, j: int = 0) -> Variable:
 
 
 def xi(m: int) -> Variable:
-    """The transcendental constant xi_m (derivative zero)."""
+    """The transcendental constant xi_m."""
     return Variable(1, m, 0, "xi")
 
 
 def al(m: int, i: int) -> Variable:
-    """The transcendental constant al_{m,i} (derivative zero)."""
+    """The transcendental constant al_{m,i}."""
     return Variable(2, m, i, "al")
 
 
 def E(m: int) -> Variable:
-    """The exponential marker E_m, with derivation E_m' = xi_m * E_m."""
+    """The exponential marker E_m."""
     return Variable(3, m, 0, "E")
 
 
@@ -317,10 +317,6 @@ class Polynomial:
             {_sorted_monomial(k, sum(e for _, e in k)): t for k, t in acc.items() if t}
         )
 
-    def derivative(self) -> "Polynomial":
-        """The formal derivative: :meth:`derive` with the rule :func:`_next_order`."""
-        return self.derive(_next_order)
-
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -328,18 +324,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)})"
-
-
-def _next_order(v: Variable) -> list:
-    """The formal derivative as a :meth:`Polynomial.derive` rule: ``x`` and ``y``
-    go to the next order of their own family and E_m to xi_m*E_m, while ``xi``
-    and ``al`` are constants."""
-    rank, i, j, kind = v
-    if kind == "x" or kind == "y":
-        return [(1, ((Variable(rank, i, j + 1, kind), 1),))]
-    if kind == "E":
-        return [(1, ((xi(i), 1), (v, 1)))]
-    return []
 
 
 # -- parsing and formatting ---------------------------------------------------

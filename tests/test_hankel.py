@@ -27,6 +27,7 @@ from arcperp.ring import E, Monomial, Polynomial, al, parse, x, xi, y
 from oracles import (
     annihilates,
     coefficient_types,
+    derivative_oracle,
     naive_basis,
     naive_determinant,
     polynomial_from_terms,
@@ -161,7 +162,7 @@ class TestWronskian:
 
     def test_general_entries_match_oracle(self):
         fs = [P("x1_0 + x1_1"), P("x1_0^2")]
-        rows = [fs, [f.derivative() for f in fs]]
+        rows = [fs, [derivative_oracle(f) for f in fs]]
         assert wronskian(fs) == naive_determinant(rows)
 
 
@@ -228,6 +229,69 @@ def square_matrices(draw):
 def rectangular_matrices(draw):
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     return [[draw(_entries) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def permuted_minors(draw):
+    """A matrix, a set of its rows and as many of its columns, in any order."""
+    rows = draw(rectangular_matrices())
+    size = draw(st.integers(1, min(len(rows), len(rows[0]))))
+    row_set = tuple(sorted(draw(st.permutations(range(len(rows))))[:size]))
+    cols = tuple(draw(st.permutations(range(len(rows[0]))))[:size])
+    return rows, row_set, cols
+
+
+def _minor_alternates(rows, row_set, cols) -> bool:
+    """Is the packed minor on the columns ``cols``, in their given order, the
+    sign of their permutation times the minor on the sorted columns, and is
+    each the oracle's permutation expansion?"""
+    packed = PackedMatrix(SymbolicMatrix.from_rows(rows))
+    ordered = tuple(sorted(cols))
+    sign = (-1) ** sum(a > b for a, b in itertools.combinations(cols, 2))
+    permuted, minor = packed.value(row_set, cols), packed.value(row_set, ordered)
+    return (
+        permuted == sign * minor
+        and permuted == naive_determinant([[rows[r][c] for c in cols] for r in row_set])
+        and minor == naive_determinant([[rows[r][c] for c in ordered] for r in row_set])
+    )
+
+
+# A 2x2 Hankel block read on its columns swapped.
+_SWAPPED = ([[P("x1_0"), P("x1_1")], [P("x1_1"), P("x1_2")]], (0, 1), (1, 0))
+
+
+class TestDeterminantAlternation:
+    """Swapping two columns negates a minor: the Wronskian's alternation.
+    Every caller in the package passes sorted columns, so tier-1 checks it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(permuted_minors())
+    @example(_SWAPPED)
+    # Rows (0, 2) of three, columns reversed, with row scales 2 and 12.
+    @example(
+        (
+            [
+                [P("1/2*x1_0"), P("x1_1"), P("E1")],
+                [P("x1_1"), P("3"), P("x2_0^2")],
+                [P("1/3*xi1"), P("1/4*x1_0"), P("x1_0*x1_1")],
+            ],
+            (0, 2),
+            (2, 0),
+        )
+    )
+    def test_permuted_columns_give_the_sign_times_the_sorted_minor(self, case):
+        assert _minor_alternates(*case)
+
+    def test_a_determinant_that_sorts_its_columns_fails(self, monkeypatch):
+        # Symmetric, not alternating: every sorted-column caller reads the same.
+        real = hankel.PackedMatrix.det
+
+        def symmetric(self, rows, cols):
+            return real(self, rows, tuple(sorted(cols)))
+
+        assert _minor_alternates(*_SWAPPED)
+        monkeypatch.setattr(hankel.PackedMatrix, "det", symmetric)
+        assert not _minor_alternates(*_SWAPPED)
 
 
 class TestKernelAgainstOracle:
@@ -626,7 +690,7 @@ class TestStructuralInvariants:
         for _, _, _, value in iter_minors(hankel_matrix(n, h, k), [h]):
             if value.is_zero:
                 continue
-            assert wide_span.contains(value.derivative())
+            assert wide_span.contains(derivative_oracle(value))
 
     @pytest.mark.parametrize("n,d,J", [(1, 2, 2), (1, 3, 2), (2, 2, 2), (2, 3, 1)])
     def test_wronskians_are_the_maximal_minors(self, n, d, J):

@@ -1,6 +1,8 @@
 import json
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -10,14 +12,19 @@ from arcperp.hankel import (
     GradedSpan, dimension_chain, dimension_series, hankel_matrix, iter_minors,
     scaled_matrix, triangular_matrix, truncated_perp_basis,
 )
+from arcperp.linalg import MonomialIndex
 from arcperp.pairing import (
     apply_pairing, double_derivative_vanishes, is_differentially_homogeneous,
 )
 from arcperp.perp import perp_graded_basis
 from arcperp.reports import run_verification
-from arcperp.ring import Monomial, Polynomial, al, format_polynomial, parse, x, xi, y
+from arcperp.ring import (
+    Monomial, Polynomial, al, differential_variables, format_polynomial, parse, x, xi, y,
+)
 
-from oracles import span_of, spans_by_degree, vanishes_on_exponential_sums_oracle, wronskian
+from oracles import (
+    graded_monomials, span_of, spans_by_degree, vanishes_on_exponential_sums_oracle,
+)
 
 
 def _series(n, h_max):
@@ -173,6 +180,25 @@ class TestRunVerification:
             "over 100 monomials of degree 3, orders <= 6 and weight <= 6"
             " exceed the limit of 100 monomials per enumeration"
         )
+
+    @pytest.mark.parametrize("n,h,deep,top", [(2, 2, False, 8), (1, 0, True, 2), (3, 3, False, 12)])
+    def test_generators_listed_once_at_the_counted_t_power(self, monkeypatch, n, h, deep, top):
+        # The annihilation check and the sampled check read one listing.
+        counted, listed = [], []
+        real_count, real_list = reports.check_product_count, reports.arc_generators_up_to
+
+        def counting(*args):
+            counted.append(args)
+            return real_count(*args)
+
+        def listing(*args):
+            listed.append(args)
+            return real_list(*args)
+
+        monkeypatch.setattr(reports, "check_product_count", counting)
+        monkeypatch.setattr(reports, "arc_generators_up_to", listing)
+        assert run_verification(n, h, deep=deep).passed
+        assert counted == listed == [(n, top)]
 
 
 def _failed(report):
@@ -525,31 +551,6 @@ class TestBuildCounts:
             ],
         }
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_sampled_wronskians_share_one_packing(self, monkeypatch, seed):
-        # Every pair's Wronskian is a minor of one packed matrix, and each
-        # equals the oracle's Wronskian of that sample's pair.
-        packings, draws = [], []
-        real_init, real_draw = hankel.PackedMatrix.__init__, reports._random_polynomial
-
-        def counting_init(self, m):
-            packings.append(self)
-            real_init(self, m)
-
-        def recorded_draw(rng, variables):
-            draws.append(real_draw(rng, variables))
-            return draws[-1]
-
-        monkeypatch.setattr(hankel.PackedMatrix, "__init__", counting_init)
-        monkeypatch.setattr(reports, "_random_polynomial", recorded_draw)
-        assert reports._property_samples(2, 2, seed, 60) == (True, {"samples": 60}, None)
-        (packed,) = packings
-        assert len(draws) == 5 * 60
-        monkeypatch.undo()
-        for i in range(60):
-            f, g = draws[5 * i + 3 : 5 * i + 5]  # p, q, r, then the pair
-            assert packed.value((0, 1), (2 * i, 2 * i + 1)) == wronskian([f, g])
-
 
 class TestExponentialSumCertificate:
     """The battery's pointwise certificate, a vanishing double derivative on
@@ -584,7 +585,7 @@ class TestExponentialSumCertificate:
 
 class TestPointwiseNegativeControls:
     """The checks that test single polynomials fail naming a witness when fed
-    a polynomial, or a law, that is wrong."""
+    a polynomial that is wrong."""
 
     def test_hankel_minor_with_a_high_order_stray_term(self, monkeypatch):
         # Generators up to t-power 4 cannot see a term of weight 11, so only
@@ -638,56 +639,102 @@ class TestPointwiseNegativeControls:
             "kernel_equals_hankel_minor_span": f"degree 3: {witness}",
         }
 
-    def test_broken_wronskian_law(self, monkeypatch):
-        # A determinant that sorts its columns first is symmetric, not
-        # alternating; every caller that passes sorted columns reads the same.
-        real = hankel.PackedMatrix.det
 
-        def symmetric(self, rows, cols):
-            return real(self, rows, tuple(sorted(cols)))
-
-        monkeypatch.setattr(hankel.PackedMatrix, "det", symmetric)
-        report = run_verification(1, 1)
-        (check,) = _failed(report)
-        assert check.name == "randomized_property_samples"
-        assert check.witness == "wronskian alternation"
+def _undoubled_images(index, pairs, key):
+    """``perp._generator_images`` without the doubling of a pair of one family."""
+    top2, place = 2 * index.top, index._place
+    for p, (u, a) in enumerate(pairs):
+        low = key - top2 - place[u]
+        if a >= 2:
+            yield (u.i, u.i), 2 * u.j, low - place[u], a * (a - 1)
+        for v, b in pairs[p + 1:]:
+            yield (u.i, v.i), u.j + v.j, low - place[v], a * b
 
 
-def _dropping_first_term(p):
-    return Polynomial(dict(list(p.terms.items())[1:]))
+class TestGeneratorActionPaths:
+    """The three paths of an arc generator g applied to w that the sampled
+    check compares: the pairing, the minor side and the kernel side."""
+
+    def test_every_generator_on_every_monomial(self):
+        # n = 2: the 15 generators of t-power <= 4 against the 84 monomials
+        # of degree <= 3 and orders <= 2.
+        index = MonomialIndex(differential_variables(2, 2), 4)
+        monomials = [m for d in range(4) for m in graded_monomials(2, d, 2)]
+        generators = arc_generators_up_to(2, 4)
+        nonzero = 0
+        for g in generators:
+            for m in monomials:
+                actions = reports._generator_actions(index, g, Polynomial({m: 1}))
+                image, *others = actions.values()
+                assert all(other == image for other in others), (str(g), str(m), actions)
+                nonzero += not image.is_zero
+        assert (len(generators), len(monomials), nonzero) == (15, 84, 147)
 
 
-class TestSampledLawNegativeControls:
-    """Each sampled algebra law fails, naming itself and its sample, when the
-    operation it checks is broken."""
+class TestActionPathNegativeControls:
+    """Each path of g applied to w, perturbed alone, fails the sampled check
+    with a witness naming that path, and fails exactly the other checks that
+    rest on it."""
 
-    def test_addition_dropping_a_term_of_its_right_operand(self, monkeypatch):
-        real = Polynomial.__add__
-        monkeypatch.setattr(
-            Polynomial, "__add__", lambda self, other: real(self, _dropping_first_term(other))
-        )
-        assert reports._property_samples(2, 2, 0, 60) == (False, {"sample": 0}, "distributivity")
+    def test_kernel_side_without_the_same_family_doubling(self, monkeypatch):
+        # The kernel side's constraint rows change too, so every check that
+        # reads a kernel fails.
+        monkeypatch.setattr(perp, "_generator_images", _undoubled_images)
+        monkeypatch.setattr(reports, "_generator_images", _undoubled_images)
+        failed = {c.name: c.witness for c in _failed(run_verification(2, 2))}
+        assert failed == {
+            "kernel_basis_pointwise_certificates": "x1_0*x1_2 - 1/2*x1_1^2",
+            "kernel_equals_hankel_minor_span": "degree 2: x1_0*x1_2 - 1/2*x1_1^2",
+            "restriction_matches_truncated_minors": "degree 2: x1_0*x1_2 - 1/2*x1_1^2",
+            "randomized_property_samples": (
+                "kernel side disagrees: g = 2*x2_0*x2_1,"
+                " w = -4/3*x1_2*x2_0*x2_1 - 1/3*x2_1*x2_2 - 1"
+            ),
+        }
 
-    def test_derivative_dropping_a_term(self, monkeypatch):
-        real = Polynomial.derivative
-        monkeypatch.setattr(
-            Polynomial, "derivative", lambda self: _dropping_first_term(real(self))
-        )
-        assert reports._property_samples(2, 2, 0, 60) == (False, {"sample": 0}, "leibniz")
+    def test_minor_side_with_a_square_giving_a_times_a(self, monkeypatch):
+        # The second partial of u^a by u^2 read as a*a instead of a*(a-1):
+        # the annihilation check reads the same table.
+        real = reports._second_partials
 
-    def test_pairing_doubling_operators_of_degree_two_and_up(self, monkeypatch):
-        real = reports.apply_pairing
+        def squares(w):
+            table = real(w)
+            for key, column in table.items():
+                if len(key) == 1:
+                    ((u, _),) = key
+                    for q, value in column.items():
+                        a = dict(q.pairs).get(u, 0) + 2
+                        column[q] = Fraction(value * a, a - 1)
+            return table
 
-        def doubled(f, p):
-            image = real(f, p)
-            return image * 2 if any(m.degree >= 2 for m in f.terms) else image
+        monkeypatch.setattr(reports, "_second_partials", squares)
+        failed = {c.name: c.witness for c in _failed(run_verification(2, 2))}
+        assert failed == {
+            "hankel_minors_annihilated_by_generators": "x1_0*x1_2 - x1_1^2",
+            "randomized_property_samples": (
+                "minor side disagrees: g = x1_0^2, w = -3*x1_0^2*x2_2 - 2*x2_2^2"
+            ),
+        }
 
-        monkeypatch.setattr(reports, "apply_pairing", doubled)
-        assert reports._property_samples(2, 2, 0, 60) == (
-            False,
-            {"sample": 0},
-            "pairing composition",
-        )
+    def test_pairing_with_powers_for_falling_factorials(self, monkeypatch):
+        # x^b acting on x^a scaled by a**b instead of a!/(a-b)!: only the
+        # sampled check applies the pairing.
+        real = pairing._monomial_pairing
+
+        def powered(beta, alpha):
+            hit = real(beta, alpha)
+            if hit is None:
+                return None
+            exponents = dict(alpha.pairs)
+            return math.prod(exponents[v] ** b for v, b in beta.pairs if v.kind == "x"), hit[1]
+
+        monkeypatch.setattr(pairing, "_monomial_pairing", powered)
+        failed = {c.name: c.witness for c in _failed(run_verification(2, 2))}
+        assert failed == {
+            "randomized_property_samples": (
+                "pairing disagrees: g = x1_0^2, w = -3*x1_0^2*x2_2 - 2*x2_2^2"
+            ),
+        }
 
 
 class TestUpstreamNegativeControls:
@@ -709,7 +756,15 @@ class TestUpstreamNegativeControls:
         report = run_verification(1, 2)
         assert hits
         failed = {c.name: c.witness for c in _failed(report)}
-        assert failed == {"hankel_minors_annihilated_by_generators": "x1_0*x1_2 - x1_1^2"}
+        # The kernel side reads the generator by its name alone, so the
+        # sampled check names it as the path that disagrees.
+        assert failed == {
+            "hankel_minors_annihilated_by_generators": "x1_0*x1_2 - x1_1^2",
+            "randomized_property_samples": (
+                "kernel side disagrees: g = 2*x1_0*x1_2 - x1_1^2,"
+                " w = -4/3*x1_1^2*x1_2 - 1/3*x1_2^2 - 1"
+            ),
+        }
 
     def test_kernel_vector_with_a_flipped_sign(self, monkeypatch):
         # Only the first two-term vector of the run is changed; it belongs

@@ -115,6 +115,9 @@ CALLS = [
     ["verify", "--json", "--no-timings", "--deep", "--n", "2", "--h", "3"],
     ["verify", "--json", "--no-timings", "--deep", "--n", "3", "--h", "2"],
     ["verify", "--no-timings", "--seed", "7", "--n", "2", "--h", "2"],
+    ["verify", "--json", "--no-timings", "--seed", "3", "--n", "3", "--h", "3"],
+    ["verify", "--json", "--no-timings", "--deep", "--seed", "11", "--n", "1", "--h", "0"],
+    ["verify", "--no-timings", "--n", "446", "--h", "0"],  # the largest generator listing admitted
     ["verify", "--n", "0", "--h", "1"],
     ["verify", "--n", "1", "--h", "-1"],
     ["verify", "--n", "9", "--h", "9"],  # refused before any work
