@@ -108,10 +108,12 @@ def _cmd_gens(args) -> tuple:
 
 
 def _cmd_pair(args) -> tuple:
-    from .pairing import apply_pairing
+    from .pairing import apply_pairing, check_pairing_size
     from .ring import format_polynomial, parse
 
-    result = format_polynomial(apply_pairing(parse(args.f), parse(args.P)))
+    f, p = parse(args.f), parse(args.P)
+    check_pairing_size(f, p)
+    result = format_polynomial(apply_pairing(f, p))
     return result, [result], True
 
 
@@ -172,11 +174,12 @@ def _cmd_minors(args) -> tuple:
 
 
 def _cmd_series(args) -> tuple:
-    from .hankel import check_triangular_counts, dimension_series, truncated_perp_basis
+    from .hankel import check_span_count, dimension_series, truncated_perp_basis
 
     if args.h_max < 0:
         raise ValueError("the series needs h_max >= 0")
-    check_triangular_counts(args.n, range(args.h_max + 1))
+    for h in range(args.h_max + 1):
+        check_span_count("T", args.n, h)
     truncated = (truncated_perp_basis(args.n, h) for h in range(args.h_max + 1))
     rows = dimension_series(args.n, truncated)
     lines = [
@@ -202,15 +205,12 @@ def _cmd_verify(args) -> tuple:
 
 
 def _cmd_dims_chain(args) -> tuple:
-    from .hankel import (
-        check_minor_count, check_triangular_counts, dimension_chain, matrix_shape,
-        truncated_perp_basis,
-    )
+    from .hankel import check_span_count, dimension_chain, truncated_perp_basis
 
     # The chain's spans are counted in the order they are built: T(n, h), then
     # S(n, h), whose count is T's, then the maximal minors of S1(n, h).
-    check_triangular_counts(args.n, [args.h])
-    check_minor_count(*matrix_shape("S1", args.n, args.h), [args.h + 1], top=True)
+    check_span_count("T", args.n, args.h)
+    check_span_count("S1", args.n, args.h, sizes=[args.h + 1])
     chain = dimension_chain(args.n, args.h, truncated_perp_basis(args.n, args.h))
     line = (
         f"triangular={chain.triangular} scaled={chain.scaled} "

@@ -11,9 +11,9 @@ Four matrix families are built here:
 * ``scaled_augmented_matrix(n, h)`` -- scaled_matrix(n, h) with an identity
   block appended, realizing the substitution of 1 for an extra family.
 
-``matrix_shape`` reads a family's shape without building it, and
-``check_minor_count`` counts the minors of a shape, so each command refuses
-more than ``MINOR_LIMIT`` minors before it builds a matrix.
+``matrix_shape`` reads a family's shape without building it, and from it
+``check_span_count`` counts the minors ``minor_span`` would expand, so each
+command refuses more than ``MINOR_LIMIT`` minors before it builds a matrix.
 
 Every determinant and minor runs on one kernel, ``PackedMatrix``: the matrix
 is packed once per enumeration, each monomial its key in a
@@ -280,13 +280,14 @@ def check_minor_count(rows: int, cols: int, sizes, top: bool) -> None:
         raise ValueError(f"{named} minors of a {rows}x{cols} matrix {limit}")
 
 
-def check_triangular_counts(n: int, hs) -> None:
-    """Refuse the first T(n, h), h in ``hs``, whose minors ``truncated_perp_basis``
-    would refuse, before any is built, with the error of T's bad arguments.
-    The count grows with h and is at least 2^(h+1), so under the default
-    limit an increasing ``hs`` stops by h = 17."""
-    for h in hs:
-        check_minor_count(*matrix_shape("T", n, h), range(h + 2), top=True)
+def check_span_count(family: str, n: int, h: int, k: int | None = None, sizes=None) -> None:
+    """Refuse, before it is built, a ``minor_span`` of ``build_matrix(family,
+    n, h, k)`` over ``sizes`` (every size when None) past ``MINOR_LIMIT``, with
+    ``_walk``'s error: T, S and S1 count their top rows alone, being
+    shift-structured, and a Hankel block every row set (alike for one row)."""
+    rows, cols = matrix_shape(family, n, h, k)
+    sizes = range(min(rows, cols) + 1) if sizes is None else sizes
+    check_minor_count(rows, cols, sizes, top=family != "H")
 
 
 def _walk(m: SymbolicMatrix, sizes, every_row: bool):
@@ -388,7 +389,7 @@ def minor_span(m: SymbolicMatrix, sizes) -> GradedSpan:
 def truncated_perp_basis(n: int, h: int) -> GradedSpan:
     """Graded span of all minors of the triangular family, sizes 0..h+1,
     counted before T(n, h) is built."""
-    check_triangular_counts(n, [h])
+    check_span_count("T", n, h)
     return minor_span(triangular_matrix(n, h), range(h + 2))
 
 

@@ -23,13 +23,11 @@ from .hankel import (  # ChainDims, SeriesRow: perfbench/tracer.py traces them h
     ChainDims,
     GradedSpan,
     SeriesRow,
-    check_minor_count,
-    check_triangular_counts,
+    check_span_count,
     dimension_chain,
     dimension_series,
     hankel_matrix,
     hankel_minor_intersection_span,
-    matrix_shape,
     minor_span,
     scaled_matrix,
     truncated_perp_basis,
@@ -193,16 +191,16 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     # built in the checks that read them.  By Vandermonde no span of the chain
     # has more minors than S(n+1, h), T(n, h) included, so the series count
     # refuses first only under ``deep``, whose horizon passes h.
-    check_minor_count(*matrix_shape("S", n + 1, h), [h + 1], top=True)
-    check_triangular_counts(n, range(series_h + 1))
+    check_span_count("S", n + 1, h, sizes=[h + 1])
+    for k in range(series_h + 1):
+        check_span_count("T", n, k)
     # Then the enumerations of the checks, in check order, each refused with
     # the error of the code that enumerates: the generator products, the
-    # Hankel block's minors (no block of two or more rows is shift-structured,
-    # so every row set counts), the kernel monomials of each degree and the
+    # Hankel block's minors, the kernel monomials of each degree and the
     # restriction's, at orders and weight <= d*h_elim.  The span equality's
     # Wronskians never outnumber the kernel's; later checks read spans above.
     check_product_count(n, 2 * (h_cap + k_cap))
-    check_minor_count(*matrix_shape("H", n, h_cap, k_cap), range(h_cap + 1), top=False)
+    check_span_count("H", n, h_cap, k_cap)
     for d in range(degree_cap + 1):
         check_monomial_count(n, d, order_bound, d * order_bound)
     for d in range(h_elim + 2):

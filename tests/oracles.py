@@ -380,3 +380,22 @@ def annihilates(f: Polynomial, p: Polynomial) -> bool:
 def annihilated_by_all_oracle(generators: list[Polynomial], w: Polynomial) -> bool:
     """Does every generator, applied by ``pairing_oracle``, annihilate w?"""
     return all(annihilates(g, w) for g in generators)
+
+
+def lead_set(n: int, h: int, lowest=lambda s: s - 1) -> set[Monomial]:
+    """The leads that ``minor_span`` keeps for T(n, h), in closed form.  In the
+    piece of degree d and family multidegree a = (a_1, ..., a_n), with s_i =
+    a_i + ... + a_n, they are every monomial whose family-i part has degree
+    a_i in x_i^(s_i-1), ..., x_i^(h); ``lowest`` maps s_i to the lowest order.
+    Built family by family from the last, each part a multiset of orders."""
+
+    def parts(i: int, s: int):  # the factors of families 1..i, given s_(i+1) = s
+        if i == 0:
+            yield []
+            return
+        for a in range(h + 2 - s):
+            for orders in itertools.combinations_with_replacement(range(lowest(s + a), h + 1), a):
+                for rest in parts(i - 1, s + a):
+                    yield [x(i, j) for j in orders] + rest
+
+    return {Monomial(Counter(factors).items()) for factors in parts(n, 0)}

@@ -12,13 +12,14 @@ import re
 import resource
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
 import pytest
 
 import arcperp
-from arcperp import arcgen, cli, hankel, linalg, perp, reports, ring
+from arcperp import arcgen, cli, hankel, linalg, pairing, perp, reports, ring
 from arcperp.cli import main
 
 
@@ -111,6 +112,37 @@ class TestPair:
         numerator, denominator = out.rstrip("\n").split("/")
         assert numerator == "1"
         assert decimal.Decimal(denominator) == int(sevens) ** 3
+
+    @pytest.mark.parametrize(
+        "f_text, p_text, line",
+        [
+            # 12.0 s of CPU and 5.6 MB of output unrefused
+            ("x1_0^1000000", "x1_0^1000000", "a coefficient bound of 20,000,004 bits exceeds"
+             f" the limit of {pairing.COEFFICIENT_BITS:,} bits per pairing"),
+            # 8.4 s of CPU and 40 MB of output unrefused: 1,000 coefficients of 40,000 digits
+            ("*".join(["9" * 4000] * 10), " + ".join(f"x2_{j}" for j in range(1000)),
+             "a coefficient bound of 132,881,000 bits exceeds"
+             f" the limit of {pairing.COEFFICIENT_BITS:,} bits per pairing"),
+            (" + ".join(f"x1_{j}" for j in range(4000)), " + ".join(f"x2_{j}" for j in range(4000)),
+             f"32,000,000 variable visits exceed the limit of {pairing.VISIT_LIMIT:,} variable"
+             " visits per pairing"),
+            # 13.4 s of CPU unrefused, though only 12,000 term pairs and no coefficient
+            (" + ".join(f"x2_{j}" for j in range(12000)), "*".join(f"x1_{j}" for j in range(14000)),
+             f"168,012,000 variable visits exceed the limit of {pairing.VISIT_LIMIT:,} variable"
+             " visits per pairing"),
+        ],
+        ids=["coefficient-bits", "input-coefficients", "many-terms", "wide-monomial"],
+    )
+    def test_oversized_pairing_refused_before_any_product(
+        self, capsys, monkeypatch, f_text, p_text, line
+    ):
+        def unpaired(f, p):
+            raise AssertionError("the pairing ran")
+
+        monkeypatch.setattr(pairing, "apply_pairing", unpaired)
+        start = time.process_time()
+        assert run(capsys, "pair", f_text, p_text) == (2, "", f"error: {line}\n")
+        assert time.process_time() - start < 1.0
 
 
 class TestPerp:

@@ -13,6 +13,7 @@ from arcperp.hankel import (
     SymbolicMatrix,
     build_matrix,
     check_minor_count,
+    check_span_count,
     hankel_matrix,
     iter_minors,
     minor_span,
@@ -28,6 +29,7 @@ from oracles import (
     annihilates,
     coefficient_types,
     derivative_oracle,
+    lead_set,
     naive_basis,
     naive_determinant,
     polynomial_from_terms,
@@ -588,6 +590,35 @@ class TestKeptMinors:
         assert sca.span(2)._polynomials is None
 
 
+class TestLeadSet:
+    """The leads that ``minor_span`` keeps for T and S form a set in closed
+    form, ``oracles.lead_set``.  It is the set of least keys of the span's
+    nonzero elements, so it does not depend on enumeration order."""
+
+    @staticmethod
+    def kept_leads(m: SymbolicMatrix) -> set:
+        graded = minor_span(m, range(m.rows + 1))
+        return {span.index._monomial(k) for span in graded.spans.values() for k in span.kept}
+
+    @pytest.mark.parametrize(
+        "n,h", [(1, 3), (1, 6), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]
+    )
+    def test_triangular(self, n, h):
+        leads = lead_set(n, h)
+        assert len(leads) == (n + 1) ** (h + 1)
+        assert self.kept_leads(triangular_matrix(n, h)) == leads
+
+    @pytest.mark.parametrize("n,h", [(1, 4), (2, 3), (3, 3), (2, 4)])
+    def test_scaled_is_the_triangular_set_reversed(self, n, h):
+        def reverse(m: Monomial) -> Monomial:  # x_i^(j) -> x_(n+1-i)^(h-j)
+            return Monomial((x(n + 1 - v.i, h - v.j), e) for v, e in m.pairs)
+
+        assert self.kept_leads(scaled_matrix(n, h)) == {reverse(m) for m in lead_set(n, h)}
+
+    def test_orders_from_s_i_are_not_the_leads(self):
+        assert self.kept_leads(triangular_matrix(2, 3)) != lead_set(2, 3, lowest=lambda s: s)
+
+
 class TestMinorLimit:
     """Each enumeration counts its minors before it expands one, and refuses
     a count above ``MINOR_LIMIT``."""
@@ -633,6 +664,55 @@ class TestMinorLimit:
             iter_minors(scaled_matrix(10, 9), [10])
         with pytest.raises(ValueError, match="^17,310,309,456,440 minors of a 10x100 matrix"):
             minor_span(scaled_augmented_matrix(9, 9), [10])
+
+
+class TestSpanCount:
+    """``check_span_count`` counts, from the shape alone, the minors that
+    ``_walk`` selects for ``minor_span``: it admits exactly that many."""
+
+    @staticmethod
+    def refused_at_walked_count(monkeypatch, family, n, h, k, sizes) -> tuple[bool, bool]:
+        """Whether ``check_span_count`` refuses with ``MINOR_LIMIT`` set to the
+        walk's count of minors, and one below it."""
+        rows, cols = hankel.matrix_shape(family, n, h, k)
+        monkeypatch.setattr(hankel, "MINOR_LIMIT", hankel.COUNT_BOUND)
+        every = range(rows + cols + 1)  # the walk drops the sizes with no minor
+        walk = hankel._walk(build_matrix(family, n, h, k), every if sizes is None else sizes,
+                            every_row=False)
+        walked = sum(1 for _ in walk[1])
+        refused = []
+        for limit in (walked, walked - 1):
+            monkeypatch.setattr(hankel, "MINOR_LIMIT", limit)
+            try:
+                check_span_count(family, n, h, k, sizes)
+                refused.append(False)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{walked:,} minors of a {rows}x{cols} matrix")
+                refused.append(True)
+        return tuple(refused)
+
+    @pytest.mark.parametrize("family", ["T", "S", "S1"])
+    @pytest.mark.parametrize("maximal", [False, True], ids=["every-size", "size-h+1"])
+    def test_shift_structured(self, monkeypatch, family, maximal):
+        for n, h in itertools.product(range(1, 4), range(4)):
+            sizes = [h + 1] if maximal else None
+            assert self.refused_at_walked_count(monkeypatch, family, n, h, None, sizes) == (
+                False, True), (n, h)
+
+    def test_hankel_block(self, monkeypatch):
+        for n, h, k in itertools.product(range(1, 3), range(4), range(3)):
+            assert self.refused_at_walked_count(monkeypatch, "H", n, h, k, None) == (
+                False, True), (n, h, k)
+
+    def test_a_top_row_count_of_a_two_row_hankel_block_fails(self, monkeypatch):
+        counted = hankel.check_minor_count
+
+        def top_rows(rows, cols, sizes, top):
+            counted(rows, cols, sizes, True)
+
+        monkeypatch.setattr(hankel, "check_minor_count", top_rows)
+        # H(1, 2, 1) is 2x2: 6 minors walked, 4 counted on the top rows
+        assert self.refused_at_walked_count(monkeypatch, "H", 1, 2, 1, None) == (False, False)
 
 
 def _key_order_is_monomial_order(m: SymbolicMatrix) -> None:

@@ -3,9 +3,11 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, strategies as st
 
+from arcperp import pairing
 from arcperp.arcgen import arc_generators_up_to
 from arcperp.pairing import (
     apply_pairing,
+    check_pairing_size,
     directional_derivative,
     double_derivative_vanishes,
 )
@@ -71,6 +73,51 @@ class TestApplyPairing:
         assert apply_pairing(P("xi1*x1_0"), P("x1_0^2")) == P("2*xi1*x1_0")
         # auxiliaries in the target are never differentiated away
         assert apply_pairing(P("x1_0"), P("xi1*x1_0")) == P("xi1")
+
+
+class TestPairingSize:
+    """``check_pairing_size`` bounds, summed over the term pairs, the variables
+    a pairing visits and the bits of its coefficients c_f * c_P * a!/(a-b)!
+    by bits(c_f) + bits(c_P) + sum_v b_v*a_v.bit_length()."""
+
+    def test_each_limit_admits_its_edge(self, monkeypatch):
+        f, p = P("x1_0 + x1_1"), P("x1_0 + x1_1 + x1_2")  # 2*3 + 3*2 visits
+        monkeypatch.setattr(pairing, "VISIT_LIMIT", 12)
+        check_pairing_size(f, p)
+        monkeypatch.setattr(pairing, "VISIT_LIMIT", 11)
+        with pytest.raises(ValueError, match="^12 variable visits exceed the limit of 11 "):
+            check_pairing_size(f, p)
+        power = P("x1_0^5000")  # 5000 * 13 bits, and 2 bits for each coefficient 1
+        monkeypatch.setattr(pairing, "COEFFICIENT_BITS", 65_004)
+        check_pairing_size(power, power)
+        monkeypatch.setattr(pairing, "COEFFICIENT_BITS", 65_003)
+        with pytest.raises(ValueError, match="^a coefficient bound of 65,004 bits exceeds the "
+                                             "limit of 65,003 bits per pairing$"):
+            check_pairing_size(power, power)
+
+    def test_visits_count_every_variable_of_both_monomials(self, monkeypatch):
+        # two term pairs, each copying x1_0*x1_1*x1_2 and scanning one variable
+        f, p = P("x2_0 + x2_1"), P("x1_0*x1_1*x1_2")
+        monkeypatch.setattr(pairing, "VISIT_LIMIT", 7)
+        with pytest.raises(ValueError, match="^8 variable visits exceed "):
+            check_pairing_size(f, p)
+
+    def test_the_bound_sums_over_the_term_pairs(self):
+        one, two = P("x1_0^150000"), P("x1_0^150000 + x1_1^150000")  # 2,700,000 bits each
+        check_pairing_size(one, two)
+        with pytest.raises(ValueError, match="^a coefficient bound of 5,400,016 bits "):
+            check_pairing_size(two, two)
+
+    def test_the_coefficients_of_both_sides_count(self, monkeypatch):
+        # 2 * (101 + 1) bits of 2^100, one per term of p, and 2 + 3 bits of 1 and 1/3
+        f, p = P(str(2**100)), P("x2_0 + 1/3*x2_1")
+        monkeypatch.setattr(pairing, "COEFFICIENT_BITS", 0)
+        with pytest.raises(ValueError, match="^a coefficient bound of 209 bits "):
+            check_pairing_size(f, p)
+
+    def test_only_differential_variables_of_the_operator_count(self):
+        # xi1 multiplies through, and x1_5 of the target meets no operator term
+        check_pairing_size(P("xi1^9000000*x1_0"), P("xi1^9000000*x1_0 + x1_5^9000000"))
 
 
 class TestAnnihilates:

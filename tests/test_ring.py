@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 import sys
-import time
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -129,19 +128,26 @@ class TestParse:
         assert exc.value.position == position
         assert str(exc.value).endswith(f"(at position {position})")
 
-    def test_time_linear_in_the_terms(self):
+    @pytest.mark.parametrize("terms", [1, 10, 4_000])
+    def test_one_monomial_and_one_polynomial_item_per_term(self, monkeypatch, terms):
         # Summing term by term into a new polynomial copies every term so far,
-        # 16x the time for 4x the terms; one sum of the terms takes about 4x.
-        def seconds(terms):
-            text = " + ".join(f"{k}*x1_{k}" for k in range(1, terms + 1))
-            best = math.inf
-            for _ in range(3):
-                start = time.perf_counter()
-                assert len(parse(text).terms) == terms
-                best = min(best, time.perf_counter() - start)
-            return best
+        # about terms^2/2 items; one sum of the terms passes each term once.
+        built = {"monomials": 0, "items": 0}
+        monomial_init, polynomial_init = Monomial.__init__, Polynomial.__init__
 
-        assert seconds(16_000) < 8 * seconds(4_000)
+        def count_monomial(self, pairs):
+            built["monomials"] += 1
+            monomial_init(self, pairs)
+
+        def count_items(self, items=None):
+            built["items"] += len(items or ())
+            polynomial_init(self, items)
+
+        text = " + ".join(f"{k}*x1_{k}" for k in range(1, terms + 1))
+        monkeypatch.setattr(Monomial, "__init__", count_monomial)
+        monkeypatch.setattr(Polynomial, "__init__", count_items)
+        assert len(parse(text).terms) == terms
+        assert built == {"monomials": terms, "items": terms}
 
 
 # Monomials of degree <= 8 over all five variable kinds, indices up to 12.

@@ -101,6 +101,8 @@ CALLS = [
     ["series", "--n", "1", "--h-max", "7"],
     ["series", "--json", "--n", "2", "--h-max", "3"],
     ["series", "--n", "2", "--h-max", "4", "--json"],
+    ["series", "--n", "1", "--h-max", "17"],  # refused at h = 17: 262,144 minors of T(1, 17)
+    ["series", "--n", "6", "--h-max", "5"],  # refused: 2,391,496 minors of a 6x36 matrix
     ["series", "--n", "1", "--h-max", "-1"],
     ["series", "--n", "0", "--h-max", "2"],
     *(
@@ -134,6 +136,8 @@ CALLS = [
     ["dims-chain", "--n", "2", "--h", "5"],
     ["dims-chain", "--json", "--n", "5", "--h", "1"],
     ["dims-chain", "--n", "1", "--h", "-1"],
+    ["dims-chain", "--n", "4", "--h", "5"],  # T admitted, S1's maximal minors refused
+    ["dims-chain", "--json", "--n", "3", "--h", "5"],
     ["series", "--n", "1", "--h-max", "3", "--out", OUT],
     ["gens", "--n", "2", "--max-order", "2", "--out", OUT],
     ["pair", "--json", PAIR_F, PAIR_P, "--out", OUT],
