@@ -56,26 +56,29 @@ from .ring import ONE, ZERO, Monomial, Polynomial, x
 
 
 class SymbolicMatrix(NamedTuple):
-    """A rectangular array of polynomials."""
+    """A rectangular array of polynomials and its column count, which a
+    matrix with no rows cannot show."""
 
     entries: tuple[tuple[Polynomial, ...], ...]
+    cols: int
 
     @property
     def rows(self) -> int:
         return len(self.entries)
 
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
     @classmethod
-    def from_rows(cls, rows) -> "SymbolicMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+    def from_rows(cls, rows, cols: int | None = None) -> "SymbolicMatrix":
+        """The matrix of these rows, ``cols`` wide: by default as wide as its
+        first row, and 0x0 with no rows."""
+        entries = tuple(tuple(row) for row in rows)
+        if cols is None:
+            cols = len(entries[0]) if entries else 0
+        return cls(entries, cols)
 
 
 def hankel_matrix(n: int, h: int, k: int) -> SymbolicMatrix:
     """The h x n(k+1) block of shifted derivatives: entry (r, c*n+j-1) = x_j^(r+c)."""
-    matrix_shape("H", n, h, k)
+    _, cols = matrix_shape("H", n, h, k)
     rows = []
     for r in range(h):
         row = []
@@ -83,7 +86,7 @@ def hankel_matrix(n: int, h: int, k: int) -> SymbolicMatrix:
             for j in range(1, n + 1):
                 row.append(Polynomial.from_variable(x(j, r + c)))
         rows.append(row)
-    return SymbolicMatrix.from_rows(rows)
+    return SymbolicMatrix.from_rows(rows, cols)
 
 
 def _triangles(n: int, h: int, entry) -> SymbolicMatrix:

@@ -78,17 +78,19 @@ def _monomial_pairing(beta: Monomial, alpha: Monomial) -> tuple[int, Monomial] |
     """Pair two monomials; returns (scale, quotient monomial) or None.
 
     Only differential variables of ``beta`` differentiate; its auxiliary part
-    is carried over multiplicatively into the quotient.
+    is carried over multiplicatively into the quotient.  Whether beta's
+    differential part divides alpha is decided before any falling factorial
+    is computed, so a zero pairing computes none.
     """
-    scale = 1
     remaining = dict(alpha.pairs)
+    if any(b > remaining.get(v, 0) for v, b in beta.pairs if v.kind == "x"):
+        return None
+    scale = 1
     for v, b in beta.pairs:
         if v.kind != "x":
             remaining[v] = remaining.get(v, 0) + b
             continue
-        a = remaining.get(v, 0)
-        if b > a:
-            return None
+        a = remaining[v]
         scale *= math.perm(a, b)  # the falling factorial a!/(a-b)!
         if a == b:
             del remaining[v]

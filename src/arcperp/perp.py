@@ -16,20 +16,20 @@ polynomials, each keyed in the other's index, so the keys never need to
 agree.
 
 ``restriction_span`` restricts high orders to zero, realizing the truncated
-inverse systems, and ``restriction_mismatch`` compares it with a
-``hankel.GradedSpan``, the triangular minor span.  The kernel side imports
-only ``linalg`` and ``ring``: the Wronskian span, the dimension chain and
-the series live in ``hankel``, the homogeneity test in ``pairing``, so the
-two descriptions that ``reports`` compares share only the linear-algebra
-core, and ``series`` and ``dims-chain`` compile none of this module.
+inverse systems that ``reports`` compares with the triangular minor span.
+The kernel side imports only ``linalg`` and ``ring`` and reads no object of
+the minor side: the Wronskian span, the dimension chain and the series live
+in ``hankel``, the homogeneity test in ``pairing``, so the two descriptions
+that ``reports`` compares share only the linear-algebra core, and ``series``
+and ``dims-chain`` compile none of this module.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
-from .linalg import MonomialIndex, Span, forward_echelon, nullspace, span_witness
-from .ring import Polynomial, differential_variables
+from .linalg import MonomialIndex, Span, forward_echelon, nullspace
+from .ring import differential_variables
 
 
 def perp_graded_basis(n: int, degree: int, max_order: int) -> Span:
@@ -188,19 +188,3 @@ def restriction_span(n: int, h: int, degree: int) -> Span:
     low = [{k: c for k, c in v.items() if not decode(k).has_order_above(h)} for v in kernel]
     return Span(index, forward_echelon(low))
 
-
-# -- elimination / truncation certificate -------------------------------------
-
-
-def restriction_mismatch(n: int, h: int, truncated) -> tuple[int, Polynomial] | None:
-    """The first degree d <= h+1 at which the exact restriction span
-    (``restriction_span``) and ``truncated``, the ``hankel.GradedSpan`` of the
-    triangular minors ``hankel.truncated_perp_basis(n, h)``, differ, with a basis polynomial of one
-    side missing from the other; None when all agree.  Degrees above h+1
-    cannot occur: the triangular family has h+1 rows, which bounds minor
-    size."""
-    for degree in range(h + 2):
-        witness = span_witness(restriction_span(n, h, degree), truncated.span(degree))
-        if witness is not None:
-            return degree, witness
-    return None

@@ -4,8 +4,11 @@ A report is a plain dict rendered to JSON; everything in it except the
 wall-clock ``elapsed_ms`` entries is deterministic for fixed inputs, and
 those can be omitted entirely (``to_dict(include_timings=False)``, CLI
 ``--no-timings``) for byte-identical CI diffs.  This is the one module that
-sees both sides: the kernel side in ``perp`` and the minor side in
-``hankel``, which holds the dimension series and chain.
+sees both sides, and the one that compares them: the kernel side in ``perp``
+and the minor side in ``hankel``, which holds the dimension series and
+chain.  ``run_verification`` states the battery as one table of checks, and
+both span comparisons run degree by degree through
+``_first_differing_degree``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .hankel import (  # ChainDims, SeriesRow: perfbench/tracer.py traces them h
 )
 from .linalg import MonomialIndex, Span, span_witness
 from .pairing import apply_pairing, double_derivative_vanishes, is_differentially_homogeneous
-from .perp import _generator_images, check_monomial_count, perp_graded_basis, restriction_mismatch
+from .perp import _generator_images, check_monomial_count, perp_graded_basis, restriction_span
 from .ring import Monomial, Polynomial, differential_variables, format_polynomial
 
 
@@ -88,6 +91,19 @@ def _timed(name: str, instance: dict, fn) -> CheckResult:
 def _is_form(p: Polynomial, d: int) -> bool:
     """Is every term of p a degree-d monomial in the differential variables?"""
     return all(m.degree == d and (not m.pairs or m.pairs[-1][0].kind == "x") for m in p.terms)
+
+
+def _first_differing_degree(triples) -> tuple[int | None, str | None]:
+    """The first degree d among the (d, kernel side, minor side) ``triples``
+    whose two spans differ, with the witness ``degree d: p``, p a basis
+    polynomial of one side missing from the other; (None, None) when every
+    degree agrees.  The triples are drawn one at a time, so no span past the
+    first differing degree is built."""
+    for d, kernel_side, minor_side in triples:
+        witness = span_witness(kernel_side, minor_side)
+        if witness is not None:
+            return d, f"degree {d}: {format_polynomial(witness)}"
+    return None, None
 
 
 def _minor_basis(graded: GradedSpan) -> list[Polynomial]:
@@ -175,7 +191,6 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
     """
     if n < 1 or h < 0:
         raise ValueError(f"run_verification needs n >= 1, h >= 0 (got n={n}, h={h})")
-    checks: list[CheckResult] = []
     h_cap = min(h, 3)
     k_cap = h_cap if not deep else min(2 * h_cap, 4) if h_cap else 1
     degree_cap = min(h + 1, 3) + (1 if deep else 0)
@@ -213,37 +228,23 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
         return minor_span(hankel_matrix(n, h_cap, k_cap), range(h_cap + 1))
 
     @functools.cache
-    def generators() -> list[Polynomial]:
-        return arc_generators_up_to(n, 2 * (h_cap + k_cap))
+    def generators() -> list[tuple[Polynomial, list]]:
+        """Each generator with its :func:`_quadratic_terms`, read by the
+        annihilation check and the sampled one."""
+        return [(g, _quadratic_terms(g)) for g in arc_generators_up_to(n, 2 * (h_cap + k_cap))]
 
     def check_minor_annihilation():
-        quadratic = [_quadratic_terms(g) for g in generators()]
+        quadratic = [terms for _, terms in generators()]
         for w in _minor_basis(minors()):
             if not _annihilated_by_all(quadratic, w):
                 return False, {"minors": minors().nonzero_minors}, format_polynomial(w)
         return True, {"minors": minors().nonzero_minors, "generators": len(quadratic)}, None
-
-    checks.append(
-        _timed(
-            "hankel_minors_annihilated_by_generators",
-            {"n": n, "h": h_cap, "k": k_cap, "max_t_power": 2 * (h_cap + k_cap)},
-            check_minor_annihilation,
-        )
-    )
 
     def check_minor_double_derivative():
         for w in _minor_basis(minors()):
             if not double_derivative_vanishes(w):
                 return False, {}, format_polynomial(w)
         return True, {"minors": minors().nonzero_minors}, None
-
-    checks.append(
-        _timed(
-            "hankel_minors_double_derivative_vanishes",
-            {"n": n, "h": h_cap, "k": k_cap},
-            check_minor_double_derivative,
-        )
-    )
 
     @functools.cache
     def kernel_basis(d: int) -> Span:
@@ -277,31 +278,13 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
                     return False, dims, format_polynomial(p)
         return True, dims, None
 
-    checks.append(
-        _timed(
-            "kernel_basis_pointwise_certificates",
-            {"n": n, "order": order_bound, "degrees": list(range(degree_cap + 1))},
-            check_kernel_pointwise,
-        )
-    )
-
     def check_span_equality():
-        dims = {}
-        for d in range(1, degree_cap + 1):
-            minor_side = hankel_minor_intersection_span(n, d, order_bound)
-            witness = span_witness(kernel_basis(d), minor_side)
-            if witness is not None:
-                return False, dims, f"degree {d}: {format_polynomial(witness)}"
-            dims[str(d)] = kernel_basis(d).dimension
-        return True, dims, None
-
-    checks.append(
-        _timed(
-            "kernel_equals_hankel_minor_span",
-            {"n": n, "order": order_bound, "degrees": list(range(1, degree_cap + 1))},
-            check_span_equality,
+        bad, witness = _first_differing_degree(
+            (d, kernel_basis(d), hankel_minor_intersection_span(n, d, order_bound))
+            for d in range(1, degree_cap + 1)
         )
-    )
+        dims = {str(d): kernel_basis(d).dimension for d in range(1, bad or degree_cap + 1)}
+        return bad is None, dims, witness
 
     # Built on first use and shared by the restriction, chain and series checks.
     @functools.cache
@@ -309,26 +292,17 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
         return truncated_perp_basis(n, k)
 
     def check_elimination():
-        mismatch = restriction_mismatch(n, h_elim, triangular(h_elim))
-        dims = {"h": h_elim, "total": triangular(h).total_dimension}
-        if mismatch is None:
-            return True, dims, None
-        degree, witness = mismatch
-        return False, dims, f"degree {degree}: {format_polynomial(witness)}"
-
-    checks.append(
-        _timed(
-            "restriction_matches_truncated_minors",
-            {"n": n, "h": h_elim},
-            check_elimination,
+        # Degrees above h+1 cannot occur: T(n, h) has h+1 rows, which bounds
+        # minor size.
+        _, witness = _first_differing_degree(
+            (d, restriction_span(n, h_elim, d), triangular(h_elim).span(d))
+            for d in range(h_elim + 2)
         )
-    )
+        return witness is None, {"h": h_elim, "total": triangular(h).total_dimension}, witness
 
     def check_chain():
         chain = dimension_chain(n, h, triangular(h))
         return chain.equal and chain.bijection_lands_in_scaled, chain.to_dict(), chain.witness
-
-    checks.append(_timed("triangular_scaled_dimension_chain", {"n": n, "h": h}, check_chain))
 
     def check_diff_homogeneous():
         maximal = minor_span(scaled_matrix(n + 1, h), [h + 1])
@@ -338,14 +312,6 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
                 return False, dims, format_polynomial(p)
         return True, dims, None
 
-    checks.append(
-        _timed(
-            "scaled_maximal_minors_differentially_homogeneous",
-            {"n": n + 1, "h": h, "degree": h + 1},
-            check_diff_homogeneous,
-        )
-    )
-
     def check_series():
         rows = dimension_series(n, (triangular(k) for k in range(series_h + 1)))
         dims = {str(r.h): r.dimension for r in rows}
@@ -353,23 +319,34 @@ def run_verification(n: int, h: int, deep: bool = False, seed: int = 0) -> Verif
         witness = None if not bad else f"h={bad[0].h}: {bad[0].dimension} != {bad[0].closed_form}"
         return not bad, dims, witness
 
-    checks.append(_timed("dimension_series_matches_closed_form", {"n": n, "h_max": series_h}, check_series))
-
     def check_samples():
         return _property_samples(n, order_bound, seed, 200 if deep else 60, generators())
 
-    checks.append(
-        _timed(
-            "randomized_property_samples",
-            {"n": n, "order": order_bound, "seed": seed},
-            check_samples,
-        )
-    )
-
+    # The battery, in the order its checks run and its report lists them.
+    battery = [
+        ("hankel_minors_annihilated_by_generators",
+         {"n": n, "h": h_cap, "k": k_cap, "max_t_power": 2 * (h_cap + k_cap)},
+         check_minor_annihilation),
+        ("hankel_minors_double_derivative_vanishes", {"n": n, "h": h_cap, "k": k_cap},
+         check_minor_double_derivative),
+        ("kernel_basis_pointwise_certificates",
+         {"n": n, "order": order_bound, "degrees": list(range(degree_cap + 1))},
+         check_kernel_pointwise),
+        ("kernel_equals_hankel_minor_span",
+         {"n": n, "order": order_bound, "degrees": list(range(1, degree_cap + 1))},
+         check_span_equality),
+        ("restriction_matches_truncated_minors", {"n": n, "h": h_elim}, check_elimination),
+        ("triangular_scaled_dimension_chain", {"n": n, "h": h}, check_chain),
+        ("scaled_maximal_minors_differentially_homogeneous",
+         {"n": n + 1, "h": h, "degree": h + 1}, check_diff_homogeneous),
+        ("dimension_series_matches_closed_form", {"n": n, "h_max": series_h}, check_series),
+        ("randomized_property_samples", {"n": n, "order": order_bound, "seed": seed},
+         check_samples),
+    ]
     return VerificationReport(
         version=__version__,
         parameters={"n": n, "h": h, "deep": deep, "seed": seed},
-        checks=checks,
+        checks=[_timed(*row) for row in battery],
     )
 
 
@@ -383,12 +360,13 @@ def _random_polynomial(rng: random.Random, variables: list) -> Polynomial:
     return Polynomial(terms)
 
 
-def _generator_actions(index: MonomialIndex, g: Polynomial, w: Polynomial) -> dict:
-    """The arc generator g applied to w by three paths that share no code:
-    ``apply_pairing``, the minor side's second partials, and the kernel
-    side's ``_generator_images`` of each term c*m of w, keyed in ``index``,
-    summed as sum c*image(m).  The kernel side reads only g's name g_{ij,l},
-    off one term x_i^(s) x_j^(l-s)."""
+def _generator_actions(index: MonomialIndex, g: Polynomial, terms: list, w: Polynomial) -> dict:
+    """The arc generator g, with its :func:`_quadratic_terms` ``terms``,
+    applied to w by three paths that share no code: ``apply_pairing``, the
+    minor side's second partials, and the kernel side's
+    ``_generator_images`` of each term c*m of w, keyed in ``index``, summed
+    as sum c*image(m).  The kernel side reads only g's name g_{ij,l}, off one
+    term x_i^(s) x_j^(l-s)."""
     (u, _), *rest = next(iter(g.terms)).pairs
     v = rest[0][0] if rest else u
     kernel = Polynomial.zero()
@@ -399,26 +377,27 @@ def _generator_actions(index: MonomialIndex, g: Polynomial, w: Polynomial) -> di
         )
     return {
         "pairing": apply_pairing(g, w),
-        "minor side": Polynomial(_generator_image(_quadratic_terms(g), _second_partials(w))),
+        "minor side": Polynomial(_generator_image(terms, _second_partials(w))),
         "kernel side": kernel,
     }
 
 
 def _property_samples(n: int, max_order: int, seed: int, count: int, generators: list):
-    """Seeded samples of the action both sides rest on: each draws g from
-    ``generators``, then w with at most 3 factors a term in the variables of
-    orders <= max_order, keyed in one index of base 4.  The paths of
-    :func:`_generator_actions` must agree on g applied to w; the first sample
-    where one differs from the other two fails, naming it, g and w."""
+    """Seeded samples of the action both sides rest on: each draws g, with
+    its :func:`_quadratic_terms`, from the pairs of ``generators``, then w
+    with at most 3 factors a term in the variables of orders <= max_order,
+    keyed in one index of base 4.  The paths of :func:`_generator_actions`
+    must agree on g applied to w; the first sample where one differs from
+    the other two fails, naming it, g and w."""
     rng = random.Random(seed)
     variables = differential_variables(n, max_order)
     index = MonomialIndex(variables, 4)
-    acting = [g for g in generators  # t-power <= 2*max_order: the rest act as zero
-              if sum(v.j * e for v, e in next(iter(g.terms)).pairs) <= 2 * max_order]
+    acting = [pair for pair in generators  # t-power <= 2*max_order: the rest act as zero
+              if sum(v.j * e for v, e in next(iter(pair[0].terms)).pairs) <= 2 * max_order]
     for i in range(count):
-        g = rng.choice(acting)
+        g, terms = rng.choice(acting)
         w = _random_polynomial(rng, variables)
-        (a, p), (b, q), (c, r) = _generator_actions(index, g, w).items()
+        (a, p), (b, q), (c, r) = _generator_actions(index, g, terms, w).items()
         if not p == q == r:
             path = c if p == q else b if p == r else a if q == r else "every path"
             witness = f"{path} disagrees: g = {format_polynomial(g)}, w = {format_polynomial(w)}"

@@ -26,7 +26,7 @@ from arcperp.linalg import forward_echelon, nullspace, span_witness
 from arcperp.pairing import (
     apply_pairing, double_derivative_vanishes, is_differentially_homogeneous,
 )
-from arcperp.perp import perp_graded_basis, restriction_mismatch
+from arcperp.perp import perp_graded_basis, restriction_span
 from arcperp.ring import Monomial, Polynomial, parse, x
 
 from oracles import (
@@ -115,7 +115,9 @@ def test_criterion_5_minor_annihilation():
 def test_criterion_6_elimination():
     start = time.perf_counter()
     for n, h in itertools.product((1, 2), (0, 1, 2)):
-        assert restriction_mismatch(n, h, truncated_perp_basis(n, h)) is None, (n, h)
+        truncated = truncated_perp_basis(n, h)
+        for d in range(h + 2):
+            assert span_witness(restriction_span(n, h, d), truncated.span(d)) is None, (n, h, d)
     witness = restrict_above_oracle(wronskian([P("x1_0"), P("x1_1")]), 1)
     assert witness == P("-x1_1^2")
     elapsed = time.perf_counter() - start

@@ -659,6 +659,17 @@ class TestMinorLimit:
         with pytest.raises(ValueError, match="^at least 10\\^4300 minors of a 1x"):
             check_minor_count(1, cols + 1, [0, 1], top=True)
 
+    def test_a_matrix_with_no_rows_keeps_its_columns(self, monkeypatch):
+        # H(2, 0, 1) has no rows and 2*(1+1) = 4 columns; its one minor, of
+        # size 0, is refused under both names of the matrix alike.
+        monkeypatch.setattr(hankel, "MINOR_LIMIT", 0)
+        with pytest.raises(ValueError) as counted:
+            check_span_count("H", 2, 0, 1)
+        with pytest.raises(ValueError) as walked:
+            minor_span(hankel_matrix(2, 0, 1), [0])
+        assert str(walked.value) == str(counted.value)
+        assert str(counted.value).startswith("1 minors of a 0x4 matrix ")
+
     def test_the_maximal_minors_of_s_10_9_are_refused(self):
         with pytest.raises(ValueError, match="^17,310,309,456,440 minors of a 10x100 matrix"):
             iter_minors(scaled_matrix(10, 9), [10])

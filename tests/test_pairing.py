@@ -74,6 +74,15 @@ class TestApplyPairing:
         # auxiliaries in the target are never differentiated away
         assert apply_pairing(P("x1_0"), P("xi1*x1_0")) == P("xi1")
 
+    def test_zero_pairing_computes_no_falling_factorial(self, monkeypatch):
+        # x1_0^100000 divides the first term, x3_0 divides neither: both
+        # monomial pairings are zero before any a!/(a-b)! is formed.
+        def perm(a, b):
+            raise AssertionError(f"a falling factorial {a}!/({a}-{b})! was computed")
+
+        monkeypatch.setattr(pairing.math, "perm", perm)
+        assert apply_pairing(P("x1_0^100000*x3_0"), P("x1_0^100000 + x2_1")).is_zero
+
 
 class TestPairingSize:
     """``check_pairing_size`` bounds, summed over the term pairs, the variables

@@ -172,7 +172,7 @@ class TestRunVerification:
             pytest.fail("the battery built something before counting its enumerations")
 
         monkeypatch.setattr(perp, "MONOMIAL_LIMIT", 100)
-        for name in ("arc_generators_up_to", "minor_span", "perp_graded_basis", "restriction_mismatch"):
+        for name in ("arc_generators_up_to", "minor_span", "perp_graded_basis", "restriction_span"):
             monkeypatch.setattr(reports, name, build)
         with pytest.raises(ValueError) as refused:
             run_verification(2, 2)
@@ -514,6 +514,20 @@ class TestBuildCounts:
         built = {orders[m]: count for m, count in packed.items() if m in orders}
         assert built == dict.fromkeys(range(top + 1), 1)
 
+    def test_each_generator_split_into_terms_once(self, monkeypatch):
+        # The annihilation check and the sampled check read one listing of
+        # the generators with their quadratic terms.
+        split = Counter()
+        real = reports._quadratic_terms
+
+        def counting(g):
+            split[str(g)] += 1
+            return real(g)
+
+        monkeypatch.setattr(reports, "_quadratic_terms", counting)
+        assert run_verification(2, 2).passed
+        assert split == Counter(str(g) for g in arc_generators_up_to(2, 8))
+
     @pytest.mark.parametrize("n,h,degrees", [(1, 1, 3), (2, 2, 4), (4, 3, 4)])
     def test_every_span_is_built_inside_the_check_that_reads_it_first(
         self, monkeypatch, n, h, degrees
@@ -550,6 +564,25 @@ class TestBuildCounts:
                 "scaled_maximal_minors_differentially_homogeneous",
             ],
         }
+
+
+class TestFirstDifferingDegree:
+    """The one span comparison of the battery, degree by degree."""
+
+    def test_no_span_is_built_past_the_first_differing_degree(self):
+        wide, narrow = truncated_perp_basis(1, 1), truncated_perp_basis(1, 0)
+
+        def triples():
+            yield 0, wide.span(0), narrow.span(0)
+            yield 1, wide.span(1), narrow.span(1)
+            pytest.fail("a span past the first differing degree was built")
+
+        assert reports._first_differing_degree(triples()) == (1, "degree 1: x1_1")
+
+    def test_every_degree_agrees(self):
+        wide = truncated_perp_basis(1, 1)
+        triples = ((d, wide.span(d), wide.span(d)) for d in range(3))
+        assert reports._first_differing_degree(triples) == (None, None)
 
 
 class TestExponentialSumCertificate:
@@ -664,7 +697,9 @@ class TestGeneratorActionPaths:
         nonzero = 0
         for g in generators:
             for m in monomials:
-                actions = reports._generator_actions(index, g, Polynomial({m: 1}))
+                actions = reports._generator_actions(
+                    index, g, reports._quadratic_terms(g), Polynomial({m: 1})
+                )
                 image, *others = actions.values()
                 assert all(other == image for other in others), (str(g), str(m), actions)
                 nonzero += not image.is_zero

@@ -53,6 +53,9 @@ CALLS = [
     *(["pair", text, "x1_0"] for text in MALFORMED),
     ["pair", "x1_0", "1/x1_0"],
     ["pair", "x1_0^5000", "x1_0^5000"],  # a coefficient of 16,326 digits
+    # Zero pairings whose dividing variable comes first, at a large exponent.
+    ["pair", "x1_0^20000*x3_0", "x1_0^20000 + x2_1"],
+    ["pair", "x1_0^200000*x3_0", "x1_0^200000 + x2_1"],
     ["pair", "x1_0", PAIR_LONG],
     ["pair", "x1_0", "1/2*x1_0 - 1/2*x1_0 + x1_0"],  # the first two terms cancel
     ["perp", "--n", "1", "--degree", "2", "--order", "2"],
